@@ -82,6 +82,15 @@ class KbEntry:
         return (self.preferred_term, *self.synonyms)
 
 
+def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbEntry:
+    canonical = tuple(
+        unit_table.get(u.lower(), u) for u in entry.expected_units
+    )
+    if canonical == entry.expected_units:
+        return entry
+    return replace(entry, expected_units=canonical)
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Immutable bundle of entries plus the term and unit lookup tables."""
@@ -97,15 +106,17 @@ class KnowledgeBase:
         entries: Iterable[KbEntry],
         extra_units: dict[str, str] | None = None,
     ) -> "KnowledgeBase":
-        entries = tuple(entries)
+        """Index entries; their expected units are canonicalized here."""
+
+        unit_table = dict(DEFAULT_UNIT_TABLE)
+        if extra_units:
+            unit_table.update({k.lower(): v for k, v in extra_units.items()})
+        entries = tuple(_canonicalize_entry_units(e, unit_table) for e in entries)
         by_id: dict[str, KbEntry] = {}
         for entry in entries:
             if entry.concept_id in by_id:
                 raise DuplicateConceptId(f"duplicate concept_id: {entry.concept_id}")
             by_id[entry.concept_id] = entry
-        unit_table = dict(DEFAULT_UNIT_TABLE)
-        if extra_units:
-            unit_table.update({k.lower(): v for k, v in extra_units.items()})
         index: dict[str, list[tuple[KbEntry, str]]] = {}
         for entry in entries:
             for term in entry.terms:
@@ -289,15 +300,6 @@ def _entry_from_dict(raw: dict, where: str) -> KbEntry:
     )
 
 
-def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbEntry:
-    canonical = tuple(
-        unit_table.get(u.lower(), u) for u in entry.expected_units
-    )
-    if canonical == entry.expected_units:
-        return entry
-    return replace(entry, expected_units=canonical)
-
-
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Load and validate a knowledge-base JSON document."""
 
@@ -318,12 +320,10 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
         raise MalformedKb(f"{path}: 'entries' must be a list")
-    unit_table = dict(DEFAULT_UNIT_TABLE)
-    unit_table.update({k.lower(): v for k, v in units.items()})
-    entries = []
-    for i, raw in enumerate(raw_entries):
-        entry = _entry_from_dict(raw, f"{path}: entries[{i}]")
-        entries.append(_canonicalize_entry_units(entry, unit_table))
+    entries = [
+        _entry_from_dict(raw, f"{path}: entries[{i}]")
+        for i, raw in enumerate(raw_entries)
+    ]
     return KnowledgeBase.build(entries, extra_units=units)
 
 

@@ -120,12 +120,19 @@ def p_sup(
     keys = {_attribute_key(c.attribute) for c in candidates}
     if len(keys) > 1:
         raise ValueError("p_sup expects candidates of a single attribute")
+    # The attribute is shared, so compatibility depends on the concept alone.
+    by_concept: dict[str, float] = {}
     raw = []
     for c in candidates:
-        entry = kb.entry(c.entity.concept_id)
-        if entry is None:
-            raise UnknownConcept(f"concept {c.entity.concept_id} not in knowledge base")
-        raw.append(score_compatibility(entry, c.attribute, weights).value)
+        concept_id = c.entity.concept_id
+        value = by_concept.get(concept_id)
+        if value is None:
+            entry = kb.entry(concept_id)
+            if entry is None:
+                raise UnknownConcept(f"concept {concept_id} not in knowledge base")
+            value = score_compatibility(entry, c.attribute, weights).value
+            by_concept[concept_id] = value
+        raw.append(value)
     total = sum(raw)
     if total > 0:
         return [r / total for r in raw]
@@ -171,20 +178,21 @@ def assign(
     then leftmost entity.  Output is ordered by attribute position.
     """
 
-    relations = []
-    for group in group_by_attribute(candidates):
-        best = group[0]
-        for c in group[1:]:
-            if _beats(c, best):
-                best = c
-        if best.score >= config.min_score:
-            relations.append(
-                Relation(
-                    entity=best.entity,
-                    attribute=best.attribute,
-                    label=relation_label(best.attribute),
-                    score=best.score,
-                )
-            )
+    best: dict[tuple[int, int, int], RelationCandidate] = {}
+    for c in candidates:
+        key = _attribute_key(c.attribute)
+        incumbent = best.get(key)
+        if incumbent is None or _beats(c, incumbent):
+            best[key] = c
+    relations = [
+        Relation(
+            entity=c.entity,
+            attribute=c.attribute,
+            label=relation_label(c.attribute),
+            score=c.score,
+        )
+        for c in best.values()
+        if c.score >= config.min_score
+    ]
     relations.sort(key=lambda r: _attribute_key(r.attribute))
     return relations

@@ -10,7 +10,10 @@ results identical to serial runs.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .attributes import AttributeMention, extract_attributes
@@ -52,6 +55,15 @@ class PipelineConfig:
     boundary_penalty: float = DEFAULT_BOUNDARY_PENALTY
     weights: CompatibilityWeights = field(default_factory=CompatibilityWeights)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        if not (math.isfinite(self.boundary_penalty) and self.boundary_penalty >= 0):
+            raise ValueError(
+                f"boundary_penalty must be finite and >= 0, got {self.boundary_penalty}"
+            )
+        self.linker_config()  # validates theta and min_score
+
     def linker_config(self) -> LinkerConfig:
         return LinkerConfig(
             theta=self.theta,
@@ -63,22 +75,51 @@ class PipelineConfig:
 DEFAULT_CONFIG = PipelineConfig()
 
 
+class _TokenPositions:
+    """Global token positions of mention spans within one record.
+
+    A span maps to ``(left, right)``: ``left`` counts the record's tokens
+    that end at or before the span starts, ``right`` those that start
+    before it ends.  Each span is resolved once by bisection and then
+    cached, so looking up a mention that competes in many candidate pairs
+    is O(1).
+    """
+
+    def __init__(self, sentences: Sequence[SentenceRecord]):
+        self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
+        self._starts = [[t.start for t in s.tokens] for s in sentences]
+        self._ends = [[t.end for t in s.tokens] for s in sentences]
+        self._cache: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+    def of(self, m: EntityMention | AttributeMention) -> tuple[int, int]:
+        key = (m.sentence_index, m.start, m.end)
+        pos = self._cache.get(key)
+        if pos is None:
+            base = self._before[m.sentence_index]
+            pos = self._cache[key] = (
+                base + bisect_right(self._ends[m.sentence_index], m.start),
+                base + bisect_left(self._starts[m.sentence_index], m.end),
+            )
+        return pos
+
+
 def _cross_sentence_distance(
-    sentences: Sequence[SentenceRecord],
+    positions: _TokenPositions,
     e: EntityMention,
     a: AttributeMention,
     boundary_penalty: float,
 ) -> SyntacticSignal:
-    """Token gap across sentences, with each sentence boundary penalized."""
+    """Token gap across sentences, with each sentence boundary penalized.
 
-    first, last = sorted(
-        ((e.sentence_index, e.start, e.end), (a.sentence_index, a.start, a.end))
-    )
-    gap = sum(1 for t in sentences[first[0]].tokens if t.start >= first[2])
-    gap += sum(1 for t in sentences[last[0]].tokens if t.end <= last[1])
-    for idx in range(first[0] + 1, last[0]):
-        gap += len(sentences[idx].tokens)
-    crossed = last[0] - first[0]
+    ``e`` and ``a`` lie in different sentences.  The gap is a difference of
+    global token positions: the tokens before the later mention minus the
+    tokens up to the end of the earlier one, i.e. every token strictly
+    between the two spans.
+    """
+
+    first, last = (e, a) if e.sentence_index < a.sentence_index else (a, e)
+    gap = positions.of(last)[0] - positions.of(first)[1]
+    crossed = last.sentence_index - first.sentence_index
     return SyntacticSignal(
         float(gap) + boundary_penalty * crossed, SignalSource.HEURISTIC
     )
@@ -89,6 +130,7 @@ def _group_signals(
     sentences: Sequence[SentenceRecord],
     parses: Sequence[DependencyParse | None] | None,
     config: PipelineConfig,
+    positions: _TokenPositions | None,
 ) -> list[SyntacticSignal]:
     attr = group[0].attribute
     same_sentence = all(c.entity.sentence_index == attr.sentence_index for c in group)
@@ -111,7 +153,7 @@ def _group_signals(
         else:
             signals.append(
                 _cross_sentence_distance(
-                    sentences, c.entity, c.attribute, config.boundary_penalty
+                    positions, c.entity, c.attribute, config.boundary_penalty
                 )
             )
     return signals
@@ -189,8 +231,9 @@ def annotate_record(
 
     linker_config = config.linker_config()
     candidates = generate_candidates(mentions, attributes, linker_config)
+    positions = _TokenPositions(sentences) if config.cross_sentence else None
     for group in group_by_attribute(candidates):
-        signals = _group_signals(group, sentences, parses, config)
+        signals = _group_signals(group, sentences, parses, config, positions)
         dep_probs = p_dep(signals, tau=config.tau)
         sup_probs = p_sup(group, kb, weights=config.weights)
         for c, signal, dep_p, sup_p in zip(group, signals, dep_probs, sup_probs):

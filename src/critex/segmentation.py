@@ -120,20 +120,27 @@ _NEXT_SENTENCE_RE = re.compile(r"\s+([A-Z0-9])")
 _SINGLE_INITIAL_RE = re.compile(r"[A-Z]\.")
 
 
-def _preceding_token(text: str, end: int) -> str:
-    start = max(text.rfind(c, 0, end) for c in (" ", "\n", "\t", "\r")) + 1
-    return text[start:end]
+# Characters that end the token before a terminal period.
+_TOKEN_SEPARATORS = (" ", "\n", "\t", "\r")
 
 
 def _paragraph_spans(text: str) -> list[tuple[int, int]]:
     spans = []
     start = 0
+    # Last separator before ``scanned``; each stretch of text is searched
+    # for separators once, so the whole loop stays linear.
+    separator = -1
+    scanned = 0
     for m in re.finditer(r"[.?!]", text):
         end = m.end()
         nxt = _NEXT_SENTENCE_RE.match(text, end)
         if not nxt:
             continue
-        token = _preceding_token(text, end)
+        separator = max(
+            separator, *(text.rfind(c, scanned, end) for c in _TOKEN_SEPARATORS)
+        )
+        scanned = end
+        token = text[separator + 1 : end]
         lowered = token.lower()
         if lowered in _ABBREVIATIONS or lowered.strip("()") in _ABBREVIATIONS:
             continue

@@ -50,6 +50,17 @@ class TestAnnotate:
             main(["annotate", "--theta", "1.5", str(fig2_file)])
         assert info.value.code == 64
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--theta", "nan"), ("--theta", "-0.1"), ("--min-score", "nan")]
+    )
+    def test_config_values_rejected_before_annotating(self, capsys, fig2_file, flag, value):
+        # PipelineConfig also rejects these; the flag parser reports them
+        # first, as usage errors
+        with pytest.raises(SystemExit) as info:
+            main(["annotate", flag, value, str(fig2_file)])
+        assert info.value.code == 64
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, fig2_file):
         with pytest.raises(SystemExit) as info:
             main(["annotate", "--frobnicate", str(fig2_file)])

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from critex.attributes import AttributeKind, AttributeMention, Comparator
+from critex.attributes import (
+    AttributeKind,
+    AttributeMention,
+    Comparator,
+    extract_attributes,
+)
 from critex.errors import DuplicateConceptId, MalformedKb
 from critex.kb import (
     Category,
@@ -110,6 +115,20 @@ class TestLoadKb:
         }))
         kb = load_kb(path)
         assert kb.entries[0].expected_units == ("kg/m^2",)
+
+    def test_expected_units_canonicalized_on_build(self):
+        kb = KnowledgeBase.build(
+            [KbEntry("C1", "pressure", expected_units=("torr",))],
+            extra_units={"torr": "mmHg"},
+        )
+        entry = kb.entry("C1")
+        assert entry.expected_units == ("mmHg",)
+        assert kb.entries == (entry,)
+        assert [e for e, _ in kb.lookup_terms("pressure")] == [entry]
+        sentence = split_records("pressure < 30 torr", SplitMode.LINES)[0]
+        (attribute,) = extract_attributes(sentence, kb)
+        assert attribute.unit == "mmHg"
+        assert score_compatibility(entry, attribute).unit_matched
 
 
 class TestNormalizeUnit:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import UnknownConcept
@@ -123,6 +124,48 @@ class TestPSup:
         candidate = RelationCandidate(entity=make_entity(9), attribute=make_attr(0))
         with pytest.raises(UnknownConcept):
             p_sup([candidate], self.KB)
+
+    def test_first_unknown_concept_is_reported(self):
+        attribute = make_attr(0)
+        group = [
+            RelationCandidate(entity=make_entity(i), attribute=attribute)
+            for i in (0, 7, 0, 8)
+        ]
+        with pytest.raises(UnknownConcept, match="LOCAL:e7 "):
+            p_sup(group, self.KB)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_candidate_oracle(self, seed):
+        # concepts repeat across candidates, as when many mentions of one
+        # concept compete for an attribute
+        rng = random.Random(seed)
+        kb = KnowledgeBase.build([
+            KbEntry(concept_id="LOCAL:e0", preferred_term="a",
+                    expected_units=("mmHg",), value_min=40, value_max=300,
+                    value_pattern=ValuePattern.RATIO),
+            KbEntry(concept_id="LOCAL:e1", preferred_term="b"),
+            KbEntry(concept_id="LOCAL:e2", preferred_term="c",
+                    expected_units=("kg",), value_min=0, value_max=1,
+                    value_pattern=ValuePattern.SCALAR),
+            KbEntry(concept_id="LOCAL:e3", preferred_term="d",
+                    value_pattern=ValuePattern.ANY),
+        ])
+        attribute = rng.choice([
+            AttributeMention(0, 100, 111, "140/90 mmHg", AttributeKind.RATIO,
+                             values=(140, 90), unit="mmHg"),
+            AttributeMention(0, 100, 105, "5 kg", AttributeKind.COMPARISON,
+                             comparator=Comparator.LE, values=(5,), unit="kg"),
+            make_attr(0, kind=AttributeKind.QUALIFIER),
+            make_attr(0),
+        ])
+        group = [
+            RelationCandidate(
+                entity=make_entity(rng.randrange(4), start=10 * n), attribute=attribute
+            )
+            for n in range(rng.randint(1, 8))
+        ]
+        assert p_sup(group, kb) == oracles.p_sup(group, kb)
 
 
 class TestMix:
@@ -275,6 +318,33 @@ class TestAssign:
             candidates = score_all(build_candidates(rng, 3, 3), config)
             for r in assign(candidates, config):
                 assert config.min_score <= r.score <= 1.0
+
+
+class TestAssignOracle:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_group_then_pick(self, seed):
+        # few distinct scores, distances and offsets, so every tie-break
+        # rule of _beats decides some groups
+        rng = random.Random(seed)
+        entities = [
+            make_entity(i, sentence=rng.randrange(3), start=rng.choice((0, 10, 90, 120)))
+            for i in range(rng.randint(1, 5))
+        ]
+        attributes = [make_attr(j, sentence=rng.randrange(3)) for j in range(rng.randint(1, 4))]
+        candidates = generate_candidates(
+            entities, attributes, LinkerConfig(same_sentence_only=False)
+        )
+        rng.shuffle(candidates)
+        for c in candidates:
+            c.score = rng.choice((0.1, 0.3, 0.5))
+            c.distance = rng.choice((1.0, 2.0))
+        config = LinkerConfig(min_score=rng.choice((0.0, 0.2, 0.4)))
+        relations = assign(candidates, config)
+        expected = oracles.assign(candidates, config)
+        assert relations == expected
+        for r, o in zip(relations, expected):
+            assert r.entity is o.entity and r.attribute is o.attribute
 
 
 class TestMixtureProperties:

@@ -1,12 +1,27 @@
 """Whole-pipeline behavior on record text."""
 
+import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
+from critex import pipeline
+from critex.attributes import AttributeKind, AttributeMention, extract_attributes
+from critex.cli import main
+from critex.entities import EntityMention, link_abbreviations, recognize_entities
 from critex.io_eval import to_json
 from critex.kb import KbEntry, KnowledgeBase
-from critex.pipeline import PipelineConfig, annotate_record
+from critex.linker import assign, p_sup
+from critex.pipeline import (
+    PipelineConfig,
+    _TokenPositions,
+    _cross_sentence_distance,
+    annotate_record,
+)
+from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
 from critex.syntax import parse_blocks, align_block
 from critex.segmentation import split_records
@@ -153,3 +168,157 @@ class TestThetaFlag:
                       if p.attribute == "140/90 mmHg"]
         assert sup_winner == ["blood pressure"]
         assert dep_winner == ["ECG"]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tau": 0.0},
+            {"tau": -1.0},
+            {"tau": math.nan},
+            {"tau": math.inf},
+            {"boundary_penalty": -0.5},
+            {"boundary_penalty": math.nan},
+            {"boundary_penalty": math.inf},
+            {"tau": -1.0, "boundary_penalty": math.nan},
+            {"theta": 1.5},
+            {"min_score": math.nan},
+        ],
+    )
+    def test_invalid_values_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            PipelineConfig(**kwargs)
+
+    def test_edge_values_accepted(self):
+        config = PipelineConfig(tau=1e-9, boundary_penalty=0.0, theta=0.0, min_score=1.0)
+        assert config.boundary_penalty == 0.0
+
+
+GOLD_SENTENCES = tuple(
+    s.text
+    for path in sorted(mini_corpus_dir().glob("*.txt"))
+    for s in split_records(path.read_text(encoding="utf-8"), SplitMode.PARAGRAPHS)
+)
+
+# Multi-sentence paragraph records: gold sentences mixed with random filler
+# that can itself contain sentence breaks, numbers and clause boundaries.
+FILLER = st.text(alphabet="abxyz ABC 0123456789 .,;()<>=-/%\n\t", max_size=30)
+MULTI_SENTENCE = st.lists(
+    st.one_of(st.sampled_from(GOLD_SENTENCES), FILLER), min_size=2, max_size=8
+).map(" ".join)
+
+
+def _front_end(text, kb):
+    sentences = split_records(text, SplitMode.PARAGRAPHS)
+    mentions = [m for s in sentences for m in recognize_entities(s, kb)]
+    mentions = link_abbreviations(sentences, mentions)
+    attributes = []
+    for s in sentences:
+        spans = [(m.start, m.end) for m in mentions if m.sentence_index == s.sentence_index]
+        attributes.extend(extract_attributes(s, kb, entity_spans=spans))
+    return sentences, mentions, attributes
+
+
+class TestCrossSentenceOracles:
+    @given(text=MULTI_SENTENCE, penalty=st.sampled_from((0.0, 1.5, 5.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_distance_matches_token_loop(self, mini_kb, text, penalty):
+        sentences, mentions, attributes = _front_end(text, mini_kb)
+        positions = _TokenPositions(sentences)
+        for e in mentions:
+            for a in attributes:
+                if e.sentence_index != a.sentence_index:
+                    assert _cross_sentence_distance(
+                        positions, e, a, penalty
+                    ) == oracles.cross_sentence_distance(sentences, e, a, penalty)
+
+    @given(text=MULTI_SENTENCE, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_distance_matches_token_loop_on_arbitrary_spans(self, text, data):
+        sentences = split_records(text, SplitMode.PARAGRAPHS)
+        assume(len(sentences) >= 2)
+        i, j = data.draw(
+            st.lists(
+                st.integers(0, len(sentences) - 1), min_size=2, max_size=2, unique=True
+            )
+        )
+
+        def span(index):
+            n = len(sentences[index].text)
+            start = data.draw(st.integers(0, n))
+            return start, data.draw(st.integers(start, n))
+
+        e = EntityMention(i, *span(i), "e", "LOCAL:e", "e")
+        a = AttributeMention(j, *span(j), "a", AttributeKind.QUALIFIER)
+        positions = _TokenPositions(sentences)
+        assert _cross_sentence_distance(
+            positions, e, a, 5.0
+        ) == oracles.cross_sentence_distance(sentences, e, a, 5.0)
+
+    @given(
+        text=MULTI_SENTENCE,
+        theta=st.sampled_from((0.0, 0.5, 1.0)),
+        min_score=st.sampled_from((0.0, 0.2, 0.6)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_p_sup_and_assign_match_oracles(self, mini_kb, text, theta, min_score):
+        config = PipelineConfig(
+            mode=SplitMode.PARAGRAPHS,
+            cross_sentence=True,
+            theta=theta,
+            min_score=min_score,
+        )
+        assign_calls = []
+
+        def checked_p_sup(group, kb, weights):
+            probs = p_sup(group, kb, weights=weights)
+            assert probs == oracles.p_sup(group, kb, weights)
+            return probs
+
+        def checked_assign(candidates, linker_config):
+            relations = assign(candidates, linker_config)
+            expected = oracles.assign(candidates, linker_config)
+            assert relations == expected
+            for r, o in zip(relations, expected):
+                assert r.entity is o.entity and r.attribute is o.attribute
+            assign_calls.append(len(candidates))
+            return relations
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "p_sup", checked_p_sup)
+            mp.setattr(pipeline, "assign", checked_assign)
+            annotate_record("r", text, mini_kb, config)
+        assert len(assign_calls) == 1
+
+
+class TestPinnedOutput:
+    """Pinned sha256 of ``annotate --mode paragraphs --cross-sentence
+    --extended`` stdout: the cross-sentence fast paths must reproduce the
+    loop-based output byte for byte.
+    """
+
+    ARGS = ("annotate", "--kb", str(bundled_kb_path()), "--mode", "paragraphs",
+            "--cross-sentence", "--extended")
+
+    def _digest(self, capsys, path):
+        assert main([*self.ARGS, str(path)]) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    def test_bundled_corpus(self, capsys):
+        assert self._digest(capsys, mini_corpus_dir()) == (
+            "79eacb9554c945c589c750418668f8a101322061ab3899c2cfe7c29d4bbf8fec"
+        )
+
+    def test_corpus_joined_into_one_record(self, capsys, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text(
+            " ".join(
+                p.read_text(encoding="utf-8").strip()
+                for p in sorted(mini_corpus_dir().glob("*.txt"))
+            ),
+            encoding="utf-8",
+        )
+        assert self._digest(capsys, path) == (
+            "f475cb4b379a63ef30f04b75bea17ec07047dae9ea6dc6d0d7c4adb94536d531"
+        )

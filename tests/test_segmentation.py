@@ -3,12 +3,14 @@
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from critex.segmentation import (
     SentenceRecord,
     SplitMode,
     TokenShape,
+    _paragraph_spans,
     split_records,
     tokenize,
 )
@@ -166,3 +168,26 @@ def test_split_records_offsets_on_arbitrary_text(text):
             assert isinstance(s, SentenceRecord)
             assert text[s.char_offset : s.char_offset + len(s.text)] == s.text
             assert s.text.strip() == s.text
+
+
+# Words that end sentences or only look like they do (abbreviations,
+# initials, parentheses), joined by separators and by whitespace that is not
+# a separator (\x0b, NBSP).
+_SPLITTER_WORDS = st.sampled_from(
+    ["Word", "word.", "1.", "(a.", "b.)", "e.g.", "Dr.", "(vs.)", "X.", "Q?", "ok!", "."]
+)
+_SPLITTER_GAPS = st.sampled_from([" ", "\n", "\t", "\r", "\x0b", "\xa0", " \x0b", "", "  "])
+_SPLITTER_TEXT = st.lists(st.tuples(_SPLITTER_WORDS, _SPLITTER_GAPS), max_size=30).map(
+    lambda parts: "".join(w + g for w, g in parts)
+)
+
+
+@given(_SPLITTER_TEXT)
+@settings(max_examples=500)
+def test_paragraph_spans_match_full_backward_search(text):
+    assert _paragraph_spans(text) == oracles.paragraph_spans(text)
+
+
+@given(st.text(max_size=200))
+def test_paragraph_spans_match_full_backward_search_on_arbitrary_text(text):
+    assert _paragraph_spans(text) == oracles.paragraph_spans(text)
