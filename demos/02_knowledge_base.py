@@ -12,7 +12,6 @@ from critex import (
     SplitMode,
     bundled_kb_path,
     load_kb,
-    lookup,
     mine_kb_candidates,
     normalize_unit,
     score_compatibility,
@@ -25,9 +24,9 @@ print(f"bundled knowledge base: {len(kb.entries)} entries")
 # -- case-insensitive term lookup ---------------------------------------------
 
 for phrase in ("Blood Pressure", "SSRIs", "ecg", "xyzzy"):
-    hits = lookup(phrase, kb)
+    hits = kb.lookup(phrase)
     shown = ", ".join(f"{e.preferred_term} [{e.concept_id}]" for e in hits) or "(no match)"
-    print(f"  lookup({phrase!r:<18}) -> {shown}")
+    print(f"  kb.lookup({phrase!r:<18}) -> {shown}")
 
 # -- unit normalization ---------------------------------------------------------
 
@@ -38,7 +37,7 @@ for surface in ("kg/m2", "kg per m2", "mm Hg", "banana"):
 # -- compatibility scoring ------------------------------------------------------
 # "115/75 mmHg" fits blood pressure on all three terms; "11-25" fits none.
 
-bp = lookup("blood pressure", kb)[0]
+bp = kb.lookup("blood pressure")[0]
 ratio = AttributeMention(0, 0, 11, "115/75 mmHg", AttributeKind.RATIO,
                          values=(115, 75), unit="mmHg")
 bare = AttributeMention(0, 0, 5, "11-25", AttributeKind.RANGE, values=(11, 25))

@@ -24,6 +24,7 @@ from .errors import (
     MalformedAnn,
     MalformedJsonl,
     MalformedKb,
+    MalformedText,
     ParseMismatch,
     RecordMismatch,
     SpanMismatch,
@@ -53,9 +54,7 @@ from .kb import (
     ValuePattern,
     import_tsv,
     load_kb,
-    lookup,
     mine_kb_candidates,
-    normalize_unit,
     save_kb,
     score_compatibility,
 )
@@ -76,10 +75,10 @@ from .syntax import (
     SignalSource,
     SyntacticSignal,
     heuristic_distance,
-    ingest_parse,
     p_dep,
     path_distance,
 )
+from .units import normalize_unit
 
 __version__ = "0.1.0"
 
@@ -88,14 +87,14 @@ __all__ = [
     "TimeUnit", "attribute_shape", "extract_attributes",
     "EntityMention", "link_abbreviations", "recognize_entities",
     "CritexError", "CycleDetected", "DanglingRef", "DuplicateConceptId",
-    "MalformedAnn", "MalformedJsonl", "MalformedKb", "ParseMismatch",
-    "RecordMismatch", "SpanMismatch", "UnknownConcept",
+    "MalformedAnn", "MalformedJsonl", "MalformedKb", "MalformedText",
+    "ParseMismatch", "RecordMismatch", "SpanMismatch", "UnknownConcept",
     "CorpusFormat", "ElementType", "EvalReport", "GoldAnnotation",
     "MatchMode", "RelationPair", "StructuredRecord", "evaluate",
     "from_json", "read_brat", "read_brat_dir", "read_corpus", "to_json",
     "Category", "CompatibilityScore", "CompatibilityWeights", "KbEntry",
-    "KnowledgeBase", "ValuePattern", "import_tsv", "load_kb", "lookup",
-    "mine_kb_candidates", "normalize_unit", "save_kb", "score_compatibility",
+    "KnowledgeBase", "ValuePattern", "import_tsv", "load_kb",
+    "mine_kb_candidates", "save_kb", "score_compatibility",
     "LinkerConfig", "Relation", "RelationCandidate", "assign",
     "generate_candidates", "mix", "p_sup",
     "PipelineConfig", "annotate_record",
@@ -103,5 +102,6 @@ __all__ = [
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",
     "tokenize",
     "DependencyParse", "SignalSource", "SyntacticSignal",
-    "heuristic_distance", "ingest_parse", "p_dep", "path_distance",
+    "heuristic_distance", "p_dep", "path_distance",
+    "normalize_unit",
 ]

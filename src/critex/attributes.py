@@ -21,7 +21,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .segmentation import SentenceRecord, Token, TokenShape
-from .units import normalize_unit as _default_normalize
+from .units import normalize_unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase
@@ -186,12 +186,6 @@ def _time_unit_at(toks: Sequence[Token], i: int) -> TimeUnit | None:
     if i >= len(toks):
         return None
     return _TIME_UNITS.get(toks[i].surface.lower())
-
-
-def _make_normalizer(kb):
-    if kb is None:
-        return _default_normalize
-    return kb.normalize_unit
 
 
 def _unit_at(toks: Sequence[Token], i: int, normalize) -> tuple[str, int] | None:
@@ -453,7 +447,7 @@ def extract_attributes(
     unparseable numeric fragments are skipped rather than partially emitted.
     """
 
-    normalize = _make_normalizer(kb)
+    normalize = normalize_unit if kb is None else kb.normalize_unit
     toks = sentence.tokens
     out: list[AttributeMention] = []
     i = 0

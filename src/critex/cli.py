@@ -2,21 +2,21 @@
 
 Exit codes: 0 on success, 2 on data errors (malformed inputs, span or
 alignment failures), 64 on usage errors.  Output is deterministic: records
-are processed in id order and repeated runs produce identical bytes, with
-any number of workers.
+are processed in id order and repeated runs produce identical bytes.
+Flag defaults come from ``pipeline.DEFAULT_CONFIG``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import pipeline
-from .errors import CritexError, ParseMismatch
+from .errors import CritexError, MalformedJsonl, ParseMismatch
 from .io_eval import (
     ElementType,
     EvalReport,
@@ -25,13 +25,13 @@ from .io_eval import (
     from_json,
     read_brat_dir,
     read_corpus,
+    read_text,
     to_json,
 )
-from .kb import DEFAULT_WEIGHTS, KnowledgeBase, kb_to_dict, load_kb, mine_kb_candidates
-from .linker import DEFAULT_MIN_SCORE, DEFAULT_THETA
+from .kb import KnowledgeBase, load_kb, mine_kb_candidates, save_kb
 from .resources import bundled_kb_path
 from .segmentation import SplitMode, split_records
-from .syntax import DEFAULT_BOUNDARY_PENALTY, DEFAULT_TAU, align_block, parse_blocks
+from .syntax import align_block, parse_blocks
 from .entities import MAX_NGRAM
 
 EXIT_OK = 0
@@ -69,6 +69,8 @@ def _positive_int(text):
 
 
 def _build_parser() -> _Parser:
+    defaults = pipeline.DEFAULT_CONFIG
+    modes = tuple(m.value for m in SplitMode)
     parser = _Parser(prog="critex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -76,13 +78,13 @@ def _build_parser() -> _Parser:
     annotate.add_argument("input", help="record file, directory of .txt, or .jsonl")
     annotate.add_argument("--kb", help="knowledge base path (default: $CRITEX_KB or bundled)")
     annotate.add_argument(
-        "--mode", choices=("lines", "paragraphs"), default="lines",
-        help="sentence layout of the records (default: lines)",
+        "--mode", choices=modes, default=defaults.mode.value,
+        help=f"sentence layout of the records (default: {defaults.mode.value})",
     )
-    annotate.add_argument("--theta", type=_unit_interval("theta"), default=DEFAULT_THETA,
+    annotate.add_argument("--theta", type=_unit_interval("theta"), default=defaults.theta,
                           help="mixture weight of the compatibility signal")
     annotate.add_argument("--min-score", type=_unit_interval("min-score"),
-                          default=DEFAULT_MIN_SCORE, help="assignment threshold")
+                          default=defaults.min_score, help="assignment threshold")
     annotate.add_argument("--cross-sentence", action="store_true",
                           help="allow links between entities and attributes of different sentences")
     annotate.add_argument("--deps", help="external dependency parses (ID FORM HEAD DEPREL blocks)")
@@ -92,7 +94,7 @@ def _build_parser() -> _Parser:
                           help="pretty documents or one line per record")
     annotate.add_argument("--out", help="write to a file instead of stdout")
     annotate.add_argument("--jobs", type=_positive_int, default=1,
-                          help="worker threads (output identical for any value)")
+                          help="accepted for compatibility; has no effect")
 
     evaluate = sub.add_parser("evaluate", help="score predictions against Brat gold")
     evaluate.add_argument("--gold", required=True, help="directory of .txt/.ann pairs")
@@ -109,7 +111,7 @@ def _build_parser() -> _Parser:
     kb_mine = kb_sub.add_parser("mine", help="mine candidate entries from a corpus")
     kb_mine.add_argument("corpus", help="record file, directory of .txt, or .jsonl")
     kb_mine.add_argument("--out", required=True, help="candidate file to write (for curation)")
-    kb_mine.add_argument("--mode", choices=("lines", "paragraphs"), default="lines")
+    kb_mine.add_argument("--mode", choices=modes, default=defaults.mode.value)
 
     config = sub.add_parser("config", help="show configuration")
     config.add_argument("--show-defaults", action="store_true",
@@ -130,7 +132,7 @@ def _resolve_kb_path(flag_value: str | None) -> Path:
 def _load_parses(deps_path: str, records, mode: SplitMode):
     """Match parse blocks to the sentences of all records, in id order."""
 
-    blocks = parse_blocks(Path(deps_path).read_text(encoding="utf-8"))
+    blocks = parse_blocks(read_text(Path(deps_path)))
     parses_per_record = []
     cursor = 0
     for record_id, text in records:
@@ -158,20 +160,14 @@ def _cmd_annotate(args) -> int:
         min_score=args.min_score,
         cross_sentence=args.cross_sentence,
     )
-    parses_per_record = None
     if args.deps:
         parses_per_record = _load_parses(args.deps, records, mode)
-
-    def annotate_one(item):
-        index, (record_id, text) = item
-        parses = parses_per_record[index] if parses_per_record else None
-        return pipeline.annotate_record(record_id, text, kb, config, parses=parses)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(annotate_one, enumerate(records)))
     else:
-        results = [annotate_one(item) for item in enumerate(records)]
+        parses_per_record = [None] * len(records)
+    results = [
+        pipeline.annotate_record(record_id, text, kb, config, parses=parses)
+        for (record_id, text), parses in zip(records, parses_per_record)
+    ]
 
     indent = None if args.format == "jsonl" else 2
     lines = [to_json(r, extended=args.extended, indent=indent) for r in results]
@@ -203,9 +199,19 @@ def _format_table(report: EvalReport) -> str:
 def _cmd_evaluate(args) -> int:
     gold = read_brat_dir(args.gold)
     predictions: list[StructuredRecord] = []
-    for line in Path(args.pred).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            predictions.append(from_json(line))
+    for lineno, line in enumerate(read_text(Path(args.pred)).splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{args.pred}: line {lineno}"
+        try:
+            record = from_json(line)
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+            raise MalformedJsonl(lineno, f"{where}: not an annotate record: {exc!r}") from None
+        if record.extended is None:
+            raise MalformedJsonl(
+                lineno, f"{where}: no 'extended' payload (use annotate --extended)"
+            )
+        predictions.append(record)
     mode = None if args.mode == "both" else MatchMode(args.mode.upper())
     from .io_eval import evaluate as run_evaluate
 
@@ -228,31 +234,16 @@ def _cmd_kb(args) -> int:
     for record_id, text in sorted(records, key=lambda r: r[0]):
         sentences.extend(split_records(text, mode, record_id=record_id))
     candidates = mine_kb_candidates(sentences)
-    kb = KnowledgeBase.build(candidates)
-    Path(args.out).write_text(
-        json.dumps(kb_to_dict(kb), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    save_kb(KnowledgeBase.build(candidates), args.out)
     print(f"wrote {len(candidates)} candidate entries to {args.out}")
     return EXIT_OK
 
 
 def _cmd_config(args) -> int:
-    defaults = {
-        "theta": DEFAULT_THETA,
-        "min_score": DEFAULT_MIN_SCORE,
-        "tau": DEFAULT_TAU,
-        "boundary_penalty": DEFAULT_BOUNDARY_PENALTY,
-        "weights": {
-            "unit": DEFAULT_WEIGHTS.unit,
-            "pattern": DEFAULT_WEIGHTS.pattern,
-            "range": DEFAULT_WEIGHTS.range,
-        },
-        "max_ngram": MAX_NGRAM,
-        "mode": "lines",
-        "cross_sentence": False,
-        "kb": str(bundled_kb_path()),
-    }
+    defaults = dataclasses.asdict(pipeline.DEFAULT_CONFIG)
+    defaults["mode"] = pipeline.DEFAULT_CONFIG.mode.value
+    defaults["max_ngram"] = MAX_NGRAM
+    defaults["kb"] = str(bundled_kb_path())
     print(json.dumps(defaults, indent=2))
     return EXIT_OK
 

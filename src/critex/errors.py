@@ -55,6 +55,10 @@ class MalformedAnn(CritexError):
     """A standoff annotation line cannot be parsed."""
 
 
+class MalformedText(CritexError):
+    """An input file is not valid UTF-8 text."""
+
+
 class MalformedJsonl(CritexError):
     """A JSON-lines corpus record cannot be parsed."""
 

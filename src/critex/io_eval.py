@@ -25,6 +25,7 @@ from .errors import (
     DanglingRef,
     MalformedAnn,
     MalformedJsonl,
+    MalformedText,
     RecordMismatch,
     SpanMismatch,
 )
@@ -181,6 +182,15 @@ def read_brat(txt: str, ann: str, record_id: str = "") -> GoldAnnotation:
     return gold
 
 
+def read_text(path: Path) -> str:
+    """A file's UTF-8 text; undecodable bytes raise :class:`MalformedText`."""
+
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedText(f"{path}: not valid UTF-8: {exc}") from None
+
+
 def read_brat_dir(path: str | Path) -> list[GoldAnnotation]:
     """Read all .txt/.ann sibling pairs in a directory, sorted by id."""
 
@@ -188,12 +198,8 @@ def read_brat_dir(path: str | Path) -> list[GoldAnnotation]:
     out = []
     for txt_path in sorted(path.glob("*.txt")):
         ann_path = txt_path.with_suffix(".ann")
-        ann_text = ann_path.read_text(encoding="utf-8") if ann_path.exists() else ""
-        out.append(
-            read_brat(
-                txt_path.read_text(encoding="utf-8"), ann_text, record_id=txt_path.stem
-            )
-        )
+        ann_text = read_text(ann_path) if ann_path.exists() else ""
+        out.append(read_brat(read_text(txt_path), ann_text, record_id=txt_path.stem))
     return out
 
 
@@ -438,15 +444,11 @@ def read_corpus(
         elif path.suffix == ".jsonl":
             format = CorpusFormat.JSONL
         else:
-            return [(path.stem, path.read_text(encoding="utf-8"))]
+            return [(path.stem, read_text(path))]
     if format is CorpusFormat.TXT_DIR:
-        return [
-            (p.stem, p.read_text(encoding="utf-8")) for p in sorted(path.glob("*.txt"))
-        ]
+        return [(p.stem, read_text(p)) for p in sorted(path.glob("*.txt"))]
     records = []
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -455,5 +457,7 @@ def read_corpus(
             raise MalformedJsonl(lineno, f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or "id" not in doc or "text" not in doc:
             raise MalformedJsonl(lineno, f"line {lineno}: object needs 'id' and 'text'")
-        records.append((str(doc["id"]), str(doc["text"])))
+        if not isinstance(doc["text"], str):
+            raise MalformedJsonl(lineno, f"line {lineno}: 'text' must be a string")
+        records.append((str(doc["id"]), doc["text"]))
     return records

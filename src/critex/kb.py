@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .attributes import AttributeMention, AttributeShape, attribute_shape
 from .errors import DuplicateConceptId, MalformedKb
 from .segmentation import SentenceRecord, TokenShape
-from .units import DEFAULT_UNIT_TABLE, normalize_unit as _normalize_with_table
+from .units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
 
 KB_SCHEMA_VERSION = 1
 
@@ -84,7 +84,7 @@ class KbEntry:
 
 def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbEntry:
     canonical = tuple(
-        unit_table.get(u.lower(), u) for u in entry.expected_units
+        unit_table.get(unit_key(u), u) for u in entry.expected_units
     )
     if canonical == entry.expected_units:
         return entry
@@ -110,7 +110,7 @@ class KnowledgeBase:
 
         unit_table = dict(DEFAULT_UNIT_TABLE)
         if extra_units:
-            unit_table.update({k.lower(): v for k, v in extra_units.items()})
+            unit_table.update({unit_key(k): v for k, v in extra_units.items()})
         entries = tuple(_canonicalize_entry_units(e, unit_table) for e in entries)
         by_id: dict[str, KbEntry] = {}
         for entry in entries:
@@ -129,7 +129,9 @@ class KnowledgeBase:
         )
 
     def normalize_unit(self, surface: str) -> str | None:
-        key = " ".join(surface.split()).lower()
+        """Canonical unit for a surface form in this KB's table, or None."""
+
+        key = unit_key(surface)
         return self.unit_table.get(key) if key else None
 
     def lookup_terms(self, phrase: str) -> tuple[tuple[KbEntry, str], ...]:
@@ -138,24 +140,12 @@ class KnowledgeBase:
         return self.term_index.get(" ".join(phrase.split()).casefold(), ())
 
     def lookup(self, phrase: str) -> list[KbEntry]:
+        """Case-insensitive exact match over preferred terms and synonyms."""
+
         return [entry for entry, _ in self.lookup_terms(phrase)]
 
     def entry(self, concept_id: str) -> KbEntry | None:
         return self.by_id.get(concept_id)
-
-
-def lookup(phrase: str, kb: KnowledgeBase) -> list[KbEntry]:
-    """Case-insensitive exact match over preferred terms and synonyms."""
-
-    return kb.lookup(phrase)
-
-
-def normalize_unit(surface: str, kb: KnowledgeBase | None = None) -> str | None:
-    """Canonical unit for a surface form, or None when unknown."""
-
-    if kb is not None:
-        return kb.normalize_unit(surface)
-    return _normalize_with_table(surface)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedKb(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedKb(f"{path}: top level must be an object")
@@ -395,7 +385,7 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
             value_min, value_max = float(m.group(1)), float(m.group(2))
         units = tuple(
             dict.fromkeys(
-                _normalize_with_table(u.strip()) or u.strip()
+                normalize_unit(u.strip()) or u.strip()
                 for u in cols[units_col].split(",")
                 if u.strip()
             )
@@ -486,7 +476,7 @@ def mine_kb_candidates(corpus: Sequence[SentenceRecord]) -> list[KbEntry]:
             term = sentence.text[toks[j + 1].start : toks[np_end].end]
             unit = None
             if i + 1 < len(toks):
-                unit = _normalize_with_table(toks[i + 1].surface)
+                unit = normalize_unit(toks[i + 1].surface)
             key = _slug(term)
             units = (unit,) if unit else ()
             prior = found.get(key)

@@ -4,8 +4,8 @@ The stages run in a fixed order: sentence/token segmentation, dictionary
 entity recognition plus abbreviation expansion, attribute parsing, syntactic
 distances (external parses when supplied, otherwise the clause-proximity
 heuristic), compatibility scoring, mixture, and per-attribute assignment.
-Everything is deterministic; records can be processed in parallel with
-results identical to serial runs.
+Everything is deterministic: the same record, knowledge base and config
+always give the same output.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .units import is_known_unit
+from .units import normalize_unit
 
 
 class SplitMode(Enum):
@@ -91,7 +91,8 @@ def _shape_of(surface: str) -> TokenShape:
     if surface in _GLYPHS:
         return TokenShape.SYMBOL
     if surface == "%" or any(c.isalpha() for c in surface):
-        return TokenShape.UNIT_LIKE if is_known_unit(surface) else TokenShape.WORD
+        known = normalize_unit(surface) is not None
+        return TokenShape.UNIT_LIKE if known else TokenShape.WORD
     if len(surface) == 1 and surface in _PUNCT_CHARS:
         return TokenShape.PUNCT
     return TokenShape.SYMBOL
@@ -127,10 +128,12 @@ _TOKEN_SEPARATORS = (" ", "\n", "\t", "\r")
 def _paragraph_spans(text: str) -> list[tuple[int, int]]:
     spans = []
     start = 0
-    # Last separator before ``scanned``; each stretch of text is searched
-    # for separators once, so the whole loop stays linear.
+    # Last separator before ``scanned``, and how many more "(" than ")"
+    # lie between ``start`` and ``scanned``; each stretch of text is
+    # searched once, so the whole loop stays linear.
     separator = -1
     scanned = 0
+    depth = 0
     for m in re.finditer(r"[.?!]", text):
         end = m.end()
         nxt = _NEXT_SENTENCE_RE.match(text, end)
@@ -139,6 +142,7 @@ def _paragraph_spans(text: str) -> list[tuple[int, int]]:
         separator = max(
             separator, *(text.rfind(c, scanned, end) for c in _TOKEN_SEPARATORS)
         )
+        depth += text.count("(", scanned, end) - text.count(")", scanned, end)
         scanned = end
         token = text[separator + 1 : end]
         lowered = token.lower()
@@ -147,10 +151,11 @@ def _paragraph_spans(text: str) -> list[tuple[int, int]]:
         if _SINGLE_INITIAL_RE.fullmatch(token.strip("()")):
             continue
         # A period inside an unclosed parenthesis stays within the sentence.
-        if text.count("(", start, end) > text.count(")", start, end):
+        if depth > 0:
             continue
         spans.append((start, end))
         start = nxt.start(1)
+        depth = 0
     if text[start:].strip():
         spans.append((start, len(text)))
     return spans

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 from .attributes import AttributeMention
@@ -106,29 +105,15 @@ def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
     return blocks
 
 
-def ingest_parse(
-    file: str | Path, sentence: SentenceRecord, block: int = 0
+def align_block(
+    rows: Sequence[tuple[int, str, int, str]], sentence: SentenceRecord
 ) -> DependencyParse:
-    """Read one parse block and align it to a tokenized sentence.
+    """Align one parse block from :func:`parse_blocks` to a tokenized sentence.
 
     FORM must equal the token surface at every position; the head graph must
     be a tree.
     """
 
-    text = Path(file).read_text(encoding="utf-8")
-    blocks = parse_blocks(text)
-    if not blocks:
-        if not sentence.tokens:
-            return DependencyParse((), (), sentence)
-        raise ParseMismatch(0, f"{file}: no parse block for non-empty sentence")
-    if block >= len(blocks):
-        raise ParseMismatch(0, f"{file}: block {block} not present")
-    return align_block(blocks[block], sentence)
-
-
-def align_block(
-    rows: Sequence[tuple[int, str, int, str]], sentence: SentenceRecord
-) -> DependencyParse:
     if len(rows) != len(sentence.tokens):
         raise ParseMismatch(
             min(len(rows), len(sentence.tokens)),

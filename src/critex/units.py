@@ -45,39 +45,33 @@ _CANONICAL_VARIANTS: dict[str, tuple[str, ...]] = {
 }
 
 
+def unit_key(surface: str) -> str:
+    """The lookup key of a unit spelling: whitespace collapsed, lowercased.
+
+    Every unit table key and every lookup goes through this one rule.
+    """
+
+    return " ".join(surface.split()).lower()
+
+
 def _build_table() -> dict[str, str]:
     table: dict[str, str] = {}
     for canonical, variants in _CANONICAL_VARIANTS.items():
-        table[canonical.lower()] = canonical
+        table[unit_key(canonical)] = canonical
         for variant in variants:
-            table[variant] = canonical
+            table[unit_key(variant)] = canonical
     return table
 
 
 DEFAULT_UNIT_TABLE: dict[str, str] = _build_table()
 
 
-def _key(surface: str) -> str:
-    return " ".join(surface.split()).lower()
+def normalize_unit(surface: str) -> str | None:
+    """Map a unit surface form to its canonical spelling in the built-in table.
 
-
-def normalize_unit(surface: str, extra: dict[str, str] | None = None) -> str | None:
-    """Map a unit surface form to its canonical spelling.
-
-    Returns ``None`` when the surface is not a known unit.  ``extra`` holds
-    additional lowercase variant -> canonical pairs (e.g. from a loaded
-    knowledge base) consulted before the built-in table.
+    Returns ``None`` when the surface is not a known unit.  A loaded
+    knowledge base's own table is consulted through
+    ``KnowledgeBase.normalize_unit``.
     """
 
-    key = _key(surface)
-    if not key:
-        return None
-    if extra:
-        hit = extra.get(key)
-        if hit is not None:
-            return hit
-    return DEFAULT_UNIT_TABLE.get(key)
-
-
-def is_known_unit(surface: str, extra: dict[str, str] | None = None) -> bool:
-    return normalize_unit(surface, extra) is not None
+    return DEFAULT_UNIT_TABLE.get(unit_key(surface))

@@ -15,6 +15,7 @@ from critex.segmentation import (
     _ABBREVIATIONS,
     _NEXT_SENTENCE_RE,
     _SINGLE_INITIAL_RE,
+    _TOKEN_SEPARATORS,
 )
 from critex.syntax import SignalSource, SyntacticSignal
 
@@ -93,6 +94,41 @@ def paragraph_spans(text):
         if not nxt:
             continue
         token = _preceding_token(text, end)
+        lowered = token.lower()
+        if lowered in _ABBREVIATIONS or lowered.strip("()") in _ABBREVIATIONS:
+            continue
+        if _SINGLE_INITIAL_RE.fullmatch(token.strip("()")):
+            continue
+        if text.count("(", start, end) > text.count(")", start, end):
+            continue
+        spans.append((start, end))
+        start = nxt.start(1)
+    if text[start:].strip():
+        spans.append((start, len(text)))
+    return spans
+
+
+def paragraph_spans_recounting_parens(text):
+    """Sentence spans, recounting parentheses from the sentence start.
+
+    Separators are carried forward as in the package; only the parenthesis
+    guard rescans ``text[start:end]`` for each candidate sentence end.
+    """
+
+    spans = []
+    start = 0
+    separator = -1
+    scanned = 0
+    for m in re.finditer(r"[.?!]", text):
+        end = m.end()
+        nxt = _NEXT_SENTENCE_RE.match(text, end)
+        if not nxt:
+            continue
+        separator = max(
+            separator, *(text.rfind(c, scanned, end) for c in _TOKEN_SEPARATORS)
+        )
+        scanned = end
+        token = text[separator + 1 : end]
         lowered = token.lower()
         if lowered in _ABBREVIATIONS or lowered.strip("()") in _ABBREVIATIONS:
             continue

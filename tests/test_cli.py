@@ -51,7 +51,8 @@ class TestAnnotate:
         assert info.value.code == 64
 
     @pytest.mark.parametrize(
-        "flag,value", [("--theta", "nan"), ("--theta", "-0.1"), ("--min-score", "nan")]
+        "flag,value",
+        [("--theta", "nan"), ("--theta", "-0.1"), ("--min-score", "nan"), ("--jobs", "0")],
     )
     def test_config_values_rejected_before_annotating(self, capsys, fig2_file, flag, value):
         # PipelineConfig also rejects these; the flag parser reports them
@@ -174,6 +175,69 @@ class TestEvaluateCommand:
         assert code == 2
 
 
+class TestMalformedInput:
+    """Malformed files are data errors (exit 2) with a message, not tracebacks."""
+
+    def assert_data_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("critex: error:")
+        assert "Traceback" not in err
+        return err
+
+    def test_null_text_in_jsonl(self, capsys, tmp_path):
+        corpus = tmp_path / "records.jsonl"
+        corpus.write_text('{"id": "a", "text": "pain"}\n{"id": "b", "text": null}\n')
+        err = self.assert_data_error(capsys, "annotate", corpus)
+        assert "line 2" in err
+
+    @pytest.mark.parametrize("name", ["record.txt", "records.jsonl", "dir/a.txt"])
+    def test_non_utf8_corpus(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"Age \xff\xfe 18 years")
+        target = path.parent if name.startswith("dir/") else path
+        err = self.assert_data_error(capsys, "annotate", target)
+        assert "UTF-8" in err
+
+    def test_non_utf8_deps_file(self, capsys, fig2_file, tmp_path):
+        deps = tmp_path / "deps.tsv"
+        deps.write_bytes(b"1\t\xff\t0\troot\n")
+        self.assert_data_error(capsys, "annotate", "--deps", deps, fig2_file)
+
+    def test_non_utf8_kb_file(self, capsys, fig2_file, tmp_path):
+        kb = tmp_path / "kb.json"
+        kb.write_bytes(b'{"version": 1, "entries": [], "units": {"\xff": "x"}}')
+        self.assert_data_error(capsys, "annotate", "--kb", kb, fig2_file)
+
+    def _pred_with(self, capsys, tmp_path, line_2):
+        pred = tmp_path / "pred.jsonl"
+        code, out, _ = run(
+            capsys, "annotate", "--mode", "paragraphs", "--format", "jsonl",
+            "--extended", mini_corpus_dir(),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        pred.write_text("\n".join([lines[0], line_2, *lines[2:]]) + "\n")
+        return pred
+
+    def test_evaluate_non_json_pred_line(self, capsys, tmp_path):
+        pred = self._pred_with(capsys, tmp_path, "{not json")
+        err = self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
+        )
+        assert "line 2" in err
+
+    def test_evaluate_pred_without_extended(self, capsys, tmp_path):
+        compact = json.dumps({"result": {"id": "rec02", "text": "t", "relation": []}})
+        pred = self._pred_with(capsys, tmp_path, compact)
+        err = self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
+        )
+        assert "line 2" in err and "extended" in err
+
+
 class TestKbCommand:
     def test_validate_ok(self, capsys):
         code, out, err = run(capsys, "kb", "validate", bundled_kb_path())
@@ -210,6 +274,14 @@ class TestConfigCommand:
         code, out, err = run(capsys, "config", "--show-defaults")
         assert code == 0
         defaults = json.loads(out)
+        assert set(defaults) == {
+            "theta", "min_score", "tau", "boundary_penalty", "weights",
+            "max_ngram", "mode", "cross_sentence", "kb",
+        }
+        assert defaults["mode"] == "lines"
+        assert defaults["cross_sentence"] is False
+        assert defaults["max_ngram"] == 6
+        assert defaults["kb"] == str(bundled_kb_path())
         assert defaults["theta"] == 0.5
         assert defaults["min_score"] == 0.2
         assert defaults["tau"] == 2.0

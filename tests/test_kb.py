@@ -20,13 +20,13 @@ from critex.kb import (
     import_tsv,
     kb_to_dict,
     load_kb,
-    lookup,
     mine_kb_candidates,
-    normalize_unit,
     save_kb,
     score_compatibility,
 )
+from critex.resources import bundled_kb_path
 from critex.segmentation import SplitMode, split_records
+from critex.units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
 
 
 def attr(kind, values=(), unit=None, comparator=None):
@@ -56,7 +56,7 @@ BODY_WEIGHT = KbEntry(
 
 class TestLoadKb:
     def test_bundled_lookup_is_case_insensitive(self, mini_kb):
-        entries = lookup("Blood Pressure", mini_kb)
+        entries = mini_kb.lookup("Blood Pressure")
         assert len(entries) == 1
         assert entries[0].concept_id == "C0005823"
 
@@ -156,6 +156,39 @@ class TestNormalizeUnit:
         kb = load_kb(path)
         assert kb.normalize_unit("Torr") == "mmHg"
 
+    def test_whitespace_and_case_in_kb_unit_keys(self, tmp_path):
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps({
+            "version": 1, "units": {"Torr  ": "mmHg", " Cm  H2O": "cmH2O"},
+            "entries": [],
+        }))
+        kb = load_kb(path)
+        assert kb.normalize_unit("Torr") == "mmHg"
+        assert kb.normalize_unit(" TORR ") == "mmHg"
+        assert kb.normalize_unit("cm h2o") == "cmH2O"
+        assert kb.normalize_unit("cm\th2o") == "cmH2O"
+
+    def test_whitespace_expected_unit_matches(self):
+        kb = KnowledgeBase.build(
+            [KbEntry("C1", "pressure", expected_units=(" mm Hg",))]
+        )
+        entry = kb.entry("C1")
+        assert kb.normalize_unit(" mm Hg") == "mmHg"
+        assert entry.expected_units == ("mmHg",)
+        sentence = split_records("pressure < 30 mm  Hg", SplitMode.LINES)[0]
+        (attribute,) = extract_attributes(sentence, kb)
+        assert attribute.unit == "mmHg"
+        assert score_compatibility(entry, attribute).unit_matched
+
+    def test_every_table_key_is_its_own_unit_key(self):
+        kb = KnowledgeBase.build((), extra_units={" Per  Cent ": "%", "TORR": "mmHg"})
+        assert DEFAULT_UNIT_TABLE.items() <= kb.unit_table.items()
+        assert all(unit_key(k) == k for k in kb.unit_table)
+
+    def test_bundled_kb_serializes_to_its_own_file(self):
+        path = bundled_kb_path()
+        assert kb_to_dict(load_kb(path)) == json.loads(path.read_text(encoding="utf-8"))
+
     def test_extra_units_survive_round_trip(self, tmp_path):
         path = tmp_path / "kb.json"
         path.write_text(json.dumps({
@@ -169,22 +202,22 @@ class TestNormalizeUnit:
 
 class TestLookup:
     def test_synonym_abbreviation(self, mini_kb):
-        hits = lookup("SSRIs", mini_kb)
+        hits = mini_kb.lookup("SSRIs")
         assert len(hits) == 1
         assert hits[0].preferred_term == "selective serotonin reuptake inhibitor"
 
     def test_ecg_lowercase(self, mini_kb):
-        hits = lookup("ecg", mini_kb)
+        hits = mini_kb.lookup("ecg")
         assert len(hits) == 1
         assert hits[0].concept_id == "C0013798"
 
     def test_unknown_term(self, mini_kb):
-        assert lookup("xyzzy", mini_kb) == []
+        assert mini_kb.lookup("xyzzy") == []
 
     def test_case_insensitivity_property(self, mini_kb):
         for entry in mini_kb.entries:
             for term in entry.terms:
-                assert lookup(term.upper(), mini_kb) == lookup(term, mini_kb)
+                assert mini_kb.lookup(term.upper()) == mini_kb.lookup(term)
 
 
 class TestScoreCompatibility:

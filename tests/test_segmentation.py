@@ -191,3 +191,14 @@ def test_paragraph_spans_match_full_backward_search(text):
 @given(st.text(max_size=200))
 def test_paragraph_spans_match_full_backward_search_on_arbitrary_text(text):
     assert _paragraph_spans(text) == oracles.paragraph_spans(text)
+
+
+# Parentheses, sentence ends and sentence starts, with whitespace that is and
+# is not a token separator.
+_PAREN_TEXT = st.text(alphabet="().?XQ17 \x0b\xa0", max_size=80)
+
+
+@given(_PAREN_TEXT)
+@settings(max_examples=1000)
+def test_paragraph_spans_match_recounted_paren_guard(text):
+    assert _paragraph_spans(text) == oracles.paragraph_spans_recounting_parens(text)

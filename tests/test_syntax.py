@@ -13,9 +13,10 @@ from critex.syntax import (
     DependencyParse,
     SignalSource,
     SyntacticSignal,
+    align_block,
     heuristic_distance,
-    ingest_parse,
     p_dep,
+    parse_blocks,
     path_distance,
 )
 
@@ -63,70 +64,60 @@ BMI_PARSE_TEXT = (
 )
 
 
+def parse_of(text, sentence, block=0):
+    return align_block(parse_blocks(text)[block], sentence)
+
+
 class TestIngestParse:
-    def test_six_token_file(self, tmp_path, criterion_line):
-        path = tmp_path / "deps.tsv"
-        path.write_text(BMI_PARSE_TEXT)
-        parse = ingest_parse(path, sentence_of(criterion_line))
+    def test_six_token_file(self, criterion_line):
+        parse = parse_of(BMI_PARSE_TEXT, sentence_of(criterion_line))
         assert len(parse.heads) == 6
         assert parse.heads == (3, 3, 5, 5, 0, 5)
         assert parse.labels[4] == "root"
 
-    def test_self_loop_rejected(self, tmp_path, criterion_line):
+    def test_self_loop_rejected(self, criterion_line):
         bad = BMI_PARSE_TEXT.replace("3\tIndex\t5\tnsubj", "3\tIndex\t3\tnsubj")
-        path = tmp_path / "deps.tsv"
-        path.write_text(bad)
         with pytest.raises(CycleDetected):
-            ingest_parse(path, sentence_of(criterion_line))
+            parse_of(bad, sentence_of(criterion_line))
 
-    def test_two_roots_rejected(self, tmp_path, criterion_line):
+    def test_two_roots_rejected(self, criterion_line):
         bad = BMI_PARSE_TEXT.replace("3\tIndex\t5\tnsubj", "3\tIndex\t0\tnsubj")
-        path = tmp_path / "deps.tsv"
-        path.write_text(bad)
         with pytest.raises(CycleDetected):
-            ingest_parse(path, sentence_of(criterion_line))
+            parse_of(bad, sentence_of(criterion_line))
 
-    def test_form_mismatch_reports_index(self, tmp_path, criterion_line):
+    def test_form_mismatch_reports_index(self, criterion_line):
         bad = BMI_PARSE_TEXT.replace("2\tMass\t3\tcompound", "2\tMASS\t3\tcompound")
-        path = tmp_path / "deps.tsv"
-        path.write_text(bad)
         with pytest.raises(ParseMismatch) as info:
-            ingest_parse(path, sentence_of(criterion_line))
+            parse_of(bad, sentence_of(criterion_line))
         assert info.value.index == 1
 
-    def test_empty_file_empty_sentence(self, tmp_path):
+    def test_empty_file_empty_sentence(self):
         from critex.segmentation import SentenceRecord
 
-        path = tmp_path / "deps.tsv"
-        path.write_text("")
+        assert parse_blocks("") == []
         sentence = SentenceRecord("r", 0, "", 0, ())
-        parse = ingest_parse(path, sentence)
+        parse = align_block([], sentence)
         assert parse.heads == ()
 
-    def test_count_mismatch(self, tmp_path, criterion_line):
-        path = tmp_path / "deps.tsv"
-        path.write_text("1\tBody\t0\troot\n")
+    def test_count_mismatch(self, criterion_line):
         with pytest.raises(ParseMismatch):
-            ingest_parse(path, sentence_of(criterion_line))
+            parse_of("1\tBody\t0\troot\n", sentence_of(criterion_line))
 
-    def test_block_selection_in_multi_sentence_file(self, tmp_path):
-        path = tmp_path / "deps.tsv"
-        path.write_text(
+    def test_block_selection_in_multi_sentence_file(self):
+        text = (
             "1\tpain\t0\troot\n"
             "\n"
             "1\tscreening\t0\troot\n"
         )
-        parse = ingest_parse(path, sentence_of("screening"), block=1)
+        parse = parse_of(text, sentence_of("screening"), block=1)
         assert parse.labels == ("root",)
         assert parse.sentence.tokens[0].surface == "screening"
 
 
 class TestPathDistance:
-    def test_directly_connected_spans(self, tmp_path, criterion_line):
-        path = tmp_path / "deps.tsv"
-        path.write_text(BMI_PARSE_TEXT)
+    def test_directly_connected_spans(self, criterion_line):
         sentence = sentence_of(criterion_line)
-        parse = ingest_parse(path, sentence)
+        parse = parse_of(BMI_PARSE_TEXT, sentence)
         e = entity(sentence, "Body Mass Index")  # head token: Index (3)
         a = attribute(
             sentence, "≤ 40 kg/m^2", AttributeKind.COMPARISON, values=(40,)
@@ -137,16 +128,14 @@ class TestPathDistance:
         assert signal.distance == 2
         assert signal.source is SignalSource.EXTERNAL_PARSE
 
-    def test_same_head_token_distance_zero(self, tmp_path):
+    def test_same_head_token_distance_zero(self):
         sentence = sentence_of("pain")
-        path = tmp_path / "deps.tsv"
-        path.write_text("1\tpain\t0\troot\n")
-        parse = ingest_parse(path, sentence)
+        parse = parse_of("1\tpain\t0\troot\n", sentence)
         e = entity(sentence, "pain")
         a = attribute(sentence, "pain", AttributeKind.QUALIFIER, values=())
         assert path_distance(parse, e, a).distance == 0
 
-    def test_pressure_closer_than_ecg_in_tree(self, tmp_path):
+    def test_pressure_closer_than_ecg_in_tree(self):
         # Hand-drawn tree for the ECG / blood-pressure sentence; path
         # lengths counted by hand: pressure->140/90 = 2 edges, ECG->140/90 = 4.
         text = "A normal resting 12-lead electrocardiograph (ECG) and blood pressure of less than 140/90 mmHg."
@@ -169,10 +158,8 @@ class TestPathDistance:
             (16, "mmHg", 15, "nmod"),
             (17, ".", 5, "punct"),
         ]
-        path = tmp_path / "deps.tsv"
-        path.write_text("".join(f"{i}\t{f}\t{h}\t{d}\n" for i, f, h, d in rows))
         sentence = sentence_of(text)
-        parse = ingest_parse(path, sentence)
+        parse = parse_of("".join(f"{i}\t{f}\t{h}\t{d}\n" for i, f, h, d in rows), sentence)
         a = attribute(sentence, "140/90 mmHg", AttributeKind.RATIO, values=(140, 90))
         d_pressure = path_distance(parse, entity(sentence, "blood pressure"), a)
         d_ecg = path_distance(parse, entity(sentence, "ECG"), a)
@@ -180,11 +167,9 @@ class TestPathDistance:
         assert d_ecg.distance == 4
         assert d_pressure.distance < d_ecg.distance
 
-    def test_symmetry(self, tmp_path, criterion_line):
-        path = tmp_path / "deps.tsv"
-        path.write_text(BMI_PARSE_TEXT)
+    def test_symmetry(self, criterion_line):
         sentence = sentence_of(criterion_line)
-        parse = ingest_parse(path, sentence)
+        parse = parse_of(BMI_PARSE_TEXT, sentence)
         e = entity(sentence, "Body Mass Index")
         a = attribute(sentence, "≤ 40 kg/m^2", AttributeKind.COMPARISON, values=(40,))
         forward = path_distance(parse, e, a).distance
