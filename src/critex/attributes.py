@@ -111,6 +111,8 @@ _NUMBER_WORDS = {
     "nineteen": 19, "twenty": 20,
 }
 
+_FREQUENCY_WORDS = {"once": 1.0, "twice": 2.0}
+
 _TIME_UNITS = {
     "day": TimeUnit.DAY, "days": TimeUnit.DAY,
     "week": TimeUnit.WEEK, "weeks": TimeUnit.WEEK,
@@ -241,154 +243,111 @@ def _anchor_at(toks: Sequence[Token], i: int) -> int:
     return 0
 
 
-def _ratio(toks, i, normalize) -> _Parse | None:
-    j = i
-    comp = None
-    symbolic = False
-    hit = _comparator_at(toks, j)
-    if hit:
-        comp, n, symbolic = hit
-        j += n
+def _unit_suffix(toks, last: int, normalize) -> tuple[str | None, int, int]:
+    """Optional unit after token ``last``: (unit, span_end, next_i)."""
+
+    u = _unit_at(toks, last + 1, normalize)
+    if u is None:
+        return None, last, last + 1
+    unit, n = u
+    return unit, last + n, last + 1 + n
+
+
+def _anchor_suffix(toks, j: int, span_end: int) -> tuple[tuple[int, int] | None, int, int]:
+    """Optional trailing anchor at token ``j``: (anchor, span_end, next_i)."""
+
+    n = _anchor_at(toks, j)
+    if not n:
+        return None, span_end, j
+    return (toks[j].start, toks[j + n - 1].end), j + n - 1, j + n
+
+
+# what a production sees when no comparator starts the position
+_NO_COMPARATOR = (None, 0, False)
+
+
+def _ratio(toks, i, hit, normalize) -> _Parse | None:
+    comp, n, symbolic = hit or _NO_COMPARATOR
+    j = i + n
     if j >= len(toks) or toks[j].shape is not TokenShape.RATIO:
         return None
     num_s, den_s = toks[j].surface.split("/")
     num, den = float(num_s), float(den_s)
     if num <= 0 or den <= 0:
         return None
-    span_start = i if symbolic else j
-    span_end = j
-    next_i = j + 1
-    unit = None
-    u = _unit_at(toks, next_i, normalize)
-    if u:
-        unit, n = u
-        span_end = next_i + n - 1
-        next_i += n
-    return _Parse(AttributeKind.RATIO, span_start, span_end, next_i,
+    unit, span_end, next_i = _unit_suffix(toks, j, normalize)
+    return _Parse(AttributeKind.RATIO, i if symbolic else j, span_end, next_i,
                   comparator=comp, values=(num, den), unit=unit)
 
 
-def _range(toks, i, normalize) -> _Parse | None:
-    if i < len(toks) and toks[i].shape is TokenShape.RANGE:
-        lo_s, hi_s = [p for p in toks[i].surface.replace("–", "-").split("-")]
-        lo, hi = sorted((float(lo_s), float(hi_s)))
-        span_end = i
-        next_i = i + 1
-        unit = None
-        u = _unit_at(toks, next_i, normalize)
-        if u:
-            unit, n = u
-            span_end = next_i + n - 1
-            next_i += n
-        return _Parse(AttributeKind.RANGE, i, span_end, next_i,
-                      values=(lo, hi), unit=unit)
-    # "between X and Y [unit]"
-    if (
-        i < len(toks)
-        and toks[i].surface.lower() == "between"
+def _range(toks, i, hit, normalize) -> _Parse | None:
+    if toks[i].shape is TokenShape.RANGE:
+        lo_s, hi_s = toks[i].surface.replace("–", "-").split("-")
+        values, last = (float(lo_s), float(hi_s)), i
+    elif (  # "between X and Y [unit]"
+        toks[i].surface.lower() == "between"
         and _number_at(toks, i + 1) is not None
         and i + 2 < len(toks)
         and toks[i + 2].surface.lower() == "and"
         and _number_at(toks, i + 3) is not None
     ):
-        lo, hi = sorted((_number_at(toks, i + 1), _number_at(toks, i + 3)))
-        span_end = i + 3
-        next_i = i + 4
-        unit = None
-        u = _unit_at(toks, next_i, normalize)
-        if u:
-            unit, n = u
-            span_end = next_i + n - 1
-            next_i += n
-        return _Parse(AttributeKind.RANGE, i, span_end, next_i,
-                      values=(lo, hi), unit=unit)
-    return None
+        values, last = (_number_at(toks, i + 1), _number_at(toks, i + 3)), i + 3
+    else:
+        return None
+    unit, span_end, next_i = _unit_suffix(toks, last, normalize)
+    return _Parse(AttributeKind.RANGE, i, span_end, next_i,
+                  values=tuple(sorted(values)), unit=unit)
 
 
-def _comparison(toks, i, normalize) -> _Parse | None:
-    j = i
-    comp = None
-    symbolic = False
-    hit = _comparator_at(toks, j)
-    if hit:
-        comp, n, symbolic = hit
-        j += n
+def _comparison(toks, i, hit, normalize) -> _Parse | None:
+    comp, n, symbolic = hit or _NO_COMPARATOR
+    j = i + n
     value = _number_at(toks, j)
     if value is None:
         return None
-    span_start = i if symbolic else j
-    span_end = j
-    next_i = j + 1
-    unit = None
-    u = _unit_at(toks, next_i, normalize)
-    if u:
-        unit, n = u
-        span_end = next_i + n - 1
-        next_i += n
+    unit, span_end, next_i = _unit_suffix(toks, j, normalize)
     # A bare number is not an attribute: we need a comparator or a unit.
     if comp is None:
         if unit is None:
             return None
         comp = Comparator.EQ
-    return _Parse(AttributeKind.COMPARISON, span_start, span_end, next_i,
+    return _Parse(AttributeKind.COMPARISON, i if symbolic else j, span_end, next_i,
                   comparator=comp, values=(value,), unit=unit)
 
 
-def _temporal(toks, i, normalize) -> _Parse | None:
-    j = i
-    if j < len(toks) and toks[j].surface.lower() == "within":
-        comp = Comparator.LE
-        j += 1
-    else:
-        hit = _comparator_at(toks, j)
-        if not hit:
-            return None
+def _temporal(toks, i, hit, normalize) -> _Parse | None:
+    if toks[i].surface.lower() == "within":
+        comp, j = Comparator.LE, i + 1
+    elif hit:
         comp, n, _ = hit
-        j += n
+        j = i + n
+    else:
+        return None
     value = _number_at(toks, j)
     if value is None:
         return None
     unit = _time_unit_at(toks, j + 1)
     if unit is None:
         return None
-    span_end = j + 1
-    next_i = j + 2
-    anchor = None
-    n = _anchor_at(toks, next_i)
-    if n:
-        anchor = (toks[next_i].start, toks[next_i + n - 1].end)
-        span_end = next_i + n - 1
-        next_i += n
+    anchor, span_end, next_i = _anchor_suffix(toks, j + 2, j + 1)
     return _Parse(AttributeKind.TEMPORAL, i, span_end, next_i,
                   comparator=comp, values=(value,), time_unit=unit,
                   anchor=anchor)
 
 
-def _frequency(toks, i, normalize) -> _Parse | None:
-    j = i
-    comp = None
-    hit = _comparator_at(toks, j)
-    if hit:
-        comp, n, _ = hit
-        j += n
+def _frequency(toks, i, hit, normalize) -> _Parse | None:
+    comp, n, _ = hit or _NO_COMPARATOR
+    j = i + n
     if j >= len(toks):
         return None
-    word = toks[j].surface.lower()
+    value = _FREQUENCY_WORDS.get(toks[j].surface.lower())
     times_form = False
-    if word == "once":
-        value = 1.0
-        j += 1
-    elif word == "twice":
-        value = 2.0
-        j += 1
-    else:
+    if value is None:
         value = _number_at(toks, j)
         if value is None:
             return None
-        j += 1
-        if j < len(toks) and toks[j].surface.lower() == "times":
-            times_form = True
-            j += 1
+        times_form = j + 1 < len(toks) and toks[j + 1].surface.lower() == "times"
+    j += 2 if times_form else 1
     time_unit = None
     span_end = j - 1
     if j < len(toks) and toks[j].surface.lower() in ("a", "an", "per"):
@@ -400,13 +359,8 @@ def _frequency(toks, i, normalize) -> _Parse | None:
     elif not times_form:
         # "once"/"twice"/bare numbers need the per-unit part
         return None
-    anchor = None
-    n = _anchor_at(toks, j)
-    if n:
-        anchor = (toks[j].start, toks[j + n - 1].end)
-        span_end = j + n - 1
-        j += n
-    return _Parse(AttributeKind.FREQUENCY, i, span_end, j,
+    anchor, span_end, next_i = _anchor_suffix(toks, j, span_end)
+    return _Parse(AttributeKind.FREQUENCY, i, span_end, next_i,
                   comparator=comp, values=(value,), time_unit=time_unit,
                   anchor=anchor)
 
@@ -453,8 +407,9 @@ def extract_attributes(
     i = 0
     while i < len(toks):
         best: _Parse | None = None
+        hit = _comparator_at(toks, i)
         for prod in (_frequency, _temporal, _ratio, _range, _comparison):
-            parse = prod(toks, i, normalize)
+            parse = prod(toks, i, hit, normalize)
             if parse and (best is None or parse.next_i > best.next_i):
                 best = parse
         if best is None:

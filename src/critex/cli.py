@@ -22,6 +22,7 @@ from .io_eval import (
     EvalReport,
     MatchMode,
     StructuredRecord,
+    extended_problem,
     from_json,
     read_brat_dir,
     read_corpus,
@@ -207,10 +208,9 @@ def _cmd_evaluate(args) -> int:
             record = from_json(line)
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedJsonl(lineno, f"{where}: not an annotate record: {exc!r}") from None
-        if record.extended is None:
-            raise MalformedJsonl(
-                lineno, f"{where}: no 'extended' payload (use annotate --extended)"
-            )
+        problem = extended_problem(record.extended)
+        if problem:
+            raise MalformedJsonl(lineno, f"{where}: {problem}")
         predictions.append(record)
     mode = None if args.mode == "both" else MatchMode(args.mode.upper())
     from .io_eval import evaluate as run_evaluate

@@ -311,6 +311,30 @@ def _match_counts(pred, gold, mode: MatchMode, same, overlapping) -> Counts:
     return Counts(tp=tp, fp=len(pred) - tp, fn=len(gold) - tp)
 
 
+def extended_problem(ext) -> str | None:
+    """Why an ``extended`` payload cannot be evaluated, or None if it can."""
+
+    if ext is None:
+        return "no 'extended' payload (use annotate --extended)"
+    if not isinstance(ext, dict):
+        return "'extended' must be an object"
+    for key in ("entities", "attributes", "relations"):
+        if not isinstance(ext.get(key), list) or not all(isinstance(x, dict) for x in ext[key]):
+            return f"'extended' needs a list of objects {key!r}"
+    for key in ("entities", "attributes"):
+        if not all(isinstance(m.get("start"), int) and isinstance(m.get("end"), int)
+                   for m in ext[key]):
+            return f"{key!r} items need integer 'start' and 'end'"
+    for r in ext["relations"]:
+        if "label" not in r:
+            return "relations need a 'label'"
+        for key, pool in (("entity", "entities"), ("attribute", "attributes")):
+            index = r.get(key)
+            if not isinstance(index, int) or not 0 <= index < len(ext[pool]):
+                return f"relation {key} index {index!r} is not in {pool!r}"
+    return None
+
+
 def _record_counts(
     record: StructuredRecord, gold: GoldAnnotation, mode: MatchMode, match_labels: bool
 ) -> dict[ElementType, Counts]:
@@ -457,7 +481,8 @@ def read_corpus(
             raise MalformedJsonl(lineno, f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or "id" not in doc or "text" not in doc:
             raise MalformedJsonl(lineno, f"line {lineno}: object needs 'id' and 'text'")
-        if not isinstance(doc["text"], str):
-            raise MalformedJsonl(lineno, f"line {lineno}: 'text' must be a string")
-        records.append((str(doc["id"]), doc["text"]))
+        for key in ("id", "text"):
+            if not isinstance(doc[key], str):
+                raise MalformedJsonl(lineno, f"line {lineno}: {key!r} must be a string")
+        records.append((doc["id"], doc["text"]))
     return records

@@ -42,6 +42,12 @@ class Category(Enum):
     OTHER = "OTHER"
 
 
+def term_key(term: str) -> str:
+    """The key of a concept term in the index, in lookups and in duplicate checks."""
+
+    return " ".join(term.split()).casefold()
+
+
 @dataclass(frozen=True)
 class KbEntry:
     """One concept row: terms plus unit/pattern/range constraints."""
@@ -60,8 +66,8 @@ class KbEntry:
             raise MalformedKb(f"{self.concept_id}: empty preferred_term")
         seen = set()
         for syn in self.synonyms:
-            key = syn.casefold()
-            if key == self.preferred_term.casefold():
+            key = term_key(syn)
+            if key == term_key(self.preferred_term):
                 raise MalformedKb(
                     f"{self.concept_id}: synonym duplicates preferred_term: {syn!r}"
                 )
@@ -120,7 +126,7 @@ class KnowledgeBase:
         index: dict[str, list[tuple[KbEntry, str]]] = {}
         for entry in entries:
             for term in entry.terms:
-                index.setdefault(term.casefold(), []).append((entry, term))
+                index.setdefault(term_key(term), []).append((entry, term))
         return cls(
             entries=entries,
             term_index={k: tuple(v) for k, v in index.items()},
@@ -137,7 +143,7 @@ class KnowledgeBase:
     def lookup_terms(self, phrase: str) -> tuple[tuple[KbEntry, str], ...]:
         """Matching (entry, fired term) pairs for a surface phrase."""
 
-        return self.term_index.get(" ".join(phrase.split()).casefold(), ())
+        return self.term_index.get(term_key(phrase), ())
 
     def lookup(self, phrase: str) -> list[KbEntry]:
         """Case-insensitive exact match over preferred terms and synonyms."""

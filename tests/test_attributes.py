@@ -1,7 +1,11 @@
 """Attribute grammar: comparisons, ranges, ratios, temporals, frequencies."""
 
+import hashlib
+import random
+
 import pytest
 
+from critex import attributes
 from critex.attributes import (
     AttributeKind,
     AttributeMention,
@@ -11,6 +15,7 @@ from critex.attributes import (
     attribute_shape,
     extract_attributes,
 )
+from critex.entities import recognize_entities
 from critex.segmentation import SplitMode, split_records
 
 
@@ -214,3 +219,102 @@ class TestInvariantValidation:
     def test_comparison_needs_comparator(self):
         with pytest.raises(ValueError):
             AttributeMention(0, 0, 1, "x", AttributeKind.COMPARISON, values=(5,))
+
+
+# Vocabulary of the grammar, one pool per role; a phrase strings optional
+# parts of one production together, or is a single word from any pool.
+_COMPARATORS = (
+    "less than", "greater than", "more than", "no more than", "at least",
+    "at most", "under", "over", "within", "≤", "<=", "≦", "≥", ">=", "≧", "<",
+    ">", "=",
+)
+_NUMBERS = ("18", "1,000", "2.5", "0", "three", "six", "twelve", "twenty")
+_VALUES = _NUMBERS + (
+    "140/90", "0/5", "21-45", "45-21", "3–7", "between 5 and 2",
+    "between 18.5 and 30", "between two and",
+)
+_UNITS = (
+    "mmHg", "mm Hg", "millimeters of mercury", "kg/m^2", "kg per m2", "mg/dL",
+    "mg per dl", "%", "percent", "beats per minute", "kg", "bpm", "cc", "mg",
+)
+_TIME_UNITS = (
+    "day", "days", "week", "weeks", "month", "months", "year", "years", "hour",
+    "hours",
+)
+_FREQUENCY_HEADS = ("once", "twice", "2 times", "five times", "times")
+_PER = ("a", "an", "per")
+_ANCHORS = (
+    "prior to screening visit", "prior to", "before randomization",
+    "after the first dose", "for the past six months", "for the last 3 weeks",
+    "for the past weeks", "of their elimination half-lives", "of their", "and",
+)
+_OTHER = (
+    "12-lead", "3-day", "concomitant", "stable", "normal", "resting",
+    "blood pressure", "heart rate", "BMI", "age", "patients", "HbA1c",
+    "medications", "dose", ",", ".", ";", "(", ")",
+)
+_POOLS = (
+    _COMPARATORS, _VALUES, _UNITS, _TIME_UNITS, _FREQUENCY_HEADS, _PER,
+    _ANCHORS, _OTHER,
+)
+_PRODUCTIONS = (
+    (_COMPARATORS, _VALUES, _UNITS),
+    (_COMPARATORS, _NUMBERS, _TIME_UNITS, _ANCHORS),
+    (_COMPARATORS, _FREQUENCY_HEADS, _PER, _TIME_UNITS, _ANCHORS),
+)
+
+
+def _grammar_lines(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        phrases = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.3:
+                phrases.append(rng.choice(rng.choice(_POOLS)))
+                continue
+            pools = rng.choice(_PRODUCTIONS)
+            phrases.extend(rng.choice(p) for p in pools if rng.random() < 0.75)
+        yield " ".join(phrases)
+
+
+class TestGrammarRegression:
+    """The grammar's output is pinned on generated lines of its vocabulary."""
+
+    # sha256 of every AttributeMention field over 3,000 generated lines,
+    # with the bundled KB and with the built-in unit table.
+    DIGEST = "2f62f5c5ffd653322e5d34d2fcfb836008daeae6c434c0ff42e94d0829b7a9ef"
+
+    def test_pinned_digest(self, mini_kb):
+        digest = hashlib.sha256()
+        for line in _grammar_lines(20191, 3000):
+            for sentence in split_records(line, SplitMode.LINES):
+                spans = [(e.start, e.end) for e in recognize_entities(sentence, mini_kb)]
+                for kb in (mini_kb, None):
+                    for a in extract_attributes(sentence, kb, entity_spans=spans):
+                        digest.update(repr((
+                            a.sentence_index, a.start, a.end, a.surface,
+                            a.kind.value, a.comparator and a.comparator.value,
+                            a.values, a.unit, a.time_unit and a.time_unit.value,
+                            a.anchor,
+                        )).encode())
+                    digest.update(b"|")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_comparator_parsed_once_per_position(self, monkeypatch, mini_kb):
+        positions = []
+        original = attributes._comparator_at
+
+        def counting(toks, i):
+            positions.append(i)
+            return original(toks, i)
+
+        monkeypatch.setattr(attributes, "_comparator_at", counting)
+        calls = 0
+        for line in _grammar_lines(7, 200):
+            for sentence in split_records(line, SplitMode.LINES):
+                positions.clear()
+                extract_attributes(sentence, mini_kb)
+                assert len(positions) == len(set(positions)), sentence.text
+                assert len(positions) <= len(sentence.tokens)
+                calls += len(positions)
+        assert calls

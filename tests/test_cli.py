@@ -192,6 +192,15 @@ class TestMalformedInput:
         err = self.assert_data_error(capsys, "annotate", corpus)
         assert "line 2" in err
 
+    @pytest.mark.parametrize("record_id", [None, 7, ["a"]], ids=["null", "int", "list"])
+    def test_non_string_id_in_jsonl(self, capsys, tmp_path, record_id):
+        corpus = tmp_path / "records.jsonl"
+        corpus.write_text(
+            json.dumps({"id": record_id, "text": "Age at least 18 years"}) + "\n"
+        )
+        err = self.assert_data_error(capsys, "annotate", corpus)
+        assert "line 1" in err and "'id'" in err
+
     @pytest.mark.parametrize("name", ["record.txt", "records.jsonl", "dir/a.txt"])
     def test_non_utf8_corpus(self, capsys, tmp_path, name):
         path = tmp_path / name
@@ -219,8 +228,18 @@ class TestMalformedInput:
         )
         assert code == 0
         lines = out.splitlines()
+        if callable(line_2):
+            line_2 = line_2(lines[1])
         pred.write_text("\n".join([lines[0], line_2, *lines[2:]]) + "\n")
         return pred
+
+    def _pred_with_extended(self, capsys, tmp_path, edit):
+        def edit_line(line):
+            doc = json.loads(line)
+            edit(doc["result"]["extended"])
+            return json.dumps(doc)
+
+        return self._pred_with(capsys, tmp_path, edit_line)
 
     def test_evaluate_non_json_pred_line(self, capsys, tmp_path):
         pred = self._pred_with(capsys, tmp_path, "{not json")
@@ -236,6 +255,28 @@ class TestMalformedInput:
             capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
         )
         assert "line 2" in err and "extended" in err
+
+    @pytest.mark.parametrize("key", ["entities", "attributes", "relations"])
+    def test_evaluate_pred_extended_missing_key(self, capsys, tmp_path, key):
+        pred = self._pred_with_extended(capsys, tmp_path, lambda ext: ext.pop(key))
+        err = self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
+        )
+        assert "line 2" in err and key in err
+
+    @pytest.mark.parametrize("key, pool", [
+        ("entity", "entities"), ("attribute", "attributes"),
+    ])
+    def test_evaluate_pred_relation_index_out_of_range(self, capsys, tmp_path, key, pool):
+        def edit(ext):
+            assert ext["relations"]
+            ext["relations"][0][key] = len(ext[pool])
+
+        pred = self._pred_with_extended(capsys, tmp_path, edit)
+        err = self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
+        )
+        assert "line 2" in err and pool in err
 
 
 class TestKbCommand:

@@ -21,6 +21,7 @@ from critex.io_eval import (
     RelationPair,
     StructuredRecord,
     evaluate,
+    extended_problem,
     from_json,
     read_brat,
     read_corpus,
@@ -286,6 +287,32 @@ class TestEvaluate:
         doc = evaluate([pred], [gold]).to_dict()
         assert doc["micro"]["RELATION"]["EXACT"]["f1"] == 1.0
         assert doc["macro"]["RELATION"]["EXACT"]["f1"] == 1.0
+
+
+class TestExtendedProblem:
+    def test_well_formed_payload_passes(self):
+        pred, _ = TestEvaluate()._fixture()
+        assert extended_problem(pred.extended) is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda ext: ext.pop("attributes"),
+        lambda ext: ext.update(relations={}),
+        lambda ext: ext["entities"].append("weight"),
+        lambda ext: ext["entities"][0].pop("start"),
+        lambda ext: ext["attributes"][1].update(end="28"),
+        lambda ext: ext["relations"][0].pop("label"),
+        lambda ext: ext["relations"][1].update(entity=2),
+        lambda ext: ext["relations"][1].update(attribute=-1),
+        lambda ext: ext["relations"][0].pop("attribute"),
+    ])
+    def test_each_defect_is_named(self, edit):
+        pred, _ = TestEvaluate()._fixture()
+        edit(pred.extended)
+        assert extended_problem(pred.extended)
+
+    def test_missing_or_non_object_payload(self):
+        assert "annotate --extended" in extended_problem(None)
+        assert extended_problem([]) is not None
 
 
 class TestReadCorpus:

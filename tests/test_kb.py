@@ -10,6 +10,7 @@ from critex.attributes import (
     Comparator,
     extract_attributes,
 )
+from critex.entities import recognize_entities
 from critex.errors import DuplicateConceptId, MalformedKb
 from critex.kb import (
     Category,
@@ -213,6 +214,24 @@ class TestLookup:
 
     def test_unknown_term(self, mini_kb):
         assert mini_kb.lookup("xyzzy") == []
+
+    def test_terms_with_irregular_whitespace_match(self):
+        kb = KnowledgeBase.build([KbEntry("C1", "blood  pressure", synonyms=("BP ",))])
+        for phrase in ("blood pressure", "blood  pressure", " Blood\tPressure", "BP"):
+            assert [e.concept_id for e in kb.lookup(phrase)] == ["C1"], phrase
+        sentence = split_records(
+            "blood  pressure < 140/90 mmHg, BP high", SplitMode.LINES
+        )[0]
+        mentions = recognize_entities(sentence, kb)
+        assert [(m.surface, m.concept_id) for m in mentions] == [
+            ("blood  pressure", "C1"), ("BP", "C1"),
+        ]
+
+    def test_synonym_duplicates_use_the_term_key(self):
+        with pytest.raises(MalformedKb):
+            KbEntry("C1", "heart rate", synonyms=("Heart  Rate",))
+        with pytest.raises(MalformedKb):
+            KbEntry("C1", "heart rate", synonyms=("HR", " hr"))
 
     def test_case_insensitivity_property(self, mini_kb):
         for entry in mini_kb.entries:
