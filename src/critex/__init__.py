@@ -71,6 +71,7 @@ from .pipeline import PipelineConfig, annotate_record
 from .resources import bundled_kb_path, mini_corpus_dir
 from .segmentation import SentenceRecord, SplitMode, Token, TokenShape, split_records, tokenize
 from .syntax import (
+    ClauseIndex,
     DependencyParse,
     SignalSource,
     SyntacticSignal,
@@ -101,7 +102,7 @@ __all__ = [
     "bundled_kb_path", "mini_corpus_dir",
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",
     "tokenize",
-    "DependencyParse", "SignalSource", "SyntacticSignal",
+    "ClauseIndex", "DependencyParse", "SignalSource", "SyntacticSignal",
     "heuristic_distance", "p_dep", "path_distance",
     "normalize_unit",
 ]

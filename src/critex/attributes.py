@@ -141,6 +141,9 @@ _GLYPH_COMPARATORS = {
 
 QUALIFIER_LEXICON = frozenset({"concomitant", "stable", "normal", "resting"})
 
+_WITHIN = "within"  # opens "within <number> <time unit>"
+_BETWEEN = "between"  # opens "between <number> and <number>"
+
 _ANCHOR_HEADS = ("prior", "before", "after")
 _ANCHOR_STOP = frozenset({"and", "or", "but", "if"})
 
@@ -285,7 +288,7 @@ def _range(toks, i, hit, normalize) -> _Parse | None:
         lo_s, hi_s = toks[i].surface.replace("–", "-").split("-")
         values, last = (float(lo_s), float(hi_s)), i
     elif (  # "between X and Y [unit]"
-        toks[i].surface.lower() == "between"
+        toks[i].surface.lower() == _BETWEEN
         and _number_at(toks, i + 1) is not None
         and i + 2 < len(toks)
         and toks[i + 2].surface.lower() == "and"
@@ -316,7 +319,7 @@ def _comparison(toks, i, hit, normalize) -> _Parse | None:
 
 
 def _temporal(toks, i, hit, normalize) -> _Parse | None:
-    if toks[i].surface.lower() == "within":
+    if toks[i].surface.lower() == _WITHIN:
         comp, j = Comparator.LE, i + 1
     elif hit:
         comp, n, _ = hit
@@ -366,7 +369,9 @@ def _frequency(toks, i, hit, normalize) -> _Parse | None:
 
 
 def _is_numeric_qualifier(tok: Token) -> bool:
-    if tok.shape is not TokenShape.WORD:
+    # the digit head is a prefix of the surface, so a surface that does not
+    # open with a digit has none
+    if tok.shape is not TokenShape.WORD or not tok.surface[:1].isdigit():
         return False
     head = tok.surface.split("-")[0].split("–")[0]
     return head.isdigit() and any(c.isalpha() for c in tok.surface)
@@ -385,6 +390,33 @@ def _qualifier(toks, i, entity_spans) -> _Parse | None:
 
 def _inside_any(tok: Token, spans: Sequence[tuple[int, int]]) -> bool:
     return any(s <= tok.start and tok.end <= e for s, e in spans)
+
+
+_VALUE_SHAPES = frozenset({TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE})
+
+# Lowercased words that can open a production or a qualifier.
+_START_WORDS = frozenset(
+    {words[0] for words, _ in _WORD_COMPARATORS}
+    | _NUMBER_WORDS.keys()
+    | _FREQUENCY_WORDS.keys()
+    | QUALIFIER_LEXICON
+    | {_WITHIN, _BETWEEN}
+)
+
+
+def _may_start(tok: Token) -> bool:
+    """False where no production or qualifier can start, tested in O(1).
+
+    A parse starts with a value-shaped token, a comparator glyph, a start
+    word or a numeric qualifier; every other position is skipped unparsed.
+    """
+
+    return (
+        tok.shape in _VALUE_SHAPES
+        or tok.surface in _GLYPH_COMPARATORS
+        or tok.surface.lower() in _START_WORDS
+        or _is_numeric_qualifier(tok)
+    )
 
 
 def extract_attributes(
@@ -406,6 +438,9 @@ def extract_attributes(
     out: list[AttributeMention] = []
     i = 0
     while i < len(toks):
+        if not _may_start(toks[i]):
+            i += 1
+            continue
         best: _Parse | None = None
         hit = _comparator_at(toks, i)
         for prod in (_frequency, _temporal, _ratio, _range, _comparison):

@@ -200,6 +200,7 @@ def _format_table(report: EvalReport) -> str:
 def _cmd_evaluate(args) -> int:
     gold = read_brat_dir(args.gold)
     predictions: list[StructuredRecord] = []
+    first_line: dict[str, int] = {}  # record id -> line it first appeared on
     for lineno, line in enumerate(read_text(Path(args.pred)).splitlines(), start=1):
         if not line.strip():
             continue
@@ -211,6 +212,11 @@ def _cmd_evaluate(args) -> int:
         problem = extended_problem(record.extended)
         if problem:
             raise MalformedJsonl(lineno, f"{where}: {problem}")
+        seen = first_line.setdefault(record.id, lineno)
+        if seen != lineno:
+            raise MalformedJsonl(
+                lineno, f"{where}: duplicate record id {record.id!r} (also on line {seen})"
+            )
         predictions.append(record)
     mode = None if args.mode == "both" else MatchMode(args.mode.upper())
     from .io_eval import evaluate as run_evaluate

@@ -1,8 +1,11 @@
 """Dictionary-based recognition of medical entity mentions.
 
-Mentions are found by scanning token n-grams (up to six tokens) against the
-knowledge base, longest match first.  A trailing plural "s" on the final
-token is folded before lookup so "antidepressants" hits "antidepressant".
+Mentions are found by walking the knowledge base's term trie from each
+token, one casefolded token per step.  A walk stops at a token that is not
+a word, at a missing trie child, or after six tokens; every depth that ends
+a term is a candidate, and the longest candidates win.  When the full last
+token ends no term, its trailing plural "s" is folded so "antidepressants"
+hits "antidepressant".
 Parenthesized abbreviation definitions ("electrocardiograph (ECG)") create
 record-local synonyms: later occurrences of the short form become mentions
 of the long form's concept.
@@ -10,11 +13,12 @@ of the long form's concept.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .kb import Category, KbEntry, KnowledgeBase
-from .segmentation import SentenceRecord, Token, TokenShape
+from .segmentation import SentenceRecord, TokenShape
 
 MAX_NGRAM = 6
 
@@ -40,28 +44,16 @@ def _fold_plural(word: str) -> str | None:
     return None
 
 
-def _lookup_window(
-    window: Sequence[Token], kb: KnowledgeBase
-) -> tuple[tuple[KbEntry, str], ...]:
-    key = " ".join(t.surface for t in window)
-    hits = kb.lookup_terms(key)
-    if hits:
-        return hits
-    folded = _fold_plural(window[-1].surface)
-    if folded is not None:
-        parts = [t.surface for t in window[:-1]] + [folded]
-        return kb.lookup_terms(" ".join(parts))
-    return ()
-
-
 def _choose_entry(
-    hits: Sequence[tuple[KbEntry, str]], sentence: SentenceRecord
+    hits: Sequence[tuple[KbEntry, str]], numeric_sentence: bool
 ) -> tuple[KbEntry, str]:
-    if len(hits) == 1:
-        return hits[0]
-    # Ambiguous surface: prefer a MEASUREMENT entry when the sentence talks
-    # numbers, otherwise fall back to the smallest concept id.
-    if any(t.shape in _NUMERIC for t in sentence.tokens):
+    """Pick one of several entries for an ambiguous surface.
+
+    Prefer a MEASUREMENT entry when the sentence talks numbers, otherwise
+    fall back to the smallest concept id.
+    """
+
+    if numeric_sentence:
         measurements = [h for h in hits if h[0].category is Category.MEASUREMENT]
         if measurements:
             return min(measurements, key=lambda h: h[0].concept_id)
@@ -71,34 +63,52 @@ def _choose_entry(
 def recognize_entities(
     sentence: SentenceRecord, kb: KnowledgeBase
 ) -> list[EntityMention]:
-    """Greedy longest-match dictionary scan over token n-grams.
+    """Greedy longest-match dictionary scan over the KB's term trie.
 
     On overlap the longer match wins; equal lengths resolve leftmost.
     Output is sorted by span start and pairwise non-overlapping.
     """
 
     toks = sentence.tokens
+    keys = [t.surface.casefold() if t.shape in _MATCHABLE else None for t in toks]
+    root = kb.term_trie
     candidates = []  # (ntokens, first_token, last_token, hits)
     for i in range(len(toks)):
-        if toks[i].shape not in _MATCHABLE:
+        if keys[i] is None:
             continue
-        max_n = min(MAX_NGRAM, len(toks) - i)
-        for n in range(max_n, 0, -1):
-            window = toks[i : i + n]
-            if any(t.shape not in _MATCHABLE for t in window):
-                continue
-            hits = _lookup_window(window, kb)
+        node = root
+        for j in range(i, min(i + MAX_NGRAM, len(toks))):
+            key = keys[j]
+            if key is None:
+                break
+            child = node.children.get(key)
+            hits = child.hits if child is not None else ()
+            if not hits:
+                folded = _fold_plural(toks[j].surface)
+                if folded is not None:
+                    folded_node = node.children.get(folded.casefold())
+                    if folded_node is not None:
+                        hits = folded_node.hits
             if hits:
-                candidates.append((n, i, i + n - 1, hits))
+                candidates.append((j - i + 1, i, j, hits))
+            if child is None:
+                break
+            node = child
     candidates.sort(key=lambda c: (-c[0], c[1]))
     taken: set[int] = set()
+    numeric_sentence = None  # computed on the first ambiguous surface
     mentions = []
     for n, first, last, hits in candidates:
         span_tokens = range(first, last + 1)
         if any(t in taken for t in span_tokens):
             continue
         taken.update(span_tokens)
-        entry, term = _choose_entry(hits, sentence)
+        if len(hits) == 1:
+            entry, term = hits[0]
+        else:
+            if numeric_sentence is None:
+                numeric_sentence = any(t.shape in _NUMERIC for t in toks)
+            entry, term = _choose_entry(hits, numeric_sentence)
         start, end = toks[first].start, toks[last].end
         mentions.append(
             EntityMention(
@@ -139,13 +149,6 @@ def _initials_match(abbr: str, long_form: str) -> bool:
     return True
 
 
-def _token_index_at_end(toks: Sequence[Token], end: int) -> int | None:
-    for i, t in enumerate(toks):
-        if t.end == end:
-            return i
-    return None
-
-
 def link_abbreviations(
     sentences: Sequence[SentenceRecord],
     mentions: Sequence[EntityMention],
@@ -161,14 +164,21 @@ def link_abbreviations(
     by_sentence: dict[int, list[EntityMention]] = {}
     for m in mentions:
         by_sentence.setdefault(m.sentence_index, []).append(m)
+    # token start and end offsets of each sentence that has mentions
+    offsets: dict[int, tuple[list[int], list[int]]] = {
+        s.sentence_index: ([t.start for t in s.tokens], [t.end for t in s.tokens])
+        for s in sentences
+        if s.sentence_index in by_sentence
+    }
 
     # (sentence_index, token_index) of the defining occurrence per surface
     definitions: dict[str, tuple[str, str, tuple[int, int]]] = {}
     for sentence in sentences:
         toks = sentence.tokens
         for m in by_sentence.get(sentence.sentence_index, ()):
-            k = _token_index_at_end(toks, m.end)
-            if k is None or k + 3 >= len(toks):
+            ends = offsets[sentence.sentence_index][1]
+            k = bisect_left(ends, m.end)
+            if k + 3 >= len(toks) or ends[k] != m.end:
                 continue
             if toks[k + 1].surface != "(" or toks[k + 3].surface != ")":
                 continue
@@ -185,12 +195,13 @@ def link_abbreviations(
         return sorted(mentions, key=lambda m: (m.sentence_index, m.start))
 
     out = list(mentions)
+    # tokens inside a mention: those starting at or after its start and
+    # ending at or before its end, a contiguous index range
     occupied = {
-        (m.sentence_index, i)
-        for sentence in sentences
-        for m in by_sentence.get(sentence.sentence_index, ())
-        for i, t in enumerate(sentence.tokens)
-        if t.start >= m.start and t.end <= m.end
+        (index, i)
+        for index, (starts, ends) in offsets.items()
+        for m in by_sentence[index]
+        for i in range(bisect_left(starts, m.start), bisect_right(ends, m.end))
     }
     for sentence in sentences:
         for i, tok in enumerate(sentence.tokens):

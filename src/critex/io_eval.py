@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -408,11 +409,16 @@ def evaluate(
 ) -> EvalReport:
     """Span-level precision/recall/F1, aligned by record id.
 
-    ``mode=None`` evaluates both EXACT and OVERLAP.  Micro metrics pool
-    counts over records; macro metrics average per-record scores.
+    Prediction ids must be unique and equal the gold ids, or
+    :class:`RecordMismatch` is raised.  ``mode=None`` evaluates both EXACT
+    and OVERLAP.  Micro metrics pool counts over records; macro metrics
+    average per-record scores.
     """
 
     pred_by_id = {r.id: r for r in predictions}
+    if len(pred_by_id) != len(predictions):
+        repeated = sorted(k for k, n in Counter(r.id for r in predictions).items() if n > 1)
+        raise RecordMismatch(f"duplicate prediction ids: {repeated}")
     gold_by_id = {g.record_id: g for g in gold}
     if set(pred_by_id) != set(gold_by_id):
         missing = set(gold_by_id) ^ set(pred_by_id)

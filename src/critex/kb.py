@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -97,12 +97,24 @@ def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbE
     return replace(entry, expected_units=canonical)
 
 
+@dataclass(slots=True)
+class TermNode:
+    """One node of the term trie: a path of term words from the root.
+
+    ``children`` maps the next word (a :func:`term_key` component) to its
+    node; ``hits`` holds the (entry, term) pairs of the terms that end here.
+    """
+
+    children: dict[str, "TermNode"] = field(default_factory=dict)
+    hits: tuple[tuple[KbEntry, str], ...] = ()
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Immutable bundle of entries plus the term and unit lookup tables."""
+    """Immutable bundle of entries plus the term trie and the unit table."""
 
     entries: tuple[KbEntry, ...]
-    term_index: dict[str, tuple[tuple[KbEntry, str], ...]]
+    term_trie: TermNode
     unit_table: dict[str, str]
     by_id: dict[str, KbEntry]
 
@@ -123,13 +135,16 @@ class KnowledgeBase:
             if entry.concept_id in by_id:
                 raise DuplicateConceptId(f"duplicate concept_id: {entry.concept_id}")
             by_id[entry.concept_id] = entry
-        index: dict[str, list[tuple[KbEntry, str]]] = {}
+        root = TermNode()
         for entry in entries:
             for term in entry.terms:
-                index.setdefault(term_key(term), []).append((entry, term))
+                node = root
+                for word in term_key(term).split(" "):
+                    node = node.children.setdefault(word, TermNode())
+                node.hits += ((entry, term),)
         return cls(
             entries=entries,
-            term_index={k: tuple(v) for k, v in index.items()},
+            term_trie=root,
             unit_table=unit_table,
             by_id=by_id,
         )
@@ -143,7 +158,12 @@ class KnowledgeBase:
     def lookup_terms(self, phrase: str) -> tuple[tuple[KbEntry, str], ...]:
         """Matching (entry, fired term) pairs for a surface phrase."""
 
-        return self.term_index.get(term_key(phrase), ())
+        node = self.term_trie
+        for word in term_key(phrase).split(" "):
+            node = node.children.get(word)
+            if node is None:
+                return ()
+        return node.hits
 
     def lookup(self, phrase: str) -> list[KbEntry]:
         """Case-insensitive exact match over preferred terms and synonyms."""

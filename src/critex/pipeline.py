@@ -36,6 +36,7 @@ from .segmentation import SentenceRecord, SplitMode, split_records
 from .syntax import (
     DEFAULT_BOUNDARY_PENALTY,
     DEFAULT_TAU,
+    ClauseIndex,
     DependencyParse,
     SignalSource,
     SyntacticSignal,
@@ -76,29 +77,39 @@ DEFAULT_CONFIG = PipelineConfig()
 
 
 class _TokenPositions:
-    """Global token positions of mention spans within one record.
+    """Token indexes of one record's sentences, each built on first use.
 
-    A span maps to ``(left, right)``: ``left`` counts the record's tokens
-    that end at or before the span starts, ``right`` those that start
-    before it ends.  Each span is resolved once by bisection and then
-    cached, so looking up a mention that competes in many candidate pairs
-    is O(1).
+    :meth:`clauses` gives a sentence's :class:`ClauseIndex`.  :meth:`of`
+    maps a mention span to global token positions ``(left, right)``:
+    ``left`` counts the record's tokens that end at or before the span
+    starts, ``right`` those that start before it ends.  Each span is
+    resolved once by bisection and then cached, so looking up a mention
+    that competes in many candidate pairs is O(1).
     """
 
     def __init__(self, sentences: Sequence[SentenceRecord]):
+        self._sentences = sentences
+        self._clauses: list[ClauseIndex | None] = [None] * len(sentences)
         self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
-        self._starts = [[t.start for t in s.tokens] for s in sentences]
-        self._ends = [[t.end for t in s.tokens] for s in sentences]
         self._cache: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+    def clauses(self, sentence_index: int) -> ClauseIndex:
+        index = self._clauses[sentence_index]
+        if index is None:
+            index = self._clauses[sentence_index] = ClauseIndex(
+                self._sentences[sentence_index]
+            )
+        return index
 
     def of(self, m: EntityMention | AttributeMention) -> tuple[int, int]:
         key = (m.sentence_index, m.start, m.end)
         pos = self._cache.get(key)
         if pos is None:
             base = self._before[m.sentence_index]
+            index = self.clauses(m.sentence_index)
             pos = self._cache[key] = (
-                base + bisect_right(self._ends[m.sentence_index], m.start),
-                base + bisect_left(self._starts[m.sentence_index], m.end),
+                base + bisect_right(index.ends, m.start),
+                base + bisect_left(index.starts, m.end),
             )
         return pos
 
@@ -127,10 +138,9 @@ def _cross_sentence_distance(
 
 def _group_signals(
     group: Sequence[RelationCandidate],
-    sentences: Sequence[SentenceRecord],
     parses: Sequence[DependencyParse | None] | None,
     config: PipelineConfig,
-    positions: _TokenPositions | None,
+    positions: _TokenPositions,
 ) -> list[SyntacticSignal]:
     attr = group[0].attribute
     same_sentence = all(c.entity.sentence_index == attr.sentence_index for c in group)
@@ -144,7 +154,7 @@ def _group_signals(
         if c.entity.sentence_index == attr.sentence_index:
             signals.append(
                 heuristic_distance(
-                    sentences[attr.sentence_index],
+                    positions.clauses(attr.sentence_index),
                     c.entity,
                     c.attribute,
                     boundary_penalty=config.boundary_penalty,
@@ -231,9 +241,9 @@ def annotate_record(
 
     linker_config = config.linker_config()
     candidates = generate_candidates(mentions, attributes, linker_config)
-    positions = _TokenPositions(sentences) if config.cross_sentence else None
+    positions = _TokenPositions(sentences)
     for group in group_by_attribute(candidates):
-        signals = _group_signals(group, sentences, parses, config, positions)
+        signals = _group_signals(group, parses, config, positions)
         dep_probs = p_dep(signals, tau=config.tau)
         sup_probs = p_sup(group, kb, weights=config.weights)
         for c, signal, dep_p, sup_p in zip(group, signals, dep_probs, sup_probs):

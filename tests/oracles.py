@@ -8,8 +8,26 @@ from __future__ import annotations
 
 import re
 
+from critex.attributes import (
+    AttributeMention,
+    _comparator_at,
+    _comparison,
+    _frequency,
+    _qualifier,
+    _range,
+    _ratio,
+    _temporal,
+)
+from critex.entities import (
+    _MATCHABLE,
+    _NUMERIC,
+    MAX_NGRAM,
+    EntityMention,
+    _fold_plural,
+    _initials_match,
+)
 from critex.errors import UnknownConcept
-from critex.kb import DEFAULT_WEIGHTS, score_compatibility
+from critex.kb import DEFAULT_WEIGHTS, Category, score_compatibility, term_key
 from critex.linker import Relation, _attribute_key, _beats, group_by_attribute, relation_label
 from critex.segmentation import (
     _ABBREVIATIONS,
@@ -17,7 +35,8 @@ from critex.segmentation import (
     _SINGLE_INITIAL_RE,
     _TOKEN_SEPARATORS,
 )
-from critex.syntax import SignalSource, SyntacticSignal
+from critex.syntax import SignalSource, SyntacticSignal, _is_boundary
+from critex.units import normalize_unit
 
 
 def cross_sentence_distance(sentences, e, a, boundary_penalty):
@@ -141,3 +160,204 @@ def paragraph_spans_recounting_parens(text):
     if text[start:].strip():
         spans.append((start, len(text)))
     return spans
+
+
+def term_index(kb):
+    """The flat term-key -> (entry, term) hits table, built from the entries."""
+
+    index = {}
+    for entry in kb.entries:
+        for term in entry.terms:
+            index.setdefault(term_key(term), []).append((entry, term))
+    return {k: tuple(v) for k, v in index.items()}
+
+
+def _lookup_window(window, index):
+    key = " ".join(t.surface for t in window)
+    hits = index.get(term_key(key), ())
+    if hits:
+        return hits
+    folded = _fold_plural(window[-1].surface)
+    if folded is not None:
+        parts = [t.surface for t in window[:-1]] + [folded]
+        return index.get(term_key(" ".join(parts)), ())
+    return ()
+
+
+def _choose_entry(hits, sentence):
+    if len(hits) == 1:
+        return hits[0]
+    if any(t.shape in _NUMERIC for t in sentence.tokens):
+        measurements = [h for h in hits if h[0].category is Category.MEASUREMENT]
+        if measurements:
+            return min(measurements, key=lambda h: h[0].concept_id)
+    return min(hits, key=lambda h: h[0].concept_id)
+
+
+def recognize_entities(sentence, kb):
+    """Longest-match scan that joins and looks up every token n-gram."""
+
+    index = term_index(kb)
+    toks = sentence.tokens
+    candidates = []
+    for i in range(len(toks)):
+        if toks[i].shape not in _MATCHABLE:
+            continue
+        max_n = min(MAX_NGRAM, len(toks) - i)
+        for n in range(max_n, 0, -1):
+            window = toks[i : i + n]
+            if any(t.shape not in _MATCHABLE for t in window):
+                continue
+            hits = _lookup_window(window, index)
+            if hits:
+                candidates.append((n, i, i + n - 1, hits))
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    taken = set()
+    mentions = []
+    for n, first, last, hits in candidates:
+        span_tokens = range(first, last + 1)
+        if any(t in taken for t in span_tokens):
+            continue
+        taken.update(span_tokens)
+        entry, term = _choose_entry(hits, sentence)
+        start, end = toks[first].start, toks[last].end
+        mentions.append(
+            EntityMention(
+                sentence_index=sentence.sentence_index,
+                start=start,
+                end=end,
+                surface=sentence.text[start:end],
+                concept_id=entry.concept_id,
+                matched_term=term,
+            )
+        )
+    mentions.sort(key=lambda m: m.start)
+    return mentions
+
+
+def extract_attributes(sentence, kb=None, entity_spans=None):
+    """The grammar's scan, trying every production at every position."""
+
+    normalize = normalize_unit if kb is None else kb.normalize_unit
+    toks = sentence.tokens
+    out = []
+    i = 0
+    while i < len(toks):
+        best = None
+        hit = _comparator_at(toks, i)
+        for prod in (_frequency, _temporal, _ratio, _range, _comparison):
+            parse = prod(toks, i, hit, normalize)
+            if parse and (best is None or parse.next_i > best.next_i):
+                best = parse
+        if best is None:
+            best = _qualifier(toks, i, entity_spans)
+        if best is None:
+            i += 1
+            continue
+        start = toks[best.span_start].start
+        end = toks[best.span_end].end
+        anchor = None
+        if best.anchor is not None:
+            a_start, a_end = best.anchor
+            anchor = sentence.text[a_start:a_end]
+        out.append(
+            AttributeMention(
+                sentence_index=sentence.sentence_index,
+                start=start,
+                end=end,
+                surface=sentence.text[start:end],
+                kind=best.kind,
+                comparator=best.comparator,
+                values=best.values,
+                unit=best.unit,
+                time_unit=best.time_unit,
+                anchor=anchor,
+            )
+        )
+        i = best.next_i
+    return out
+
+
+def heuristic_distance(sentence, e, a, boundary_penalty):
+    """Token gap plus boundary penalty, rescanning the sentence's tokens."""
+
+    left_end = min(e.end, a.end)
+    right_start = max(e.start, a.start)
+    if left_end > right_start:
+        return SyntacticSignal(0.0, SignalSource.HEURISTIC)
+    gap = 0
+    boundaries = 0
+    for t in sentence.tokens:
+        if t.start >= left_end and t.end <= right_start:
+            if _is_boundary(t.surface):
+                boundaries += 1
+            else:
+                gap += 1
+    return SyntacticSignal(
+        float(gap) + boundary_penalty * boundaries, SignalSource.HEURISTIC
+    )
+
+
+def _token_index_at_end(toks, end):
+    for i, t in enumerate(toks):
+        if t.end == end:
+            return i
+    return None
+
+
+def link_abbreviations(sentences, mentions):
+    """Abbreviation expansion, scanning a sentence's tokens per mention."""
+
+    by_sentence = {}
+    for m in mentions:
+        by_sentence.setdefault(m.sentence_index, []).append(m)
+    definitions = {}
+    for sentence in sentences:
+        toks = sentence.tokens
+        for m in by_sentence.get(sentence.sentence_index, ()):
+            k = _token_index_at_end(toks, m.end)
+            if k is None or k + 3 >= len(toks):
+                continue
+            if toks[k + 1].surface != "(" or toks[k + 3].surface != ")":
+                continue
+            abbr = toks[k + 2]
+            if abbr.shape not in _MATCHABLE:
+                continue
+            if _initials_match(abbr.surface, m.surface):
+                definitions.setdefault(
+                    abbr.surface,
+                    (m.concept_id, m.surface, (sentence.sentence_index, k + 2)),
+                )
+    if not definitions:
+        return sorted(mentions, key=lambda m: (m.sentence_index, m.start))
+    out = list(mentions)
+    occupied = {
+        (m.sentence_index, i)
+        for sentence in sentences
+        for m in by_sentence.get(sentence.sentence_index, ())
+        for i, t in enumerate(sentence.tokens)
+        if t.start >= m.start and t.end <= m.end
+    }
+    for sentence in sentences:
+        for i, tok in enumerate(sentence.tokens):
+            hit = definitions.get(tok.surface)
+            if hit is None:
+                continue
+            concept_id, long_surface, defined_at = hit
+            if (sentence.sentence_index, i) <= defined_at:
+                continue
+            if (sentence.sentence_index, i) in occupied:
+                continue
+            occupied.add((sentence.sentence_index, i))
+            out.append(
+                EntityMention(
+                    sentence_index=sentence.sentence_index,
+                    start=tok.start,
+                    end=tok.end,
+                    surface=tok.surface,
+                    concept_id=concept_id,
+                    matched_term=long_surface,
+                )
+            )
+    out.sort(key=lambda m: (m.sentence_index, m.start))
+    return out

@@ -278,6 +278,19 @@ class TestMalformedInput:
         )
         assert "line 2" in err and pool in err
 
+    def test_evaluate_duplicate_pred_id(self, capsys, tmp_path):
+        pred = self._pred_with(capsys, tmp_path, lambda line: line)
+        lines = pred.read_text().splitlines()
+        # line 2's record once more at the end, with its mentions emptied
+        doc = json.loads(lines[1])
+        doc["result"]["extended"].update(entities=[], attributes=[], relations=[])
+        pred.write_text("\n".join([*lines, json.dumps(doc)]) + "\n")
+        err = self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
+        )
+        assert f"line {len(lines) + 1}" in err and "line 2" in err
+        assert repr(doc["result"]["id"]) in err
+
 
 class TestKbCommand:
     def test_validate_ok(self, capsys):

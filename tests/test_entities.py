@@ -2,7 +2,7 @@
 
 import pytest
 
-from critex.entities import link_abbreviations, recognize_entities
+from critex.entities import MAX_NGRAM, link_abbreviations, recognize_entities
 from critex.kb import Category, KbEntry, KnowledgeBase
 from critex.segmentation import SplitMode, split_records
 
@@ -56,6 +56,18 @@ class TestRecognizeEntities:
         mentions = recognize_entities(sentence, kb)
         assert [m.surface for m in mentions] == ["Body Mass Index"]
         assert mentions[0].concept_id == "LOCAL:bmi"
+
+    def test_terms_span_at_most_max_ngram_word_tokens(self):
+        kb = kb_of(
+            KbEntry(concept_id="C6", preferred_term="a b c d e f"),
+            KbEntry(concept_id="C7", preferred_term="a b c d e f g"),
+            KbEntry(concept_id="C2", preferred_term="x y"),
+        )
+        assert MAX_NGRAM == 6
+        mentions = recognize_entities(sentence_of("a b c d e f g"), kb)
+        assert [m.concept_id for m in mentions] == ["C6"]
+        for text in ("x, y", "x (y", "x 5 y", "x - y"):
+            assert recognize_entities(sentence_of(text), kb) == [], text
 
     def test_plural_folding(self):
         kb = kb_of(KbEntry(concept_id="LOCAL:ad", preferred_term="antidepressant"))

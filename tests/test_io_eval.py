@@ -282,6 +282,11 @@ class TestEvaluate:
         with pytest.raises(RecordMismatch):
             evaluate([pred], [other])
 
+    def test_duplicate_prediction_id(self):
+        pred, gold = self._fixture()
+        with pytest.raises(RecordMismatch, match="duplicate"):
+            evaluate([pred, pred], [gold])
+
     def test_macro_present_in_dict(self):
         pred, gold = self._fixture()
         doc = evaluate([pred], [gold]).to_dict()

@@ -10,6 +10,7 @@ from critex.entities import EntityMention
 from critex.errors import CycleDetected, ParseMismatch
 from critex.segmentation import SplitMode, split_records
 from critex.syntax import (
+    ClauseIndex,
     DependencyParse,
     SignalSource,
     SyntacticSignal,
@@ -184,15 +185,15 @@ class TestHeuristicDistance:
         sentence = sentence_of("ages 21-45")
         e = entity(sentence, "ages")
         a = attribute(sentence, "21-45")
-        signal = heuristic_distance(sentence, e, a)
+        signal = heuristic_distance(ClauseIndex(sentence), e, a)
         assert signal.distance == 0
         assert signal.source is SignalSource.HEURISTIC
 
     def test_nearer_entity_gets_smaller_distance(self, paragraph_two):
         sentence = split_records(paragraph_two, SplitMode.PARAGRAPHS)[0]
         a = attribute(sentence, "21-45")
-        d_ages = heuristic_distance(sentence, entity(sentence, "ages"), a)
-        d_cocaine = heuristic_distance(sentence, entity(sentence, "cocaine"), a)
+        d_ages = heuristic_distance(ClauseIndex(sentence), entity(sentence, "ages"), a)
+        d_cocaine = heuristic_distance(ClauseIndex(sentence), entity(sentence, "cocaine"), a)
         assert d_ages.distance < d_cocaine.distance
 
     def test_boundary_arithmetic(self):
@@ -201,7 +202,7 @@ class TestHeuristicDistance:
         sentence = sentence_of("weight is low , so glucose 5-8")
         e = entity(sentence, "weight")
         a = attribute(sentence, "5-8", values=(5, 8))
-        assert heuristic_distance(sentence, e, a).distance == 9
+        assert heuristic_distance(ClauseIndex(sentence), e, a).distance == 9
 
     def test_overlapping_spans_zero(self):
         sentence = sentence_of("five times of their elimination half-lives")
@@ -212,7 +213,7 @@ class TestHeuristicDistance:
             AttributeKind.FREQUENCY,
             values=(5,),
         )
-        assert heuristic_distance(sentence, e, a).distance == 0
+        assert heuristic_distance(ClauseIndex(sentence), e, a).distance == 0
 
 
 class TestPDep:

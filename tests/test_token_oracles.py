@@ -1,0 +1,208 @@
+"""The token layer's fast scans agree exactly with their loop oracles.
+
+The entity scan walks the KB's term trie and the attribute grammar skips
+positions that no production can start; ``oracles`` keeps the scans that
+try every n-gram and every position.  Lines are drawn from KB-term and
+grammar vocabulary with case noise, plural endings, punctuation, numbers
+and comparison glyphs, and are scanned with the bundled KB and with KBs
+drawn from the same vocabulary (multi-word synonyms, shared prefixes,
+terms longer than the n-gram cap, ambiguous terms).
+"""
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from critex import attributes
+from critex.attributes import AttributeKind, AttributeMention, extract_attributes
+from critex.entities import (
+    _MATCHABLE as MATCHABLE,
+    MAX_NGRAM,
+    EntityMention,
+    link_abbreviations,
+    recognize_entities,
+)
+from critex.kb import Category, KbEntry, KnowledgeBase, load_kb, term_key
+from critex.resources import bundled_kb_path
+from critex.segmentation import SplitMode, split_records, tokenize
+from critex.syntax import ClauseIndex, heuristic_distance
+
+BUNDLED_KB = load_kb(bundled_kb_path())
+
+KB_WORDS = sorted({w for e in BUNDLED_KB.entries for t in e.terms for w in t.split()})
+GRAMMAR_WORDS = sorted(
+    {w for words, _ in attributes._WORD_COMPARATORS for w in words}
+    | attributes._START_WORDS
+    | attributes._TIME_UNITS.keys()
+    | set(attributes._ANCHOR_HEADS)
+    | {"to", "the", "past", "last", "for", "of", "their", "a", "an", "per", "times", "and"}
+)
+OTHER_TOKENS = (
+    "18", "1,000", "2.5", "0", "140/90", "0/5", "21-45", "45-21", "3–7",
+    "12-lead", "3-day", "mmHg", "mm", "Hg", "kg/m^2", "mg/dL", "%", "bpm",
+    "glass", "pass", "drugs", ",", ".", ";", "(", ")", "-", "/",
+    *attributes._GLYPH_COMPARATORS,
+)
+PHRASES = (
+    "between 5 and 30", "between two and", "within three days", "at least twice a week",
+    "less than 140/90 mmHg", "no more than 2 times", "prior to screening visit",
+    "for the past six months", "of their elimination half-lives", "once per day",
+)
+ABBREVIATED = (
+    "electrocardiograph (ECG)", "blood pressure (BP)", "body weight (BW)",
+    "selective serotonin reuptake inhibitors (SSRIs)", "ECG", "BP", "BW", "SSRIs",
+)
+
+
+def _noisy(word):
+    return st.sampled_from(
+        (word, word.upper(), word.lower(), word.capitalize(), word + "s",
+         word + "ss", word + "S", word + ",")
+    )
+
+
+WORD = st.sampled_from(KB_WORDS + GRAMMAR_WORDS + list(OTHER_TOKENS + PHRASES)).flatmap(_noisy)
+SEPARATOR = st.sampled_from((" ", " ", " ", "  ", "", "\t"))
+LINE = st.lists(st.tuples(WORD, SEPARATOR), min_size=1, max_size=16).map(
+    lambda pairs: "".join(w + sep for w, sep in pairs)
+)
+PARAGRAPH = st.lists(
+    st.one_of(LINE, st.sampled_from(ABBREVIATED)), min_size=1, max_size=8
+).map(". ".join)
+
+TERM = st.lists(st.sampled_from(KB_WORDS + GRAMMAR_WORDS), min_size=1, max_size=MAX_NGRAM + 1).flatmap(
+    lambda words: st.tuples(*(_noisy(w) for w in words)).map(" ".join)
+)
+
+
+@st.composite
+def drawn_kb(draw, terms=TERM):
+    """A KB whose terms come from the same vocabulary as the lines."""
+
+    entries = []
+    for k, group in enumerate(draw(st.lists(st.lists(terms, min_size=1, max_size=4), max_size=8))):
+        keys = {term_key(group[0])}
+        synonyms = []
+        for term in group[1:]:
+            if term_key(term) not in keys:
+                keys.add(term_key(term))
+                synonyms.append(term)
+        entries.append(
+            KbEntry(
+                concept_id=f"C{k}",
+                preferred_term=group[0],
+                synonyms=tuple(synonyms),
+                category=draw(st.sampled_from((Category.MEASUREMENT, Category.OTHER))),
+            )
+        )
+    return KnowledgeBase.build(entries)
+
+
+def kb_for(text):
+    """The bundled KB, or a drawn KB whose terms include runs of ``text``'s words.
+
+    A run skips the tokens in between that are not words, so some terms
+    straddle punctuation in the text and must not match there.
+    """
+
+    words = [t.surface for t in tokenize(text) if t.shape in MATCHABLE]
+    runs = st.tuples(
+        st.integers(0, max(0, len(words) - 1)), st.integers(1, MAX_NGRAM + 1)
+    ).map(lambda p: " ".join(words[p[0] : p[0] + p[1]]) or "x")
+    variants = runs.flatmap(
+        lambda t: st.sampled_from((t, t.upper(), t[:-1] if t[-1] in "sS" else t))
+    ).filter(str.strip)
+    return st.one_of(st.just(BUNDLED_KB), drawn_kb(st.one_of(TERM, variants)))
+
+
+class TestEntityScan:
+    @given(text=LINE, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_trie_walk_matches_ngram_scan(self, text, data):
+        kb = data.draw(kb_for(text))
+        for sentence in split_records(text, SplitMode.LINES):
+            assert recognize_entities(sentence, kb) == oracles.recognize_entities(sentence, kb)
+
+    @given(phrase=st.one_of(TERM, LINE), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_terms_matches_flat_index(self, phrase, data):
+        kb = data.draw(kb_for(phrase))
+        index = oracles.term_index(kb)
+        assert kb.lookup_terms(phrase) == index.get(term_key(phrase), ())
+        for key, hits in index.items():
+            assert kb.lookup_terms(key.upper()) == hits
+
+    @given(text=PARAGRAPH, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_abbreviations_match_token_scan(self, text, data):
+        kb = data.draw(kb_for(text))
+        sentences = split_records(text, SplitMode.PARAGRAPHS)
+        mentions = [m for s in sentences for m in recognize_entities(s, kb)]
+        # a mention from a token start to a point inside a later token,
+        # preferably one that a parenthesized abbreviation follows
+        s = data.draw(st.sampled_from(sentences))
+        before_paren = [k for k, t in enumerate(s.tokens[1:]) if t.surface == "("]
+        last = data.draw(st.sampled_from(before_paren or range(len(s.tokens))))
+        start = s.tokens[data.draw(st.integers(0, last))].start
+        end = data.draw(st.integers(s.tokens[last].start + 1, s.tokens[last].end))
+        mentions.append(EntityMention(s.sentence_index, start, end, s.text[start:end], "X", "x"))
+        assert link_abbreviations(sentences, mentions) == oracles.link_abbreviations(
+            sentences, mentions
+        )
+
+
+class TestGrammarGate:
+    @given(text=LINE, with_kb=st.booleans(), with_spans=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_gated_scan_matches_ungated(self, text, with_kb, with_spans):
+        kb = BUNDLED_KB if with_kb else None
+        for sentence in split_records(text, SplitMode.LINES):
+            spans = None
+            if with_spans:
+                spans = [(m.start, m.end) for m in recognize_entities(sentence, BUNDLED_KB)]
+            assert extract_attributes(sentence, kb, spans) == oracles.extract_attributes(
+                sentence, kb, spans
+            )
+
+    def test_every_start_word_passes_the_gate(self):
+        words = (
+            [words[0] for words, _ in attributes._WORD_COMPARATORS]
+            + list(attributes._NUMBER_WORDS)
+            + list(attributes._FREQUENCY_WORDS)
+            + list(attributes.QUALIFIER_LEXICON)
+            + [attributes._WITHIN, attributes._BETWEEN]
+            + list(attributes._GLYPH_COMPARATORS)
+            + ["18", "1,000", "140/90", "21-45", "3–7", "12-lead"]
+        )
+        for word in words:
+            for variant in (word, word.upper(), word.capitalize()):
+                (tok,) = tokenize(variant)
+                assert attributes._may_start(tok), variant
+
+    def test_gate_skips_plain_words(self):
+        for word in ("patients", "dose", "pressure", "the", "a", "(", "mmHg"):
+            (tok,) = tokenize(word)
+            assert not attributes._may_start(tok), word
+
+
+class TestHeuristicDistance:
+    @given(text=LINE, penalty=st.sampled_from((0.0, 1.5, 5.0)), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_counts_match_token_scan(self, text, penalty, data):
+        for sentence in split_records(text, SplitMode.LINES):
+            n = len(sentence.text)
+            start = data.draw(st.integers(0, n))
+            drawn_e = EntityMention(0, start, data.draw(st.integers(start, n)), "e", "C", "e")
+            start = data.draw(st.integers(0, n))
+            drawn_a = AttributeMention(
+                0, start, data.draw(st.integers(start, n)), "a", AttributeKind.QUALIFIER
+            )
+            pairs = [(drawn_e, drawn_a)] + [
+                (e, a)
+                for e in recognize_entities(sentence, BUNDLED_KB)
+                for a in extract_attributes(sentence, BUNDLED_KB)
+            ]
+            index = ClauseIndex(sentence)
+            for e, a in pairs:
+                assert heuristic_distance(index, e, a, penalty) == (
+                    oracles.heuristic_distance(sentence, e, a, penalty)
+                )
