@@ -58,15 +58,7 @@ from .kb import (
     save_kb,
     score_compatibility,
 )
-from .linker import (
-    LinkerConfig,
-    Relation,
-    RelationCandidate,
-    assign,
-    generate_candidates,
-    mix,
-    p_sup,
-)
+from .linker import LinkerConfig, Relation, link_attribute
 from .pipeline import PipelineConfig, annotate_record
 from .resources import bundled_kb_path, mini_corpus_dir
 from .segmentation import SentenceRecord, SplitMode, Token, TokenShape, split_records, tokenize
@@ -96,8 +88,7 @@ __all__ = [
     "Category", "CompatibilityScore", "CompatibilityWeights", "KbEntry",
     "KnowledgeBase", "ValuePattern", "import_tsv", "load_kb",
     "mine_kb_candidates", "save_kb", "score_compatibility",
-    "LinkerConfig", "Relation", "RelationCandidate", "assign",
-    "generate_candidates", "mix", "p_sup",
+    "LinkerConfig", "Relation", "link_attribute",
     "PipelineConfig", "annotate_record",
     "bundled_kb_path", "mini_corpus_dir",
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",

@@ -281,34 +281,63 @@ def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
-def _match_counts(pred, gold, mode: MatchMode, same, overlapping) -> Counts:
-    """Greedy matching by offset; each gold item matches one prediction.
+def _max_matching(edges: Sequence[Sequence[int]], n_gold: int) -> int:
+    """Size of a maximum matching of predictions to gold items.
 
-    OVERLAP runs an exact pass first so exact matches are never stolen by a
-    merely overlapping pair (keeps EXACT tp <= OVERLAP tp).
+    ``edges[i]`` lists the gold items prediction ``i`` may match.  Each
+    prediction in turn looks for an augmenting path (Kuhn's algorithm),
+    searched breadth-first so that no recursion limit applies.
     """
 
-    pred = sorted(pred, key=lambda x: x[0])
-    gold = sorted(gold, key=lambda x: x[0])
-    matched_pred: set[int] = set()
-    matched_gold: set[int] = set()
-
-    def run_pass(test) -> None:
-        for i, p in enumerate(pred):
-            if i in matched_pred:
-                continue
-            for j, g in enumerate(gold):
-                if j in matched_gold:
-                    continue
-                if test(p, g):
-                    matched_pred.add(i)
-                    matched_gold.add(j)
+    owner = [-1] * n_gold  # the prediction matched to each gold item
+    mate = [-1] * len(edges)  # the gold item matched to each prediction
+    size = 0
+    for root in range(len(edges)):
+        reached_from: dict[int, int] = {}  # gold item -> prediction
+        frontier = [root]
+        free = -1
+        while frontier and free < 0:
+            following = []
+            for i in frontier:
+                for j in edges[i]:
+                    if j in reached_from:
+                        continue
+                    reached_from[j] = i
+                    if owner[j] < 0:
+                        free = j
+                        break
+                    following.append(owner[j])
+                if free >= 0:
                     break
+            frontier = following
+        if free < 0:
+            continue
+        j = free
+        while j >= 0:  # flip the path's edges back to the root
+            i = reached_from[j]
+            previous = mate[i]
+            mate[i], owner[j] = j, i
+            j = previous
+        size += 1
+    return size
 
-    run_pass(same)
+
+def _match_counts(pred, gold, mode: MatchMode, same, overlapping) -> Counts:
+    """Optimal one-to-one matching; each gold item matches one prediction.
+
+    EXACT matches on ``same`` edges.  OVERLAP matches on ``same`` or
+    ``overlapping`` edges, a superset, so EXACT tp <= OVERLAP tp.  Both
+    count a maximum matching: a greedy pass can let one prediction take the
+    only gold item another could match.
+    """
+
     if mode is MatchMode.OVERLAP:
-        run_pass(overlapping)
-    tp = len(matched_pred)
+        edges = [
+            [j for j, g in enumerate(gold) if same(p, g) or overlapping(p, g)] for p in pred
+        ]
+    else:
+        edges = [[j for j, g in enumerate(gold) if same(p, g)] for p in pred]
+    tp = _max_matching(edges, len(gold))
     return Counts(tp=tp, fp=len(pred) - tp, fn=len(gold) - tp)
 
 

@@ -1,10 +1,19 @@
 """Entity-attribute linking via a mixture of two probability signals.
 
-For each attribute, the entities of the sentence compete: knowledge-base
-compatibility gives ``p_sup``, syntactic proximity gives ``p_dep``, and the
-final score is the convex mixture ``theta * p_sup + (1 - theta) * p_dep``.
-Each attribute is assigned to its highest-scoring entity independently; an
-entity may win several attributes, an attribute links to at most one entity.
+Each attribute is linked on its own, once, by :func:`link_attribute`.  It
+receives the entities competing for the attribute, in mention order, and
+one syntactic distance per entity (the pipeline decides who competes and
+measures the distances).  Knowledge-base compatibility gives ``p_sup``,
+the softmin of the distances gives ``p_dep``, and each entity scores the
+convex mixture ``theta * p_sup + (1 - theta) * p_dep``.  The best entity
+wins; ties break by smaller distance, then nearer character offset, then
+leftmost position.  The winner becomes a :class:`Relation` only at or
+above ``min_score``.  An entity may win several attributes, an attribute
+links to at most one entity.
+
+The routine works on plain lists with one float per competing entity and
+builds no object per entity-attribute pair, so a long record's linking
+stays a few list passes per attribute.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from .attributes import AttributeKind, AttributeMention
 from .entities import EntityMention
 from .errors import UnknownConcept
 from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase, score_compatibility
+from .syntax import DEFAULT_TAU, p_dep
 
 DEFAULT_THETA = 0.5
 DEFAULT_MIN_SCORE = 0.2
@@ -26,25 +36,12 @@ DEFAULT_MIN_SCORE = 0.2
 class LinkerConfig:
     theta: float = DEFAULT_THETA
     min_score: float = DEFAULT_MIN_SCORE
-    same_sentence_only: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if not 0.0 <= self.min_score <= 1.0:
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
-
-
-@dataclass
-class RelationCandidate:
-    """One (entity, attribute) pair with its two signals and mixed score."""
-
-    entity: EntityMention
-    attribute: AttributeMention
-    p_dep: float = 0.0
-    p_sup: float = 0.0
-    score: float = 0.0
-    distance: float = math.inf  # syntactic distance backing p_dep
 
 
 @dataclass(frozen=True)
@@ -65,84 +62,39 @@ def relation_label(attribute: AttributeMention) -> str:
     return "has_value"
 
 
-def _attribute_key(a: AttributeMention) -> tuple[int, int, int]:
-    return (a.sentence_index, a.start, a.end)
-
-
-def generate_candidates(
-    entities: Sequence[EntityMention],
-    attributes: Sequence[AttributeMention],
-    config: LinkerConfig,
-) -> list[RelationCandidate]:
-    """Cross product of entities and attributes, attribute-major order.
-
-    With ``same_sentence_only`` only pairs sharing a sentence are kept.
-    Pairs whose attribute span lies inside the entity span are excluded.
-    """
-
-    out = []
-    for a in attributes:
-        for e in entities:
-            if config.same_sentence_only and e.sentence_index != a.sentence_index:
-                continue
-            if (
-                e.sentence_index == a.sentence_index
-                and a.start >= e.start
-                and a.end <= e.end
-            ):
-                continue
-            out.append(RelationCandidate(entity=e, attribute=a))
-    return out
-
-
-def group_by_attribute(
-    candidates: Sequence[RelationCandidate],
-) -> list[list[RelationCandidate]]:
-    groups: dict[tuple[int, int, int], list[RelationCandidate]] = {}
-    for c in candidates:
-        groups.setdefault(_attribute_key(c.attribute), []).append(c)
-    return [groups[k] for k in sorted(groups)]
-
-
-def p_sup(
-    candidates: Sequence[RelationCandidate],
+def _p_sup(
+    attribute: AttributeMention,
+    concepts: Sequence[str],
     kb: KnowledgeBase,
     weights: CompatibilityWeights = DEFAULT_WEIGHTS,
 ) -> list[float]:
     """Normalized compatibility over the entities competing for one attribute.
 
-    Raw compatibilities are normalized to a distribution; when every raw
-    score is zero the distribution falls back to uniform.
+    ``concepts`` holds each competitor's concept id.  The attribute is
+    shared, so compatibility depends on the concept alone and each distinct
+    concept is scored once, in order of first appearance.  Raw
+    compatibilities are normalized to a distribution; when every raw score
+    is zero the distribution falls back to uniform.
     """
 
-    if not candidates:
-        return []
-    keys = {_attribute_key(c.attribute) for c in candidates}
-    if len(keys) > 1:
-        raise ValueError("p_sup expects candidates of a single attribute")
-    # The attribute is shared, so compatibility depends on the concept alone.
-    by_concept: dict[str, float] = {}
-    raw = []
-    for c in candidates:
-        concept_id = c.entity.concept_id
-        value = by_concept.get(concept_id)
-        if value is None:
-            entry = kb.entry(concept_id)
-            if entry is None:
-                raise UnknownConcept(f"concept {concept_id} not in knowledge base")
-            value = score_compatibility(entry, c.attribute, weights).value
-            by_concept[concept_id] = value
-        raw.append(value)
+    value: dict[str, float] = {}
+    for concept_id in dict.fromkeys(concepts):
+        entry = kb.entry(concept_id)
+        if entry is None:
+            raise UnknownConcept(f"concept {concept_id} not in knowledge base")
+        value[concept_id] = score_compatibility(entry, attribute, weights).value
+    raw = [value[c] for c in concepts]
     total = sum(raw)
     if total > 0:
         return [r / total for r in raw]
     return [1.0 / len(raw)] * len(raw)
 
 
-def mix(candidate: RelationCandidate, config: LinkerConfig) -> float:
-    """Convex mixture of the two signals under the configured theta."""
+def _mix(sup: Sequence[float], dep: Sequence[float], theta: float) -> list[float]:
+    """Convex mixture ``theta * p_sup + (1 - theta) * p_dep``, entity by entity."""
 
-    return config.theta * candidate.p_sup + (1.0 - config.theta) * candidate.p_dep
+    rest = 1.0 - theta
+    return [theta * s + rest * d for s, d in zip(sup, dep)]
 
 
 def _char_gap(e: EntityMention, a: AttributeMention) -> float:
@@ -155,44 +107,61 @@ def _char_gap(e: EntityMention, a: AttributeMention) -> float:
     return 0.0
 
 
-def _beats(challenger: RelationCandidate, incumbent: RelationCandidate) -> bool:
-    if challenger.score != incumbent.score:
-        return challenger.score > incumbent.score
-    if challenger.distance != incumbent.distance:
-        return challenger.distance < incumbent.distance
-    c_gap = _char_gap(challenger.entity, challenger.attribute)
-    i_gap = _char_gap(incumbent.entity, incumbent.attribute)
-    if c_gap != i_gap:
-        return c_gap < i_gap
-    c_pos = (challenger.entity.sentence_index, challenger.entity.start)
-    i_pos = (incumbent.entity.sentence_index, incumbent.entity.start)
-    return c_pos < i_pos
+def _pick(
+    attribute: AttributeMention,
+    entities: Sequence[EntityMention],
+    distances: Sequence[float],
+    scores: list[float],
+    min_score: float,
+) -> Relation | None:
+    """The highest-scoring entity's relation, or None below ``min_score``.
 
-
-def assign(
-    candidates: Sequence[RelationCandidate], config: LinkerConfig
-) -> list[Relation]:
-    """Pick the best-scoring entity per attribute, thresholded by min_score.
-
-    Ties break by smaller syntactic distance, then nearer character offset,
-    then leftmost entity.  Output is ordered by attribute position.
+    Ties on the score break by smaller distance, then smaller character
+    gap (infinite across sentences), then ``(sentence_index, start)``.
     """
 
-    best: dict[tuple[int, int, int], RelationCandidate] = {}
-    for c in candidates:
-        key = _attribute_key(c.attribute)
-        incumbent = best.get(key)
-        if incumbent is None or _beats(c, incumbent):
-            best[key] = c
-    relations = [
-        Relation(
-            entity=c.entity,
-            attribute=c.attribute,
-            label=relation_label(c.attribute),
-            score=c.score,
+    top = max(scores)
+    if top < min_score:
+        return None
+    best = scores.index(top)
+    if scores.count(top) > 1:
+        best = min(
+            (i for i, s in enumerate(scores) if s == top),
+            key=lambda i: (
+                distances[i],
+                _char_gap(entities[i], attribute),
+                entities[i].sentence_index,
+                entities[i].start,
+            ),
         )
-        for c in best.values()
-        if c.score >= config.min_score
-    ]
-    relations.sort(key=lambda r: _attribute_key(r.attribute))
-    return relations
+    return Relation(
+        entity=entities[best],
+        attribute=attribute,
+        label=relation_label(attribute),
+        score=top,
+    )
+
+
+def link_attribute(
+    attribute: AttributeMention,
+    entities: Sequence[EntityMention],
+    distances: Sequence[float],
+    kb: KnowledgeBase,
+    config: LinkerConfig,
+    weights: CompatibilityWeights = DEFAULT_WEIGHTS,
+    tau: float = DEFAULT_TAU,
+) -> Relation | None:
+    """Link one attribute to the best of the entities competing for it.
+
+    ``entities`` are the competitors in mention order and ``distances``
+    their syntactic distances to the attribute, all from one source.
+    Returns None when no entity competes or the best score is below
+    ``config.min_score``.  Raises :class:`UnknownConcept` for the first
+    competitor whose concept is not in ``kb``.
+    """
+
+    if not entities:
+        return None
+    dep = p_dep(distances, tau=tau)
+    sup = _p_sup(attribute, [e.concept_id for e in entities], kb, weights)
+    return _pick(attribute, entities, distances, _mix(sup, dep, config.theta), config.min_score)

@@ -1,9 +1,12 @@
 """End-to-end annotation: text in, structured record out.
 
 The stages run in a fixed order: sentence/token segmentation, dictionary
-entity recognition plus abbreviation expansion, attribute parsing, syntactic
-distances (external parses when supplied, otherwise the clause-proximity
-heuristic), compatibility scoring, mixture, and per-attribute assignment.
+entity recognition plus abbreviation expansion, attribute parsing, then
+linking, one attribute at a time.  For each attribute, :class:`_Competitors`
+lists the entities that compete for it with their syntactic distances, read
+off columns built once per record (external parses when supplied, otherwise
+the clause-proximity heuristic; global token positions across sentences),
+and :func:`~critex.linker.link_attribute` scores them and keeps the best.
 Everything is deterministic: the same record, knowledge base and config
 always give the same output.
 """
@@ -25,12 +28,7 @@ from .linker import (
     DEFAULT_THETA,
     LinkerConfig,
     Relation,
-    RelationCandidate,
-    assign,
-    generate_candidates,
-    group_by_attribute,
-    mix,
-    p_sup,
+    link_attribute,
 )
 from .segmentation import SentenceRecord, SplitMode, split_records
 from .syntax import (
@@ -38,10 +36,7 @@ from .syntax import (
     DEFAULT_TAU,
     ClauseIndex,
     DependencyParse,
-    SignalSource,
-    SyntacticSignal,
     heuristic_distance,
-    p_dep,
     path_distance,
 )
 
@@ -66,107 +61,106 @@ class PipelineConfig:
         self.linker_config()  # validates theta and min_score
 
     def linker_config(self) -> LinkerConfig:
-        return LinkerConfig(
-            theta=self.theta,
-            min_score=self.min_score,
-            same_sentence_only=not self.cross_sentence,
-        )
+        return LinkerConfig(theta=self.theta, min_score=self.min_score)
 
 
 DEFAULT_CONFIG = PipelineConfig()
 
 
-class _TokenPositions:
-    """Token indexes of one record's sentences, each built on first use.
+class _Competitors:
+    """The entities competing for each attribute of one record.
 
-    :meth:`clauses` gives a sentence's :class:`ClauseIndex`.  :meth:`of`
-    maps a mention span to global token positions ``(left, right)``:
-    ``left`` counts the record's tokens that end at or before the span
-    starts, ``right`` those that start before it ends.  Each span is
-    resolved once by bisection and then cached, so looking up a mention
-    that competes in many candidate pairs is O(1).
+    Built once per record over the mentions, which come ordered by
+    ``(sentence_index, start)``: their sentence indexes and, with
+    cross-sentence linking, their global token positions.  :meth:`of` lists
+    an attribute's competitors in mention order with their distances.
     """
 
-    def __init__(self, sentences: Sequence[SentenceRecord]):
+    def __init__(
+        self,
+        sentences: Sequence[SentenceRecord],
+        mentions: Sequence[EntityMention],
+        config: PipelineConfig,
+        parses: Sequence[DependencyParse | None] | None,
+    ):
         self._sentences = sentences
-        self._clauses: list[ClauseIndex | None] = [None] * len(sentences)
+        self._clause_indexes: list[ClauseIndex | None] = [None] * len(sentences)
         self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
-        self._cache: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._mentions = list(mentions)
+        self._sentence_of = [m.sentence_index for m in mentions]
+        self._parses = parses or ()
+        self._penalty = config.boundary_penalty
+        self._cross = config.cross_sentence
+        if self._cross:
+            spans = [self._position(m) for m in mentions]
+            self._lefts = [left for left, _ in spans]
+            self._rights = [right for _, right in spans]
 
-    def clauses(self, sentence_index: int) -> ClauseIndex:
-        index = self._clauses[sentence_index]
+    def _clauses(self, sentence_index: int) -> ClauseIndex:
+        """The sentence's :class:`ClauseIndex`, built on first use."""
+
+        index = self._clause_indexes[sentence_index]
         if index is None:
-            index = self._clauses[sentence_index] = ClauseIndex(
+            index = self._clause_indexes[sentence_index] = ClauseIndex(
                 self._sentences[sentence_index]
             )
         return index
 
-    def of(self, m: EntityMention | AttributeMention) -> tuple[int, int]:
-        key = (m.sentence_index, m.start, m.end)
-        pos = self._cache.get(key)
-        if pos is None:
-            base = self._before[m.sentence_index]
-            index = self.clauses(m.sentence_index)
-            pos = self._cache[key] = (
-                base + bisect_right(index.ends, m.start),
-                base + bisect_left(index.starts, m.end),
-            )
-        return pos
+    def _position(self, m: EntityMention | AttributeMention) -> tuple[int, int]:
+        """Global token positions ``(left, right)`` of a mention's span.
 
+        ``left`` counts the record's tokens that end at or before the span
+        starts, ``right`` those that start before it ends.  The tokens
+        strictly between an earlier span and a later one are then ``left``
+        of the later minus ``right`` of the earlier.
+        """
 
-def _cross_sentence_distance(
-    positions: _TokenPositions,
-    e: EntityMention,
-    a: AttributeMention,
-    boundary_penalty: float,
-) -> SyntacticSignal:
-    """Token gap across sentences, with each sentence boundary penalized.
+        base = self._before[m.sentence_index]
+        index = self._clauses(m.sentence_index)
+        return (
+            base + bisect_right(index.ends, m.start),
+            base + bisect_left(index.starts, m.end),
+        )
 
-    ``e`` and ``a`` lie in different sentences.  The gap is a difference of
-    global token positions: the tokens before the later mention minus the
-    tokens up to the end of the earlier one, i.e. every token strictly
-    between the two spans.
-    """
+    def of(self, a: AttributeMention) -> tuple[list[EntityMention], list[float]]:
+        """``a``'s competitors and their distances to it.
 
-    first, last = (e, a) if e.sentence_index < a.sentence_index else (a, e)
-    gap = positions.of(last)[0] - positions.of(first)[1]
-    crossed = last.sentence_index - first.sentence_index
-    return SyntacticSignal(
-        float(gap) + boundary_penalty * crossed, SignalSource.HEURISTIC
-    )
+        Entities of ``a``'s sentence compete unless ``a`` lies inside their
+        span; with cross-sentence linking every other entity competes too.
+        Within the sentence the distance comes from the sentence's parse
+        when one is supplied and no other sentence competes, otherwise from
+        :func:`heuristic_distance`.  Across sentences it is the number of
+        tokens strictly between the two spans plus ``boundary_penalty`` per
+        sentence boundary crossed.
+        """
 
-
-def _group_signals(
-    group: Sequence[RelationCandidate],
-    parses: Sequence[DependencyParse | None] | None,
-    config: PipelineConfig,
-    positions: _TokenPositions,
-) -> list[SyntacticSignal]:
-    attr = group[0].attribute
-    same_sentence = all(c.entity.sentence_index == attr.sentence_index for c in group)
-    parse = None
-    if parses is not None and attr.sentence_index < len(parses):
-        parse = parses[attr.sentence_index]
-    if same_sentence and parse is not None:
-        return [path_distance(parse, c.entity, c.attribute) for c in group]
-    signals = []
-    for c in group:
-        if c.entity.sentence_index == attr.sentence_index:
-            signals.append(
-                heuristic_distance(
-                    positions.clauses(attr.sentence_index),
-                    c.entity,
-                    c.attribute,
-                    boundary_penalty=config.boundary_penalty,
-                )
-            )
+        s_a, mentions, penalty = a.sentence_index, self._mentions, self._penalty
+        lo = bisect_left(self._sentence_of, s_a)
+        hi = bisect_right(self._sentence_of, s_a, lo)
+        local = [e for e in mentions[lo:hi] if not (e.start <= a.start and a.end <= e.end)]
+        others = self._cross and (lo > 0 or hi < len(mentions))
+        parse = self._parses[s_a] if s_a < len(self._parses) else None
+        if parse is not None and not others:
+            distances = [path_distance(parse, e, a).distance for e in local]
         else:
-            signals.append(
-                _cross_sentence_distance(
-                    positions, c.entity, c.attribute, config.boundary_penalty
-                )
-            )
-    return signals
+            clauses = self._clauses(s_a)
+            distances = [
+                heuristic_distance(clauses, e, a, boundary_penalty=penalty).distance
+                for e in local
+            ]
+        if not others:
+            return local, distances
+        left, right = self._position(a)
+        sentence_of = self._sentence_of
+        before = [
+            float(left - r) + penalty * (s_a - s)
+            for r, s in zip(self._rights[:lo], sentence_of[:lo])
+        ]
+        after = [
+            float(l - right) + penalty * (s - s_a)
+            for l, s in zip(self._lefts[hi:], sentence_of[hi:])
+        ]
+        return mentions[:lo] + local + mentions[hi:], before + distances + after
 
 
 def _abs_span(sentences, sentence_index: int, start: int, end: int) -> tuple[int, int]:
@@ -240,19 +234,15 @@ def annotate_record(
         attributes.extend(extract_attributes(sentence, kb, entity_spans=spans))
 
     linker_config = config.linker_config()
-    candidates = generate_candidates(mentions, attributes, linker_config)
-    positions = _TokenPositions(sentences)
-    for group in group_by_attribute(candidates):
-        signals = _group_signals(group, parses, config, positions)
-        dep_probs = p_dep(signals, tau=config.tau)
-        sup_probs = p_sup(group, kb, weights=config.weights)
-        for c, signal, dep_p, sup_p in zip(group, signals, dep_probs, sup_probs):
-            c.distance = signal.distance
-            c.p_dep = dep_p
-            c.p_sup = sup_p
-            c.score = mix(c, linker_config)
-
-    relations = assign(candidates, linker_config)
+    competitors = _Competitors(sentences, mentions, config, parses)
+    relations = []
+    for a in attributes:
+        entities, distances = competitors.of(a)
+        relation = link_attribute(
+            a, entities, distances, kb, linker_config, config.weights, config.tau
+        )
+        if relation is not None:
+            relations.append(relation)
     return _build_record(record_id, text, sentences, mentions, attributes, relations)
 
 

@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import attrgetter
 from typing import Sequence
 
 from .attributes import AttributeMention
@@ -26,6 +27,11 @@ DEFAULT_BOUNDARY_PENALTY = 5.0
 
 _BOUNDARY_SURFACES = frozenset({",", ";"})
 _BOUNDARY_WORDS = frozenset({"and", "or", "but", "who", "whom", "which", "that", "whose"})
+
+# token states while a parse's head graph is checked
+_UNSEEN, _ON_PATH, _REACHES_ROOT = 0, 1, 2
+
+_START = attrgetter("start")  # bisection key over a sentence's tokens
 
 
 class SignalSource(Enum):
@@ -65,15 +71,22 @@ class DependencyParse:
                 raise CycleDetected(f"token {i + 1} heads out of range: {head}")
             if head == i + 1:
                 raise CycleDetected(f"token {i + 1} heads to itself")
-        # every token must reach the root
-        for i in range(n):
-            seen = set()
-            node = i + 1
-            while node != 0:
-                if node in seen:
-                    raise CycleDetected(f"cycle through token {node}")
-                seen.add(node)
+        # every token must reach the root: walk up from each unfinished
+        # token, marking the path; a walk that meets its own path has found
+        # a cycle, one that meets a finished token or the root finishes its
+        # path (three-colour marking, each token walked once)
+        state = [_UNSEEN] * (n + 1)
+        for i in range(1, n + 1):
+            path = []
+            node = i
+            while node != 0 and state[node] == _UNSEEN:
+                state[node] = _ON_PATH
+                path.append(node)
                 node = self.heads[node - 1]
+            if node != 0 and state[node] == _ON_PATH:
+                raise CycleDetected(f"cycle through token {node}")
+            for node in path:
+                state[node] = _REACHES_ROOT
 
 
 def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
@@ -134,13 +147,16 @@ def align_block(
 
 
 def _head_token_index(sentence: SentenceRecord, start: int, end: int) -> int:
-    """Index of the span's head token: the last token overlapping the span."""
+    """Index of the span's head token: the last token overlapping the span.
 
-    head = None
-    for i, t in enumerate(sentence.tokens):
-        if t.start < end and t.end > start:
-            head = i
-    if head is None:
+    Tokens are ordered and disjoint, so the last one starting before the
+    span ends is the only candidate: it overlaps the span when it also ends
+    after the span starts.
+    """
+
+    tokens = sentence.tokens
+    head = bisect_left(tokens, end, key=_START) - 1
+    if head < 0 or tokens[head].end <= start:
         raise ValueError(f"span [{start}, {end}) covers no token")
     return head
 
@@ -223,23 +239,22 @@ def heuristic_distance(
     )
 
 
-def p_dep(signals: Sequence[SyntacticSignal], tau: float = DEFAULT_TAU) -> list[float]:
+def p_dep(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
     """Softmin over distances: closer entities get larger probability.
 
-    ``p_i = exp(-d_i / tau) / sum_j exp(-d_j / tau)``.  All signals must
-    come from the same source; the result sums to 1.
+    ``p_i = exp(-d_i / tau) / sum_j exp(-d_j / tau)``.  The distances of the
+    entities competing for one attribute all come from one source (parse
+    paths or the heuristic); the result sums to 1.
     """
 
-    if not signals:
-        raise ValueError("p_dep needs at least one signal")
-    sources = {s.source for s in signals}
-    if len(sources) > 1:
-        raise ValueError("signals mix parse-based and heuristic distances")
+    if not distances:
+        raise ValueError("p_dep needs at least one distance")
     if tau <= 0:
         raise ValueError("tau must be positive")
     # shift by the minimum distance for numeric stability (softmin is
     # invariant to uniform shifts)
-    d_min = min(s.distance for s in signals)
-    weights = [math.exp(-(s.distance - d_min) / tau) for s in signals]
+    d_min = min(distances)
+    exp = math.exp
+    weights = [exp(-(d - d_min) / tau) for d in distances]
     total = sum(weights)
     return [w / total for w in weights]

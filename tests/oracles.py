@@ -6,7 +6,9 @@ package now computes faster.  The tests check that the two agree exactly.
 
 from __future__ import annotations
 
+import math
 import re
+from dataclasses import dataclass
 
 from critex.attributes import (
     AttributeMention,
@@ -26,16 +28,16 @@ from critex.entities import (
     _fold_plural,
     _initials_match,
 )
-from critex.errors import UnknownConcept
+from critex.errors import CycleDetected, UnknownConcept
 from critex.kb import DEFAULT_WEIGHTS, Category, score_compatibility, term_key
-from critex.linker import Relation, _attribute_key, _beats, group_by_attribute, relation_label
+from critex.linker import Relation, relation_label
 from critex.segmentation import (
     _ABBREVIATIONS,
     _NEXT_SENTENCE_RE,
     _SINGLE_INITIAL_RE,
     _TOKEN_SEPARATORS,
 )
-from critex.syntax import SignalSource, SyntacticSignal, _is_boundary
+from critex.syntax import SignalSource, SyntacticSignal, _depth_chain, _is_boundary
 from critex.units import normalize_unit
 
 
@@ -53,6 +55,120 @@ def cross_sentence_distance(sentences, e, a, boundary_penalty):
     return SyntacticSignal(
         float(gap) + boundary_penalty * crossed, SignalSource.HEURISTIC
     )
+
+
+@dataclass
+class RelationCandidate:
+    """One (entity, attribute) pair with its two signals and mixed score."""
+
+    entity: EntityMention
+    attribute: AttributeMention
+    p_dep: float = 0.0
+    p_sup: float = 0.0
+    score: float = 0.0
+    distance: float = math.inf  # syntactic distance backing p_dep
+
+
+def _attribute_key(a):
+    return (a.sentence_index, a.start, a.end)
+
+
+def generate_candidates(entities, attributes, same_sentence_only=True):
+    """Cross product of entities and attributes, attribute-major order.
+
+    With ``same_sentence_only`` only pairs sharing a sentence are kept.
+    Pairs whose attribute span lies inside the entity span are excluded.
+    """
+
+    out = []
+    for a in attributes:
+        for e in entities:
+            if same_sentence_only and e.sentence_index != a.sentence_index:
+                continue
+            if (
+                e.sentence_index == a.sentence_index
+                and a.start >= e.start
+                and a.end <= e.end
+            ):
+                continue
+            out.append(RelationCandidate(entity=e, attribute=a))
+    return out
+
+
+def group_by_attribute(candidates):
+    groups = {}
+    for c in candidates:
+        groups.setdefault(_attribute_key(c.attribute), []).append(c)
+    return [groups[k] for k in sorted(groups)]
+
+
+def head_token_index(sentence, start, end):
+    """Index of the span's head token, scanning every token of the sentence."""
+
+    head = None
+    for i, t in enumerate(sentence.tokens):
+        if t.start < end and t.end > start:
+            head = i
+    if head is None:
+        raise ValueError(f"span [{start}, {end}) covers no token")
+    return head
+
+
+def path_distance(parse, e, a):
+    """Tree path between the span head tokens, found by token scans."""
+
+    if parse.sentence is None:
+        raise ValueError("parse is not aligned to a sentence")
+    u = head_token_index(parse.sentence, e.start, e.end) + 1
+    v = head_token_index(parse.sentence, a.start, a.end) + 1
+    if u == v:
+        return SyntacticSignal(0.0, SignalSource.EXTERNAL_PARSE)
+    pos_u = {node: depth for depth, node in enumerate(_depth_chain(parse.heads, u))}
+    depth_v = 0
+    node = v
+    while node not in pos_u:
+        node = parse.heads[node - 1]
+        depth_v += 1
+    return SyntacticSignal(float(pos_u[node] + depth_v), SignalSource.EXTERNAL_PARSE)
+
+
+def group_signals(group, parses, config, sentences):
+    """One signal per candidate of one attribute's group.
+
+    The parse backs the distances only when the whole group lies in the
+    attribute's sentence and that sentence has a parse.
+    """
+
+    attr = group[0].attribute
+    same_sentence = all(c.entity.sentence_index == attr.sentence_index for c in group)
+    parse = None
+    if parses is not None and attr.sentence_index < len(parses):
+        parse = parses[attr.sentence_index]
+    if same_sentence and parse is not None:
+        return [path_distance(parse, c.entity, c.attribute) for c in group]
+    return [
+        heuristic_distance(
+            sentences[attr.sentence_index], c.entity, c.attribute, config.boundary_penalty
+        )
+        if c.entity.sentence_index == attr.sentence_index
+        else cross_sentence_distance(sentences, c.entity, c.attribute, config.boundary_penalty)
+        for c in group
+    ]
+
+
+def p_dep(signals, tau):
+    """Softmin over the distances of one group's signals."""
+
+    if not signals:
+        raise ValueError("p_dep needs at least one signal")
+    if len({s.source for s in signals}) > 1:
+        raise ValueError("signals mix parse-based and heuristic distances")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    d_min = min(s.distance for s in signals)
+    weights = [math.exp(-(s.distance - d_min) / tau) for s in signals]
+    total = sum(weights)
+    return [w / total for w in weights]
 
 
 def p_sup(candidates, kb, weights=DEFAULT_WEIGHTS):
@@ -75,6 +191,36 @@ def p_sup(candidates, kb, weights=DEFAULT_WEIGHTS):
     return [1.0 / len(raw)] * len(raw)
 
 
+def mix(candidate, config):
+    """Convex mixture of the two signals under the configured theta."""
+
+    return config.theta * candidate.p_sup + (1.0 - config.theta) * candidate.p_dep
+
+
+def _char_gap(e, a):
+    if e.sentence_index != a.sentence_index:
+        return math.inf
+    if e.end <= a.start:
+        return a.start - e.end
+    if a.end <= e.start:
+        return e.start - a.end
+    return 0.0
+
+
+def _beats(challenger, incumbent):
+    if challenger.score != incumbent.score:
+        return challenger.score > incumbent.score
+    if challenger.distance != incumbent.distance:
+        return challenger.distance < incumbent.distance
+    c_gap = _char_gap(challenger.entity, challenger.attribute)
+    i_gap = _char_gap(incumbent.entity, incumbent.attribute)
+    if c_gap != i_gap:
+        return c_gap < i_gap
+    c_pos = (challenger.entity.sentence_index, challenger.entity.start)
+    i_pos = (incumbent.entity.sentence_index, incumbent.entity.start)
+    return c_pos < i_pos
+
+
 def assign(candidates, config):
     """Group candidates by attribute, then pick the best of each group."""
 
@@ -95,6 +241,51 @@ def assign(candidates, config):
             )
     relations.sort(key=lambda r: _attribute_key(r.attribute))
     return relations
+
+
+def link(sentences, mentions, attributes, kb, config, parses=None):
+    """The relations of one record through the candidate-object chain.
+
+    ``config`` is a :class:`~critex.pipeline.PipelineConfig`.
+    """
+
+    candidates = generate_candidates(mentions, attributes, not config.cross_sentence)
+    for group in group_by_attribute(candidates):
+        signals = group_signals(group, parses, config, sentences)
+        dep_probs = p_dep(signals, config.tau)
+        sup_probs = p_sup(group, kb, config.weights)
+        for c, signal, dep_p, sup_p in zip(group, signals, dep_probs, sup_probs):
+            c.distance = signal.distance
+            c.p_dep = dep_p
+            c.p_sup = sup_p
+            c.score = mix(c, config)
+    return assign(candidates, config)
+
+
+def validate_heads(heads, labels):
+    """The head-graph checks of DependencyParse, walking each token to the root."""
+
+    n = len(heads)
+    if len(labels) != n:
+        raise CycleDetected("heads and labels must have equal length")
+    if n == 0:
+        return
+    roots = sum(1 for h in heads if h == 0)
+    if roots != 1:
+        raise CycleDetected(f"head graph must have exactly one root, found {roots}")
+    for i, head in enumerate(heads):
+        if not (0 <= head <= n):
+            raise CycleDetected(f"token {i + 1} heads out of range: {head}")
+        if head == i + 1:
+            raise CycleDetected(f"token {i + 1} heads to itself")
+    for i in range(n):
+        seen = set()
+        node = i + 1
+        while node != 0:
+            if node in seen:
+                raise CycleDetected(f"cycle through token {node}")
+            seen.add(node)
+            node = heads[node - 1]
 
 
 def _preceding_token(text, end):

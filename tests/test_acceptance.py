@@ -15,13 +15,13 @@ from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.cli import main
 from critex.io_eval import ElementType, MatchMode, evaluate, read_brat_dir, read_corpus
 from critex.kb import load_kb, score_compatibility
-from critex.linker import LinkerConfig, assign
+from critex.linker import LinkerConfig
 from critex.pipeline import PipelineConfig, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
 
 from conftest import PARAGRAPH_TWO
-from test_linker import build_candidates, oracle_assign, relation_set, score_all
+from test_linker import assign, build_candidates, oracle_assign, relation_set, score_all
 
 
 def _report(number, name, started):
@@ -106,16 +106,13 @@ def test_criterion_3_unit_dominance(kb):
     # with both entity kinds present, p_sup must favor blood pressure for
     # the mmHg ratio over the co-occurring non-mmHg entity
     from critex.entities import recognize_entities
-    from critex.linker import RelationCandidate, p_sup
+    from critex.linker import _p_sup
     from critex.segmentation import split_records
 
     sentence = split_records(PARAGRAPH_TWO, SplitMode.PARAGRAPHS)[1]
-    competing = {
-        m.concept_id: RelationCandidate(entity=m, attribute=ratio((140, 90), "mmHg"))
-        for m in recognize_entities(sentence, kb)
-    }
+    competing = {m.concept_id for m in recognize_entities(sentence, kb)}
     order = sorted(competing)  # C0005823 (blood pressure) before C0013798 (ECG)
-    probs = p_sup([competing[c] for c in order], kb)
+    probs = _p_sup(ratio((140, 90), "mmHg"), order, kb)
     assert order == ["C0005823", "C0013798"]
     assert probs[0] > 0.5 > probs[1]
 
@@ -194,18 +191,14 @@ def test_criterion_6_probability_normalization(kb):
     """p_dep and p_sup each sum to 1 within 1e-9 per attribute."""
 
     started = time.perf_counter()
-    from critex.entities import EntityMention
-    from critex.linker import RelationCandidate, p_sup
-    from critex.syntax import SignalSource, SyntacticSignal, p_dep
+    from critex.linker import _p_sup
+    from critex.syntax import p_dep
 
     rng = random.Random(7)
     for _ in range(500):
         n = rng.randint(1, 6)
-        signals = [
-            SyntacticSignal(rng.uniform(0.0, 30.0), SignalSource.HEURISTIC)
-            for _ in range(n)
-        ]
-        probs = p_dep(signals, tau=rng.uniform(0.5, 5.0))
+        distances = [rng.uniform(0.0, 30.0) for _ in range(n)]
+        probs = p_dep(distances, tau=rng.uniform(0.5, 5.0))
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert all(p >= 0 for p in probs)
 
@@ -223,14 +216,7 @@ def test_criterion_6_probability_normalization(kb):
     for _ in range(500):
         attribute = rng.choice(attribute_pool)
         chosen = rng.sample(concepts, rng.randint(1, 5))
-        candidates = [
-            RelationCandidate(
-                entity=EntityMention(0, 10 * i, 10 * i + 4, "e", concept_id, "e"),
-                attribute=attribute,
-            )
-            for i, concept_id in enumerate(chosen)
-        ]
-        probs = p_sup(candidates, kb)
+        probs = _p_sup(attribute, chosen, kb)
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert all(p >= 0 for p in probs)
     _report(6, "probability normalization", started)

@@ -3,7 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from critex import io_eval
 from critex.errors import (
     DanglingRef,
     MalformedAnn,
@@ -12,6 +14,7 @@ from critex.errors import (
     SpanMismatch,
 )
 from critex.io_eval import (
+    Counts,
     CorpusFormat,
     ElementType,
     GoldAnnotation,
@@ -356,3 +359,60 @@ class TestReadCorpus:
         path = tmp_path / "data.txt"
         path.write_text('{"id": "a", "text": "one"}\n')
         assert read_corpus(path, CorpusFormat.JSONL) == [("a", "one")]
+
+
+def _brute_force_matching(edges, n_gold):
+    """Largest matching, trying every gold choice (or none) per prediction."""
+
+    def best(i, used):
+        if i == len(edges):
+            return 0
+        options = [best(i + 1, used)]
+        options += [1 + best(i + 1, used | {j}) for j in edges[i] if j not in used]
+        return max(options)
+
+    return best(0, frozenset())
+
+
+SMALL_SPANS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1])),
+    max_size=6,
+)
+
+
+class TestOptimalMatching:
+    def test_greedy_undercount_is_fixed(self):
+        # [0,10) could take [1,3) first and leave [1,2) without a partner;
+        # the optimum pairs [0,10)-[8,9) and [1,2)-[1,3)
+        pred = [((0, 10),), ((1, 2),)]
+        gold = [((1, 3),), ((8, 9),)]
+
+        def same(p, g):
+            return p[0] == g[0]
+
+        def overlap(p, g):
+            return io_eval._spans_overlap(p[0], g[0])
+
+        assert io_eval._match_counts(pred, gold, MatchMode.OVERLAP, same, overlap) == Counts(2, 0, 0)
+        assert io_eval._match_counts(pred, gold, MatchMode.EXACT, same, overlap) == Counts(0, 2, 2)
+
+    @given(pred=SMALL_SPANS, gold=SMALL_SPANS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, pred, gold):
+        pred = [(p,) for p in pred]
+        gold = [(g,) for g in gold]
+
+        def same(p, g):
+            return p[0] == g[0]
+
+        def overlap(p, g):
+            return io_eval._spans_overlap(p[0], g[0])
+
+        counts = {}
+        for mode in MatchMode:
+            counts[mode] = io_eval._match_counts(pred, gold, mode, same, overlap)
+            test = same if mode is MatchMode.EXACT else (lambda p, g: same(p, g) or overlap(p, g))
+            edges = [[j for j, g in enumerate(gold) if test(p, g)] for p in pred]
+            tp = _brute_force_matching(edges, len(gold))
+            assert counts[mode] == Counts(tp, len(pred) - tp, len(gold) - tp)
+        assert counts[MatchMode.EXACT].tp <= counts[MatchMode.OVERLAP].tp

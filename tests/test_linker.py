@@ -1,4 +1,10 @@
-"""Candidate generation, the theta mixture, and per-attribute assignment."""
+"""Candidate selection, the theta mixture, and per-attribute assignment.
+
+The tests drive the linker's steps one at a time: ``_Competitors`` (which
+entities compete for an attribute), ``_p_sup``, ``_mix`` and ``_pick``.
+Candidate sets are built as the oracle chain's ``RelationCandidate``
+objects and handed to the steps group by group.
+"""
 
 import math
 import random
@@ -11,15 +17,14 @@ from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import UnknownConcept
 from critex.kb import Category, KbEntry, KnowledgeBase, ValuePattern
-from critex.linker import (
-    LinkerConfig,
-    RelationCandidate,
-    assign,
-    generate_candidates,
-    mix,
-    p_sup,
-    relation_label,
-)
+from critex.linker import LinkerConfig, _mix, _p_sup, _pick, relation_label
+from critex.pipeline import PipelineConfig, _Competitors
+from critex.segmentation import SplitMode, split_records
+from oracles import RelationCandidate, generate_candidates
+
+# Two sentences of plain tokens; the mentions below only need sentence
+# indexes that exist, their offsets need not match these tokens.
+SENTENCES = split_records(" ".join(["w"] * 40) + "\n" + " ".join(["w"] * 40), SplitMode.LINES)
 
 
 def make_entity(i, sentence=0, start=None):
@@ -49,16 +54,24 @@ def make_attr(j, sentence=0, start=None, kind=AttributeKind.RANGE):
     )
 
 
+def competing_pairs(entities, attributes, cross_sentence=False):
+    """(entity, attribute) pairs that compete, attribute-major, as the pipeline selects them."""
+
+    competitors = _Competitors(
+        SENTENCES, entities, PipelineConfig(cross_sentence=cross_sentence), None
+    )
+    return [(e, a) for a in attributes for e in competitors.of(a)[0]]
+
+
 class TestGenerateCandidates:
     def test_cross_product_size(self):
         entities = [make_entity(i) for i in range(4)]
         attributes = [make_attr(j) for j in range(4)]
-        config = LinkerConfig(same_sentence_only=False)
-        assert len(generate_candidates(entities, attributes, config)) == 16
+        assert len(competing_pairs(entities, attributes, cross_sentence=True)) == 16
 
     def test_empty_attributes(self):
         entities = [make_entity(0)]
-        assert generate_candidates(entities, [], LinkerConfig()) == []
+        assert competing_pairs(entities, []) == []
 
     def test_same_sentence_only_splits_pairs(self):
         # hand count: 2 entities and 2 attributes per sentence -> 4 + 4,
@@ -67,20 +80,20 @@ class TestGenerateCandidates:
                     make_entity(2, 1), make_entity(3, 1)]
         attributes = [make_attr(0, 0), make_attr(1, 0),
                       make_attr(2, 1), make_attr(3, 1)]
-        restricted = generate_candidates(entities, attributes, LinkerConfig())
+        restricted = competing_pairs(entities, attributes)
         assert len(restricted) == 8
-        unrestricted = generate_candidates(
-            entities, attributes, LinkerConfig(same_sentence_only=False)
-        )
+        assert all(e.sentence_index == a.sentence_index for e, a in restricted)
+        unrestricted = competing_pairs(entities, attributes, cross_sentence=True)
         assert len(unrestricted) == 16
 
     def test_attribute_inside_entity_excluded(self):
         e = EntityMention(0, 0, 30, "long entity", "LOCAL:e", "long entity")
         inside = make_attr(0, start=5)
         outside = make_attr(1, start=40)
-        candidates = generate_candidates([e], [inside, outside], LinkerConfig())
-        assert len(candidates) == 1
-        assert candidates[0].attribute is outside
+        for cross_sentence in (False, True):
+            pairs = competing_pairs([e], [inside, outside], cross_sentence)
+            assert len(pairs) == 1
+            assert pairs[0][1] is outside
 
 
 class TestPSup:
@@ -92,24 +105,19 @@ class TestPSup:
                 category=Category.PROCEDURE),
     ])
 
-    def _pair(self, attribute):
-        return [
-            RelationCandidate(entity=make_entity(0), attribute=attribute),
-            RelationCandidate(entity=make_entity(1), attribute=attribute),
-        ]
+    PAIR = ["LOCAL:e0", "LOCAL:e1"]
 
     def test_matching_unit_dominates(self):
         ratio = AttributeMention(
             0, 100, 111, "140/90 mmHg", AttributeKind.RATIO,
             values=(140, 90), unit="mmHg",
         )
-        probs = p_sup(self._pair(ratio), self.KB)
+        probs = _p_sup(ratio, self.PAIR, self.KB)
         assert probs[0] > 0.5 > probs[1]
         assert sum(probs) == pytest.approx(1.0)
 
     def test_single_entity_gets_one(self):
-        attribute = make_attr(0)
-        probs = p_sup([RelationCandidate(entity=make_entity(0), attribute=attribute)], self.KB)
+        probs = _p_sup(make_attr(0), ["LOCAL:e0"], self.KB)
         assert probs == [1.0]
 
     def test_neutral_equal_compatibilities_split_evenly(self):
@@ -118,21 +126,16 @@ class TestPSup:
             KbEntry(concept_id="LOCAL:e1", preferred_term="b"),
         ])
         qualifier = make_attr(0, kind=AttributeKind.QUALIFIER)
-        assert p_sup(self._pair(qualifier), kb) == pytest.approx([0.5, 0.5])
+        assert _p_sup(qualifier, self.PAIR, kb) == pytest.approx([0.5, 0.5])
 
     def test_unknown_concept(self):
-        candidate = RelationCandidate(entity=make_entity(9), attribute=make_attr(0))
         with pytest.raises(UnknownConcept):
-            p_sup([candidate], self.KB)
+            _p_sup(make_attr(0), ["LOCAL:e9"], self.KB)
 
     def test_first_unknown_concept_is_reported(self):
-        attribute = make_attr(0)
-        group = [
-            RelationCandidate(entity=make_entity(i), attribute=attribute)
-            for i in (0, 7, 0, 8)
-        ]
+        concepts = [f"LOCAL:e{i}" for i in (0, 7, 0, 8)]
         with pytest.raises(UnknownConcept, match="LOCAL:e7 "):
-            p_sup(group, self.KB)
+            _p_sup(make_attr(0), concepts, self.KB)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -165,26 +168,19 @@ class TestPSup:
             )
             for n in range(rng.randint(1, 8))
         ]
-        assert p_sup(group, kb) == oracles.p_sup(group, kb)
+        concepts = [c.entity.concept_id for c in group]
+        assert _p_sup(attribute, concepts, kb) == oracles.p_sup(group, kb)
 
 
 class TestMix:
-    def _candidate(self, ps, pd):
-        c = RelationCandidate(entity=make_entity(0), attribute=make_attr(0))
-        c.p_sup, c.p_dep = ps, pd
-        return c
-
     def test_theta_zero_is_pure_syntax(self):
-        c = self._candidate(0.9, 0.3)
-        assert mix(c, LinkerConfig(theta=0.0)) == 0.3
+        assert _mix([0.9], [0.3], 0.0) == [0.3]
 
     def test_theta_one_is_pure_compatibility(self):
-        c = self._candidate(0.9, 0.3)
-        assert mix(c, LinkerConfig(theta=1.0)) == 0.9
+        assert _mix([0.9], [0.3], 1.0) == [0.9]
 
     def test_halfway(self):
-        c = self._candidate(0.9, 0.3)
-        assert mix(c, LinkerConfig(theta=0.5)) == pytest.approx(0.6)
+        assert _mix([0.9], [0.3], 0.5) == pytest.approx([0.6])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -198,7 +194,7 @@ def build_candidates(rng, n_entities, n_attributes):
 
     entities = [make_entity(i) for i in range(n_entities)]
     attributes = [make_attr(j) for j in range(n_attributes)]
-    candidates = generate_candidates(entities, attributes, LinkerConfig())
+    candidates = generate_candidates(entities, attributes)
     by_attr = {}
     for c in candidates:
         by_attr.setdefault(id(c.attribute), []).append(c)
@@ -214,10 +210,39 @@ def build_candidates(rng, n_entities, n_attributes):
     return candidates
 
 
-def score_all(candidates, config):
+def _groups(candidates):
+    groups = {}
     for c in candidates:
-        c.score = mix(c, config)
+        key = (c.attribute.sentence_index, c.attribute.start, c.attribute.end)
+        groups.setdefault(key, []).append(c)
+    return [groups[k] for k in sorted(groups)]
+
+
+def score_all(candidates, config):
+    """Mix each attribute's signals with the linker's ``_mix``."""
+
+    for group in _groups(candidates):
+        scores = _mix([c.p_sup for c in group], [c.p_dep for c in group], config.theta)
+        for c, score in zip(group, scores):
+            c.score = score
     return candidates
+
+
+def assign(candidates, config):
+    """Pick each attribute's winner with the linker's ``_pick``."""
+
+    relations = []
+    for group in _groups(candidates):
+        relation = _pick(
+            group[0].attribute,
+            [c.entity for c in group],
+            [c.distance for c in group],
+            [c.score for c in group],
+            config.min_score,
+        )
+        if relation is not None:
+            relations.append(relation)
+    return relations
 
 
 def oracle_assign(candidates, config):
@@ -279,11 +304,11 @@ class TestAssign:
         entities = [make_entity(0)]
         attributes = [make_attr(0), make_attr(1)]
         config = LinkerConfig()
-        candidates = generate_candidates(entities, attributes, config)
+        candidates = generate_candidates(entities, attributes)
         for c in candidates:
             c.p_sup = c.p_dep = 1.0
             c.distance = 1.0
-            c.score = mix(c, config)
+        score_all(candidates, config)
         relations = assign(candidates, config)
         assert len(relations) == 2
         assert all(r.entity.concept_id == "LOCAL:e0" for r in relations)
@@ -293,7 +318,7 @@ class TestAssign:
         attribute = make_attr(0)
         near = make_entity(0, start=90)
         far = make_entity(1, start=0)
-        candidates = generate_candidates([far, near], [attribute], config)
+        candidates = generate_candidates([far, near], [attribute])
         for c in candidates:
             c.p_sup = c.p_dep = 0.5
             c.score = 0.5
@@ -332,9 +357,7 @@ class TestAssignOracle:
             for i in range(rng.randint(1, 5))
         ]
         attributes = [make_attr(j, sentence=rng.randrange(3)) for j in range(rng.randint(1, 4))]
-        candidates = generate_candidates(
-            entities, attributes, LinkerConfig(same_sentence_only=False)
-        )
+        candidates = generate_candidates(entities, attributes, same_sentence_only=False)
         rng.shuffle(candidates)
         for c in candidates:
             c.score = rng.choice((0.1, 0.3, 0.5))

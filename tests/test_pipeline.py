@@ -3,27 +3,23 @@
 import hashlib
 import json
 import math
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from critex import pipeline
 from critex.attributes import AttributeKind, AttributeMention, extract_attributes
 from critex.cli import main
 from critex.entities import EntityMention, link_abbreviations, recognize_entities
+from critex.errors import CritexError, UnknownConcept
 from critex.io_eval import to_json
 from critex.kb import KbEntry, KnowledgeBase
-from critex.linker import assign, p_sup
-from critex.pipeline import (
-    PipelineConfig,
-    _TokenPositions,
-    _cross_sentence_distance,
-    annotate_record,
-)
+from critex.pipeline import PipelineConfig, _Competitors, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
-from critex.syntax import parse_blocks, align_block
+from critex.syntax import DependencyParse, align_block, parse_blocks
 from critex.segmentation import split_records
 
 
@@ -90,28 +86,16 @@ class TestCandidateCount:
     def test_real_paragraph_yields_eight_candidates(self, mini_kb, paragraph_two):
         # hand count: sentence 0 pairs {ages, cocaine} x {21-45, frequency},
         # sentence 1 pairs {ECG, blood pressure} x {12-lead, ratio} -> 4 + 4
-        from critex.attributes import extract_attributes
-        from critex.entities import link_abbreviations, recognize_entities
-        from critex.linker import LinkerConfig, generate_candidates
-        from critex.segmentation import split_records
-
-        sentences = split_records(paragraph_two, SplitMode.PARAGRAPHS)
-        mentions = []
-        for s in sentences:
-            mentions.extend(recognize_entities(s, mini_kb))
-        mentions = link_abbreviations(sentences, mentions)
-        attributes = []
-        for s in sentences:
-            spans = [(m.start, m.end) for m in mentions
-                     if m.sentence_index == s.sentence_index]
-            attributes.extend(extract_attributes(s, mini_kb, entity_spans=spans))
+        sentences, mentions, attributes = _front_end(paragraph_two, mini_kb)
         assert len(mentions) == 4 and len(attributes) == 4
-        same_sentence = generate_candidates(mentions, attributes, LinkerConfig())
-        assert len(same_sentence) == 8
-        unrestricted = generate_candidates(
-            mentions, attributes, LinkerConfig(same_sentence_only=False)
-        )
-        assert len(unrestricted) == 16
+
+        def count(config):
+            competitors = _Competitors(sentences, mentions, config, None)
+            return sum(len(competitors.of(a)[0]) for a in attributes)
+
+        assert count(PARAGRAPH_CONFIG) == 8
+        cross = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True)
+        assert count(cross) == 16
 
 
 class TestCrossSentence:
@@ -209,8 +193,8 @@ MULTI_SENTENCE = st.lists(
 ).map(" ".join)
 
 
-def _front_end(text, kb):
-    sentences = split_records(text, SplitMode.PARAGRAPHS)
+def _front_end(text, kb, mode=SplitMode.PARAGRAPHS):
+    sentences = split_records(text, mode)
     mentions = [m for s in sentences for m in recognize_entities(s, kb)]
     mentions = link_abbreviations(sentences, mentions)
     attributes = []
@@ -220,18 +204,28 @@ def _front_end(text, kb):
     return sentences, mentions, attributes
 
 
+CROSS_CONFIG = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True)
+
+
 class TestCrossSentenceOracles:
     @given(text=MULTI_SENTENCE, penalty=st.sampled_from((0.0, 1.5, 5.0)))
     @settings(max_examples=100, deadline=None)
     def test_distance_matches_token_loop(self, mini_kb, text, penalty):
         sentences, mentions, attributes = _front_end(text, mini_kb)
-        positions = _TokenPositions(sentences)
-        for e in mentions:
-            for a in attributes:
+        config = PipelineConfig(
+            mode=SplitMode.PARAGRAPHS, cross_sentence=True, boundary_penalty=penalty
+        )
+        competitors = _Competitors(sentences, mentions, config, None)
+        for a in attributes:
+            entities, distances = competitors.of(a)
+            for e, distance in zip(entities, distances):
                 if e.sentence_index != a.sentence_index:
-                    assert _cross_sentence_distance(
-                        positions, e, a, penalty
-                    ) == oracles.cross_sentence_distance(sentences, e, a, penalty)
+                    expected = oracles.cross_sentence_distance(sentences, e, a, penalty)
+                else:
+                    expected = oracles.heuristic_distance(
+                        sentences[a.sentence_index], e, a, penalty
+                    )
+                assert distance == expected.distance
 
     @given(text=MULTI_SENTENCE, data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -251,10 +245,9 @@ class TestCrossSentenceOracles:
 
         e = EntityMention(i, *span(i), "e", "LOCAL:e", "e")
         a = AttributeMention(j, *span(j), "a", AttributeKind.QUALIFIER)
-        positions = _TokenPositions(sentences)
-        assert _cross_sentence_distance(
-            positions, e, a, 5.0
-        ) == oracles.cross_sentence_distance(sentences, e, a, 5.0)
+        competitors = _Competitors(sentences, [e], CROSS_CONFIG, None)
+        expected = oracles.cross_sentence_distance(sentences, e, a, 5.0)
+        assert competitors.of(a) == ([e], [expected.distance])
 
     @given(
         text=MULTI_SENTENCE,
@@ -269,27 +262,169 @@ class TestCrossSentenceOracles:
             theta=theta,
             min_score=min_score,
         )
-        assign_calls = []
+        assert _relation_rows(text, mini_kb, config) == _oracle_rows(text, mini_kb, config)
 
-        def checked_p_sup(group, kb, weights):
-            probs = p_sup(group, kb, weights=weights)
-            assert probs == oracles.p_sup(group, kb, weights)
-            return probs
 
-        def checked_assign(candidates, linker_config):
-            relations = assign(candidates, linker_config)
-            expected = oracles.assign(candidates, linker_config)
-            assert relations == expected
-            for r, o in zip(relations, expected):
-                assert r.entity is o.entity and r.attribute is o.attribute
-            assign_calls.append(len(candidates))
-            return relations
+def _relation_rows(text, kb, config, parses=None):
+    """(entity index, attribute index, label, score bits) of each relation."""
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "p_sup", checked_p_sup)
-            mp.setattr(pipeline, "assign", checked_assign)
-            annotate_record("r", text, mini_kb, config)
-        assert len(assign_calls) == 1
+    record = annotate_record("r", text, kb, config, parses=parses)
+    return [
+        (r["entity"], r["attribute"], r["label"], float.hex(r["score"]))
+        for r in record.extended["relations"]
+    ]
+
+
+def _oracle_rows(text, kb, config, parses=None):
+    """The same rows from the candidate-object chain of ``oracles.link``."""
+
+    sentences, mentions, attributes = _front_end(text, kb, config.mode)
+    relations = oracles.link(sentences, mentions, attributes, kb, config, parses)
+
+    def key(m):
+        return (m.sentence_index, m.start, m.end)
+
+    entity_index = {key(m): i for i, m in enumerate(mentions)}
+    attribute_index = {key(a): i for i, a in enumerate(attributes)}
+    return [
+        (entity_index[key(r.entity)], attribute_index[key(r.attribute)], r.label,
+         float.hex(r.score))
+        for r in relations
+    ]
+
+
+# Tie-heavy records: few concepts, each repeated, and attributes flanked by
+# the same words on both sides, so that scores, distances and character gaps
+# tie and every rule of the tie-break decides some attributes.
+TIE_ENTITIES = ("blood pressure", "BP", "ECG", "heart rate", "glucose", "pain", "BMI")
+TIE_ATTRIBUTES = (
+    "140/90 mmHg", "21-45", "less than 5 kg", "60-100 bpm", "within three days",
+    "12-lead", "≤ 40 kg/m^2", "at least twice a week",
+)
+TIE_FILLER = ("and", ",", ";", "was", "x", ".", "\n")
+TIE_PIECES = st.lists(
+    st.sampled_from(TIE_ENTITIES + TIE_ATTRIBUTES + TIE_FILLER), min_size=1, max_size=8
+)
+# a capital or a digit after " .\n" starts a sentence in both split modes
+SENTENCE_OPENERS = ("ECG", "BP", "BMI", "21-45", "140/90 mmHg")
+
+
+@st.composite
+def tie_heavy_texts(draw):
+    sentences = []
+    for k in range(draw(st.integers(1, 3))):
+        pieces = draw(TIE_PIECES)
+        if draw(st.booleans()):  # mirror the pieces around one attribute
+            pieces = pieces + [draw(st.sampled_from(TIE_ATTRIBUTES))] + pieces[::-1]
+        if k:
+            pieces.insert(0, draw(st.sampled_from(SENTENCE_OPENERS)))
+        sentences.append(" ".join(pieces))
+    return " .\n".join(sentences)
+
+
+def _random_parses(sentences, rng):
+    """Random trees for the sentences, some None, the list perhaps cut short."""
+
+    parses = []
+    for sentence in sentences:
+        n = len(sentence.tokens)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        heads = [0] * n
+        for k in range(1, n):
+            heads[order[k] - 1] = order[rng.randrange(k)]
+        parse = DependencyParse(tuple(heads), ("dep",) * n, sentence)
+        parses.append(None if rng.random() < 0.3 else parse)
+    return parses[: rng.randint(0, len(parses))] if rng.random() < 0.3 else parses
+
+
+class TestLinkerChainOracle:
+    """The per-attribute linker equals the candidate-object chain it replaced."""
+
+    @given(
+        text=tie_heavy_texts(),
+        mode=st.sampled_from(tuple(SplitMode)),
+        cross_sentence=st.booleans(),
+        theta=st.sampled_from((0.0, 0.5, 1.0)),
+        with_parses=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_relations_and_scores_bit_for_bit(
+        self, mini_kb, text, mode, cross_sentence, theta, with_parses, seed, data
+    ):
+        parses = None
+        if with_parses:
+            parses = _random_parses(split_records(text, mode), random.Random(seed))
+        config = PipelineConfig(mode=mode, cross_sentence=cross_sentence, theta=theta,
+                                min_score=0.0)
+        rows = _oracle_rows(text, mini_kb, config, parses)
+        assert _relation_rows(text, mini_kb, config, parses) == rows
+        if rows:
+            # a threshold exactly at a winner's score keeps that winner
+            score = float.fromhex(data.draw(st.sampled_from([r[3] for r in rows])))
+            config = replace(config, min_score=score)
+            kept = _oracle_rows(text, mini_kb, config, parses)
+            assert any(r[3] == float.hex(score) for r in kept)
+            assert _relation_rows(text, mini_kb, config, parses) == kept
+
+    @given(
+        text=tie_heavy_texts(),
+        cross_sentence=st.booleans(),
+        dropped=st.sets(st.sampled_from(("C0005823", "C0013798", "C0018810", "C0005802")),
+                        min_size=1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unknown_concept_raised_alike(self, mini_kb, text, cross_sentence, dropped):
+        # the entity scan still finds the dropped concepts; linking does not
+        kb = replace(mini_kb, by_id={k: v for k, v in mini_kb.by_id.items()
+                                     if k not in dropped})
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=cross_sentence)
+        outcomes = []
+        for run in (_relation_rows, _oracle_rows):
+            try:
+                outcomes.append(run(text, kb, config))
+            except UnknownConcept as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+# Arbitrary Unicode mixed with the clinical vocabulary the pipeline reacts to.
+FUZZ_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=6),
+        st.sampled_from(TIE_ENTITIES + TIE_ATTRIBUTES + TIE_FILLER + (
+            "(", ")", "BP (blood pressure)", "e.g.", "Dr.", "1,000 mg", "3x", "-5",
+        )),
+    ),
+    max_size=16,
+).map(" ".join)
+
+
+def _assert_disjoint(items):
+    spans = sorted((item["start"], item["end"]) for item in items)
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert end <= start
+
+
+class TestFuzz:
+    @given(text=FUZZ_TEXT, mode=st.sampled_from(tuple(SplitMode)), cross_sentence=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_annotate_record_invariants(self, mini_kb, text, mode, cross_sentence):
+        config = PipelineConfig(mode=mode, cross_sentence=cross_sentence)
+        try:
+            record = annotate_record("r", text, mini_kb, config)
+        except CritexError:
+            return
+        ext = record.extended
+        for item in ext["entities"] + ext["attributes"]:
+            assert text[item["start"] : item["end"]] == item["surface"]
+        _assert_disjoint(ext["entities"])
+        _assert_disjoint(ext["attributes"])
+        assert all(0.0 <= score <= 1.0 for score in ext["scores"])
+        again = annotate_record("r", text, mini_kb, config)
+        assert to_json(again, extended=True) == to_json(record, extended=True)
 
 
 class TestPinnedOutput:

@@ -1,10 +1,12 @@
 """Dependency-parse ingestion, distances, and the softmin distribution."""
 
 import math
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import CycleDetected, ParseMismatch
@@ -14,6 +16,7 @@ from critex.syntax import (
     DependencyParse,
     SignalSource,
     SyntacticSignal,
+    _head_token_index,
     align_block,
     heuristic_distance,
     p_dep,
@@ -218,59 +221,124 @@ class TestHeuristicDistance:
 
 class TestPDep:
     def test_single_candidate(self):
-        signals = [SyntacticSignal(3.0, SignalSource.HEURISTIC)]
-        assert p_dep(signals) == [1.0]
+        assert p_dep([3.0]) == [1.0]
 
     def test_equal_distances_split_evenly(self):
-        signals = [
-            SyntacticSignal(2.0, SignalSource.HEURISTIC),
-            SyntacticSignal(2.0, SignalSource.HEURISTIC),
-        ]
-        assert p_dep(signals) == pytest.approx([0.5, 0.5])
+        assert p_dep([2.0, 2.0]) == pytest.approx([0.5, 0.5])
 
     def test_softmin_values(self):
         # independent evaluation of the formula for distances [0, 4], tau=2:
         # p0 = 1 / (1 + e^-2), p1 = e^-2 / (1 + e^-2)
         z = 1.0 + math.exp(-2.0)
-        signals = [
-            SyntacticSignal(0.0, SignalSource.HEURISTIC),
-            SyntacticSignal(4.0, SignalSource.HEURISTIC),
-        ]
-        probs = p_dep(signals, tau=2.0)
+        probs = p_dep([0.0, 4.0], tau=2.0)
         assert probs == pytest.approx([1.0 / z, math.exp(-2.0) / z], abs=1e-12)
         assert probs == pytest.approx([0.881, 0.119], abs=5e-4)
 
     def test_mixed_sources_rejected(self):
+        # p_dep takes bare distances; the pipeline draws one attribute's
+        # distances from a single source.  The signal-based softmin of the
+        # oracle chain still refuses a mixed group.
         signals = [
             SyntacticSignal(1.0, SignalSource.HEURISTIC),
             SyntacticSignal(2.0, SignalSource.EXTERNAL_PARSE),
         ]
         with pytest.raises(ValueError):
-            p_dep(signals)
+            oracles.p_dep(signals, 2.0)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=500), min_size=1, max_size=8),
         st.floats(min_value=0.1, max_value=10),
     )
     def test_distribution_properties(self, distances, tau):
-        signals = [SyntacticSignal(d, SignalSource.HEURISTIC) for d in distances]
-        probs = p_dep(signals, tau=tau)
+        probs = p_dep(distances, tau=tau)
         assert all(p >= 0 for p in probs)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+        signals = [SyntacticSignal(d, SignalSource.HEURISTIC) for d in distances]
+        assert probs == oracles.p_dep(signals, tau)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=6),
         st.floats(min_value=0.5, max_value=50),
     )
     def test_shift_invariance(self, distances, shift):
-        base = [SyntacticSignal(d, SignalSource.HEURISTIC) for d in distances]
-        shifted = [SyntacticSignal(d + shift, SignalSource.HEURISTIC) for d in distances]
-        assert p_dep(base) == pytest.approx(p_dep(shifted), abs=1e-9)
+        shifted = [d + shift for d in distances]
+        assert p_dep(distances) == pytest.approx(p_dep(shifted), abs=1e-9)
 
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=6, unique=True))
     def test_strictly_order_reversing(self, distances):
-        signals = [SyntacticSignal(float(d), SignalSource.HEURISTIC) for d in distances]
-        probs = p_dep(signals)
+        probs = p_dep([float(d) for d in distances])
         order_by_distance = sorted(range(len(distances)), key=lambda i: distances[i])
         order_by_prob = sorted(range(len(probs)), key=lambda i: -probs[i])
         assert order_by_distance == order_by_prob
+
+
+def _outcome(fn, *args):
+    """A call's result, or its exception's type and message."""
+
+    try:
+        return fn(*args)
+    except (CycleDetected, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def head_graphs(draw):
+    """Heads of trees, chains and stars, some broken in one of the usual ways."""
+
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("tree", "chain", "star")))
+    if shape == "chain":
+        heads = [0] + list(range(1, n))
+    elif shape == "star":
+        heads = [0] + [1] * (n - 1)
+    else:
+        order = draw(st.permutations(range(1, n + 1)))
+        heads = [0] * n
+        for k in range(1, n):
+            heads[order[k] - 1] = order[draw(st.integers(0, k - 1))]
+    root = draw(st.integers(1, n))  # relabel so the root sits anywhere
+    relabel = {1: root, root: 1}
+    heads = [relabel.get(h, h) for h in heads]
+    heads[0], heads[root - 1] = heads[root - 1], heads[0]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        heads[i] = draw(st.sampled_from((
+            0,                          # a second root
+            i + 1,                      # a self-loop
+            n + 1, -1,                  # out of range
+            draw(st.integers(1, n)),    # any token: often a cycle
+        )))
+    return heads
+
+
+class TestParseValidationOracle:
+    @given(heads=head_graphs(), short_labels=st.booleans())
+    @example(heads=[2, 3, 2, 0], short_labels=False)  # token 1 leads into the cycle 2-3
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_and_message_as_walk_to_root(self, heads, short_labels):
+        labels = ("dep",) * (len(heads) - short_labels)
+        got = _outcome(lambda: DependencyParse(tuple(heads), labels) and None)
+        assert got == _outcome(oracles.validate_heads, heads, labels)
+
+    def test_long_chain_is_linear(self):
+        # each token walked once: a 20,000-token chain takes milliseconds
+        # (walking every token to the root took ~2 s at 8,000 tokens)
+        n = 20_000
+        started = time.perf_counter()
+        DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n)
+        assert time.perf_counter() - started < 1.0
+
+
+class TestHeadTokenOracle:
+    @given(
+        text=st.text(alphabet="ab1 ,.-/()≤%\t", max_size=30),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_matches_token_scan(self, text, data):
+        sentence = split_records("x" + text, SplitMode.LINES)[0]
+        n = len(sentence.text)
+        start = data.draw(st.integers(0, n))
+        end = data.draw(st.integers(start, n))
+        got = _outcome(_head_token_index, sentence, start, end)
+        assert got == _outcome(oracles.head_token_index, sentence, start, end)
