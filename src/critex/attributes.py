@@ -133,6 +133,12 @@ _WORD_COMPARATORS: tuple[tuple[tuple[str, ...], Comparator], ...] = (
     (("over",), Comparator.GT),
 )
 
+# the word comparators by first word, in table order
+_WORD_COMPARATORS_BY_FIRST: dict[str, tuple[tuple[tuple[str, ...], Comparator], ...]] = {
+    first: tuple(row for row in _WORD_COMPARATORS if row[0][0] == first)
+    for first in dict.fromkeys(words[0] for words, _ in _WORD_COMPARATORS)
+}
+
 _GLYPH_COMPARATORS = {
     "≤": Comparator.LE, "<=": Comparator.LE, "≦": Comparator.LE,
     "≥": Comparator.GE, ">=": Comparator.GE, "≧": Comparator.GE,
@@ -164,12 +170,15 @@ class _Parse:
 def _comparator_at(toks: Sequence[Token], i: int) -> tuple[Comparator, int, bool] | None:
     """Return (comparator, tokens consumed, is_symbolic) or None."""
 
-    if i < len(toks) and toks[i].surface in _GLYPH_COMPARATORS:
-        return _GLYPH_COMPARATORS[toks[i].surface], 1, True
-    for words, comp in _WORD_COMPARATORS:
+    if i >= len(toks):
+        return None
+    surface = toks[i].surface
+    if surface in _GLYPH_COMPARATORS:
+        return _GLYPH_COMPARATORS[surface], 1, True
+    for words, comp in _WORD_COMPARATORS_BY_FIRST.get(surface.lower(), ()):
         n = len(words)
         if i + n <= len(toks) and all(
-            toks[i + k].surface.lower() == words[k] for k in range(n)
+            toks[i + k].surface.lower() == words[k] for k in range(1, n)
         ):
             return comp, n, False
     return None
@@ -396,7 +405,7 @@ _VALUE_SHAPES = frozenset({TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE
 
 # Lowercased words that can open a production or a qualifier.
 _START_WORDS = frozenset(
-    {words[0] for words, _ in _WORD_COMPARATORS}
+    _WORD_COMPARATORS_BY_FIRST.keys()
     | _NUMBER_WORDS.keys()
     | _FREQUENCY_WORDS.keys()
     | QUALIFIER_LEXICON

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import CritexError, MalformedJsonl, ParseMismatch
+from .errors import CritexError, CycleDetected, MalformedJsonl, ParseMismatch
 from .io_eval import (
     ElementType,
     EvalReport,
@@ -131,10 +131,18 @@ def _resolve_kb_path(flag_value: str | None) -> Path:
 
 
 def _load_parses(deps_path: str, records, mode: SplitMode):
-    """Match parse blocks to the sentences of all records, in id order."""
+    """Split every record and match parse blocks to its sentences, in id order.
 
-    blocks = parse_blocks(read_text(Path(deps_path)))
-    parses_per_record = []
+    Returns one ``(sentences, parses)`` pair per record.  Alignment and
+    tree errors name the block (counted from 1), the record and the
+    sentence index.
+    """
+
+    try:
+        blocks = parse_blocks(read_text(Path(deps_path)))
+    except ParseMismatch as exc:
+        raise ParseMismatch(exc.index, f"{deps_path}: {exc}") from None
+    split = []
     cursor = 0
     for record_id, text in records:
         sentences = split_records(text, mode, record_id=record_id)
@@ -142,13 +150,23 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
             raise ParseMismatch(
                 cursor, f"{deps_path}: fewer parse blocks than sentences"
             )
-        parses_per_record.append(
-            [align_block(blocks[cursor + i], s) for i, s in enumerate(sentences)]
-        )
-        cursor += len(sentences)
+        parses = []
+        for s in sentences:
+            where = (
+                f"{deps_path}: block {cursor + 1}"
+                f" (record {record_id}, sentence {s.sentence_index})"
+            )
+            try:
+                parses.append(align_block(blocks[cursor], s))
+            except ParseMismatch as exc:
+                raise ParseMismatch(exc.index, f"{where}: {exc}") from None
+            except CycleDetected as exc:
+                raise CycleDetected(f"{where}: {exc}") from None
+            cursor += 1
+        split.append((sentences, parses))
     if cursor != len(blocks):
         raise ParseMismatch(cursor, f"{deps_path}: more parse blocks than sentences")
-    return parses_per_record
+    return split
 
 
 def _cmd_annotate(args) -> int:
@@ -162,13 +180,18 @@ def _cmd_annotate(args) -> int:
         cross_sentence=args.cross_sentence,
     )
     if args.deps:
-        parses_per_record = _load_parses(args.deps, records, mode)
+        # every parse is aligned before the first record is annotated
+        results = [
+            pipeline._annotate_sentences(record_id, text, sentences, kb, config, parses)
+            for (record_id, text), (sentences, parses) in zip(
+                records, _load_parses(args.deps, records, mode)
+            )
+        ]
     else:
-        parses_per_record = [None] * len(records)
-    results = [
-        pipeline.annotate_record(record_id, text, kb, config, parses=parses)
-        for (record_id, text), parses in zip(records, parses_per_record)
-    ]
+        results = [
+            pipeline.annotate_record(record_id, text, kb, config)
+            for record_id, text in records
+        ]
 
     indent = None if args.format == "jsonl" else 2
     lines = [to_json(r, extended=args.extended, indent=indent) for r in results]

@@ -229,19 +229,20 @@ def _pattern_term(entry: KbEntry, shape: AttributeShape) -> float:
     return 1.0 if entry.value_pattern.value == shape.value else 0.0
 
 
-def score_compatibility(
+def compatibility_terms(
     entry: KbEntry,
     attribute: AttributeMention,
+    shape: AttributeShape,
     weights: CompatibilityWeights = DEFAULT_WEIGHTS,
-) -> CompatibilityScore:
-    """Score how well an attribute fits an entry's constraints.
+) -> tuple[float, float, float, float]:
+    """``(value, unit_term, pattern_term, range_term)`` of an attribute.
 
-    Non-numeric attributes (temporal, frequency, qualifier) are judged by
-    the pattern term only; their unit and range terms are vacuous and score
-    the neutral share.
+    ``shape`` is ``attribute_shape(attribute)``; a caller scoring one
+    attribute against many entries derives it once.  Non-numeric attributes
+    (temporal, frequency, qualifier) are judged by the pattern term only;
+    their unit and range terms are vacuous and score the neutral share.
     """
 
-    shape = attribute_shape(attribute)
     numeric = shape is not AttributeShape.NONNUMERIC
 
     if not numeric or not entry.expected_units:
@@ -266,8 +267,21 @@ def score_compatibility(
         + weights.pattern * pattern_term
         + weights.range * range_term
     )
+    return min(1.0, max(0.0, value)), unit_term, pattern_term, range_term
+
+
+def score_compatibility(
+    entry: KbEntry,
+    attribute: AttributeMention,
+    weights: CompatibilityWeights = DEFAULT_WEIGHTS,
+) -> CompatibilityScore:
+    """Score how well an attribute fits an entry's constraints."""
+
+    value, unit_term, pattern_term, range_term = compatibility_terms(
+        entry, attribute, attribute_shape(attribute), weights
+    )
     return CompatibilityScore(
-        value=min(1.0, max(0.0, value)),
+        value=value,
         unit_matched=unit_term == 1.0,
         pattern_matched=pattern_term == 1.0,
         range_matched=range_term == 1.0,

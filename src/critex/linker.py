@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .attributes import AttributeKind, AttributeMention
+from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
 from .errors import UnknownConcept
-from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase, score_compatibility
+from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase, compatibility_terms
 from .syntax import DEFAULT_TAU, p_dep
 
 DEFAULT_THETA = 0.5
@@ -77,12 +77,13 @@ def _p_sup(
     is zero the distribution falls back to uniform.
     """
 
+    shape = attribute_shape(attribute)
     value: dict[str, float] = {}
     for concept_id in dict.fromkeys(concepts):
         entry = kb.entry(concept_id)
         if entry is None:
             raise UnknownConcept(f"concept {concept_id} not in knowledge base")
-        value[concept_id] = score_compatibility(entry, attribute, weights).value
+        value[concept_id] = compatibility_terms(entry, attribute, shape, weights)[0]
     raw = [value[c] for c in concepts]
     total = sum(raw)
     if total > 0:

@@ -216,6 +216,23 @@ def annotate_record(
     """
 
     sentences = split_records(text, config.mode, record_id=record_id)
+    return _annotate_sentences(record_id, text, sentences, kb, config, parses)
+
+
+def _annotate_sentences(
+    record_id: str,
+    text: str,
+    sentences: Sequence[SentenceRecord],
+    kb: KnowledgeBase,
+    config: PipelineConfig,
+    parses: Sequence[DependencyParse | None] | None,
+) -> StructuredRecord:
+    """:func:`annotate_record` after the split.
+
+    ``sentences`` must be ``split_records(text, config.mode,
+    record_id=record_id)``; a caller that has split the record already, to
+    align parses to it, passes them here instead of splitting it again.
+    """
 
     mentions: list[EntityMention] = []
     for sentence in sentences:

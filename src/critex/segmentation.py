@@ -5,7 +5,9 @@ summaries and conclusions are prose paragraphs, so :func:`split_records`
 supports both layouts.  The tokenizer keeps clinically meaningful units
 atomic: ratios ("140/90"), numeric ranges ("21-45"), hyphenated numeric
 qualifiers ("12-lead") and compound units ("kg/m^2") each come out as a
-single token.
+single token.  One regex pass finds the tokens, and the branch that matched
+a token gives its shape; only words, numeric qualifiers and single
+characters consult the built-in unit table, once per distinct surface.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .units import normalize_unit
 
@@ -57,43 +60,47 @@ class SentenceRecord:
     tokens: tuple[Token, ...]
 
 
-# Comparison glyphs come out as SYMBOL tokens.  "≦"/"≧" are treated as
-# aliases of "≤"/"≥" downstream; the surface is preserved here.
-_GLYPHS = frozenset({"<=", ">=", "≤", "≥", "≦", "≧", "<", ">", "="})
-
 _PUNCT_CHARS = frozenset("()[]{},;:.!?\"'`/\\-–—&")
 
+# One branch per token kind, tried in order; the name of the branch that
+# matched is the token's shape, except that QUALIFIER, WORD and OTHER tokens
+# are looked up by :func:`_looked_up_shape`.  Comparison glyphs come out as
+# SYMBOL tokens; "≦"/"≧" are treated as aliases of "≤"/"≥" downstream, and
+# the surface is preserved here.
 _SCAN_RE = re.compile(
     r"""
-      \d+(?:\.\d+)?/\d+(?:\.\d+)?                      # ratio: 140/90
-    | \d+(?:\.\d+)?[-–]\d+(?:\.\d+)?(?![A-Za-z])        # range: 21-45
-    | \d+(?:\.\d+)?[-–][A-Za-z][A-Za-z0-9-]*            # numeric qualifier: 12-lead
-    | (?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?              # number: 40, 1,000, 2.5
-    | [A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*     # word / compound unit: kg/m^2
-    | <=|>=|≤|≥|≦|≧|[<>=]
-    | \S
+      (?P<RATIO>\d+(?:\.\d+)?/\d+(?:\.\d+)?)                   # 140/90
+    | (?P<RANGE>\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?(?![A-Za-z]))    # 21-45
+    | (?P<QUALIFIER>\d+(?:\.\d+)?[-–][A-Za-z][A-Za-z0-9-]*)    # 12-lead
+    | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)         # 40, 1,000, 2.5
+    | (?P<WORD>[A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*)  # word, kg/m^2
+    | (?P<SYMBOL><=|>=|≤|≥|≦|≧|[<>=])
+    | (?P<OTHER>\S)
     """,
     re.VERBOSE,
 )
 
-_RATIO_RE = re.compile(r"\d+(?:\.\d+)?/\d+(?:\.\d+)?")
-_RANGE_RE = re.compile(r"\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?")
-_NUMBER_RE = re.compile(r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
+# Shapes fixed by the branch alone; the other branches look the surface up.
+_BRANCH_SHAPES = {
+    "RATIO": TokenShape.RATIO,
+    "RANGE": TokenShape.RANGE,
+    "NUMBER": TokenShape.NUMBER,
+    "SYMBOL": TokenShape.SYMBOL,
+}
 
 
-def _shape_of(surface: str) -> TokenShape:
-    if _RATIO_RE.fullmatch(surface):
-        return TokenShape.RATIO
-    if _RANGE_RE.fullmatch(surface):
-        return TokenShape.RANGE
-    if _NUMBER_RE.fullmatch(surface):
-        return TokenShape.NUMBER
-    if surface in _GLYPHS:
-        return TokenShape.SYMBOL
+@lru_cache(maxsize=4096)
+def _looked_up_shape(surface: str) -> TokenShape:
+    """Shape of a word, numeric qualifier or single-character token.
+
+    Surfaces with a letter, and "%", are UNIT_LIKE when the built-in unit
+    table knows them and WORD otherwise; other characters are PUNCT or
+    SYMBOL.  The result depends on the surface alone, so it is cached.
+    """
+
     if surface == "%" or any(c.isalpha() for c in surface):
-        known = normalize_unit(surface) is not None
-        return TokenShape.UNIT_LIKE if known else TokenShape.WORD
-    if len(surface) == 1 and surface in _PUNCT_CHARS:
+        return TokenShape.UNIT_LIKE if normalize_unit(surface) is not None else TokenShape.WORD
+    if surface in _PUNCT_CHARS:
         return TokenShape.PUNCT
     return TokenShape.SYMBOL
 
@@ -104,7 +111,8 @@ def tokenize(sentence_text: str) -> list[Token]:
     tokens = []
     for m in _SCAN_RE.finditer(sentence_text):
         surface = m.group(0)
-        tokens.append(Token(surface, m.start(), m.end(), _shape_of(surface)))
+        shape = _BRANCH_SHAPES.get(m.lastgroup) or _looked_up_shape(surface)
+        tokens.append(Token(surface, m.start(), m.end(), shape))
     return tokens
 
 

@@ -93,7 +93,7 @@ def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
     """Split a token-per-line file into per-sentence blocks.
 
     Each line carries tab-separated ID, FORM, HEAD, DEPREL columns; blank
-    lines separate sentences.
+    lines separate sentences, and the IDs of a block run 1, 2, ... in order.
     """
 
     blocks: list[list[tuple[int, str, int, str]]] = []
@@ -114,6 +114,10 @@ def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
             raise ParseMismatch(
                 lineno, f"line {lineno}: ID and HEAD must be integers"
             ) from None
+        if idx != len(current) + 1:
+            raise ParseMismatch(
+                lineno, f"line {lineno}: ID {idx} out of order, expected {len(current) + 1}"
+            )
         current.append((idx, cols[1], head, cols[3]))
     if current:
         blocks.append(current)

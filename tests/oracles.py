@@ -11,8 +11,9 @@ import re
 from dataclasses import dataclass
 
 from critex.attributes import (
+    _GLYPH_COMPARATORS,
+    _WORD_COMPARATORS,
     AttributeMention,
-    _comparator_at,
     _comparison,
     _frequency,
     _qualifier,
@@ -34,8 +35,12 @@ from critex.linker import Relation, relation_label
 from critex.segmentation import (
     _ABBREVIATIONS,
     _NEXT_SENTENCE_RE,
+    _PUNCT_CHARS,
+    _SCAN_RE,
     _SINGLE_INITIAL_RE,
     _TOKEN_SEPARATORS,
+    Token,
+    TokenShape,
 )
 from critex.syntax import SignalSource, SyntacticSignal, _depth_chain, _is_boundary
 from critex.units import normalize_unit
@@ -288,6 +293,40 @@ def validate_heads(heads, labels):
             node = heads[node - 1]
 
 
+_GLYPHS = frozenset({"<=", ">=", "≤", "≥", "≦", "≧", "<", ">", "="})
+_RATIO_RE = re.compile(r"\d+(?:\.\d+)?/\d+(?:\.\d+)?")
+_RANGE_RE = re.compile(r"\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?")
+_NUMBER_RE = re.compile(r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
+
+
+def shape_of(surface):
+    """A token's shape, re-derived from its surface alone."""
+
+    if _RATIO_RE.fullmatch(surface):
+        return TokenShape.RATIO
+    if _RANGE_RE.fullmatch(surface):
+        return TokenShape.RANGE
+    if _NUMBER_RE.fullmatch(surface):
+        return TokenShape.NUMBER
+    if surface in _GLYPHS:
+        return TokenShape.SYMBOL
+    if surface == "%" or any(c.isalpha() for c in surface):
+        known = normalize_unit(surface) is not None
+        return TokenShape.UNIT_LIKE if known else TokenShape.WORD
+    if len(surface) == 1 and surface in _PUNCT_CHARS:
+        return TokenShape.PUNCT
+    return TokenShape.SYMBOL
+
+
+def tokenize(sentence_text):
+    """Tokens of the scan, each shape re-derived by :func:`shape_of`."""
+
+    return [
+        Token(m.group(0), m.start(), m.end(), shape_of(m.group(0)))
+        for m in _SCAN_RE.finditer(sentence_text)
+    ]
+
+
 def _preceding_token(text, end):
     start = max(text.rfind(c, 0, end) for c in (" ", "\n", "\t", "\r")) + 1
     return text[start:end]
@@ -426,6 +465,21 @@ def recognize_entities(sentence, kb):
     return mentions
 
 
+def comparator_at(toks, i):
+    """(comparator, tokens consumed, is_symbolic) or None, trying every
+    word comparator in table order."""
+
+    if i < len(toks) and toks[i].surface in _GLYPH_COMPARATORS:
+        return _GLYPH_COMPARATORS[toks[i].surface], 1, True
+    for words, comp in _WORD_COMPARATORS:
+        n = len(words)
+        if i + n <= len(toks) and all(
+            toks[i + k].surface.lower() == words[k] for k in range(n)
+        ):
+            return comp, n, False
+    return None
+
+
 def extract_attributes(sentence, kb=None, entity_spans=None):
     """The grammar's scan, trying every production at every position."""
 
@@ -435,7 +489,7 @@ def extract_attributes(sentence, kb=None, entity_spans=None):
     i = 0
     while i < len(toks):
         best = None
-        hit = _comparator_at(toks, i)
+        hit = comparator_at(toks, i)
         for prod in (_frequency, _temporal, _ratio, _range, _comparison):
             parse = prod(toks, i, hit, normalize)
             if parse and (best is None or parse.next_i > best.next_i):

@@ -1,11 +1,17 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from critex import cli, pipeline
 from critex.cli import main
+from critex.io_eval import to_json
+from critex.kb import load_kb
 from critex.resources import bundled_kb_path, mini_corpus_dir
+from critex.segmentation import SplitMode, split_records
+from critex.syntax import align_block, parse_blocks
 
 from conftest import PARAGRAPH_TWO
 
@@ -130,6 +136,103 @@ class TestAnnotate:
         deps.write_text("1\tWrong\t0\troot\n")
         code, out, err = run(capsys, "annotate", "--deps", deps, record)
         assert code == 2
+
+
+DEPS_RECORDS = {
+    "a": "Age at least 18 years\nBody weight greater than 50 kg, heart rate 60-100",
+    "b": "heart rate under 100 bpm",
+    "c": "\nblood pressure less than 140/90 mmHg\n\nBMI <= 40 kg/m^2 and age > 21\nnone",
+}
+
+
+def _deps_rows(surfaces):
+    """ID FORM HEAD DEPREL rows of a tree: the last token heads all others."""
+
+    n = len(surfaces)
+    return [f"{i}\t{form}\t{0 if i == n else n}\tdep" for i, form in enumerate(surfaces, 1)]
+
+
+@pytest.fixture()
+def deps_corpus(tmp_path):
+    """A JSONL corpus, and a parse file with one tree per sentence of it."""
+
+    corpus = tmp_path / "records.jsonl"
+    corpus.write_text(
+        "".join(json.dumps({"id": k, "text": v}) + "\n" for k, v in DEPS_RECORDS.items())
+    )
+    blocks = [
+        _deps_rows([t.surface for t in s.tokens])
+        for record_id in sorted(DEPS_RECORDS)
+        for s in split_records(DEPS_RECORDS[record_id], SplitMode.LINES)
+    ]
+    deps = tmp_path / "deps.tsv"
+    deps.write_text("".join("\n".join(rows) + "\n\n" for rows in blocks))
+    return corpus, deps, blocks
+
+
+class TestDeps:
+    def test_each_record_is_split_once(self, capsys, monkeypatch, deps_corpus):
+        corpus, deps, _ = deps_corpus
+        splits = Counter()
+
+        def counting(text, mode, record_id=""):
+            splits[record_id] += 1
+            return split_records(text, mode, record_id=record_id)
+
+        monkeypatch.setattr(cli, "split_records", counting)
+        monkeypatch.setattr(pipeline, "split_records", counting)
+        code, out, err = run(capsys, "annotate", "--deps", deps, corpus)
+        assert code == 0, err
+        assert splits == dict.fromkeys(DEPS_RECORDS, 1)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_bytes_equal_in_process_run(self, capsys, deps_corpus, cross):
+        corpus, deps, _ = deps_corpus
+        flags = ["--cross-sentence"] if cross else []
+        code, out, err = run(
+            capsys, "annotate", "--deps", deps, "--extended", "--format", "jsonl", *flags, corpus
+        )
+        assert code == 0, err
+        kb = load_kb(bundled_kb_path())
+        config = pipeline.PipelineConfig(cross_sentence=cross)
+        blocks = iter(parse_blocks(deps.read_text()))
+        lines = []
+        for record_id, text in sorted(DEPS_RECORDS.items()):
+            parses = [align_block(next(blocks), s) for s in split_records(text, SplitMode.LINES)]
+            record = pipeline.annotate_record(record_id, text, kb, config, parses=parses)
+            lines.append(to_json(record, extended=True) + "\n")
+        assert out == "".join(lines)
+
+    def test_ids_out_of_order_name_the_line(self, capsys, deps_corpus):
+        corpus, deps, blocks = deps_corpus
+        rows = blocks[0][:4]
+        ids = ("7", "9", "3", "4")
+        bad = [i + row[row.index("\t"):] for i, row in zip(ids, rows)] + blocks[0][4:]
+        deps.write_text(deps.read_text().replace("\n".join(blocks[0]), "\n".join(bad), 1))
+        code, out, err = run(capsys, "annotate", "--deps", deps, corpus)
+        assert code == 2
+        assert out == ""
+        assert err == f"critex: error: {deps}: line 1: ID 7 out of order, expected 1\n"
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("2\tratE\t5\tdep", "token 1: parse FORM 'ratE' != surface 'rate'"),
+            ("2\trate\t0\tdep", "head graph must have exactly one root, found 2"),
+        ],
+    )
+    def test_alignment_errors_name_block_record_and_sentence(
+        self, capsys, deps_corpus, row, message
+    ):
+        corpus, deps, blocks = deps_corpus
+        # block 3 is record b's only sentence: "heart rate under 100 bpm"
+        assert blocks[2][1] == "2\trate\t5\tdep"
+        bad = [blocks[2][0], row, *blocks[2][2:]]
+        deps.write_text(deps.read_text().replace("\n".join(blocks[2]), "\n".join(bad), 1))
+        code, out, err = run(capsys, "annotate", "--deps", deps, corpus)
+        assert code == 2
+        assert out == ""
+        assert err == f"critex: error: {deps}: block 3 (record b, sentence 0): {message}\n"
 
 
 class TestEvaluateCommand:

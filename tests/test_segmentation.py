@@ -1,11 +1,13 @@
 """Sentence splitting and tokenization."""
 
+import hashlib
 import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from critex.resources import mini_corpus_dir
 from critex.segmentation import (
     SentenceRecord,
     SplitMode,
@@ -14,6 +16,7 @@ from critex.segmentation import (
     split_records,
     tokenize,
 )
+from test_attributes import _grammar_lines
 
 
 class TestSplitRecords:
@@ -159,6 +162,48 @@ def test_tokenize_spans_are_valid_on_arbitrary_text(text):
         assert text[t.start : t.end] == t.surface
         assert t.start >= last_end
         last_end = t.end
+
+
+# Clinical vocabulary with the characters the shape rules turn on: Unicode
+# digits and letters, "%", en dash, the comparison glyphs and glued forms.
+_CLINICAL_PIECES = st.sampled_from([
+    "٣", "٣٤", "µ", "µg", "²", "m²", "kg/m²", "%", "–", "3–7", "≦", "≧", "≤", "<=", "=",
+    "21-45a", "21-45", "12-lead", "3-day", "kg/m^2", "kg/m2", "1,000.5", "1,00", "140/90",
+    "2.5", "18", "mmHg", "mm", "Hg", "bpm", "percent", "d", "h", "age", "años", "é", "x",
+    "(", ")", ",", ".", "-", "/", "'", "’", "^", "&", "_",
+])
+_TOKENIZER_TEXT = st.lists(
+    st.tuples(
+        st.one_of(_CLINICAL_PIECES, st.text(max_size=4)),
+        st.sampled_from(["", "", " ", "\t", "\xa0"]),
+    ),
+    max_size=24,
+).map(lambda parts: "".join(piece + gap for piece, gap in parts))
+
+
+@given(_TOKENIZER_TEXT)
+@settings(max_examples=300)
+def test_tokenize_matches_shape_rederiving_oracle(text):
+    assert tokenize(text) == oracles.tokenize(text)
+
+
+class TestTokenRegression:
+    """The tokens are pinned on the bundled corpus and generated lines."""
+
+    # sha256 of (surface, start, end, shape) of every token of the bundled
+    # corpus's records and 3,000 generated grammar lines, split both ways.
+    DIGEST = "190fc225a3f8ccec4fb89256d81eebd81a441f61993c45eeb5e3535dfb3810d2"
+
+    def test_pinned_digest(self):
+        digest = hashlib.sha256()
+        texts = [p.read_text(encoding="utf-8") for p in sorted(mini_corpus_dir().glob("*.txt"))]
+        for text in texts + list(_grammar_lines(2019, 3000)):
+            for mode in SplitMode:
+                for sentence in split_records(text, mode):
+                    for t in sentence.tokens:
+                        digest.update(repr((t.surface, t.start, t.end, t.shape.value)).encode())
+                    digest.update(b"|")
+        assert digest.hexdigest() == self.DIGEST
 
 
 @given(st.text(alphabet=string.printable, max_size=200))

@@ -95,6 +95,15 @@ class TestIngestParse:
             parse_of(bad, sentence_of(criterion_line))
         assert info.value.index == 1
 
+    @pytest.mark.parametrize(
+        "ids,line", [((7, 9, 3, 4), 3), ((1, 3, 2, 4), 4), ((1, 2, 2, 3), 5), ((0, 1, 2, 3), 3)]
+    )
+    def test_ids_must_run_from_one_in_order(self, ids, line):
+        rows = "".join(f"{i}\tw\t0\tdep\n" for i in ids)
+        with pytest.raises(ParseMismatch, match=f"^line {line}: ID ") as info:
+            parse_blocks("1\tfirst\t0\troot\n\n" + rows)
+        assert info.value.index == line
+
     def test_empty_file_empty_sentence(self):
         from critex.segmentation import SentenceRecord
 

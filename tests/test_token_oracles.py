@@ -178,6 +178,16 @@ class TestGrammarGate:
                 (tok,) = tokenize(variant)
                 assert attributes._may_start(tok), variant
 
+    def test_comparator_index_holds_every_table_entry_in_order(self):
+        index = attributes._WORD_COMPARATORS_BY_FIRST
+        rows = [row for first in index for row in index[first]]
+        assert sorted(rows, key=attributes._WORD_COMPARATORS.index) == list(
+            attributes._WORD_COMPARATORS
+        )
+        for first, group in index.items():
+            assert all(words[0] == first for words, _ in group)
+            assert list(group) == sorted(group, key=attributes._WORD_COMPARATORS.index)
+
     def test_gate_skips_plain_words(self):
         for word in ("patients", "dose", "pressure", "the", "a", "(", "mmHg"):
             (tok,) = tokenize(word)
