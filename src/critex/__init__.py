@@ -31,7 +31,6 @@ from .errors import (
     UnknownConcept,
 )
 from .io_eval import (
-    CorpusFormat,
     ElementType,
     EvalReport,
     GoldAnnotation,
@@ -58,15 +57,13 @@ from .kb import (
     save_kb,
     score_compatibility,
 )
-from .linker import LinkerConfig, Relation, link_attribute
+from .linker import Relation, link_attribute
 from .pipeline import PipelineConfig, annotate_record
 from .resources import bundled_kb_path, mini_corpus_dir
 from .segmentation import SentenceRecord, SplitMode, Token, TokenShape, split_records, tokenize
 from .syntax import (
     ClauseIndex,
     DependencyParse,
-    SignalSource,
-    SyntacticSignal,
     heuristic_distance,
     p_dep,
     path_distance,
@@ -82,18 +79,18 @@ __all__ = [
     "CritexError", "CycleDetected", "DanglingRef", "DuplicateConceptId",
     "MalformedAnn", "MalformedJsonl", "MalformedKb", "MalformedText",
     "ParseMismatch", "RecordMismatch", "SpanMismatch", "UnknownConcept",
-    "CorpusFormat", "ElementType", "EvalReport", "GoldAnnotation",
+    "ElementType", "EvalReport", "GoldAnnotation",
     "MatchMode", "RelationPair", "StructuredRecord", "evaluate",
     "from_json", "read_brat", "read_brat_dir", "read_corpus", "to_json",
     "Category", "CompatibilityScore", "CompatibilityWeights", "KbEntry",
     "KnowledgeBase", "ValuePattern", "import_tsv", "load_kb",
     "mine_kb_candidates", "save_kb", "score_compatibility",
-    "LinkerConfig", "Relation", "link_attribute",
+    "Relation", "link_attribute",
     "PipelineConfig", "annotate_record",
     "bundled_kb_path", "mini_corpus_dir",
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",
     "tokenize",
-    "ClauseIndex", "DependencyParse", "SignalSource", "SyntacticSignal",
-    "heuristic_distance", "p_dep", "path_distance",
+    "ClauseIndex", "DependencyParse", "heuristic_distance", "p_dep",
+    "path_distance",
     "normalize_unit",
 ]

@@ -1,8 +1,9 @@
 """Command-line interface: ``critex annotate | evaluate | kb | config``.
 
 Exit codes: 0 on success, 2 on data errors (malformed inputs, span or
-alignment failures), 64 on usage errors.  Output is deterministic: records
-are processed in id order and repeated runs produce identical bytes.
+alignment failures, paths that are missing or cannot be read or written),
+64 on usage errors.  Output is deterministic: records are processed in id
+order and repeated runs produce identical bytes.
 Flag defaults come from ``pipeline.DEFAULT_CONFIG``.
 """
 
@@ -22,6 +23,8 @@ from .io_eval import (
     EvalReport,
     MatchMode,
     StructuredRecord,
+    check_unique_id,
+    evaluate,
     extended_problem,
     from_json,
     read_brat_dir,
@@ -97,13 +100,13 @@ def _build_parser() -> _Parser:
     annotate.add_argument("--jobs", type=_positive_int, default=1,
                           help="accepted for compatibility; has no effect")
 
-    evaluate = sub.add_parser("evaluate", help="score predictions against Brat gold")
-    evaluate.add_argument("--gold", required=True, help="directory of .txt/.ann pairs")
-    evaluate.add_argument("--pred", required=True, help="JSONL of extended annotate output")
-    evaluate.add_argument("--mode", choices=("exact", "overlap", "both"), default="both")
-    evaluate.add_argument("--match-labels", action="store_true",
-                          help="require relation labels to match")
-    evaluate.add_argument("--format", choices=("table", "json"), default="table")
+    evaluate_cmd = sub.add_parser("evaluate", help="score predictions against Brat gold")
+    evaluate_cmd.add_argument("--gold", required=True, help="directory of .txt/.ann pairs")
+    evaluate_cmd.add_argument("--pred", required=True, help="JSONL of extended annotate output")
+    evaluate_cmd.add_argument("--mode", choices=("exact", "overlap", "both"), default="both")
+    evaluate_cmd.add_argument("--match-labels", action="store_true",
+                              help="require relation labels to match")
+    evaluate_cmd.add_argument("--format", choices=("table", "json"), default="table")
 
     kb_cmd = sub.add_parser("kb", help="knowledge-base utilities")
     kb_sub = kb_cmd.add_subparsers(dest="kb_command", required=True, parser_class=_Parser)
@@ -235,16 +238,10 @@ def _cmd_evaluate(args) -> int:
         problem = extended_problem(record.extended)
         if problem:
             raise MalformedJsonl(lineno, f"{where}: {problem}")
-        seen = first_line.setdefault(record.id, lineno)
-        if seen != lineno:
-            raise MalformedJsonl(
-                lineno, f"{where}: duplicate record id {record.id!r} (also on line {seen})"
-            )
+        check_unique_id(first_line, record.id, lineno, where)
         predictions.append(record)
     mode = None if args.mode == "both" else MatchMode(args.mode.upper())
-    from .io_eval import evaluate as run_evaluate
-
-    report = run_evaluate(predictions, gold, mode=mode, match_labels=args.match_labels)
+    report = evaluate(predictions, gold, mode=mode, match_labels=args.match_labels)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -288,10 +285,8 @@ def main(argv=None) -> int:
         if args.command == "kb":
             return _cmd_kb(args)
         return _cmd_config(args)
-    except CritexError as exc:
-        print(f"critex: error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except FileNotFoundError as exc:
+    except (CritexError, OSError) as exc:
+        # OSError: a path that is missing, a directory or unreadable
         print(f"critex: error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

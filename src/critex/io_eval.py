@@ -144,6 +144,12 @@ def read_brat(txt: str, ann: str, record_id: str = "") -> GoldAnnotation:
             ref, label, start, end, surface = (
                 m.group(1), m.group(2), int(m.group(3)), int(m.group(4)), m.group(5),
             )
+            if start >= end or end > len(txt):
+                raise SpanMismatch(
+                    ref,
+                    f"{ref}: span [{start}, {end}) is empty or ends past the text"
+                    f" of {len(txt)} characters",
+                )
             if txt[start:end] != surface:
                 raise SpanMismatch(
                     ref,
@@ -481,32 +487,22 @@ def evaluate(
 # Corpus reading
 # ---------------------------------------------------------------------------
 
-class CorpusFormat(Enum):
-    TXT_DIR = "txt_dir"
-    JSONL = "jsonl"
-
-
-def read_corpus(
-    path: str | Path, format: CorpusFormat | None = None
-) -> list[tuple[str, str]]:
+def read_corpus(path: str | Path) -> list[tuple[str, str]]:
     """Read records as (id, text) pairs.
 
     A directory is one ``*.txt`` file per record (id = filename stem); a
-    JSONL file carries one ``{"id", "text"}`` object per line.  A plain text
-    file is treated as a single record.
+    JSONL file carries one ``{"id", "text"}`` object per line, and an id
+    may occur on one line only.  A plain text file is treated as a single
+    record.
     """
 
     path = Path(path)
-    if format is None:
-        if path.is_dir():
-            format = CorpusFormat.TXT_DIR
-        elif path.suffix == ".jsonl":
-            format = CorpusFormat.JSONL
-        else:
-            return [(path.stem, read_text(path))]
-    if format is CorpusFormat.TXT_DIR:
+    if path.is_dir():
         return [(p.stem, read_text(p)) for p in sorted(path.glob("*.txt"))]
+    if path.suffix != ".jsonl":
+        return [(path.stem, read_text(path))]
     records = []
+    first_line: dict[str, int] = {}  # record id -> line it first appeared on
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -519,5 +515,20 @@ def read_corpus(
         for key in ("id", "text"):
             if not isinstance(doc[key], str):
                 raise MalformedJsonl(lineno, f"line {lineno}: {key!r} must be a string")
+        check_unique_id(first_line, doc["id"], lineno, f"line {lineno}")
         records.append((doc["id"], doc["text"]))
     return records
+
+
+def check_unique_id(first_line: dict[str, int], record_id: str, lineno: int, where: str) -> None:
+    """Note ``record_id`` on JSONL line ``lineno``; a repeated id is :class:`MalformedJsonl`.
+
+    ``first_line`` maps each id seen so far to the line it first appeared
+    on; ``where`` prefixes the message.
+    """
+
+    seen = first_line.setdefault(record_id, lineno)
+    if seen != lineno:
+        raise MalformedJsonl(
+            lineno, f"{where}: duplicate record id {record_id!r} (also on line {seen})"
+        )

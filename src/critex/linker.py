@@ -11,6 +11,11 @@ leftmost position.  The winner becomes a :class:`Relation` only at or
 above ``min_score``.  An entity may win several attributes, an attribute
 links to at most one entity.
 
+Every setting (``theta``, ``min_score``, the compatibility ``weights`` and
+the softmin temperature ``tau``) comes from the one
+:class:`~critex.pipeline.PipelineConfig`, which validates them when it is
+created.
+
 The routine works on plain lists with one float per competing entity and
 builds no object per entity-attribute pair, so a long record's linking
 stays a few list passes per attribute.
@@ -20,28 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
 from .errors import UnknownConcept
 from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase, compatibility_terms
-from .syntax import DEFAULT_TAU, p_dep
+from .syntax import p_dep
 
-DEFAULT_THETA = 0.5
-DEFAULT_MIN_SCORE = 0.2
-
-
-@dataclass(frozen=True)
-class LinkerConfig:
-    theta: float = DEFAULT_THETA
-    min_score: float = DEFAULT_MIN_SCORE
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
-        if not 0.0 <= self.min_score <= 1.0:
-            raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -148,21 +141,19 @@ def link_attribute(
     entities: Sequence[EntityMention],
     distances: Sequence[float],
     kb: KnowledgeBase,
-    config: LinkerConfig,
-    weights: CompatibilityWeights = DEFAULT_WEIGHTS,
-    tau: float = DEFAULT_TAU,
+    config: PipelineConfig,
 ) -> Relation | None:
     """Link one attribute to the best of the entities competing for it.
 
     ``entities`` are the competitors in mention order and ``distances``
-    their syntactic distances to the attribute, all from one source.
-    Returns None when no entity competes or the best score is below
-    ``config.min_score``.  Raises :class:`UnknownConcept` for the first
-    competitor whose concept is not in ``kb``.
+    their syntactic distances to the attribute.  Returns None when no
+    entity competes or the best score is below ``config.min_score``.
+    Raises :class:`UnknownConcept` for the first competitor whose concept
+    is not in ``kb``.
     """
 
     if not entities:
         return None
-    dep = p_dep(distances, tau=tau)
-    sup = _p_sup(attribute, [e.concept_id for e in entities], kb, weights)
+    dep = p_dep(distances, tau=config.tau)
+    sup = _p_sup(attribute, [e.concept_id for e in entities], kb, config.weights)
     return _pick(attribute, entities, distances, _mix(sup, dep, config.theta), config.min_score)

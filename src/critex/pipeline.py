@@ -21,15 +21,9 @@ from typing import Sequence
 
 from .attributes import AttributeMention, extract_attributes
 from .entities import EntityMention, link_abbreviations, recognize_entities
-from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase
+from .kb import CompatibilityWeights, KnowledgeBase
 from .io_eval import RelationPair, StructuredRecord
-from .linker import (
-    DEFAULT_MIN_SCORE,
-    DEFAULT_THETA,
-    LinkerConfig,
-    Relation,
-    link_attribute,
-)
+from .linker import Relation, link_attribute
 from .segmentation import SentenceRecord, SplitMode, split_records
 from .syntax import (
     DEFAULT_BOUNDARY_PENALTY,
@@ -43,9 +37,11 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of the pipeline, linker included; checked when created."""
+
     mode: SplitMode = SplitMode.LINES
-    theta: float = DEFAULT_THETA
-    min_score: float = DEFAULT_MIN_SCORE
+    theta: float = 0.5
+    min_score: float = 0.2
     cross_sentence: bool = False
     tau: float = DEFAULT_TAU
     boundary_penalty: float = DEFAULT_BOUNDARY_PENALTY
@@ -58,10 +54,10 @@ class PipelineConfig:
             raise ValueError(
                 f"boundary_penalty must be finite and >= 0, got {self.boundary_penalty}"
             )
-        self.linker_config()  # validates theta and min_score
-
-    def linker_config(self) -> LinkerConfig:
-        return LinkerConfig(theta=self.theta, min_score=self.min_score)
+        for name in ("theta", "min_score"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 DEFAULT_CONFIG = PipelineConfig()
@@ -141,12 +137,11 @@ class _Competitors:
         others = self._cross and (lo > 0 or hi < len(mentions))
         parse = self._parses[s_a] if s_a < len(self._parses) else None
         if parse is not None and not others:
-            distances = [path_distance(parse, e, a).distance for e in local]
+            distances = [path_distance(parse, e, a) for e in local]
         else:
             clauses = self._clauses(s_a)
             distances = [
-                heuristic_distance(clauses, e, a, boundary_penalty=penalty).distance
-                for e in local
+                heuristic_distance(clauses, e, a, boundary_penalty=penalty) for e in local
             ]
         if not others:
             return local, distances
@@ -250,14 +245,11 @@ def _annotate_sentences(
         ]
         attributes.extend(extract_attributes(sentence, kb, entity_spans=spans))
 
-    linker_config = config.linker_config()
     competitors = _Competitors(sentences, mentions, config, parses)
     relations = []
     for a in attributes:
         entities, distances = competitors.of(a)
-        relation = link_attribute(
-            a, entities, distances, kb, linker_config, config.weights, config.tau
-        )
+        relation = link_attribute(a, entities, distances, kb, config)
         if relation is not None:
             relations.append(relation)
     return _build_record(record_id, text, sentences, mentions, attributes, relations)

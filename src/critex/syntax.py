@@ -1,10 +1,14 @@
 """Syntactic proximity between an entity and an attribute.
 
-Two interchangeable sources produce a distance: an ingested external
-dependency parse (shortest undirected tree path between the span head
-tokens) or a built-in clause-proximity heuristic (token gap plus a penalty
-per crossed clause boundary).  A softmin turns the distances of the
-entities competing for one attribute into a probability distribution.
+A distance is a plain non-negative float.  Three sources produce one: an
+ingested external dependency parse (shortest undirected tree path between
+the span head tokens, :func:`path_distance`), a built-in clause-proximity
+heuristic within a sentence (token gap plus a penalty per crossed clause
+boundary, :func:`heuristic_distance`), and, under cross-sentence linking,
+the token gap between sentences plus a penalty per sentence boundary
+(measured by :class:`critex.pipeline._Competitors`, which also picks the
+source of each attribute's distances).  A softmin turns the distances of
+the entities competing for one attribute into a probability distribution.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 from operator import attrgetter
 from typing import Sequence
@@ -32,21 +35,6 @@ _BOUNDARY_WORDS = frozenset({"and", "or", "but", "who", "whom", "which", "that",
 _UNSEEN, _ON_PATH, _REACHES_ROOT = 0, 1, 2
 
 _START = attrgetter("start")  # bisection key over a sentence's tokens
-
-
-class SignalSource(Enum):
-    EXTERNAL_PARSE = "EXTERNAL_PARSE"
-    HEURISTIC = "HEURISTIC"
-
-
-@dataclass(frozen=True)
-class SyntacticSignal:
-    distance: float
-    source: SignalSource
-
-    def __post_init__(self):
-        if not math.isfinite(self.distance) or self.distance < 0:
-            raise ValueError("distance must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -173,9 +161,7 @@ def _depth_chain(heads: Sequence[int], node: int) -> list[int]:
     return chain
 
 
-def path_distance(
-    parse: DependencyParse, e: EntityMention, a: AttributeMention
-) -> SyntacticSignal:
+def path_distance(parse: DependencyParse, e: EntityMention, a: AttributeMention) -> float:
     """Shortest undirected tree path between the two span head tokens."""
 
     if parse.sentence is None:
@@ -184,7 +170,7 @@ def path_distance(
     u = _head_token_index(sent, e.start, e.end) + 1
     v = _head_token_index(sent, a.start, a.end) + 1
     if u == v:
-        return SyntacticSignal(0.0, SignalSource.EXTERNAL_PARSE)
+        return 0.0
     chain_u = _depth_chain(parse.heads, u)
     pos_u = {node: depth for depth, node in enumerate(chain_u)}
     depth_v = 0
@@ -192,7 +178,7 @@ def path_distance(
     while node not in pos_u:
         node = parse.heads[node - 1]
         depth_v += 1
-    return SyntacticSignal(float(pos_u[node] + depth_v), SignalSource.EXTERNAL_PARSE)
+    return float(pos_u[node] + depth_v)
 
 
 def _is_boundary(surface: str) -> bool:
@@ -219,7 +205,7 @@ def heuristic_distance(
     e: EntityMention,
     a: AttributeMention,
     boundary_penalty: float = DEFAULT_BOUNDARY_PENALTY,
-) -> SyntacticSignal:
+) -> float:
     """Clause-proximity fallback: token gap plus a per-boundary penalty.
 
     ``clauses`` indexes the sentence both spans lie in.  Boundary tokens
@@ -231,24 +217,25 @@ def heuristic_distance(
     left_end = min(e.end, a.end)
     right_start = max(e.start, a.start)
     if left_end > right_start:  # overlapping spans
-        return SyntacticSignal(0.0, SignalSource.HEURISTIC)
+        return 0.0
     # in between: tokens starting at or after left_end and ending at or
     # before right_start; token offsets increase, so they form one range
     lo = bisect_left(clauses.starts, left_end)
     hi = max(lo, bisect_right(clauses.ends, right_start))
     boundaries = clauses.boundaries[hi] - clauses.boundaries[lo]
     gap = hi - lo - boundaries
-    return SyntacticSignal(
-        float(gap) + boundary_penalty * boundaries, SignalSource.HEURISTIC
-    )
+    return float(gap) + boundary_penalty * boundaries
 
 
 def p_dep(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
     """Softmin over distances: closer entities get larger probability.
 
-    ``p_i = exp(-d_i / tau) / sum_j exp(-d_j / tau)``.  The distances of the
-    entities competing for one attribute all come from one source (parse
-    paths or the heuristic); the result sums to 1.
+    ``p_i = exp(-d_i / tau) / sum_j exp(-d_j / tau)``; the result sums to 1.
+    The pipeline never mixes parse paths with other distances in one list;
+    under
+    cross-sentence linking one list mixes heuristic distances (same
+    sentence) with cross-sentence gaps, which count tokens and boundary
+    penalties on the same scale.
     """
 
     if not distances:

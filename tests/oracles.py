@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from critex.attributes import (
     _GLYPH_COMPARATORS,
@@ -42,7 +43,7 @@ from critex.segmentation import (
     Token,
     TokenShape,
 )
-from critex.syntax import SignalSource, SyntacticSignal, _depth_chain, _is_boundary
+from critex.syntax import _depth_chain, _is_boundary
 from critex.units import normalize_unit
 
 
@@ -57,9 +58,14 @@ def cross_sentence_distance(sentences, e, a, boundary_penalty):
     for idx in range(first[0] + 1, last[0]):
         gap += len(sentences[idx].tokens)
     crossed = last[0] - first[0]
-    return SyntacticSignal(
-        float(gap) + boundary_penalty * crossed, SignalSource.HEURISTIC
-    )
+    return float(gap) + boundary_penalty * crossed
+
+
+class Signal(NamedTuple):
+    """A distance and its source: "parse", "heuristic" or "cross" (sentence gap)."""
+
+    distance: float
+    source: str
 
 
 @dataclass
@@ -127,14 +133,14 @@ def path_distance(parse, e, a):
     u = head_token_index(parse.sentence, e.start, e.end) + 1
     v = head_token_index(parse.sentence, a.start, a.end) + 1
     if u == v:
-        return SyntacticSignal(0.0, SignalSource.EXTERNAL_PARSE)
+        return 0.0
     pos_u = {node: depth for depth, node in enumerate(_depth_chain(parse.heads, u))}
     depth_v = 0
     node = v
     while node not in pos_u:
         node = parse.heads[node - 1]
         depth_v += 1
-    return SyntacticSignal(float(pos_u[node] + depth_v), SignalSource.EXTERNAL_PARSE)
+    return float(pos_u[node] + depth_v)
 
 
 def group_signals(group, parses, config, sentences):
@@ -150,23 +156,27 @@ def group_signals(group, parses, config, sentences):
     if parses is not None and attr.sentence_index < len(parses):
         parse = parses[attr.sentence_index]
     if same_sentence and parse is not None:
-        return [path_distance(parse, c.entity, c.attribute) for c in group]
+        return [Signal(path_distance(parse, c.entity, c.attribute), "parse") for c in group]
+    sentence, penalty = sentences[attr.sentence_index], config.boundary_penalty
     return [
-        heuristic_distance(
-            sentences[attr.sentence_index], c.entity, c.attribute, config.boundary_penalty
-        )
+        Signal(heuristic_distance(sentence, c.entity, c.attribute, penalty), "heuristic")
         if c.entity.sentence_index == attr.sentence_index
-        else cross_sentence_distance(sentences, c.entity, c.attribute, config.boundary_penalty)
+        else Signal(cross_sentence_distance(sentences, c.entity, c.attribute, penalty), "cross")
         for c in group
     ]
 
 
 def p_dep(signals, tau):
-    """Softmin over the distances of one group's signals."""
+    """Softmin over the distances of one group's signals.
+
+    Parse paths may not share a group with other distances; heuristic and
+    cross-sentence distances may.
+    """
 
     if not signals:
         raise ValueError("p_dep needs at least one signal")
-    if len({s.source for s in signals}) > 1:
+    sources = {s.source for s in signals}
+    if "parse" in sources and len(sources) > 1:
         raise ValueError("signals mix parse-based and heuristic distances")
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -529,7 +539,7 @@ def heuristic_distance(sentence, e, a, boundary_penalty):
     left_end = min(e.end, a.end)
     right_start = max(e.start, a.start)
     if left_end > right_start:
-        return SyntacticSignal(0.0, SignalSource.HEURISTIC)
+        return 0.0
     gap = 0
     boundaries = 0
     for t in sentence.tokens:
@@ -538,9 +548,7 @@ def heuristic_distance(sentence, e, a, boundary_penalty):
                 boundaries += 1
             else:
                 gap += 1
-    return SyntacticSignal(
-        float(gap) + boundary_penalty * boundaries, SignalSource.HEURISTIC
-    )
+    return float(gap) + boundary_penalty * boundaries
 
 
 def _token_index_at_end(toks, end):

@@ -15,7 +15,6 @@ from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.cli import main
 from critex.io_eval import ElementType, MatchMode, evaluate, read_brat_dir, read_corpus
 from critex.kb import load_kb, score_compatibility
-from critex.linker import LinkerConfig
 from critex.pipeline import PipelineConfig, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
@@ -140,7 +139,7 @@ def test_criterion_4_mixture_endpoints_and_invariance():
         cases += 1
 
         for theta, signal in ((0.0, "p_dep"), (1.0, "p_sup")):
-            config = LinkerConfig(theta=theta, min_score=0.0)
+            config = PipelineConfig(theta=theta, min_score=0.0)
             got = relation_set(assign(score_all(candidates, config), config))
             by_attr = {}
             for c in candidates:
@@ -161,7 +160,7 @@ def test_criterion_4_mixture_endpoints_and_invariance():
                 c.p_sup = s
         reference = None
         for theta in (0.0, 0.3, 0.5, 0.7, 1.0):
-            config = LinkerConfig(theta=theta, min_score=0.0)
+            config = PipelineConfig(theta=theta, min_score=0.0)
             result = relation_set(assign(score_all(candidates, config), config))
             reference = result if reference is None else reference
             assert result == reference, "agreement case changed with theta"
@@ -177,7 +176,7 @@ def test_criterion_5_oracle_equivalence():
     cases = 0
     while cases < 500:
         candidates = build_candidates(rng, rng.randint(1, 3), rng.randint(1, 3))
-        config = LinkerConfig(theta=rng.random(), min_score=rng.uniform(0.0, 0.6))
+        config = PipelineConfig(theta=rng.random(), min_score=rng.uniform(0.0, 0.6))
         score_all(candidates, config)
         assert relation_set(assign(candidates, config)) == oracle_assign(
             candidates, config

@@ -381,6 +381,23 @@ class TestMalformedInput:
         )
         assert "line 2" in err and pool in err
 
+    def test_annotate_repeated_jsonl_id(self, capsys, tmp_path):
+        corpus = tmp_path / "records.jsonl"
+        corpus.write_text('{"id": "a", "text": "pain"}\n{"id": "a", "text": "fever"}\n')
+        err = self.assert_data_error(capsys, "annotate", corpus)
+        assert "line 2" in err and "line 1" in err and "'a'" in err
+
+    def test_annotate_kb_is_a_directory(self, capsys, fig2_file, tmp_path):
+        self.assert_data_error(capsys, "annotate", "--kb", tmp_path, fig2_file)
+
+    def test_annotate_out_is_a_directory(self, capsys, fig2_file, tmp_path):
+        self.assert_data_error(capsys, "annotate", "--out", tmp_path, fig2_file)
+
+    def test_evaluate_pred_is_a_directory(self, capsys, tmp_path):
+        self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", tmp_path
+        )
+
     def test_evaluate_duplicate_pred_id(self, capsys, tmp_path):
         pred = self._pred_with(capsys, tmp_path, lambda line: line)
         lines = pred.read_text().splitlines()

@@ -15,7 +15,6 @@ from critex.errors import (
 )
 from critex.io_eval import (
     Counts,
-    CorpusFormat,
     ElementType,
     GoldAnnotation,
     GoldRelation,
@@ -157,6 +156,18 @@ class TestReadBrat:
         ann = "T1\tEntity 0 15\tWrong Surface!!\n"
         with pytest.raises(SpanMismatch):
             read_brat(FIG_TEXT, ann)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(5, 3), (4, 4), (len(FIG_TEXT) + 1, len(FIG_TEXT) + 3)],
+        ids=["start-after-end", "empty", "past-the-text"],
+    )
+    def test_impossible_span(self, start, end):
+        # each slices to "" and so would match the empty surface
+        ann = f"T1\tEntity 0 15\tBody Mass Index\nT2\tValue {start} {end}\t\n"
+        with pytest.raises(SpanMismatch, match="T2") as info:
+            read_brat(FIG_TEXT, ann)
+        assert info.value.ref == "T2"
 
     def test_dangling_relation(self):
         ann = "T1\tEntity 0 15\tBody Mass Index\nR1\thas_value Arg1:T1 Arg2:T9\n"
@@ -355,10 +366,17 @@ class TestReadCorpus:
         path.write_text("single record")
         assert read_corpus(path) == [("one", "single record")]
 
-    def test_explicit_format(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text('{"id": "a", "text": "one"}\n')
-        assert read_corpus(path, CorpusFormat.JSONL) == [("a", "one")]
+    def test_jsonl_repeated_id(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "one"}\n{"id": "b", "text": "two"}\n'
+            '{"id": "a", "text": "three"}\n'
+        )
+        with pytest.raises(MalformedJsonl) as info:
+            read_corpus(path)
+        assert info.value.line == 3
+        assert "line 3" in str(info.value) and "line 1" in str(info.value)
+        assert "'a'" in str(info.value)
 
 
 def _brute_force_matching(edges, n_gold):

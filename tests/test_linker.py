@@ -16,10 +16,11 @@ import oracles
 from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import UnknownConcept
-from critex.kb import Category, KbEntry, KnowledgeBase, ValuePattern
-from critex.linker import LinkerConfig, _mix, _p_sup, _pick, relation_label
+from critex.kb import Category, CompatibilityWeights, KbEntry, KnowledgeBase, ValuePattern
+from critex.linker import _mix, _p_sup, _pick, link_attribute, relation_label
 from critex.pipeline import PipelineConfig, _Competitors
 from critex.segmentation import SplitMode, split_records
+from critex.syntax import p_dep
 from oracles import RelationCandidate, generate_candidates
 
 # Two sentences of plain tokens; the mentions below only need sentence
@@ -172,6 +173,27 @@ class TestPSup:
         assert _p_sup(attribute, concepts, kb) == oracles.p_sup(group, kb)
 
 
+class TestLinkAttribute:
+    RATIO = AttributeMention(
+        0, 100, 111, "140/90 mmHg", AttributeKind.RATIO, values=(140, 90), unit="mmHg"
+    )
+
+    def test_reads_every_setting_from_the_pipeline_config(self):
+        entities = [make_entity(0), make_entity(1)]
+        distances = [4.0, 0.0]
+        for theta, tau, weights in (
+            (0.0, 0.5, CompatibilityWeights()),
+            (0.3, 2.0, CompatibilityWeights(0.5, 0.3, 0.2)),
+            (1.0, 8.0, CompatibilityWeights(0.4, 0.35, 0.25)),
+        ):
+            config = PipelineConfig(theta=theta, tau=tau, weights=weights, min_score=0.0)
+            relation = link_attribute(self.RATIO, entities, distances, TestPSup.KB, config)
+            sup = _p_sup(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
+            scores = _mix(sup, p_dep(distances, tau), theta)
+            assert relation.score == max(scores)
+            assert relation.entity is entities[scores.index(max(scores))]
+
+
 class TestMix:
     def test_theta_zero_is_pure_syntax(self):
         assert _mix([0.9], [0.3], 0.0) == [0.3]
@@ -184,9 +206,9 @@ class TestMix:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LinkerConfig(theta=1.5)
+            PipelineConfig(theta=1.5)
         with pytest.raises(ValueError):
-            LinkerConfig(min_score=-0.1)
+            PipelineConfig(min_score=-0.1)
 
 
 def build_candidates(rng, n_entities, n_attributes):
@@ -288,13 +310,13 @@ class TestAssign:
         # two competing entities make every normalized signal, and hence
         # every mixed score, strictly smaller than 1.0
         candidates = build_candidates(random.Random(0), 2, 2)
-        config = LinkerConfig(min_score=1.0)
+        config = PipelineConfig(min_score=1.0)
         score_all(candidates, config)
         assert assign(candidates, config) == []
 
     def test_every_attribute_at_most_once(self):
         rng = random.Random(1)
-        config = LinkerConfig()
+        config = PipelineConfig()
         candidates = score_all(build_candidates(rng, 3, 3), config)
         relations = assign(candidates, config)
         attrs = [(r.attribute.start, r.attribute.end) for r in relations]
@@ -303,7 +325,7 @@ class TestAssign:
     def test_entity_may_win_multiple_attributes(self):
         entities = [make_entity(0)]
         attributes = [make_attr(0), make_attr(1)]
-        config = LinkerConfig()
+        config = PipelineConfig()
         candidates = generate_candidates(entities, attributes)
         for c in candidates:
             c.p_sup = c.p_dep = 1.0
@@ -314,7 +336,7 @@ class TestAssign:
         assert all(r.entity.concept_id == "LOCAL:e0" for r in relations)
 
     def test_tie_breaks_by_distance_then_offset(self):
-        config = LinkerConfig()
+        config = PipelineConfig()
         attribute = make_attr(0)
         near = make_entity(0, start=90)
         far = make_entity(1, start=0)
@@ -338,7 +360,7 @@ class TestAssign:
 
     def test_scores_within_bounds(self):
         rng = random.Random(2)
-        config = LinkerConfig()
+        config = PipelineConfig()
         for _ in range(50):
             candidates = score_all(build_candidates(rng, 3, 3), config)
             for r in assign(candidates, config):
@@ -362,7 +384,7 @@ class TestAssignOracle:
         for c in candidates:
             c.score = rng.choice((0.1, 0.3, 0.5))
             c.distance = rng.choice((1.0, 2.0))
-        config = LinkerConfig(min_score=rng.choice((0.0, 0.2, 0.4)))
+        config = PipelineConfig(min_score=rng.choice((0.0, 0.2, 0.4)))
         relations = assign(candidates, config)
         expected = oracles.assign(candidates, config)
         assert relations == expected
@@ -376,8 +398,8 @@ class TestMixtureProperties:
     def test_endpoint_equivalence(self, seed):
         rng = random.Random(seed)
         candidates = build_candidates(rng, rng.randint(1, 4), rng.randint(1, 4))
-        pure_dep = LinkerConfig(theta=0.0, min_score=0.0)
-        pure_sup = LinkerConfig(theta=1.0, min_score=0.0)
+        pure_dep = PipelineConfig(theta=0.0, min_score=0.0)
+        pure_sup = PipelineConfig(theta=1.0, min_score=0.0)
         dep_rel = relation_set(assign(score_all(candidates, pure_dep), pure_dep))
         by_dep = {}
         for c in candidates:
@@ -415,7 +437,7 @@ class TestMixtureProperties:
                 c.p_sup = s
         reference = None
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            config = LinkerConfig(theta=theta, min_score=0.0)
+            config = PipelineConfig(theta=theta, min_score=0.0)
             result = relation_set(assign(score_all(candidates, config), config))
             if reference is None:
                 reference = result
@@ -426,7 +448,7 @@ class TestMixtureProperties:
     def test_oracle_equivalence_small_sentences(self, seed):
         rng = random.Random(seed)
         candidates = build_candidates(rng, rng.randint(1, 3), rng.randint(1, 3))
-        config = LinkerConfig(theta=rng.random(), min_score=rng.uniform(0, 0.6))
+        config = PipelineConfig(theta=rng.random(), min_score=rng.uniform(0, 0.6))
         score_all(candidates, config)
         assert relation_set(assign(candidates, config)) == oracle_assign(
             candidates, config

@@ -1,6 +1,7 @@
 """Whole-pipeline behavior on record text."""
 
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -9,7 +10,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import critex
 import oracles
+from critex import pipeline
 from critex.attributes import AttributeKind, AttributeMention, extract_attributes
 from critex.cli import main
 from critex.entities import EntityMention, link_abbreviations, recognize_entities
@@ -174,9 +177,37 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["theta", "min_score"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    def test_unit_interval_message(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {value}$"):
+            PipelineConfig(**{name: value})
+
     def test_edge_values_accepted(self):
         config = PipelineConfig(tau=1e-9, boundary_penalty=0.0, theta=0.0, min_score=1.0)
         assert config.boundary_penalty == 0.0
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves_once(self):
+        assert len(critex.__all__) == len(set(critex.__all__))
+        for name in critex.__all__:
+            assert getattr(critex, name) is not None, name
+
+    @pytest.mark.parametrize("module, name", [
+        ("linker", "LinkerConfig"),
+        ("syntax", "SyntacticSignal"),
+        ("syntax", "SignalSource"),
+        ("io_eval", "CorpusFormat"),
+    ])
+    def test_removed_names_are_gone(self, module, name):
+        assert name not in critex.__all__
+        assert not hasattr(critex, name)
+        assert not hasattr(importlib.import_module(f"critex.{module}"), name)
+
+    def test_config_stays_importable_where_the_cli_reads_it(self):
+        assert critex.PipelineConfig is pipeline.PipelineConfig
+        assert pipeline.DEFAULT_CONFIG == PipelineConfig()
 
 
 GOLD_SENTENCES = tuple(
@@ -225,7 +256,7 @@ class TestCrossSentenceOracles:
                     expected = oracles.heuristic_distance(
                         sentences[a.sentence_index], e, a, penalty
                     )
-                assert distance == expected.distance
+                assert distance == expected
 
     @given(text=MULTI_SENTENCE, data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -247,7 +278,7 @@ class TestCrossSentenceOracles:
         a = AttributeMention(j, *span(j), "a", AttributeKind.QUALIFIER)
         competitors = _Competitors(sentences, [e], CROSS_CONFIG, None)
         expected = oracles.cross_sentence_distance(sentences, e, a, 5.0)
-        assert competitors.of(a) == ([e], [expected.distance])
+        assert competitors.of(a) == ([e], [expected])
 
     @given(
         text=MULTI_SENTENCE,

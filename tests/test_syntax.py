@@ -14,8 +14,6 @@ from critex.segmentation import SplitMode, split_records
 from critex.syntax import (
     ClauseIndex,
     DependencyParse,
-    SignalSource,
-    SyntacticSignal,
     _head_token_index,
     align_block,
     heuristic_distance,
@@ -137,16 +135,16 @@ class TestPathDistance:
         )
         # span head of the attribute is its last token kg/m^2 (6);
         # hand-counted path: kg/m^2 -> 40 -> Index = 2 edges
-        signal = path_distance(parse, e, a)
-        assert signal.distance == 2
-        assert signal.source is SignalSource.EXTERNAL_PARSE
+        distance = path_distance(parse, e, a)
+        assert type(distance) is float
+        assert distance == 2
 
     def test_same_head_token_distance_zero(self):
         sentence = sentence_of("pain")
         parse = parse_of("1\tpain\t0\troot\n", sentence)
         e = entity(sentence, "pain")
         a = attribute(sentence, "pain", AttributeKind.QUALIFIER, values=())
-        assert path_distance(parse, e, a).distance == 0
+        assert path_distance(parse, e, a) == 0
 
     def test_pressure_closer_than_ecg_in_tree(self):
         # Hand-drawn tree for the ECG / blood-pressure sentence; path
@@ -176,20 +174,20 @@ class TestPathDistance:
         a = attribute(sentence, "140/90 mmHg", AttributeKind.RATIO, values=(140, 90))
         d_pressure = path_distance(parse, entity(sentence, "blood pressure"), a)
         d_ecg = path_distance(parse, entity(sentence, "ECG"), a)
-        assert d_pressure.distance == 2
-        assert d_ecg.distance == 4
-        assert d_pressure.distance < d_ecg.distance
+        assert d_pressure == 2
+        assert d_ecg == 4
+        assert d_pressure < d_ecg
 
     def test_symmetry(self, criterion_line):
         sentence = sentence_of(criterion_line)
         parse = parse_of(BMI_PARSE_TEXT, sentence)
         e = entity(sentence, "Body Mass Index")
         a = attribute(sentence, "≤ 40 kg/m^2", AttributeKind.COMPARISON, values=(40,))
-        forward = path_distance(parse, e, a).distance
+        forward = path_distance(parse, e, a)
         # swap the span roles: distance is over tree nodes, so it must match
         e_as_attr = attribute(sentence, "Body Mass Index", AttributeKind.QUALIFIER, values=())
         a_as_entity = entity(sentence, "≤ 40 kg/m^2")
-        assert path_distance(parse, a_as_entity, e_as_attr).distance == forward
+        assert path_distance(parse, a_as_entity, e_as_attr) == forward
 
 
 class TestHeuristicDistance:
@@ -197,16 +195,16 @@ class TestHeuristicDistance:
         sentence = sentence_of("ages 21-45")
         e = entity(sentence, "ages")
         a = attribute(sentence, "21-45")
-        signal = heuristic_distance(ClauseIndex(sentence), e, a)
-        assert signal.distance == 0
-        assert signal.source is SignalSource.HEURISTIC
+        distance = heuristic_distance(ClauseIndex(sentence), e, a)
+        assert type(distance) is float
+        assert distance == 0
 
     def test_nearer_entity_gets_smaller_distance(self, paragraph_two):
         sentence = split_records(paragraph_two, SplitMode.PARAGRAPHS)[0]
         a = attribute(sentence, "21-45")
         d_ages = heuristic_distance(ClauseIndex(sentence), entity(sentence, "ages"), a)
         d_cocaine = heuristic_distance(ClauseIndex(sentence), entity(sentence, "cocaine"), a)
-        assert d_ages.distance < d_cocaine.distance
+        assert d_ages < d_cocaine
 
     def test_boundary_arithmetic(self):
         # four plain tokens (is, low, so, glucose) plus one comma between
@@ -214,7 +212,7 @@ class TestHeuristicDistance:
         sentence = sentence_of("weight is low , so glucose 5-8")
         e = entity(sentence, "weight")
         a = attribute(sentence, "5-8", values=(5, 8))
-        assert heuristic_distance(ClauseIndex(sentence), e, a).distance == 9
+        assert heuristic_distance(ClauseIndex(sentence), e, a) == 9
 
     def test_overlapping_spans_zero(self):
         sentence = sentence_of("five times of their elimination half-lives")
@@ -225,7 +223,7 @@ class TestHeuristicDistance:
             AttributeKind.FREQUENCY,
             values=(5,),
         )
-        assert heuristic_distance(ClauseIndex(sentence), e, a).distance == 0
+        assert heuristic_distance(ClauseIndex(sentence), e, a) == 0
 
 
 class TestPDep:
@@ -244,15 +242,16 @@ class TestPDep:
         assert probs == pytest.approx([0.881, 0.119], abs=5e-4)
 
     def test_mixed_sources_rejected(self):
-        # p_dep takes bare distances; the pipeline draws one attribute's
-        # distances from a single source.  The signal-based softmin of the
-        # oracle chain still refuses a mixed group.
-        signals = [
-            SyntacticSignal(1.0, SignalSource.HEURISTIC),
-            SyntacticSignal(2.0, SignalSource.EXTERNAL_PARSE),
-        ]
-        with pytest.raises(ValueError):
-            oracles.p_dep(signals, 2.0)
+        # p_dep takes bare distances; the pipeline never puts parse paths in
+        # one list with other distances.  The signal-based softmin of the
+        # oracle chain still refuses such a group, and accepts heuristic
+        # and cross-sentence distances together.
+        for other in ("heuristic", "cross"):
+            signals = [oracles.Signal(1.0, other), oracles.Signal(2.0, "parse")]
+            with pytest.raises(ValueError):
+                oracles.p_dep(signals, 2.0)
+        mixed = [oracles.Signal(1.0, "heuristic"), oracles.Signal(2.0, "cross")]
+        assert oracles.p_dep(mixed, 2.0) == p_dep([1.0, 2.0], 2.0)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=500), min_size=1, max_size=8),
@@ -262,7 +261,7 @@ class TestPDep:
         probs = p_dep(distances, tau=tau)
         assert all(p >= 0 for p in probs)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
-        signals = [SyntacticSignal(d, SignalSource.HEURISTIC) for d in distances]
+        signals = [oracles.Signal(d, "heuristic") for d in distances]
         assert probs == oracles.p_dep(signals, tau)
 
     @given(
