@@ -67,6 +67,7 @@ from .syntax import (
     heuristic_distance,
     p_dep,
     path_distance,
+    path_distances,
 )
 from .units import normalize_unit
 
@@ -91,6 +92,6 @@ __all__ = [
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",
     "tokenize",
     "ClauseIndex", "DependencyParse", "heuristic_distance", "p_dep",
-    "path_distance",
+    "path_distance", "path_distances",
     "normalize_unit",
 ]

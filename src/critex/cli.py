@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 on data errors (malformed inputs, span or
 alignment failures, paths that are missing or cannot be read or written),
 64 on usage errors.  Output is deterministic: records are processed in id
-order and repeated runs produce identical bytes.
+order and repeated runs produce identical bytes.  ``annotate`` writes each
+record as soon as it is done; under ``--deps`` every parse block is
+aligned before the first record is annotated.
 Flag defaults come from ``pipeline.DEFAULT_CONFIG``.
 """
 
@@ -14,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import pipeline
@@ -138,18 +141,20 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
 
     Returns one ``(sentences, parses)`` pair per record.  Alignment and
     tree errors name the block (counted from 1), the record and the
-    sentence index.
+    sentence index.  Each raw block is dropped once it is aligned.
     """
 
     try:
         blocks = parse_blocks(read_text(Path(deps_path)))
     except ParseMismatch as exc:
         raise ParseMismatch(exc.index, f"{deps_path}: {exc}") from None
+    n_blocks = len(blocks)
+    blocks.reverse()  # popped from the end, so in file order
     split = []
     cursor = 0
     for record_id, text in records:
         sentences = split_records(text, mode, record_id=record_id)
-        if cursor + len(sentences) > len(blocks):
+        if cursor + len(sentences) > n_blocks:
             raise ParseMismatch(
                 cursor, f"{deps_path}: fewer parse blocks than sentences"
             )
@@ -160,14 +165,14 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
                 f" (record {record_id}, sentence {s.sentence_index})"
             )
             try:
-                parses.append(align_block(blocks[cursor], s))
+                parses.append(align_block(blocks.pop(), s))
             except ParseMismatch as exc:
                 raise ParseMismatch(exc.index, f"{where}: {exc}") from None
             except CycleDetected as exc:
                 raise CycleDetected(f"{where}: {exc}") from None
             cursor += 1
         split.append((sentences, parses))
-    if cursor != len(blocks):
+    if cursor != n_blocks:
         raise ParseMismatch(cursor, f"{deps_path}: more parse blocks than sentences")
     return split
 
@@ -184,25 +189,23 @@ def _cmd_annotate(args) -> int:
     )
     if args.deps:
         # every parse is aligned before the first record is annotated
-        results = [
+        results = (
             pipeline._annotate_sentences(record_id, text, sentences, kb, config, parses)
             for (record_id, text), (sentences, parses) in zip(
                 records, _load_parses(args.deps, records, mode)
             )
-        ]
+        )
     else:
-        results = [
+        results = (
             pipeline.annotate_record(record_id, text, kb, config)
             for record_id, text in records
-        ]
+        )
 
+    # each record is written as soon as it is annotated
     indent = None if args.format == "jsonl" else 2
-    lines = [to_json(r, extended=args.extended, indent=indent) for r in results]
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        for record in results:
+            out.write(to_json(record, extended=args.extended, indent=indent) + "\n")
     return EXIT_OK
 
 

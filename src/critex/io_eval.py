@@ -14,7 +14,9 @@ consumes.  Gold annotations come from Brat standoff (.txt/.ann) files.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -199,9 +201,20 @@ def read_text(path: Path) -> str:
 
 
 def read_brat_dir(path: str | Path) -> list[GoldAnnotation]:
-    """Read all .txt/.ann sibling pairs in a directory, sorted by id."""
+    """Read all .txt/.ann sibling pairs in a directory, sorted by id.
+
+    A ``.txt`` without its ``.ann`` has no annotations.  A missing path or
+    one that is not a directory raises the matching :class:`OSError`, and an
+    ``.ann`` without its ``.txt`` raises :class:`MalformedAnn`.
+    """
 
     path = Path(path)
+    if not path.is_dir():
+        code = errno.ENOTDIR if path.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path))
+    for ann_path in sorted(path.glob("*.ann")):
+        if not ann_path.with_suffix(".txt").exists():
+            raise MalformedAnn(f"{ann_path}: no {ann_path.stem}.txt beside it")
     out = []
     for txt_path in sorted(path.glob("*.txt")):
         ann_path = txt_path.with_suffix(".ann")

@@ -153,32 +153,47 @@ def _head_token_index(sentence: SentenceRecord, start: int, end: int) -> int:
     return head
 
 
-def _depth_chain(heads: Sequence[int], node: int) -> list[int]:
-    chain = [node]
-    while node != 0:
+def path_distances(
+    parse: DependencyParse, a: AttributeMention, entities: Sequence[EntityMention]
+) -> list[float]:
+    """Shortest undirected tree path from ``a``'s head token to each entity's.
+
+    One search per attribute: the attribute's head token and its ancestors
+    get their path lengths first; each entity's head token then climbs
+    until it meets a token whose length is known, and every token it
+    passed gets its length on the way back.  A token is measured at most
+    once, so an attribute costs O(tokens) whatever the depth of the tree.
+    """
+
+    if parse.sentence is None:
+        raise ValueError("parse is not aligned to a sentence")
+    sentence, heads = parse.sentence, parse.heads
+    node = _head_token_index(sentence, a.start, a.end) + 1
+    hops: dict[int, int] = {}  # token -> path length to a's head token
+    length = 0
+    while node:
+        hops[node] = length
         node = heads[node - 1]
-        chain.append(node)
-    return chain
+        length += 1
+    distances = []
+    for e in entities:
+        node = _head_token_index(sentence, e.start, e.end) + 1
+        path = []
+        while node not in hops:
+            path.append(node)
+            node = heads[node - 1]
+        length = hops[node]
+        for node in reversed(path):
+            length += 1
+            hops[node] = length
+        distances.append(float(length))
+    return distances
 
 
 def path_distance(parse: DependencyParse, e: EntityMention, a: AttributeMention) -> float:
     """Shortest undirected tree path between the two span head tokens."""
 
-    if parse.sentence is None:
-        raise ValueError("parse is not aligned to a sentence")
-    sent = parse.sentence
-    u = _head_token_index(sent, e.start, e.end) + 1
-    v = _head_token_index(sent, a.start, a.end) + 1
-    if u == v:
-        return 0.0
-    chain_u = _depth_chain(parse.heads, u)
-    pos_u = {node: depth for depth, node in enumerate(chain_u)}
-    depth_v = 0
-    node = v
-    while node not in pos_u:
-        node = parse.heads[node - 1]
-        depth_v += 1
-    return float(pos_u[node] + depth_v)
+    return path_distances(parse, a, [e])[0]
 
 
 def _is_boundary(surface: str) -> bool:
@@ -227,25 +242,34 @@ def heuristic_distance(
     return float(gap) + boundary_penalty * boundaries
 
 
-def p_dep(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
-    """Softmin over distances: closer entities get larger probability.
+def softmin_weights(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
+    """The softmin's unnormalized weights ``exp(-(d - d_min) / tau)``.
 
-    ``p_i = exp(-d_i / tau) / sum_j exp(-d_j / tau)``; the result sums to 1.
-    The pipeline never mixes parse paths with other distances in one list;
-    under
-    cross-sentence linking one list mixes heuristic distances (same
-    sentence) with cross-sentence gaps, which count tokens and boundary
-    penalties on the same scale.
+    Shifting by the smallest distance keeps the numbers stable (softmin is
+    invariant to uniform shifts); the nearest entity weighs exactly 1.0,
+    and a weight underflows to exactly 0.0 once ``(d - d_min) / tau``
+    exceeds about 745.
     """
 
     if not distances:
         raise ValueError("p_dep needs at least one distance")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    # shift by the minimum distance for numeric stability (softmin is
-    # invariant to uniform shifts)
     d_min = min(distances)
     exp = math.exp
-    weights = [exp(-(d - d_min) / tau) for d in distances]
+    return [exp(-(d - d_min) / tau) for d in distances]
+
+
+def p_dep(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
+    """Softmin over distances: closer entities get larger probability.
+
+    ``p_i = exp(-d_i / tau) / sum_j exp(-d_j / tau)``; the result sums to 1.
+    The pipeline never mixes parse paths with other distances in one list;
+    under cross-sentence linking one list mixes heuristic distances (same
+    sentence) with cross-sentence gaps, which count tokens and boundary
+    penalties on the same scale.
+    """
+
+    weights = softmin_weights(distances, tau)
     total = sum(weights)
     return [w / total for w in weights]

@@ -43,7 +43,7 @@ from critex.segmentation import (
     Token,
     TokenShape,
 )
-from critex.syntax import _depth_chain, _is_boundary
+from critex.syntax import _is_boundary
 from critex.units import normalize_unit
 
 
@@ -125,8 +125,16 @@ def head_token_index(sentence, start, end):
     return head
 
 
+def _depth_chain(heads, node):
+    chain = [node]
+    while node != 0:
+        node = heads[node - 1]
+        chain.append(node)
+    return chain
+
+
 def path_distance(parse, e, a):
-    """Tree path between the span head tokens, found by token scans."""
+    """Tree path between the span head tokens: token scans, then walks to the root."""
 
     if parse.sentence is None:
         raise ValueError("parse is not aligned to a sentence")

@@ -1,6 +1,11 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import errno
+import io
 import json
+import os
+import shutil
+import sys
 from collections import Counter
 
 import pytest
@@ -50,6 +55,26 @@ class TestAnnotate:
         code, out, err = run(capsys, "annotate", tmp_path)
         assert code == 0
         assert out == ""
+
+    def test_each_record_is_written_before_the_next_is_annotated(self, monkeypatch, tmp_path):
+        corpus = tmp_path / "records.jsonl"
+        corpus.write_text(
+            '{"id": "r2", "text": "pain"}\n{"id": "r1", "text": "heart rate 60-100"}\n'
+        )
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        annotate_record = pipeline.annotate_record
+        written_before = {}
+
+        def recording(record_id, *args, **kwargs):
+            written_before[record_id] = stdout.getvalue()
+            return annotate_record(record_id, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "annotate_record", recording)
+        assert main(["annotate", "--format", "jsonl", str(corpus)]) == 0
+        first, second = stdout.getvalue().splitlines(keepends=True)
+        assert json.loads(first)["result"]["id"] == "r1"
+        assert written_before == {"r1": "", "r2": first}
 
     def test_bad_theta_is_usage_error(self, capsys, fig2_file):
         with pytest.raises(SystemExit) as info:
@@ -264,6 +289,28 @@ class TestEvaluateCommand:
         doc = json.loads(out)
         assert "micro" in doc and "macro" in doc
         assert doc["records"] == 20
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_gold_that_is_not_a_directory_is_named(self, capsys, tmp_path, kind):
+        pred = self._predict(capsys, tmp_path)
+        gold = tmp_path / "gold"
+        if kind == "file":
+            gold.write_text("")
+        code, out, err = run(capsys, "evaluate", "--gold", gold, "--pred", pred)
+        assert code == 2
+        assert out == ""
+        errno_ = errno.ENOENT if kind == "missing" else errno.ENOTDIR
+        assert err == f"critex: error: [Errno {errno_}] {os.strerror(errno_)}: '{gold}'\n"
+
+    def test_ann_without_its_txt_is_data_error(self, capsys, tmp_path):
+        pred = self._predict(capsys, tmp_path)
+        gold = tmp_path / "gold"
+        shutil.copytree(mini_corpus_dir(), gold)
+        (gold / "rec03.txt").unlink()
+        code, out, err = run(capsys, "evaluate", "--gold", gold, "--pred", pred)
+        assert code == 2
+        assert out == ""
+        assert err == f"critex: error: {gold / 'rec03.ann'}: no rec03.txt beside it\n"
 
     def test_mismatched_ids_exit_2(self, capsys, tmp_path):
         pred = tmp_path / "pred.jsonl"

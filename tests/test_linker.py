@@ -55,6 +55,13 @@ def make_attr(j, sentence=0, start=None, kind=AttributeKind.RANGE):
     )
 
 
+def sup_list(attribute, concepts, kb, weights=CompatibilityWeights()):
+    """``_p_sup`` of each competitor, in order."""
+
+    sup = _p_sup(attribute, concepts, kb, weights)
+    return [sup[c] for c in concepts]
+
+
 def competing_pairs(entities, attributes, cross_sentence=False):
     """(entity, attribute) pairs that compete, attribute-major, as the pipeline selects them."""
 
@@ -113,12 +120,12 @@ class TestPSup:
             0, 100, 111, "140/90 mmHg", AttributeKind.RATIO,
             values=(140, 90), unit="mmHg",
         )
-        probs = _p_sup(ratio, self.PAIR, self.KB)
+        probs = sup_list(ratio, self.PAIR, self.KB)
         assert probs[0] > 0.5 > probs[1]
         assert sum(probs) == pytest.approx(1.0)
 
     def test_single_entity_gets_one(self):
-        probs = _p_sup(make_attr(0), ["LOCAL:e0"], self.KB)
+        probs = sup_list(make_attr(0), ["LOCAL:e0"], self.KB)
         assert probs == [1.0]
 
     def test_neutral_equal_compatibilities_split_evenly(self):
@@ -127,7 +134,7 @@ class TestPSup:
             KbEntry(concept_id="LOCAL:e1", preferred_term="b"),
         ])
         qualifier = make_attr(0, kind=AttributeKind.QUALIFIER)
-        assert _p_sup(qualifier, self.PAIR, kb) == pytest.approx([0.5, 0.5])
+        assert sup_list(qualifier, self.PAIR, kb) == pytest.approx([0.5, 0.5])
 
     def test_unknown_concept(self):
         with pytest.raises(UnknownConcept):
@@ -170,7 +177,7 @@ class TestPSup:
             for n in range(rng.randint(1, 8))
         ]
         concepts = [c.entity.concept_id for c in group]
-        assert _p_sup(attribute, concepts, kb) == oracles.p_sup(group, kb)
+        assert sup_list(attribute, concepts, kb) == oracles.p_sup(group, kb)
 
 
 class TestLinkAttribute:
@@ -188,7 +195,7 @@ class TestLinkAttribute:
         ):
             config = PipelineConfig(theta=theta, tau=tau, weights=weights, min_score=0.0)
             relation = link_attribute(self.RATIO, entities, distances, TestPSup.KB, config)
-            sup = _p_sup(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
+            sup = sup_list(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
             scores = _mix(sup, p_dep(distances, tau), theta)
             assert relation.score == max(scores)
             assert relation.entity is entities[scores.index(max(scores))]

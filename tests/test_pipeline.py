@@ -421,6 +421,79 @@ class TestLinkerChainOracle:
         assert outcomes[0] == outcomes[1]
 
 
+class TestSoftminWindow:
+    """Cross-sentence linking scores only the competitors whose p_dep weight
+    can be non-zero; the far ones are settled from their concepts alone."""
+
+    # "Blood pressure" heads sentence 0; the attribute sits in sentence 1
+    # next to ECG (distance 0), and blood pressure again follows it
+    # behind five boundary tokens (distance 25).  Under tau 0.005 both
+    # blood pressure mentions weigh exactly 0.0.
+    TEXT = "Blood pressure was taken. ECG 140/90 mmHg, and, or, blood pressure"
+
+    @staticmethod
+    def _weights(text, kb, config):
+        """(surface, sentence) -> softmin weight of each competitor of the one attribute."""
+
+        sentences, mentions, attributes = _front_end(text, kb)
+        (a,) = attributes
+        entities, distances = _Competitors(sentences, mentions, config, None).of(a)
+        d_min = min(distances)
+        return {
+            (e.surface, e.sentence_index): math.exp(-(d - d_min) / config.tau)
+            for e, d in zip(entities, distances)
+        }
+
+    def _linked(self, text, kb, config):
+        record = annotate_record("r", text, kb, config)
+        assert _relation_rows(text, kb, config) == _oracle_rows(text, kb, config)
+        return [(e["surface"], e["sentence_index"]) for e in (
+            record.extended["entities"][r["entity"]] for r in record.extended["relations"]
+        )]
+
+    def test_far_entity_wins_outright(self, mini_kb):
+        text = "Blood pressure was taken. ECG 140/90 mmHg"
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
+                                tau=0.005, theta=0.9, min_score=0.0)
+        assert self._weights(text, mini_kb, config) == {
+            ("Blood pressure", 0): 0.0, ("ECG", 1): 1.0,
+        }
+        assert self._linked(text, mini_kb, config) == [("Blood pressure", 0)]
+
+    def test_far_entity_wins_a_tie_with_a_zero_weight_near_one(self, mini_kb):
+        # theta 1.0: both blood pressure mentions score their p_sup alone;
+        # the far one (distance 8) beats the local one (distance 25)
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
+                                tau=0.005, theta=1.0, min_score=0.0)
+        assert self._weights(self.TEXT, mini_kb, config) == {
+            ("Blood pressure", 0): 0.0, ("ECG", 1): 1.0, ("blood pressure", 1): 0.0,
+        }
+        assert self._linked(self.TEXT, mini_kb, config) == [("Blood pressure", 0)]
+
+    def test_near_entity_wins_a_tie_with_a_far_one(self, mini_kb):
+        text = "Blood pressure was taken. ECG, blood pressure 140/90 mmHg"
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
+                                tau=0.005, theta=1.0, min_score=0.0)
+        weights = self._weights(text, mini_kb, config)
+        assert weights[("Blood pressure", 0)] == 0.0
+        assert weights[("blood pressure", 1)] == 1.0
+        assert self._linked(text, mini_kb, config) == [("blood pressure", 1)]
+
+    @given(
+        text=st.one_of(MULTI_SENTENCE, tie_heavy_texts()),
+        tau=st.sampled_from((0.01, 0.03, 0.1, 0.3)),
+        theta=st.sampled_from((0.0, 0.5, 0.9, 1.0)),
+        min_score=st.sampled_from((0.0, 0.2)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_chain_when_most_entities_are_far(
+        self, mini_kb, text, tau, theta, min_score
+    ):
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True, tau=tau,
+                                theta=theta, boundary_penalty=0.0, min_score=min_score)
+        assert _relation_rows(text, mini_kb, config) == _oracle_rows(text, mini_kb, config)
+
+
 # Arbitrary Unicode mixed with the clinical vocabulary the pipeline reacts to.
 FUZZ_TEXT = st.lists(
     st.one_of(

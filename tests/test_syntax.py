@@ -20,6 +20,7 @@ from critex.syntax import (
     p_dep,
     parse_blocks,
     path_distance,
+    path_distances,
 )
 
 
@@ -290,10 +291,10 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def head_graphs(draw):
-    """Heads of trees, chains and stars, some broken in one of the usual ways."""
+def trees(draw, max_size=12):
+    """Heads of random trees, chains and stars, rooted at any token."""
 
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_size))
     shape = draw(st.sampled_from(("tree", "chain", "star")))
     if shape == "chain":
         heads = [0] + list(range(1, n))
@@ -308,6 +309,15 @@ def head_graphs(draw):
     relabel = {1: root, root: 1}
     heads = [relabel.get(h, h) for h in heads]
     heads[0], heads[root - 1] = heads[root - 1], heads[0]
+    return heads
+
+
+@st.composite
+def head_graphs(draw):
+    """Heads of trees, chains and stars, some broken in one of the usual ways."""
+
+    heads = draw(trees())
+    n = len(heads)
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n - 1))
         heads[i] = draw(st.sampled_from((
@@ -335,6 +345,47 @@ class TestParseValidationOracle:
         started = time.perf_counter()
         DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n)
         assert time.perf_counter() - started < 1.0
+
+
+class TestPathDistanceOracle:
+    @given(heads=trees(max_size=30), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_search_matches_walks_to_the_root(self, heads, data):
+        n = len(heads)
+        sentence = sentence_of(" ".join(f"w{i}" for i in range(n)))
+        parse = DependencyParse(tuple(heads), ("dep",) * n, sentence)
+        tokens = sentence.tokens
+
+        def span():
+            first = data.draw(st.integers(0, n - 1))
+            last = data.draw(st.integers(first, n - 1))
+            return tokens[first].start, tokens[last].end
+
+        a = AttributeMention(0, *span(), "a", AttributeKind.QUALIFIER)
+        entities = [
+            EntityMention(0, *span(), "e", "LOCAL:e", "e")
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        expected = [oracles.path_distance(parse, e, a) for e in entities]
+        assert path_distances(parse, a, entities) == expected
+        assert [path_distance(parse, e, a) for e in entities] == expected
+
+    def test_deep_chain_costs_one_search_per_attribute(self):
+        # 2,000 entities on a 20,000-token chain, the attribute at its root:
+        # walking to the root for every pair takes seconds, one search
+        # measures each token once
+        n = 20_000
+        sentence = sentence_of(" ".join(["w"] * n))
+        parse = DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n, sentence)
+        tokens = sentence.tokens
+        entities = [
+            EntityMention(0, t.start, t.end, "w", "LOCAL:w", "w") for t in tokens[::-10]
+        ]
+        a = AttributeMention(0, tokens[0].start, tokens[0].end, "w", AttributeKind.QUALIFIER)
+        started = time.perf_counter()
+        distances = path_distances(parse, a, entities)
+        assert time.perf_counter() - started < 1.0
+        assert distances[:2] == [n - 1.0, n - 11.0]
 
 
 class TestHeadTokenOracle:
