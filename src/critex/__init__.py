@@ -24,6 +24,7 @@ from .errors import (
     MalformedAnn,
     MalformedJsonl,
     MalformedKb,
+    MalformedPrediction,
     MalformedText,
     ParseMismatch,
     RecordMismatch,
@@ -57,7 +58,7 @@ from .kb import (
     save_kb,
     score_compatibility,
 )
-from .linker import Relation, link_attribute
+from .linker import Relation
 from .pipeline import PipelineConfig, annotate_record
 from .resources import bundled_kb_path, mini_corpus_dir
 from .segmentation import SentenceRecord, SplitMode, Token, TokenShape, split_records, tokenize
@@ -66,7 +67,6 @@ from .syntax import (
     DependencyParse,
     heuristic_distance,
     p_dep,
-    path_distance,
     path_distances,
 )
 from .units import normalize_unit
@@ -78,7 +78,8 @@ __all__ = [
     "TimeUnit", "attribute_shape", "extract_attributes",
     "EntityMention", "link_abbreviations", "recognize_entities",
     "CritexError", "CycleDetected", "DanglingRef", "DuplicateConceptId",
-    "MalformedAnn", "MalformedJsonl", "MalformedKb", "MalformedText",
+    "MalformedAnn", "MalformedJsonl", "MalformedKb", "MalformedPrediction",
+    "MalformedText",
     "ParseMismatch", "RecordMismatch", "SpanMismatch", "UnknownConcept",
     "ElementType", "EvalReport", "GoldAnnotation",
     "MatchMode", "RelationPair", "StructuredRecord", "evaluate",
@@ -86,12 +87,12 @@ __all__ = [
     "Category", "CompatibilityScore", "CompatibilityWeights", "KbEntry",
     "KnowledgeBase", "ValuePattern", "import_tsv", "load_kb",
     "mine_kb_candidates", "save_kb", "score_compatibility",
-    "Relation", "link_attribute",
+    "Relation",
     "PipelineConfig", "annotate_record",
     "bundled_kb_path", "mini_corpus_dir",
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",
     "tokenize",
     "ClauseIndex", "DependencyParse", "heuristic_distance", "p_dep",
-    "path_distance", "path_distances",
+    "path_distances",
     "normalize_unit",
 ]

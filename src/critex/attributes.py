@@ -16,6 +16,7 @@ the surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -189,7 +190,8 @@ def _number_at(toks: Sequence[Token], i: int) -> float | None:
         return None
     tok = toks[i]
     if tok.shape is TokenShape.NUMBER:
-        return float(tok.surface.replace(",", ""))
+        value = float(tok.surface.replace(",", ""))
+        return value if math.isfinite(value) else None  # too long for a float
     word = tok.surface.lower()
     if word in _NUMBER_WORDS:
         return float(_NUMBER_WORDS[word])
@@ -285,7 +287,7 @@ def _ratio(toks, i, hit, normalize) -> _Parse | None:
         return None
     num_s, den_s = toks[j].surface.split("/")
     num, den = float(num_s), float(den_s)
-    if num <= 0 or den <= 0:
+    if not (0 < num < math.inf and 0 < den < math.inf):
         return None
     unit, span_end, next_i = _unit_suffix(toks, j, normalize)
     return _Parse(AttributeKind.RATIO, i if symbolic else j, span_end, next_i,
@@ -296,6 +298,8 @@ def _range(toks, i, hit, normalize) -> _Parse | None:
     if toks[i].shape is TokenShape.RANGE:
         lo_s, hi_s = toks[i].surface.replace("–", "-").split("-")
         values, last = (float(lo_s), float(hi_s)), i
+        if not all(map(math.isfinite, values)):
+            return None
     elif (  # "between X and Y [unit]"
         toks[i].surface.lower() == _BETWEEN
         and _number_at(toks, i + 1) is not None
@@ -439,7 +443,8 @@ def extract_attributes(
     ``entity_spans`` (character spans of recognized entities) gates the
     closed-lexicon qualifiers, which must sit next to an entity; numeric
     compounds like "12-lead" do not need it.  Spans never overlap, and
-    unparseable numeric fragments are skipped rather than partially emitted.
+    unparseable numeric fragments, numbers too long for a finite float
+    among them, are skipped rather than partially emitted.
     """
 
     normalize = normalize_unit if kb is None else kb.normalize_unit

@@ -69,3 +69,7 @@ class MalformedJsonl(CritexError):
 
 class RecordMismatch(CritexError):
     """Prediction and gold record ids cannot be aligned."""
+
+
+class MalformedPrediction(CritexError):
+    """A prediction record's extended payload cannot be evaluated."""

@@ -28,6 +28,7 @@ from .errors import (
     DanglingRef,
     MalformedAnn,
     MalformedJsonl,
+    MalformedPrediction,
     MalformedText,
     RecordMismatch,
     SpanMismatch,
@@ -388,8 +389,6 @@ def _record_counts(
     record: StructuredRecord, gold: GoldAnnotation, mode: MatchMode, match_labels: bool
 ) -> dict[ElementType, Counts]:
     ext = record.extended
-    if ext is None:
-        raise ValueError(f"record {record.id}: extended payload required for evaluation")
     pred_entities = [((e["start"], e["end"]),) for e in ext["entities"]]
     pred_attributes = [((a["start"], a["end"]),) for a in ext["attributes"]]
     pred_relations = [
@@ -457,12 +456,18 @@ def evaluate(
 ) -> EvalReport:
     """Span-level precision/recall/F1, aligned by record id.
 
-    Prediction ids must be unique and equal the gold ids, or
-    :class:`RecordMismatch` is raised.  ``mode=None`` evaluates both EXACT
-    and OVERLAP.  Micro metrics pool counts over records; macro metrics
-    average per-record scores.
+    Every prediction needs an extended payload that
+    :func:`extended_problem` accepts, or :class:`MalformedPrediction`
+    names the first record without one.  Prediction ids must be unique and
+    equal the gold ids, or :class:`RecordMismatch` is raised.
+    ``mode=None`` evaluates both EXACT and OVERLAP.  Micro metrics pool
+    counts over records; macro metrics average per-record scores.
     """
 
+    for record in predictions:
+        problem = extended_problem(record.extended)
+        if problem:
+            raise MalformedPrediction(f"record {record.id}: {problem}")
     pred_by_id = {r.id: r for r in predictions}
     if len(pred_by_id) != len(predictions):
         repeated = sorted(k for k, n in Counter(r.id for r in predictions).items() if n > 1)

@@ -1,21 +1,19 @@
 """Entity-attribute linking via a mixture of two probability signals.
 
-Each attribute is linked on its own, once, by :func:`link_attribute`.  It
-receives the entities competing for the attribute, in mention order, and
-one syntactic distance per entity (the pipeline decides who competes and
-measures the distances).  Knowledge-base compatibility gives ``p_sup``,
-the softmin of the distances gives ``p_dep``, and each entity scores the
-convex mixture ``theta * p_sup + (1 - theta) * p_dep``.  The best entity
-wins; ties break by smaller distance, then nearer character offset, then
-leftmost position.  The winner becomes a :class:`Relation` only at or
-above ``min_score``.  An entity may win several attributes, an attribute
-links to at most one entity.
+Each attribute is linked on its own, once, by :meth:`_Competitors.link`.
+It lists the entities competing for the attribute, in mention order, with
+one syntactic distance per entity; knowledge-base compatibility gives
+``p_sup``, the softmin of the distances gives ``p_dep``, and each entity
+scores the convex mixture ``theta * p_sup + (1 - theta) * p_dep``.  The
+best entity wins; ties break by smaller distance, then nearer character
+offset, then leftmost position.  The winner becomes a :class:`Relation`
+only at or above ``min_score``.  An entity may win several attributes, an
+attribute links to at most one entity.
 
 Under cross-sentence linking most entities of a long record lie so far
 from an attribute that their softmin weight ``exp(-(d - d_min) / tau)`` is
-exactly 0.0.  The pipeline passes those by concept id alone, in
-:class:`ConceptColumns`, and the result stays bit for bit the one of
-scoring every entity:
+exactly 0.0.  Those far competitors are settled by concept id alone, and
+the result stays bit for bit the one of scoring every entity:
 
 - a weight of 0.0 leaves the ``p_dep`` total unchanged (also under the
   compensated ``sum()`` of CPython 3.12), so the near entities keep their
@@ -28,28 +26,36 @@ scoring every entity:
 - far entities get a distance only when their score reaches the best near
   score, and then enter the same tie-break.
 
-Every setting (``theta``, ``min_score``, the compatibility ``weights`` and
-the softmin temperature ``tau``) comes from the one
-:class:`~critex.pipeline.PipelineConfig`, which validates them when it is
-created.
+Every setting (``theta``, ``min_score``, the compatibility ``weights``, the
+softmin temperature ``tau`` and the ``boundary_penalty`` of distances)
+comes from the one :class:`~critex.pipeline.PipelineConfig`, which
+validates them when it is created.
 
-The routine works on plain lists with one float per near competitor and
-builds no object per entity-attribute pair, so a long record's linking
-stays a few list passes per attribute.
+The routine works on plain lists built once per record, with one float per
+near competitor, and builds no object per entity-attribute pair, so a long
+record's linking stays a few list passes per attribute.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Container, Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, repeat
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
 from .errors import UnknownConcept
 from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase, compatibility_terms
-from .syntax import softmin_weights
+from .segmentation import SentenceRecord
+from .syntax import (
+    ClauseIndex,
+    DependencyParse,
+    heuristic_distance,
+    path_distances,
+    softmin_weights,
+)
 
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
@@ -73,60 +79,41 @@ def relation_label(attribute: AttributeMention) -> str:
     return "has_value"
 
 
-class ConceptColumns(NamedTuple):
-    """The concept ids of one attribute's competitors, as the pipeline keeps them.
-
-    ``near`` runs parallel to the entities given to :func:`link_attribute`.
-    ``before`` and ``after`` belong to the far competitors, those whose
-    ``p_dep`` weight is exactly 0.0, ahead of and behind the near ones, in
-    mention order.  ``scored`` lists every concept id a competitor may
-    carry, each once; it may list more.  ``tied(concept_ids)`` returns
-    ``(entity, distance)`` for each far competitor whose concept is in
-    ``concept_ids``, in mention order.
-    """
-
-    near: Sequence[str]
-    before: Sequence[str]
-    after: Sequence[str]
-    scored: Iterable[str]
-    tied: Callable[[Container[str]], list[tuple[EntityMention, float]]]
-
-
 def _p_sup(
     attribute: AttributeMention,
-    concepts: Sequence[str],
+    scored: Iterable[str],
+    competitors: Iterable[str],
+    count: int,
     kb: KnowledgeBase,
     weights: CompatibilityWeights = DEFAULT_WEIGHTS,
-    columns: ConceptColumns | None = None,
 ) -> dict[str, float]:
     """Normalized compatibility of each competing concept with one attribute.
 
-    ``concepts`` holds the competitors' concept ids in mention order;
-    ``columns`` adds the far competitors before and after them.  The
-    attribute is shared, so compatibility depends on the concept alone:
-    each concept is scored once, and the result maps a concept id to the
-    ``p_sup`` of every competitor that carries it.  Raw compatibilities are
-    normalized by their total over all competitors, summed in mention
-    order; when that total is zero the distribution falls back to uniform.
-    Raises :class:`UnknownConcept` for the first competitor whose concept
-    is not in ``kb``.
+    ``scored`` lists, each once, every concept id a competitor may carry
+    (it may list more); ``competitors`` holds the ``count`` competitors'
+    concept ids in mention order.  The attribute is shared, so
+    compatibility depends on the concept alone: each concept is scored
+    once, and the result maps a concept id to the ``p_sup`` of every
+    competitor that carries it.  Raw compatibilities are normalized by
+    their total over all competitors, summed in mention order; when that
+    total is zero the distribution falls back to uniform.  Raises
+    :class:`UnknownConcept` for the first competitor whose concept is not
+    in ``kb``.
     """
 
     shape = attribute_shape(attribute)
     raw: dict[str, float] = {}
-    for concept_id in columns.scored if columns else dict.fromkeys(concepts):
+    for concept_id in scored:
         entry = kb.entry(concept_id)
         if entry is not None:
             raw[concept_id] = compatibility_terms(entry, attribute, shape, weights)[0]
-    competitors = chain(columns.before, concepts, columns.after) if columns else concepts
     try:
         total = sum(map(raw.__getitem__, competitors))
     except KeyError as exc:  # the first competitor whose concept is unknown
         raise UnknownConcept(f"concept {exc.args[0]} not in knowledge base") from None
     if total > 0:
         return {c: r / total for c, r in raw.items()}
-    n = len(concepts) + (len(columns.before) + len(columns.after) if columns else 0)
-    return dict.fromkeys(raw, 1.0 / n)
+    return dict.fromkeys(raw, 1.0 / count)
 
 
 def _mix(
@@ -187,40 +174,232 @@ def _pick(
     )
 
 
-def link_attribute(
-    attribute: AttributeMention,
-    entities: Sequence[EntityMention],
-    distances: Sequence[float],
-    kb: KnowledgeBase,
-    config: PipelineConfig,
-    columns: ConceptColumns | None = None,
-) -> Relation | None:
-    """Link one attribute to the best of the entities competing for it.
+class _Competitors:
+    """The entities competing for each attribute of one record.
 
-    ``entities`` are the competitors in mention order and ``distances``
-    their syntactic distances to the attribute.  ``columns`` adds the far
-    competitors, whose ``p_dep`` weight is exactly 0.0 (see the module
-    docstring); the entity at the smallest distance must be among
-    ``entities``.  Returns None when no entity competes or the best score
-    is below ``config.min_score``.  Raises :class:`UnknownConcept` for the
-    first competitor whose concept is not in ``kb``.
+    Built once per record over the mentions, which come ordered by
+    ``(sentence_index, start)`` and do not overlap: their sentence indexes
+    and, with cross-sentence linking, their concept ids and global token
+    positions.  :meth:`of` lists an attribute's competitors in mention
+    order with their distances; :meth:`link` links the attribute and gives
+    a distance only to the competitors inside its softmin window.
+
+    The window is exact.  Mentions are ordered and disjoint, so the
+    cross-sentence distance never increases as a mention gets closer to the
+    attribute's sentence, from either side (float rounding keeps the
+    order).  The smallest distance is therefore among the attribute's own
+    sentence and the two nearest mentions outside it, and the mentions
+    whose weight ``exp(-(d - d_min) / tau)`` is exactly 0.0 form a prefix
+    and a suffix of the mention list.  Two bisections find their ends, each
+    evaluating that very expression; the mentions past them are the far
+    competitors of the module docstring.
     """
 
-    if not entities:
-        return None
-    concepts = columns.near if columns else [e.concept_id for e in entities]
-    weights = softmin_weights(distances, tau=config.tau)
-    sup = _p_sup(attribute, concepts, kb, config.weights, columns)
-    scores = _mix(map(sup.__getitem__, concepts), weights, config.theta, sum(weights))
-    if columns and (columns.before or columns.after):
-        # a far entity's p_dep is 0.0, so its score follows from its concept,
-        # and the mixture grows with p_sup
-        far_sup = max(map(sup.__getitem__, chain(columns.before, columns.after)))
-        best = _mix([far_sup], [0.0], config.theta)[0]
-        if best >= max(scores):
-            far_score = dict(zip(sup, _mix(sup.values(), repeat(0.0), config.theta)))
-            tied = columns.tied({c for c, score in far_score.items() if score == best})
-            entities = [*entities, *(e for e, _ in tied)]
-            distances = [*distances, *(d for _, d in tied)]
-            scores += [best] * len(tied)
-    return _pick(attribute, entities, distances, scores, config.min_score)
+    def __init__(
+        self,
+        sentences: Sequence[SentenceRecord],
+        mentions: Sequence[EntityMention],
+        config: PipelineConfig,
+        parses: Sequence[DependencyParse | None] | None,
+    ):
+        self._sentences = sentences
+        self._clause_indexes: list[ClauseIndex | None] = [None] * len(sentences)
+        self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
+        self._mentions = list(mentions)
+        self._sentence_of = [m.sentence_index for m in mentions]
+        self._parses = parses or ()
+        self._config = config
+        self._penalty = config.boundary_penalty
+        self._cross = config.cross_sentence
+        if self._cross:
+            spans = [self._position(m) for m in mentions]
+            self._lefts = [left for left, _ in spans]
+            self._rights = [right for _, right in spans]
+            self._concepts = [m.concept_id for m in mentions]
+            self._distinct = tuple(dict.fromkeys(self._concepts))
+
+    def _clauses(self, sentence_index: int) -> ClauseIndex:
+        """The sentence's :class:`ClauseIndex`, built on first use."""
+
+        index = self._clause_indexes[sentence_index]
+        if index is None:
+            index = self._clause_indexes[sentence_index] = ClauseIndex(
+                self._sentences[sentence_index]
+            )
+        return index
+
+    def _position(self, m: EntityMention | AttributeMention) -> tuple[int, int]:
+        """Global token positions ``(left, right)`` of a mention's span.
+
+        ``left`` counts the record's tokens that end at or before the span
+        starts, ``right`` those that start before it ends.  The tokens
+        strictly between an earlier span and a later one are then ``left``
+        of the later minus ``right`` of the earlier.
+        """
+
+        base = self._before[m.sentence_index]
+        index = self._clauses(m.sentence_index)
+        return (
+            base + bisect_right(index.ends, m.start),
+            base + bisect_left(index.starts, m.end),
+        )
+
+    def _local(
+        self, a: AttributeMention
+    ) -> tuple[int, int, bool, list[EntityMention], list[float]]:
+        """``lo, hi, others, local, distances`` for ``a``.
+
+        ``lo:hi`` are the mentions of ``a``'s sentence; ``others`` tells
+        whether the mentions of other sentences compete too.  ``local``
+        lists the entities of ``a``'s sentence that compete, all but those
+        whose span holds ``a``, and ``distances`` their distances: from the
+        sentence's parse when one is supplied and no other sentence
+        competes, otherwise from :func:`heuristic_distance`.
+        """
+
+        s_a, mentions = a.sentence_index, self._mentions
+        lo = bisect_left(self._sentence_of, s_a)
+        hi = bisect_right(self._sentence_of, s_a, lo)
+        others = self._cross and (lo > 0 or hi < len(mentions))
+        local = [e for e in mentions[lo:hi] if not (e.start <= a.start and a.end <= e.end)]
+        parse = self._parses[s_a] if s_a < len(self._parses) else None
+        if not local:
+            distances = []
+        elif parse is not None and not others:
+            distances = path_distances(parse, a, local)
+        else:
+            clauses, penalty = self._clauses(s_a), self._penalty
+            distances = [
+                heuristic_distance(clauses, e, a, boundary_penalty=penalty) for e in local
+            ]
+        return lo, hi, others, local, distances
+
+    def _ahead(self, left: int, s_a: int, start: int, stop: int) -> list[float]:
+        """Distances of the mentions ``start:stop``, of sentences before
+        ``s_a``, to a span of sentence ``s_a`` at global token ``left``.
+
+        The tokens strictly between the spans plus ``boundary_penalty``
+        per sentence boundary crossed.
+        """
+
+        penalty = self._penalty
+        return [
+            float(left - r) + penalty * (s_a - s)
+            for r, s in zip(self._rights[start:stop], self._sentence_of[start:stop])
+        ]
+
+    def _behind(self, right: int, s_a: int, start: int, stop: int) -> list[float]:
+        """Distances of the mentions ``start:stop``, of sentences after
+        ``s_a``, to a span of sentence ``s_a`` ending at global token
+        ``right``; counted as in :meth:`_ahead`.
+        """
+
+        penalty = self._penalty
+        return [
+            float(l - right) + penalty * (s - s_a)
+            for l, s in zip(self._lefts[start:stop], self._sentence_of[start:stop])
+        ]
+
+    def of(self, a: AttributeMention) -> tuple[list[EntityMention], list[float]]:
+        """``a``'s competitors and their distances to it, all of them.
+
+        Entities of ``a``'s sentence compete as :meth:`_local` says; with
+        cross-sentence linking every other entity competes too, at the
+        distance of :meth:`_ahead` or :meth:`_behind`.
+        """
+
+        lo, hi, others, local, distances = self._local(a)
+        if not others:
+            return local, distances
+        mentions, s_a = self._mentions, a.sentence_index
+        left, right = self._position(a)
+        return (
+            mentions[:lo] + local + mentions[hi:],
+            self._ahead(left, s_a, 0, lo)
+            + distances
+            + self._behind(right, s_a, hi, len(mentions)),
+        )
+
+    def link(self, a: AttributeMention, kb: KnowledgeBase) -> Relation | None:
+        """Link ``a`` to the best of its competitors, or None.
+
+        The relation of scoring every competitor of :meth:`of`, bit for
+        bit; only the near competitors, inside the softmin window (see the
+        class docstring), are listed with distances.  Returns None when no
+        entity competes or the best score is below ``min_score``.  Raises
+        :class:`UnknownConcept` for the first competitor whose concept is
+        not in ``kb``.
+        """
+
+        lo, hi, others, entities, distances = self._local(a)
+        if not (entities or others):
+            return None
+        near = [e.concept_id for e in entities]
+        before = after = ()
+        if others:
+            mentions, concepts, n = self._mentions, self._concepts, len(self._mentions)
+            s_a, tau = a.sentence_index, self._config.tau
+            left, right = self._position(a)
+            d_min = min(distances, default=math.inf)
+            if lo:
+                d_min = min(d_min, self._ahead(left, s_a, lo - 1, lo)[0])
+            if hi < n:
+                d_min = min(d_min, self._behind(right, s_a, hi, hi + 1)[0])
+            # mentions first:lo ahead and hi:last behind have a non-zero weight
+            first = _first_weighted(
+                lambda i: self._ahead(left, s_a, i, i + 1)[0], lo, d_min, tau
+            )
+            last = n - _first_weighted(
+                lambda k: self._behind(right, s_a, n - 1 - k, n - k)[0], n - hi, d_min, tau
+            )
+            entities = mentions[first:lo] + entities + mentions[hi:last]
+            distances = (
+                self._ahead(left, s_a, first, lo)
+                + distances
+                + self._behind(right, s_a, hi, last)
+            )
+            near = concepts[first:lo] + near + concepts[hi:last]
+            before, after = concepts[:first], concepts[last:]
+        scored = self._distinct if others else dict.fromkeys(near)
+
+        config = self._config
+        weights = softmin_weights(distances, tau=config.tau)
+        sup = _p_sup(
+            a, scored, chain(before, near, after), len(before) + len(near) + len(after),
+            kb, config.weights,
+        )
+        scores = _mix(map(sup.__getitem__, near), weights, config.theta, sum(weights))
+        if before or after:
+            # a far entity's p_dep is 0.0, so its score follows from its concept,
+            # and the mixture grows with p_sup
+            far_sup = max(map(sup.__getitem__, chain(before, after)))
+            best = _mix([far_sup], [0.0], config.theta)[0]
+            if best >= max(scores):
+                far_score = dict(zip(sup, _mix(sup.values(), repeat(0.0), config.theta)))
+                best_concepts = {c for c, score in far_score.items() if score == best}
+                ahead = [i for i in range(first) if concepts[i] in best_concepts]
+                behind = [j for j in range(last, n) if concepts[j] in best_concepts]
+                entities += [mentions[k] for k in ahead + behind]
+                distances += [self._ahead(left, s_a, i, i + 1)[0] for i in ahead]
+                distances += [self._behind(right, s_a, j, j + 1)[0] for j in behind]
+                scores += [best] * (len(ahead) + len(behind))
+        return _pick(a, entities, distances, scores, config.min_score)
+
+
+def _first_weighted(distance, stop: int, d_min: float, tau: float) -> int:
+    """The first ``i`` in ``range(stop)`` whose softmin weight is not 0.0.
+
+    ``distance(i)`` must not increase with ``i``, so the weight
+    ``exp(-(distance(i) - d_min) / tau)`` (the expression of
+    :func:`~critex.syntax.softmin_weights`) is 0.0 on a prefix of the range.
+    Returns ``stop`` when every weight is 0.0.
+    """
+
+    exp = math.exp
+
+    def weighted(i: int) -> bool:
+        return exp(-(distance(i) - d_min) / tau) != 0.0
+
+    if stop == 0 or weighted(0):
+        return 0
+    return bisect_left(range(stop), True, 1, key=weighted)

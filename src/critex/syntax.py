@@ -2,13 +2,14 @@
 
 A distance is a plain non-negative float.  Three sources produce one: an
 ingested external dependency parse (shortest undirected tree path between
-the span head tokens, :func:`path_distance`), a built-in clause-proximity
-heuristic within a sentence (token gap plus a penalty per crossed clause
-boundary, :func:`heuristic_distance`), and, under cross-sentence linking,
-the token gap between sentences plus a penalty per sentence boundary
-(measured by :class:`critex.pipeline._Competitors`, which also picks the
-source of each attribute's distances).  A softmin turns the distances of
-the entities competing for one attribute into a probability distribution.
+the span head tokens, :func:`path_distances`, one search per attribute), a
+built-in clause-proximity heuristic within a sentence (token gap plus a
+penalty per crossed clause boundary, :func:`heuristic_distance`), and,
+under cross-sentence linking, the token gap between sentences plus a
+penalty per sentence boundary (measured by the linker's ``_Competitors``,
+which also picks the source of each attribute's distances).  A softmin
+turns the distances of the entities competing for one attribute into a
+probability distribution.
 """
 
 from __future__ import annotations
@@ -188,12 +189,6 @@ def path_distances(
             hops[node] = length
         distances.append(float(length))
     return distances
-
-
-def path_distance(parse: DependencyParse, e: EntityMention, a: AttributeMention) -> float:
-    """Shortest undirected tree path between the two span head tokens."""
-
-    return path_distances(parse, a, [e])[0]
 
 
 def _is_boundary(surface: str) -> bool:

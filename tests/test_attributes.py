@@ -1,11 +1,12 @@
 """Attribute grammar: comparisons, ranges, ratios, temporals, frequencies."""
 
 import hashlib
+import json
 import random
 
 import pytest
 
-from critex import attributes
+from critex import annotate_record, attributes, to_json
 from critex.attributes import (
     AttributeKind,
     AttributeMention,
@@ -181,6 +182,35 @@ class TestSpansAndDeterminism:
         for sentence in split_records(paragraph_two, SplitMode.PARAGRAPHS):
             for a in extract_attributes(sentence):
                 assert sentence.text[a.start : a.end] == a.surface
+
+
+class TestNonFiniteNumbers:
+    """A number too long for a float makes no attribute, so the extended
+    output never holds ``Infinity``, which is not JSON."""
+
+    NINES = "9" * 400
+
+    @pytest.mark.parametrize("template", [
+        "blood pressure less than {} mmHg",
+        "1-{}",
+        "blood pressure {}/90 mmHg",
+        "blood pressure 140/{} mmHg",
+        "heart rate between 1 and {} bpm",
+        "within {} days",
+        "{} times a day",
+    ])
+    def test_overflowing_value_is_skipped(self, mini_kb, template):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = template.format(self.NINES)
+        record = annotate_record("r", text, mini_kb)
+        payload = json.loads(to_json(record, extended=True), parse_constant=reject)
+        assert payload["result"]["extended"]["attributes"] == []
+        assert parse(text) == []
+
+    def test_long_finite_value_is_kept(self):
+        assert single(f"less than {'9' * 300} mmHg").values == (float("9" * 300),)
 
 
 class TestAttributeShape:

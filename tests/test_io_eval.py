@@ -10,6 +10,7 @@ from critex.errors import (
     DanglingRef,
     MalformedAnn,
     MalformedJsonl,
+    MalformedPrediction,
     RecordMismatch,
     SpanMismatch,
 )
@@ -300,6 +301,18 @@ class TestEvaluate:
         pred, gold = self._fixture()
         with pytest.raises(RecordMismatch, match="duplicate"):
             evaluate([pred, pred], [gold])
+
+    def test_prediction_without_extended_payload(self):
+        pred, gold = self._fixture()
+        bare = StructuredRecord(id=pred.id, text=pred.text, relations=pred.relations)
+        with pytest.raises(MalformedPrediction, match="record r1: no 'extended' payload"):
+            evaluate([bare], [gold])
+
+    def test_relation_index_out_of_range(self):
+        pred, gold = self._fixture()
+        pred.extended["relations"][1]["attribute"] = 2
+        with pytest.raises(MalformedPrediction, match="record r1: relation attribute index 2"):
+            evaluate([pred], [gold])
 
     def test_macro_present_in_dict(self):
         pred, gold = self._fixture()

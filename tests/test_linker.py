@@ -1,9 +1,13 @@
-"""Candidate selection, the theta mixture, and per-attribute assignment.
+"""Competitor selection, the theta mixture, and per-attribute assignment.
 
-The tests drive the linker's steps one at a time: ``_Competitors`` (which
-entities compete for an attribute), ``_p_sup``, ``_mix`` and ``_pick``.
-Candidate sets are built as the oracle chain's ``RelationCandidate``
-objects and handed to the steps group by group.
+One routine links an attribute, ``_Competitors.link``; the tests here
+drive its steps one at a time: ``_Competitors.of`` (which entities compete
+for an attribute, at what distance), ``_p_sup``, ``_mix`` and ``_pick``,
+and check ``link`` against them.  The property tests of the mixture and
+the tie-break draw random scores and distances for each attribute's
+competitors and hand them to ``_mix`` and ``_pick`` attribute by attribute;
+they hold them in the ``RelationCandidate`` objects of the test oracles.
+End-to-end equivalence with the oracle chain is in ``test_pipeline.py``.
 """
 
 import math
@@ -17,8 +21,8 @@ from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import UnknownConcept
 from critex.kb import Category, CompatibilityWeights, KbEntry, KnowledgeBase, ValuePattern
-from critex.linker import _mix, _p_sup, _pick, link_attribute, relation_label
-from critex.pipeline import PipelineConfig, _Competitors
+from critex.linker import _Competitors, _mix, _p_sup, _pick, relation_label
+from critex.pipeline import PipelineConfig
 from critex.segmentation import SplitMode, split_records
 from critex.syntax import p_dep
 from oracles import RelationCandidate, generate_candidates
@@ -58,7 +62,7 @@ def make_attr(j, sentence=0, start=None, kind=AttributeKind.RANGE):
 def sup_list(attribute, concepts, kb, weights=CompatibilityWeights()):
     """``_p_sup`` of each competitor, in order."""
 
-    sup = _p_sup(attribute, concepts, kb, weights)
+    sup = _p_sup(attribute, dict.fromkeys(concepts), concepts, len(concepts), kb, weights)
     return [sup[c] for c in concepts]
 
 
@@ -138,12 +142,12 @@ class TestPSup:
 
     def test_unknown_concept(self):
         with pytest.raises(UnknownConcept):
-            _p_sup(make_attr(0), ["LOCAL:e9"], self.KB)
+            _p_sup(make_attr(0), ["LOCAL:e9"], ["LOCAL:e9"], 1, self.KB)
 
     def test_first_unknown_concept_is_reported(self):
         concepts = [f"LOCAL:e{i}" for i in (0, 7, 0, 8)]
         with pytest.raises(UnknownConcept, match="LOCAL:e7 "):
-            _p_sup(make_attr(0), concepts, self.KB)
+            _p_sup(make_attr(0), dict.fromkeys(concepts), concepts, len(concepts), self.KB)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -186,7 +190,9 @@ class TestLinkAttribute:
     )
 
     def test_reads_every_setting_from_the_pipeline_config(self):
-        entities = [make_entity(0), make_entity(1)]
+        # the sentence's last four tokens lie between e0 and the attribute,
+        # none between e1 and the attribute
+        entities = [make_entity(0, start=68), make_entity(1, start=80)]
         distances = [4.0, 0.0]
         for theta, tau, weights in (
             (0.0, 0.5, CompatibilityWeights()),
@@ -194,7 +200,9 @@ class TestLinkAttribute:
             (1.0, 8.0, CompatibilityWeights(0.4, 0.35, 0.25)),
         ):
             config = PipelineConfig(theta=theta, tau=tau, weights=weights, min_score=0.0)
-            relation = link_attribute(self.RATIO, entities, distances, TestPSup.KB, config)
+            competitors = _Competitors(SENTENCES, entities, config, None)
+            assert competitors.of(self.RATIO) == (entities, distances)
+            relation = competitors.link(self.RATIO, TestPSup.KB)
             sup = sup_list(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
             scores = _mix(sup, p_dep(distances, tau), theta)
             assert relation.score == max(scores)

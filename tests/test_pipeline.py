@@ -19,7 +19,8 @@ from critex.entities import EntityMention, link_abbreviations, recognize_entitie
 from critex.errors import CritexError, UnknownConcept
 from critex.io_eval import to_json
 from critex.kb import KbEntry, KnowledgeBase
-from critex.pipeline import PipelineConfig, _Competitors, annotate_record
+from critex.linker import _Competitors
+from critex.pipeline import PipelineConfig, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
 from critex.syntax import DependencyParse, align_block, parse_blocks
@@ -199,6 +200,9 @@ class TestPublicSurface:
         ("syntax", "SyntacticSignal"),
         ("syntax", "SignalSource"),
         ("io_eval", "CorpusFormat"),
+        ("linker", "ConceptColumns"),
+        ("linker", "link_attribute"),
+        ("syntax", "path_distance"),
     ])
     def test_removed_names_are_gone(self, module, name):
         assert name not in critex.__all__
@@ -531,6 +535,11 @@ class TestFuzz:
         assert to_json(again, extended=True) == to_json(record, extended=True)
 
 
+JOINED_CORPUS = " ".join(
+    p.read_text(encoding="utf-8").strip() for p in sorted(mini_corpus_dir().glob("*.txt"))
+)
+
+
 class TestPinnedOutput:
     """Pinned sha256 of ``annotate --mode paragraphs --cross-sentence
     --extended`` stdout: the cross-sentence fast paths must reproduce the
@@ -551,13 +560,24 @@ class TestPinnedOutput:
 
     def test_corpus_joined_into_one_record(self, capsys, tmp_path):
         path = tmp_path / "corpus.txt"
-        path.write_text(
-            " ".join(
-                p.read_text(encoding="utf-8").strip()
-                for p in sorted(mini_corpus_dir().glob("*.txt"))
-            ),
-            encoding="utf-8",
-        )
+        path.write_text(JOINED_CORPUS, encoding="utf-8")
         assert self._digest(capsys, path) == (
             "f475cb4b379a63ef30f04b75bea17ec07047dae9ea6dc6d0d7c4adb94536d531"
+        )
+
+    def test_relation_rows_over_a_config_grid(self, mini_kb):
+        # the linker's settings on the joined corpus: a tau that zeroes
+        # most far weights, the default and one that zeroes none, both
+        # mixture endpoints and the middle, with and without a penalty
+        digest = hashlib.sha256()
+        for mode in SplitMode:
+            for tau in (0.01, 2.0, 50.0):
+                for theta in (0.0, 0.5, 1.0):
+                    for penalty in (0.0, 5.0):
+                        config = PipelineConfig(mode=mode, cross_sentence=True, tau=tau,
+                                                theta=theta, boundary_penalty=penalty)
+                        rows = _relation_rows(JOINED_CORPUS, mini_kb, config)
+                        digest.update(repr(rows).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "d4c60801201d8bee0a9b46a0433f3eea111214555523c5c5bc881f43fd378777"
         )

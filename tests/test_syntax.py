@@ -19,7 +19,6 @@ from critex.syntax import (
     heuristic_distance,
     p_dep,
     parse_blocks,
-    path_distance,
     path_distances,
 )
 
@@ -136,7 +135,7 @@ class TestPathDistance:
         )
         # span head of the attribute is its last token kg/m^2 (6);
         # hand-counted path: kg/m^2 -> 40 -> Index = 2 edges
-        distance = path_distance(parse, e, a)
+        distance = path_distances(parse, a, [e])[0]
         assert type(distance) is float
         assert distance == 2
 
@@ -145,7 +144,7 @@ class TestPathDistance:
         parse = parse_of("1\tpain\t0\troot\n", sentence)
         e = entity(sentence, "pain")
         a = attribute(sentence, "pain", AttributeKind.QUALIFIER, values=())
-        assert path_distance(parse, e, a) == 0
+        assert path_distances(parse, a, [e])[0] == 0
 
     def test_pressure_closer_than_ecg_in_tree(self):
         # Hand-drawn tree for the ECG / blood-pressure sentence; path
@@ -173,8 +172,9 @@ class TestPathDistance:
         sentence = sentence_of(text)
         parse = parse_of("".join(f"{i}\t{f}\t{h}\t{d}\n" for i, f, h, d in rows), sentence)
         a = attribute(sentence, "140/90 mmHg", AttributeKind.RATIO, values=(140, 90))
-        d_pressure = path_distance(parse, entity(sentence, "blood pressure"), a)
-        d_ecg = path_distance(parse, entity(sentence, "ECG"), a)
+        d_pressure, d_ecg = path_distances(
+            parse, a, [entity(sentence, "blood pressure"), entity(sentence, "ECG")]
+        )
         assert d_pressure == 2
         assert d_ecg == 4
         assert d_pressure < d_ecg
@@ -184,11 +184,11 @@ class TestPathDistance:
         parse = parse_of(BMI_PARSE_TEXT, sentence)
         e = entity(sentence, "Body Mass Index")
         a = attribute(sentence, "≤ 40 kg/m^2", AttributeKind.COMPARISON, values=(40,))
-        forward = path_distance(parse, e, a)
+        forward = path_distances(parse, a, [e])[0]
         # swap the span roles: distance is over tree nodes, so it must match
         e_as_attr = attribute(sentence, "Body Mass Index", AttributeKind.QUALIFIER, values=())
         a_as_entity = entity(sentence, "≤ 40 kg/m^2")
-        assert path_distance(parse, a_as_entity, e_as_attr) == forward
+        assert path_distances(parse, e_as_attr, [a_as_entity])[0] == forward
 
 
 class TestHeuristicDistance:
@@ -368,7 +368,7 @@ class TestPathDistanceOracle:
         ]
         expected = [oracles.path_distance(parse, e, a) for e in entities]
         assert path_distances(parse, a, entities) == expected
-        assert [path_distance(parse, e, a) for e in entities] == expected
+        assert [path_distances(parse, a, [e])[0] for e in entities] == expected
 
     def test_deep_chain_costs_one_search_per_attribute(self):
         # 2,000 entities on a 20,000-token chain, the attribute at its root:
