@@ -33,6 +33,7 @@ from .errors import (
     RecordMismatch,
     SpanMismatch,
 )
+from .floats import left_sum
 
 ENTITY_LABELS = frozenset({"Entity"})
 ATTRIBUTE_LABELS = frozenset({"Attribute", "Value", "Temporal", "Qualifier"})
@@ -494,9 +495,9 @@ def evaluate(
     for key, counts_list in per_record.items():
         n = len(counts_list)
         macro[key] = (
-            sum(c.precision for c in counts_list) / n,
-            sum(c.recall for c in counts_list) / n,
-            sum(c.f1 for c in counts_list) / n,
+            left_sum(c.precision for c in counts_list) / n,
+            left_sum(c.recall for c in counts_list) / n,
+            left_sum(c.f1 for c in counts_list) / n,
         )
     return EvalReport(micro=micro, macro=macro, n_records=len(pred_by_id))
 

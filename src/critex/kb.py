@@ -238,9 +238,12 @@ def compatibility_terms(
     """``(value, unit_term, pattern_term, range_term)`` of an attribute.
 
     ``shape`` is ``attribute_shape(attribute)``; a caller scoring one
-    attribute against many entries derives it once.  Non-numeric attributes
-    (temporal, frequency, qualifier) are judged by the pattern term only;
-    their unit and range terms are vacuous and score the neutral share.
+    attribute against many entries derives it once.  Of the attribute, only
+    ``shape``, ``unit`` and ``values`` are read, so attributes that agree on
+    those score alike (the linker shares their ``p_sup``).  Non-numeric
+    attributes (temporal, frequency, qualifier) are judged by the pattern
+    term only; their unit and range terms are vacuous and score the neutral
+    share.
     """
 
     numeric = shape is not AttributeShape.NONNUMERIC

@@ -15,16 +15,20 @@ from an attribute that their softmin weight ``exp(-(d - d_min) / tau)`` is
 exactly 0.0.  Those far competitors are settled by concept id alone, and
 the result stays bit for bit the one of scoring every entity:
 
-- a weight of 0.0 leaves the ``p_dep`` total unchanged (also under the
-  compensated ``sum()`` of CPython 3.12), so the near entities keep their
-  ``p_dep`` and a far entity's is exactly 0.0;
+- a weight of 0.0 leaves the ``p_dep`` total unchanged (totals add left
+  to right, :func:`~critex.floats.left_sum`, the same on every Python), so
+  the near entities keep their ``p_dep`` and a far entity's is exactly 0.0;
 - a far entity thus scores ``theta * p_sup + (1 - theta) * 0.0``, which its
   concept alone decides; the best far score is that of the far concept
-  with the largest compatibility, found without a per-entity loop;
+  with the largest compatibility, found from each concept's first and last
+  mention without a per-entity loop;
 - the ``p_sup`` total still sums every competitor, near and far, in
-  mention order;
-- far entities get a distance only when their score reaches the best near
-  score, and then enter the same tie-break.
+  mention order; attributes whose competitors are every mention of the
+  record share that ``p_sup`` when they share the shape, unit and values
+  that compatibility reads;
+- far entities enter the tie-break only when their score reaches the best
+  near score, and then only the one that can win it is listed, with its
+  distance.
 
 Every setting (``theta``, ``min_score``, the compatibility ``weights``, the
 softmin temperature ``tau`` and the ``boundary_penalty`` of distances)
@@ -33,7 +37,8 @@ validates them when it is created.
 
 The routine works on plain lists built once per record, with one float per
 near competitor, and builds no object per entity-attribute pair, so a long
-record's linking stays a few list passes per attribute.
+record's linking costs each attribute its window plus a pass over the
+record's distinct concepts.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
 from .errors import UnknownConcept
+from .floats import left_sum
 from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase, compatibility_terms
 from .segmentation import SentenceRecord
 from .syntax import (
@@ -108,7 +114,7 @@ def _p_sup(
         if entry is not None:
             raw[concept_id] = compatibility_terms(entry, attribute, shape, weights)[0]
     try:
-        total = sum(map(raw.__getitem__, competitors))
+        total = left_sum(map(raw.__getitem__, competitors))
     except KeyError as exc:  # the first competitor whose concept is unknown
         raise UnknownConcept(f"concept {exc.args[0]} not in knowledge base") from None
     if total > 0:
@@ -179,10 +185,10 @@ class _Competitors:
 
     Built once per record over the mentions, which come ordered by
     ``(sentence_index, start)`` and do not overlap: their sentence indexes
-    and, with cross-sentence linking, their concept ids and global token
-    positions.  :meth:`of` lists an attribute's competitors in mention
-    order with their distances; :meth:`link` links the attribute and gives
-    a distance only to the competitors inside its softmin window.
+    and, with cross-sentence linking, their concept ids, global token
+    positions and each concept's mention indexes.  :meth:`link` links an
+    attribute and gives a distance only to the competitors inside its
+    softmin window.
 
     The window is exact.  Mentions are ordered and disjoint, so the
     cross-sentence distance never increases as a mention gets closer to the
@@ -193,6 +199,28 @@ class _Competitors:
     and a suffix of the mention list.  Two bisections find their ends, each
     evaluating that very expression; the mentions past them are the far
     competitors of the module docstring.
+
+    Outside the window an attribute costs O(distinct concepts), not
+    O(mentions):
+
+    - ``p_sup`` once per signature.  When no entity span holds the
+      attribute, every mention of the record competes, in mention order,
+      and compatibility reads only the attribute's ``(attribute_shape,
+      unit, values)``; attributes with the same signature share one
+      ``p_sup``, computed on first use.  An attribute inside an entity span
+      has one competitor fewer and computes its own.
+    - The far maximum from concept occurrences.  A concept has a far
+      mention when its first mention lies before the window or its last
+      one after it, so the best far ``p_sup`` is a maximum over concepts.
+    - A bounded tie listing.  A far mention's character gap is infinite,
+      so among far mentions that tie the best near score the smallest
+      distance wins, then the leftmost mention.  Only that one is listed:
+      a bisection of each tied concept's mention indexes finds its nearest
+      mention on each side, and ahead of the window, a walk back over its
+      mentions at the same distance finds the leftmost.
+
+    Every :meth:`link` call on one instance must pass the same knowledge
+    base, on which the shared ``p_sup`` results depend.
     """
 
     def __init__(
@@ -216,7 +244,11 @@ class _Competitors:
             self._lefts = [left for left, _ in spans]
             self._rights = [right for _, right in spans]
             self._concepts = [m.concept_id for m in mentions]
-            self._distinct = tuple(dict.fromkeys(self._concepts))
+            self._occurrences: dict[str, list[int]] = {}
+            for i, concept_id in enumerate(self._concepts):
+                self._occurrences.setdefault(concept_id, []).append(i)
+            self._distinct = tuple(self._occurrences)
+            self._sup_by_signature: dict[tuple, dict[str, float]] = {}
 
     def _clauses(self, sentence_index: int) -> ClauseIndex:
         """The sentence's :class:`ClauseIndex`, built on first use."""
@@ -274,59 +306,34 @@ class _Competitors:
             ]
         return lo, hi, others, local, distances
 
-    def _ahead(self, left: int, s_a: int, start: int, stop: int) -> list[float]:
-        """Distances of the mentions ``start:stop``, of sentences before
-        ``s_a``, to a span of sentence ``s_a`` at global token ``left``.
+    def _ahead(self, left: int, s_a: int, i: int) -> float:
+        """Distance of mention ``i``, of a sentence before ``s_a``, to a
+        span of sentence ``s_a`` at global token ``left``.
 
-        The tokens strictly between the spans plus ``boundary_penalty``
-        per sentence boundary crossed.
+        The tokens strictly between the spans plus ``boundary_penalty`` per
+        sentence boundary crossed.
         """
 
-        penalty = self._penalty
-        return [
-            float(left - r) + penalty * (s_a - s)
-            for r, s in zip(self._rights[start:stop], self._sentence_of[start:stop])
-        ]
+        return float(left - self._rights[i]) + self._penalty * (s_a - self._sentence_of[i])
 
-    def _behind(self, right: int, s_a: int, start: int, stop: int) -> list[float]:
-        """Distances of the mentions ``start:stop``, of sentences after
-        ``s_a``, to a span of sentence ``s_a`` ending at global token
-        ``right``; counted as in :meth:`_ahead`.
+    def _behind(self, right: int, s_a: int, j: int) -> float:
+        """Distance of mention ``j``, of a sentence after ``s_a``, to a span
+        of sentence ``s_a`` ending at global token ``right``; counted as in
+        :meth:`_ahead`.
         """
 
-        penalty = self._penalty
-        return [
-            float(l - right) + penalty * (s - s_a)
-            for l, s in zip(self._lefts[start:stop], self._sentence_of[start:stop])
-        ]
-
-    def of(self, a: AttributeMention) -> tuple[list[EntityMention], list[float]]:
-        """``a``'s competitors and their distances to it, all of them.
-
-        Entities of ``a``'s sentence compete as :meth:`_local` says; with
-        cross-sentence linking every other entity competes too, at the
-        distance of :meth:`_ahead` or :meth:`_behind`.
-        """
-
-        lo, hi, others, local, distances = self._local(a)
-        if not others:
-            return local, distances
-        mentions, s_a = self._mentions, a.sentence_index
-        left, right = self._position(a)
-        return (
-            mentions[:lo] + local + mentions[hi:],
-            self._ahead(left, s_a, 0, lo)
-            + distances
-            + self._behind(right, s_a, hi, len(mentions)),
-        )
+        return float(self._lefts[j] - right) + self._penalty * (self._sentence_of[j] - s_a)
 
     def link(self, a: AttributeMention, kb: KnowledgeBase) -> Relation | None:
         """Link ``a`` to the best of its competitors, or None.
 
-        The relation of scoring every competitor of :meth:`of`, bit for
-        bit; only the near competitors, inside the softmin window (see the
-        class docstring), are listed with distances.  Returns None when no
-        entity competes or the best score is below ``min_score``.  Raises
+        The relation of scoring every competitor, bit for bit: the entities
+        of ``a``'s sentence but those whose span holds ``a`` and, with
+        cross-sentence linking, every other entity of the record, at the
+        distance of :meth:`_ahead` or :meth:`_behind`.  Only the near
+        competitors, inside the softmin window (see the class docstring),
+        are listed with distances.  Returns None when no entity competes or
+        the best score is below ``min_score``.  Raises
         :class:`UnknownConcept` for the first competitor whose concept is
         not in ``kb``.
         """
@@ -334,56 +341,91 @@ class _Competitors:
         lo, hi, others, entities, distances = self._local(a)
         if not (entities or others):
             return None
+        config = self._config
         near = [e.concept_id for e in entities]
-        before = after = ()
         if others:
             mentions, concepts, n = self._mentions, self._concepts, len(self._mentions)
-            s_a, tau = a.sentence_index, self._config.tau
+            s_a, tau = a.sentence_index, config.tau
+            ahead, behind = self._ahead, self._behind
             left, right = self._position(a)
+            held = len(entities) < hi - lo  # an entity span holds a
             d_min = min(distances, default=math.inf)
             if lo:
-                d_min = min(d_min, self._ahead(left, s_a, lo - 1, lo)[0])
+                d_min = min(d_min, ahead(left, s_a, lo - 1))
             if hi < n:
-                d_min = min(d_min, self._behind(right, s_a, hi, hi + 1)[0])
+                d_min = min(d_min, behind(right, s_a, hi))
             # mentions first:lo ahead and hi:last behind have a non-zero weight
-            first = _first_weighted(
-                lambda i: self._ahead(left, s_a, i, i + 1)[0], lo, d_min, tau
-            )
+            first = _first_weighted(lambda i: ahead(left, s_a, i), lo, d_min, tau)
             last = n - _first_weighted(
-                lambda k: self._behind(right, s_a, n - 1 - k, n - k)[0], n - hi, d_min, tau
+                lambda k: behind(right, s_a, n - 1 - k), n - hi, d_min, tau
             )
             entities = mentions[first:lo] + entities + mentions[hi:last]
             distances = (
-                self._ahead(left, s_a, first, lo)
+                [ahead(left, s_a, i) for i in range(first, lo)]
                 + distances
-                + self._behind(right, s_a, hi, last)
+                + [behind(right, s_a, j) for j in range(hi, last)]
             )
             near = concepts[first:lo] + near + concepts[hi:last]
-            before, after = concepts[:first], concepts[last:]
-        scored = self._distinct if others else dict.fromkeys(near)
+            if held:
+                sup = _p_sup(
+                    a, self._distinct, chain(concepts[:first], near, concepts[last:]),
+                    first + len(near) + n - last, kb, config.weights,
+                )
+            else:
+                signature = (attribute_shape(a), a.unit, a.values)
+                sup = self._sup_by_signature.get(signature)
+                if sup is None:
+                    sup = self._sup_by_signature[signature] = _p_sup(
+                        a, self._distinct, concepts, n, kb, config.weights
+                    )
+        else:
+            sup = _p_sup(a, dict.fromkeys(near), near, len(near), kb, config.weights)
 
-        config = self._config
         weights = softmin_weights(distances, tau=config.tau)
-        sup = _p_sup(
-            a, scored, chain(before, near, after), len(before) + len(near) + len(after),
-            kb, config.weights,
-        )
-        scores = _mix(map(sup.__getitem__, near), weights, config.theta, sum(weights))
-        if before or after:
+        scores = _mix(map(sup.__getitem__, near), weights, config.theta, left_sum(weights))
+        if others and (first or last < n):
             # a far entity's p_dep is 0.0, so its score follows from its concept,
             # and the mixture grows with p_sup
-            far_sup = max(map(sup.__getitem__, chain(before, after)))
+            far_sup = max(
+                sup[c]
+                for c, occurrences in self._occurrences.items()
+                if occurrences[0] < first or occurrences[-1] >= last
+            )
             best = _mix([far_sup], [0.0], config.theta)[0]
             if best >= max(scores):
-                far_score = dict(zip(sup, _mix(sup.values(), repeat(0.0), config.theta)))
-                best_concepts = {c for c, score in far_score.items() if score == best}
-                ahead = [i for i in range(first) if concepts[i] in best_concepts]
-                behind = [j for j in range(last, n) if concepts[j] in best_concepts]
-                entities += [mentions[k] for k in ahead + behind]
-                distances += [self._ahead(left, s_a, i, i + 1)[0] for i in ahead]
-                distances += [self._behind(right, s_a, j, j + 1)[0] for j in behind]
-                scores += [best] * (len(ahead) + len(behind))
+                far_score = zip(sup, _mix(sup.values(), repeat(0.0), config.theta))
+                tied = [c for c, score in far_score if score == best]
+                distance, k = self._nearest_far(tied, left, right, s_a, first, last)
+                entities.append(mentions[k])
+                distances.append(distance)
+                scores.append(best)
         return _pick(a, entities, distances, scores, config.min_score)
+
+    def _nearest_far(
+        self, tied: Iterable[str], left: int, right: int, s_a: int, first: int, last: int
+    ) -> tuple[float, int]:
+        """``(distance, index)`` of the far mention that ``_pick`` prefers
+        among the mentions of the ``tied`` concepts outside ``first:last``.
+
+        Their character gaps are all infinite, so the smallest distance
+        wins, then the leftmost mention.  At least one tied concept must
+        have a mention outside the window.
+        """
+
+        ahead, behind = self._ahead, self._behind
+        found = []
+        for c in tied:
+            occurrences = self._occurrences[c]
+            k = bisect_left(occurrences, first)
+            if k:  # the last mention ahead is the nearest; walk back over equals
+                d = ahead(left, s_a, occurrences[k - 1])
+                while k > 1 and ahead(left, s_a, occurrences[k - 2]) == d:
+                    k -= 1
+                found.append((d, occurrences[k - 1]))
+            k = bisect_left(occurrences, last)
+            if k < len(occurrences):  # the first mention behind is the nearest
+                found.append((behind(right, s_a, occurrences[k]), occurrences[k]))
+        return min(found)
 
 
 def _first_weighted(distance, stop: int, d_min: float, tau: float) -> int:

@@ -24,6 +24,7 @@ from typing import Sequence
 from .attributes import AttributeMention
 from .entities import EntityMention
 from .errors import CycleDetected, ParseMismatch
+from .floats import left_sum
 from .segmentation import SentenceRecord
 
 DEFAULT_TAU = 2.0
@@ -266,5 +267,5 @@ def p_dep(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
     """
 
     weights = softmin_weights(distances, tau)
-    total = sum(weights)
+    total = left_sum(weights)
     return [w / total for w in weights]

@@ -1,6 +1,7 @@
 import pytest
 
 from critex import bundled_kb_path, load_kb
+from critex.kb import KbEntry, KnowledgeBase
 
 CRITERION_LINE = "Body Mass Index ≤ 40 kg/m^2"
 
@@ -24,6 +25,23 @@ PARAGRAPH_TWO = (
 @pytest.fixture(scope="session")
 def mini_kb():
     return load_kb(bundled_kb_path())
+
+
+@pytest.fixture(scope="session")
+def held_kb(mini_kb):
+    """The bundled KB plus terms that hold an attribute.
+
+    The entity scan takes "12-lead ECG" and "resting heart rate" whole, and
+    the attribute grammar still finds the qualifiers "12-lead" and
+    "resting" inside them.
+    """
+
+    return KnowledgeBase.build([
+        *mini_kb.entries,
+        KbEntry(concept_id="LOCAL:ecg12", preferred_term="12-lead ECG",
+                synonyms=("12-lead electrocardiograph",)),
+        KbEntry(concept_id="LOCAL:rhr", preferred_term="resting heart rate"),
+    ])
 
 
 @pytest.fixture()

@@ -31,6 +31,7 @@ from critex.entities import (
     _initials_match,
 )
 from critex.errors import CycleDetected, UnknownConcept
+from critex.floats import left_sum
 from critex.kb import DEFAULT_WEIGHTS, Category, score_compatibility, term_key
 from critex.linker import Relation, relation_label
 from critex.segmentation import (
@@ -59,6 +60,29 @@ def cross_sentence_distance(sentences, e, a, boundary_penalty):
         gap += len(sentences[idx].tokens)
     crossed = last[0] - first[0]
     return float(gap) + boundary_penalty * crossed
+
+
+def competitors_of(competitors, a):
+    """``a``'s competitors and their distances to it, all of them.
+
+    ``competitors`` is a ``critex.linker._Competitors``.  This is the
+    assembly of ``_Competitors.link`` without its softmin window: the
+    entities of ``a``'s sentence as ``_local`` lists them and, with
+    cross-sentence linking, every other entity of the record, in mention
+    order, at the distance of ``_ahead`` or ``_behind``.
+    """
+
+    lo, hi, others, local, distances = competitors._local(a)
+    if not others:
+        return local, distances
+    mentions, s_a = competitors._mentions, a.sentence_index
+    left, right = competitors._position(a)
+    return (
+        mentions[:lo] + local + mentions[hi:],
+        [competitors._ahead(left, s_a, i) for i in range(lo)]
+        + distances
+        + [competitors._behind(right, s_a, j) for j in range(hi, len(mentions))],
+    )
 
 
 class Signal(NamedTuple):
@@ -190,7 +214,7 @@ def p_dep(signals, tau):
         raise ValueError("tau must be positive")
     d_min = min(s.distance for s in signals)
     weights = [math.exp(-(s.distance - d_min) / tau) for s in signals]
-    total = sum(weights)
+    total = left_sum(weights)
     return [w / total for w in weights]
 
 
@@ -208,7 +232,7 @@ def p_sup(candidates, kb, weights=DEFAULT_WEIGHTS):
         if entry is None:
             raise UnknownConcept(f"concept {c.entity.concept_id} not in knowledge base")
         raw.append(score_compatibility(entry, c.attribute, weights).value)
-    total = sum(raw)
+    total = left_sum(raw)
     if total > 0:
         return [r / total for r in raw]
     return [1.0 / len(raw)] * len(raw)

@@ -1,9 +1,9 @@
 """Competitor selection, the theta mixture, and per-attribute assignment.
 
 One routine links an attribute, ``_Competitors.link``; the tests here
-drive its steps one at a time: ``_Competitors.of`` (which entities compete
-for an attribute, at what distance), ``_p_sup``, ``_mix`` and ``_pick``,
-and check ``link`` against them.  The property tests of the mixture and
+drive its steps one at a time: ``oracles.competitors_of`` (which entities
+compete for an attribute, at what distance), ``_p_sup``, ``_mix`` and
+``_pick``, and check ``link`` against them.  The property tests of the mixture and
 the tie-break draw random scores and distances for each attribute's
 competitors and hand them to ``_mix`` and ``_pick`` attribute by attribute;
 they hold them in the ``RelationCandidate`` objects of the test oracles.
@@ -72,7 +72,8 @@ def competing_pairs(entities, attributes, cross_sentence=False):
     competitors = _Competitors(
         SENTENCES, entities, PipelineConfig(cross_sentence=cross_sentence), None
     )
-    return [(e, a) for a in attributes for e in competitors.of(a)[0]]
+    return [(e, a) for a in attributes
+            for e in oracles.competitors_of(competitors, a)[0]]
 
 
 class TestGenerateCandidates:
@@ -201,7 +202,9 @@ class TestLinkAttribute:
         ):
             config = PipelineConfig(theta=theta, tau=tau, weights=weights, min_score=0.0)
             competitors = _Competitors(SENTENCES, entities, config, None)
-            assert competitors.of(self.RATIO) == (entities, distances)
+            assert oracles.competitors_of(competitors, self.RATIO) == (
+                entities, distances
+            )
             relation = competitors.link(self.RATIO, TestPSup.KB)
             sup = sup_list(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
             scores = _mix(sup, p_dep(distances, tau), theta)

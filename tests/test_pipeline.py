@@ -12,13 +12,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import critex
 import oracles
-from critex import pipeline
-from critex.attributes import AttributeKind, AttributeMention, extract_attributes
+from critex import linker, pipeline
+from critex.attributes import (
+    AttributeKind,
+    AttributeMention,
+    attribute_shape,
+    extract_attributes,
+)
 from critex.cli import main
 from critex.entities import EntityMention, link_abbreviations, recognize_entities
 from critex.errors import CritexError, UnknownConcept
 from critex.io_eval import to_json
-from critex.kb import KbEntry, KnowledgeBase
+from critex.kb import KbEntry, KnowledgeBase, compatibility_terms
 from critex.linker import _Competitors
 from critex.pipeline import PipelineConfig, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
@@ -95,7 +100,9 @@ class TestCandidateCount:
 
         def count(config):
             competitors = _Competitors(sentences, mentions, config, None)
-            return sum(len(competitors.of(a)[0]) for a in attributes)
+            return sum(
+                len(oracles.competitors_of(competitors, a)[0]) for a in attributes
+            )
 
         assert count(PARAGRAPH_CONFIG) == 8
         cross = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True)
@@ -252,7 +259,7 @@ class TestCrossSentenceOracles:
         )
         competitors = _Competitors(sentences, mentions, config, None)
         for a in attributes:
-            entities, distances = competitors.of(a)
+            entities, distances = oracles.competitors_of(competitors, a)
             for e, distance in zip(entities, distances):
                 if e.sentence_index != a.sentence_index:
                     expected = oracles.cross_sentence_distance(sentences, e, a, penalty)
@@ -282,7 +289,7 @@ class TestCrossSentenceOracles:
         a = AttributeMention(j, *span(j), "a", AttributeKind.QUALIFIER)
         competitors = _Competitors(sentences, [e], CROSS_CONFIG, None)
         expected = oracles.cross_sentence_distance(sentences, e, a, 5.0)
-        assert competitors.of(a) == ([e], [expected])
+        assert oracles.competitors_of(competitors, a) == ([e], [expected])
 
     @given(
         text=MULTI_SENTENCE,
@@ -331,7 +338,10 @@ def _oracle_rows(text, kb, config, parses=None):
 # Tie-heavy records: few concepts, each repeated, and attributes flanked by
 # the same words on both sides, so that scores, distances and character gaps
 # tie and every rule of the tie-break decides some attributes.
-TIE_ENTITIES = ("blood pressure", "BP", "ECG", "heart rate", "glucose", "pain", "BMI")
+# "12-lead ECG" and "resting heart rate" hold an attribute under the
+# ``held_kb`` fixture.
+TIE_ENTITIES = ("blood pressure", "BP", "ECG", "heart rate", "glucose", "pain", "BMI",
+                "12-lead ECG", "resting heart rate")
 TIE_ATTRIBUTES = (
     "140/90 mmHg", "21-45", "less than 5 kg", "60-100 bpm", "within three days",
     "12-lead", "≤ 40 kg/m^2", "at least twice a week",
@@ -382,27 +392,30 @@ class TestLinkerChainOracle:
         cross_sentence=st.booleans(),
         theta=st.sampled_from((0.0, 0.5, 1.0)),
         with_parses=st.booleans(),
+        held=st.booleans(),
         seed=st.integers(0, 2**16),
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
     def test_relations_and_scores_bit_for_bit(
-        self, mini_kb, text, mode, cross_sentence, theta, with_parses, seed, data
+        self, mini_kb, held_kb, text, mode, cross_sentence, theta, with_parses, held, seed,
+        data,
     ):
+        kb = held_kb if held else mini_kb
         parses = None
         if with_parses:
             parses = _random_parses(split_records(text, mode), random.Random(seed))
         config = PipelineConfig(mode=mode, cross_sentence=cross_sentence, theta=theta,
                                 min_score=0.0)
-        rows = _oracle_rows(text, mini_kb, config, parses)
-        assert _relation_rows(text, mini_kb, config, parses) == rows
+        rows = _oracle_rows(text, kb, config, parses)
+        assert _relation_rows(text, kb, config, parses) == rows
         if rows:
             # a threshold exactly at a winner's score keeps that winner
             score = float.fromhex(data.draw(st.sampled_from([r[3] for r in rows])))
             config = replace(config, min_score=score)
-            kept = _oracle_rows(text, mini_kb, config, parses)
+            kept = _oracle_rows(text, kb, config, parses)
             assert any(r[3] == float.hex(score) for r in kept)
-            assert _relation_rows(text, mini_kb, config, parses) == kept
+            assert _relation_rows(text, kb, config, parses) == kept
 
     @given(
         text=tie_heavy_texts(),
@@ -441,7 +454,8 @@ class TestSoftminWindow:
 
         sentences, mentions, attributes = _front_end(text, kb)
         (a,) = attributes
-        entities, distances = _Competitors(sentences, mentions, config, None).of(a)
+        competitors = _Competitors(sentences, mentions, config, None)
+        entities, distances = oracles.competitors_of(competitors, a)
         d_min = min(distances)
         return {
             (e.surface, e.sentence_index): math.exp(-(d - d_min) / config.tau)
@@ -474,6 +488,19 @@ class TestSoftminWindow:
         }
         assert self._linked(self.TEXT, mini_kb, config) == [("Blood pressure", 0)]
 
+    def test_far_tie_at_one_distance_goes_to_the_leftmost_mention(self, mini_kb):
+        # under a penalty of 1e17 both blood pressure mentions of sentence 0
+        # lie at distance 1e17 from the attribute; theta 1.0 ties them
+        text = "Blood pressure, then blood pressure again. ECG 140/90 mmHg"
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
+                                boundary_penalty=1e17, theta=1.0, min_score=0.0)
+        sentences, mentions, (a,) = _front_end(text, mini_kb)
+        _, distances = oracles.competitors_of(
+            _Competitors(sentences, mentions, config, None), a
+        )
+        assert distances == [1e17, 1e17, 0.0]
+        assert self._linked(text, mini_kb, config) == [("Blood pressure", 0)]
+
     def test_near_entity_wins_a_tie_with_a_far_one(self, mini_kb):
         text = "Blood pressure was taken. ECG, blood pressure 140/90 mmHg"
         config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
@@ -488,14 +515,73 @@ class TestSoftminWindow:
         tau=st.sampled_from((0.01, 0.03, 0.1, 0.3)),
         theta=st.sampled_from((0.0, 0.5, 0.9, 1.0)),
         min_score=st.sampled_from((0.0, 0.2)),
+        penalty=st.sampled_from((0.0, 1e17)),
+        held=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_chain_when_most_entities_are_far(
-        self, mini_kb, text, tau, theta, min_score
+        self, mini_kb, held_kb, text, tau, theta, min_score, penalty, held
     ):
+        # a penalty of 1e17 rounds the distances of one sentence's mentions
+        # to one float, so far mentions of one concept tie on distance too
+        kb = held_kb if held else mini_kb
         config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True, tau=tau,
-                                theta=theta, boundary_penalty=0.0, min_score=min_score)
-        assert _relation_rows(text, mini_kb, config) == _oracle_rows(text, mini_kb, config)
+                                theta=theta, boundary_penalty=penalty, min_score=min_score)
+        assert _relation_rows(text, kb, config) == _oracle_rows(text, kb, config)
+
+
+class TestSharedPSup:
+    """Under cross-sentence linking, attributes of one signature share one
+    ``p_sup``; an attribute inside an entity span computes its own."""
+
+    # "Resting" lies inside "Resting heart rate"; "12-lead" is a qualifier
+    # of the same signature outside any entity
+    TEXT = "Resting heart rate 60-100 bpm. ECG 12-lead, blood pressure 140/90 mmHg."
+
+    def test_held_attribute_neither_reads_nor_writes_the_shared_p_sup(self, held_kb):
+        sentences, mentions, attributes = _front_end(self.TEXT, held_kb)
+        held, free = (a for a in attributes if a.kind is AttributeKind.QUALIFIER)
+        assert (held.surface, free.surface) == ("Resting", "12-lead")
+        expected = {
+            r.attribute: (r.entity, float.hex(r.score))
+            for r in oracles.link(sentences, mentions, attributes, held_kb, CROSS_CONFIG)
+        }
+        competitors = _Competitors(sentences, mentions, CROSS_CONFIG, None)
+
+        def link(a):
+            r = competitors.link(a, held_kb)
+            return r.entity, float.hex(r.score)
+
+        assert link(held) == expected[held]
+        assert competitors._sup_by_signature == {}
+        assert link(free) == expected[free]
+        assert len(competitors._sup_by_signature) == 1
+        assert link(held) == expected[held]
+
+    def test_compatibility_scored_once_per_signature_and_concept(
+        self, held_kb, monkeypatch
+    ):
+        scored = []
+
+        def counting(entry, attribute, *rest):
+            scored.append(attribute)
+            return compatibility_terms(entry, attribute, *rest)
+
+        monkeypatch.setattr(linker, "compatibility_terms", counting)
+        record = annotate_record("r", JOINED_CORPUS, held_kb, CROSS_CONFIG)
+        assert record.relations
+        sentences, mentions, attributes = _front_end(JOINED_CORPUS, held_kb)
+        held = [
+            a for a in attributes
+            if any(e.sentence_index == a.sentence_index and e.start <= a.start
+                   and a.end <= e.end for e in mentions)
+        ]
+        signatures = {
+            (attribute_shape(a), a.unit, a.values) for a in attributes if a not in held
+        }
+        concepts = {m.concept_id for m in mentions}
+        assert held
+        assert len(scored) <= (len(signatures) + len(held)) * len(concepts)
 
 
 # Arbitrary Unicode mixed with the clinical vocabulary the pipeline reacts to.

@@ -10,6 +10,7 @@ import oracles
 from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import CycleDetected, ParseMismatch
+from critex.floats import left_sum
 from critex.segmentation import SplitMode, split_records
 from critex.syntax import (
     ClauseIndex,
@@ -279,6 +280,23 @@ class TestPDep:
         order_by_distance = sorted(range(len(distances)), key=lambda i: distances[i])
         order_by_prob = sorted(range(len(probs)), key=lambda i: -probs[i])
         assert order_by_distance == order_by_prob
+
+
+class TestLeftSum:
+    """Float sums add left to right, uncompensated, on every Python.
+
+    From CPython 3.12 the built-in ``sum()`` compensates; the scores, and
+    the pinned digests of ``test_pipeline.py``, would change with it.
+    """
+
+    def test_the_rule(self):
+        # compensated addition gives 1.0
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_softmin_total(self):
+        # exp(-37) is below half an ulp of 1.0, so 1.0 plus two of them, one
+        # at a time, stays 1.0; compensated, the total is the next float up
+        assert p_dep([0.0, 37.0, 37.0], tau=1.0)[0] == 1.0
 
 
 def _outcome(fn, *args):
