@@ -10,11 +10,12 @@ from critex import (
     AttributeKind,
     AttributeMention,
     SplitMode,
+    attribute_shape,
     bundled_kb_path,
+    compatibility_terms,
     load_kb,
     mine_kb_candidates,
     normalize_unit,
-    score_compatibility,
     split_records,
 )
 
@@ -22,11 +23,14 @@ kb = load_kb(bundled_kb_path())
 print(f"bundled knowledge base: {len(kb.entries)} entries")
 
 # -- case-insensitive term lookup ---------------------------------------------
+# Each hit is an entry plus the term of it that fired.
 
 for phrase in ("Blood Pressure", "SSRIs", "ecg", "xyzzy"):
-    hits = kb.lookup(phrase)
-    shown = ", ".join(f"{e.preferred_term} [{e.concept_id}]" for e in hits) or "(no match)"
-    print(f"  kb.lookup({phrase!r:<18}) -> {shown}")
+    hits = kb.lookup_terms(phrase)
+    shown = ", ".join(
+        f"{e.preferred_term} [{e.concept_id}] via {term!r}" for e, term in hits
+    ) or "(no match)"
+    print(f"  kb.lookup_terms({phrase!r:<18}) -> {shown}")
 
 # -- unit normalization ---------------------------------------------------------
 
@@ -37,15 +41,16 @@ for surface in ("kg/m2", "kg per m2", "mm Hg", "banana"):
 # -- compatibility scoring ------------------------------------------------------
 # "115/75 mmHg" fits blood pressure on all three terms; "11-25" fits none.
 
-bp = kb.lookup("blood pressure")[0]
+((bp, _),) = kb.lookup_terms("blood pressure")
 ratio = AttributeMention(0, 0, 11, "115/75 mmHg", AttributeKind.RATIO,
                          values=(115, 75), unit="mmHg")
 bare = AttributeMention(0, 0, 5, "11-25", AttributeKind.RANGE, values=(11, 25))
 
 for attribute in (ratio, bare):
-    s = score_compatibility(bp, attribute)
-    print(f"\n  blood pressure vs {attribute.surface!r}: value={s.value:.3f}")
-    print(f"    unit={s.unit_term}, pattern={s.pattern_term}, range={s.range_term}")
+    shape = attribute_shape(attribute)
+    value, unit, pattern, range_ = compatibility_terms(bp, attribute, shape)
+    print(f"\n  blood pressure vs {attribute.surface!r}: value={value:.3f}")
+    print(f"    unit={unit}, pattern={pattern}, range={range_}")
 
 # -- candidate mining ------------------------------------------------------------
 # "<noun phrase> <connector> <number> [unit]" patterns become curated-entry

@@ -47,28 +47,21 @@ from .io_eval import (
 )
 from .kb import (
     Category,
-    CompatibilityScore,
     CompatibilityWeights,
     KbEntry,
     KnowledgeBase,
     ValuePattern,
+    compatibility_terms,
     import_tsv,
     load_kb,
     mine_kb_candidates,
     save_kb,
-    score_compatibility,
 )
 from .linker import Relation
 from .pipeline import PipelineConfig, annotate_record
 from .resources import bundled_kb_path, mini_corpus_dir
 from .segmentation import SentenceRecord, SplitMode, Token, TokenShape, split_records, tokenize
-from .syntax import (
-    ClauseIndex,
-    DependencyParse,
-    heuristic_distance,
-    p_dep,
-    path_distances,
-)
+from .syntax import DependencyParse
 from .units import normalize_unit
 
 __version__ = "0.1.0"
@@ -84,15 +77,14 @@ __all__ = [
     "ElementType", "EvalReport", "GoldAnnotation",
     "MatchMode", "RelationPair", "StructuredRecord", "evaluate",
     "from_json", "read_brat", "read_brat_dir", "read_corpus", "to_json",
-    "Category", "CompatibilityScore", "CompatibilityWeights", "KbEntry",
-    "KnowledgeBase", "ValuePattern", "import_tsv", "load_kb",
-    "mine_kb_candidates", "save_kb", "score_compatibility",
+    "Category", "CompatibilityWeights", "KbEntry", "KnowledgeBase",
+    "ValuePattern", "compatibility_terms", "import_tsv", "load_kb",
+    "mine_kb_candidates", "save_kb",
     "Relation",
     "PipelineConfig", "annotate_record",
     "bundled_kb_path", "mini_corpus_dir",
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",
     "tokenize",
-    "ClauseIndex", "DependencyParse", "heuristic_distance", "p_dep",
-    "path_distances",
+    "DependencyParse",
     "normalize_unit",
 ]

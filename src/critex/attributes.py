@@ -22,7 +22,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .segmentation import SentenceRecord, Token, TokenShape
-from .units import normalize_unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase
@@ -434,12 +433,12 @@ def _may_start(tok: Token) -> bool:
 
 def extract_attributes(
     sentence: SentenceRecord,
-    kb: "KnowledgeBase | None" = None,
+    kb: "KnowledgeBase",
     entity_spans: Sequence[tuple[int, int]] | None = None,
 ) -> list[AttributeMention]:
     """Parse all attribute expressions in a tokenized sentence.
 
-    ``kb`` supplies unit normalization (built-in table when ``None``).
+    ``kb`` supplies unit normalization.
     ``entity_spans`` (character spans of recognized entities) gates the
     closed-lexicon qualifiers, which must sit next to an entity; numeric
     compounds like "12-lead" do not need it.  Spans never overlap, and
@@ -447,7 +446,7 @@ def extract_attributes(
     among them, are skipped rather than partially emitted.
     """
 
-    normalize = normalize_unit if kb is None else kb.normalize_unit
+    normalize = kb.normalize_unit
     toks = sentence.tokens
     out: list[AttributeMention] = []
     i = 0

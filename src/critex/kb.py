@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .attributes import AttributeMention, AttributeShape, attribute_shape
+from .attributes import AttributeMention, AttributeShape
 from .errors import DuplicateConceptId, MalformedKb
 from .segmentation import SentenceRecord, TokenShape
 from .units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
@@ -62,11 +62,13 @@ class KbEntry:
     category: Category = Category.OTHER
 
     def __post_init__(self):
-        if not self.preferred_term:
-            raise MalformedKb(f"{self.concept_id}: empty preferred_term")
+        if not term_key(self.preferred_term):
+            raise MalformedKb(f"{self.concept_id}: blank preferred_term")
         seen = set()
         for syn in self.synonyms:
             key = term_key(syn)
+            if not key:
+                raise MalformedKb(f"{self.concept_id}: blank synonym: {syn!r}")
             if key == term_key(self.preferred_term):
                 raise MalformedKb(
                     f"{self.concept_id}: synonym duplicates preferred_term: {syn!r}"
@@ -74,6 +76,9 @@ class KbEntry:
             if key in seen:
                 raise MalformedKb(f"{self.concept_id}: duplicate synonym: {syn!r}")
             seen.add(key)
+        for unit in self.expected_units:
+            if not unit_key(unit):
+                raise MalformedKb(f"{self.concept_id}: blank expected unit: {unit!r}")
         if (
             self.value_min is not None
             and self.value_max is not None
@@ -124,11 +129,18 @@ class KnowledgeBase:
         entries: Iterable[KbEntry],
         extra_units: dict[str, str] | None = None,
     ) -> "KnowledgeBase":
-        """Index entries; their expected units are canonicalized here."""
+        """Index entries; their expected units are canonicalized here.
+
+        Raises :class:`MalformedKb` for a blank unit variant or canonical form.
+        """
 
         unit_table = dict(DEFAULT_UNIT_TABLE)
-        if extra_units:
-            unit_table.update({unit_key(k): v for k, v in extra_units.items()})
+        for variant, canonical in (extra_units or {}).items():
+            if not unit_key(variant) or not unit_key(canonical):
+                raise MalformedKb(
+                    f"blank unit variant or canonical form: {variant!r} -> {canonical!r}"
+                )
+            unit_table[unit_key(variant)] = canonical
         entries = tuple(_canonicalize_entry_units(e, unit_table) for e in entries)
         by_id: dict[str, KbEntry] = {}
         for entry in entries:
@@ -152,8 +164,7 @@ class KnowledgeBase:
     def normalize_unit(self, surface: str) -> str | None:
         """Canonical unit for a surface form in this KB's table, or None."""
 
-        key = unit_key(surface)
-        return self.unit_table.get(key) if key else None
+        return self.unit_table.get(unit_key(surface))
 
     def lookup_terms(self, phrase: str) -> tuple[tuple[KbEntry, str], ...]:
         """Matching (entry, fired term) pairs for a surface phrase."""
@@ -164,14 +175,6 @@ class KnowledgeBase:
             if node is None:
                 return ()
         return node.hits
-
-    def lookup(self, phrase: str) -> list[KbEntry]:
-        """Case-insensitive exact match over preferred terms and synonyms."""
-
-        return [entry for entry, _ in self.lookup_terms(phrase)]
-
-    def entry(self, concept_id: str) -> KbEntry | None:
-        return self.by_id.get(concept_id)
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +201,6 @@ DEFAULT_WEIGHTS = CompatibilityWeights()
 _NEUTRAL = 0.5  # share contributed by a constraint the entry does not declare
 
 
-@dataclass(frozen=True)
-class CompatibilityScore:
-    """Weighted agreement between an entry's constraints and an attribute.
-
-    Each term contributes 1.0 when it matches, 0.0 when it conflicts, and
-    a neutral 0.5 when the entry does not constrain it (or the attribute is
-    non-numeric and the term is vacuous), so
-    ``value == w_u * unit_term + w_p * pattern_term + w_r * range_term``.
-    """
-
-    value: float
-    unit_matched: bool
-    pattern_matched: bool
-    range_matched: bool
-    unit_term: float
-    pattern_term: float
-    range_term: float
-
-
 def _pattern_term(entry: KbEntry, shape: AttributeShape) -> float:
     if entry.value_pattern is None:
         return _NEUTRAL
@@ -235,7 +219,12 @@ def compatibility_terms(
     shape: AttributeShape,
     weights: CompatibilityWeights = DEFAULT_WEIGHTS,
 ) -> tuple[float, float, float, float]:
-    """``(value, unit_term, pattern_term, range_term)`` of an attribute.
+    """How well an attribute fits an entry's constraints, with its terms.
+
+    Returns ``(value, unit_term, pattern_term, range_term)``.  Each term is
+    1.0 when it matches, 0.0 when it conflicts, and a neutral 0.5 when the
+    entry does not constrain it, so ``value`` is ``w_u * unit_term +
+    w_p * pattern_term + w_r * range_term``, clamped to ``[0, 1]``.
 
     ``shape`` is ``attribute_shape(attribute)``; a caller scoring one
     attribute against many entries derives it once.  Of the attribute, only
@@ -273,27 +262,6 @@ def compatibility_terms(
     return min(1.0, max(0.0, value)), unit_term, pattern_term, range_term
 
 
-def score_compatibility(
-    entry: KbEntry,
-    attribute: AttributeMention,
-    weights: CompatibilityWeights = DEFAULT_WEIGHTS,
-) -> CompatibilityScore:
-    """Score how well an attribute fits an entry's constraints."""
-
-    value, unit_term, pattern_term, range_term = compatibility_terms(
-        entry, attribute, attribute_shape(attribute), weights
-    )
-    return CompatibilityScore(
-        value=value,
-        unit_matched=unit_term == 1.0,
-        pattern_matched=pattern_term == 1.0,
-        range_matched=range_term == 1.0,
-        unit_term=unit_term,
-        pattern_term=pattern_term,
-        range_term=range_term,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -305,9 +273,11 @@ def _entry_from_dict(raw: dict, where: str) -> KbEntry:
     for key in required:
         if not isinstance(raw.get(key), str) or not raw.get(key):
             raise MalformedKb(f"{where}: missing or invalid field {key!r}")
-    for key, kind in (("synonyms", list), ("expected_units", list)):
-        if key in raw and not isinstance(raw[key], kind):
-            raise MalformedKb(f"{where}: field {key!r} must be a list")
+    for key in ("synonyms", "expected_units"):
+        if key in raw and not (
+            isinstance(raw[key], list) and all(isinstance(item, str) for item in raw[key])
+        ):
+            raise MalformedKb(f"{where}: field {key!r} must be a list of strings")
     for key in ("value_min", "value_max"):
         if raw.get(key) is not None and not isinstance(raw[key], (int, float)):
             raise MalformedKb(f"{where}: field {key!r} must be a number")

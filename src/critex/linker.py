@@ -110,7 +110,7 @@ def _p_sup(
     shape = attribute_shape(attribute)
     raw: dict[str, float] = {}
     for concept_id in scored:
-        entry = kb.entry(concept_id)
+        entry = kb.by_id.get(concept_id)
         if entry is not None:
             raw[concept_id] = compatibility_terms(entry, attribute, shape, weights)[0]
     try:

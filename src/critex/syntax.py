@@ -8,8 +8,8 @@ penalty per crossed clause boundary, :func:`heuristic_distance`), and,
 under cross-sentence linking, the token gap between sentences plus a
 penalty per sentence boundary (measured by the linker's ``_Competitors``,
 which also picks the source of each attribute's distances).  A softmin
-turns the distances of the entities competing for one attribute into a
-probability distribution.
+turns the distances of the entities competing for one attribute into
+weights, which the linker divides by their total to get ``p_dep``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Sequence
 from .attributes import AttributeMention
 from .entities import EntityMention
 from .errors import CycleDetected, ParseMismatch
-from .floats import left_sum
 from .segmentation import SentenceRecord
 
 DEFAULT_TAU = 2.0
@@ -244,28 +243,15 @@ def softmin_weights(distances: Sequence[float], tau: float = DEFAULT_TAU) -> lis
     Shifting by the smallest distance keeps the numbers stable (softmin is
     invariant to uniform shifts); the nearest entity weighs exactly 1.0,
     and a weight underflows to exactly 0.0 once ``(d - d_min) / tau``
-    exceeds about 745.
+    exceeds about 745.  ``p_dep`` is each weight over their total, added
+    left to right (:func:`~critex.floats.left_sum`).
     """
 
     if not distances:
-        raise ValueError("p_dep needs at least one distance")
+        raise ValueError("softmin needs at least one distance")
     if tau <= 0:
         raise ValueError("tau must be positive")
     d_min = min(distances)
     exp = math.exp
     return [exp(-(d - d_min) / tau) for d in distances]
 
-
-def p_dep(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
-    """Softmin over distances: closer entities get larger probability.
-
-    ``p_i = exp(-d_i / tau) / sum_j exp(-d_j / tau)``; the result sums to 1.
-    The pipeline never mixes parse paths with other distances in one list;
-    under cross-sentence linking one list mixes heuristic distances (same
-    sentence) with cross-sentence gaps, which count tokens and boundary
-    penalties on the same scale.
-    """
-
-    weights = softmin_weights(distances, tau)
-    total = left_sum(weights)
-    return [w / total for w in weights]

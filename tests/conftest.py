@@ -1,7 +1,13 @@
+import json
+from itertools import repeat
+
 import pytest
 
 from critex import bundled_kb_path, load_kb
+from critex.floats import left_sum
 from critex.kb import KbEntry, KnowledgeBase
+from critex.linker import _mix
+from critex.syntax import DEFAULT_TAU, softmin_weights
 
 CRITERION_LINE = "Body Mass Index ≤ 40 kg/m^2"
 
@@ -20,6 +26,43 @@ PARAGRAPH_TWO = (
     "the past six months. A normal resting 12-lead electrocardiograph (ECG) and "
     "blood pressure of less than 140/90 mmHg."
 )
+
+# Knowledge bases that must fail to load with MalformedKb (exit 2 from the
+# CLI): case -> (units, fields of the one entry, a fragment of the message).
+MALFORMED_KBS = {
+    "non-string synonym": ({}, {"synonyms": [1]}, "'synonyms' must be a list of strings"),
+    "non-string expected unit": (
+        {}, {"expected_units": [7]}, "'expected_units' must be a list of strings",
+    ),
+    "blank synonym": ({}, {"synonyms": [" "]}, "blank synonym"),
+    "blank expected unit": ({}, {"expected_units": ["\t"]}, "blank expected unit"),
+    "blank unit variant": ({"  ": "mmHg"}, {"expected_units": ["mmHg"]}, "blank unit"),
+    "blank canonical unit": ({"torr": ""}, {"expected_units": ["torr"]}, "blank unit"),
+}
+
+
+def malformed_kb_file(tmp_path, case):
+    """Write the knowledge base of a :data:`MALFORMED_KBS` case.
+
+    Returns its path and the fragment of the error message.
+    """
+
+    units, fields, message = MALFORMED_KBS[case]
+    entry = {"concept_id": "LOCAL:x", "preferred_term": "x", **fields}
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps({"version": 1, "units": units, "entries": [entry]}))
+    return path, message
+
+
+def softmin_p_dep(distances, tau=DEFAULT_TAU):
+    """``p_dep`` of each distance, normalized as the linker normalizes it.
+
+    The softmin weights over their left-to-right total, through the
+    linker's ``_mix`` at ``theta = 0``, which returns ``p_dep`` exactly.
+    """
+
+    weights = softmin_weights(distances, tau)
+    return _mix(repeat(0.0), weights, 0.0, left_sum(weights))
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from critex.attributes import (
     _range,
     _ratio,
     _temporal,
+    attribute_shape,
 )
 from critex.entities import (
     _MATCHABLE,
@@ -32,7 +33,7 @@ from critex.entities import (
 )
 from critex.errors import CycleDetected, UnknownConcept
 from critex.floats import left_sum
-from critex.kb import DEFAULT_WEIGHTS, Category, score_compatibility, term_key
+from critex.kb import DEFAULT_WEIGHTS, Category, compatibility_terms, term_key
 from critex.linker import Relation, relation_label
 from critex.segmentation import (
     _ABBREVIATIONS,
@@ -228,10 +229,11 @@ def p_sup(candidates, kb, weights=DEFAULT_WEIGHTS):
         raise ValueError("p_sup expects candidates of a single attribute")
     raw = []
     for c in candidates:
-        entry = kb.entry(c.entity.concept_id)
+        entry = kb.by_id.get(c.entity.concept_id)
         if entry is None:
             raise UnknownConcept(f"concept {c.entity.concept_id} not in knowledge base")
-        raw.append(score_compatibility(entry, c.attribute, weights).value)
+        shape = attribute_shape(c.attribute)
+        raw.append(compatibility_terms(entry, c.attribute, shape, weights)[0])
     total = left_sum(raw)
     if total > 0:
         return [r / total for r in raw]
@@ -522,10 +524,10 @@ def comparator_at(toks, i):
     return None
 
 
-def extract_attributes(sentence, kb=None, entity_spans=None):
+def extract_attributes(sentence, kb, entity_spans=None):
     """The grammar's scan, trying every production at every position."""
 
-    normalize = normalize_unit if kb is None else kb.normalize_unit
+    normalize = kb.normalize_unit
     toks = sentence.tokens
     out = []
     i = 0

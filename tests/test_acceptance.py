@@ -11,15 +11,15 @@ import time
 
 import pytest
 
-from critex.attributes import AttributeKind, AttributeMention, Comparator
+from critex.attributes import AttributeKind, AttributeMention, Comparator, attribute_shape
 from critex.cli import main
 from critex.io_eval import ElementType, MatchMode, evaluate, read_brat_dir, read_corpus
-from critex.kb import load_kb, score_compatibility
+from critex.kb import compatibility_terms, load_kb
 from critex.pipeline import PipelineConfig, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
 
-from conftest import PARAGRAPH_TWO
+from conftest import PARAGRAPH_TWO, softmin_p_dep
 from test_linker import assign, build_candidates, oracle_assign, relation_set, score_all
 
 
@@ -88,18 +88,20 @@ def test_criterion_3_unit_dominance(kb):
     """mmHg evidence must dominate for blood pressure."""
 
     started = time.perf_counter()
-    bp = kb.lookup("blood pressure")[0]
+    bp = [e for e, _ in kb.lookup_terms("blood pressure")][0]
 
     def ratio(values, unit):
         return AttributeMention(
             0, 0, 10, "x", AttributeKind.RATIO, values=values, unit=unit,
         )
 
-    mmhg = score_compatibility(bp, ratio((115, 75), "mmHg")).value
-    bare_range = score_compatibility(
-        bp,
+    def compatibility(attribute):
+        return compatibility_terms(bp, attribute, attribute_shape(attribute))[0]
+
+    mmhg = compatibility(ratio((115, 75), "mmHg"))
+    bare_range = compatibility(
         AttributeMention(0, 0, 5, "11-25", AttributeKind.RANGE, values=(11, 25)),
-    ).value
+    )
     assert mmhg > bare_range
 
     # with both entity kinds present, p_sup must favor blood pressure for
@@ -192,13 +194,12 @@ def test_criterion_6_probability_normalization(kb):
 
     started = time.perf_counter()
     from critex.linker import _p_sup
-    from critex.syntax import p_dep
 
     rng = random.Random(7)
     for _ in range(500):
         n = rng.randint(1, 6)
         distances = [rng.uniform(0.0, 30.0) for _ in range(n)]
-        probs = p_dep(distances, tau=rng.uniform(0.5, 5.0))
+        probs = softmin_p_dep(distances, tau=rng.uniform(0.5, 5.0))
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert all(p >= 0 for p in probs)
 

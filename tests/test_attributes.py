@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from critex import annotate_record, attributes, to_json
+from critex import annotate_record, attributes, bundled_kb_path, load_kb, to_json
 from critex.attributes import (
     AttributeKind,
     AttributeMention,
@@ -17,10 +17,13 @@ from critex.attributes import (
     extract_attributes,
 )
 from critex.entities import recognize_entities
+from critex.kb import KnowledgeBase
 from critex.segmentation import SplitMode, split_records
 
+BUNDLED_KB = load_kb(bundled_kb_path())
 
-def parse(text, kb=None, entity_spans=None):
+
+def parse(text, kb=BUNDLED_KB, entity_spans=None):
     sentences = split_records(text, SplitMode.LINES)
     assert len(sentences) == 1
     return extract_attributes(sentences[0], kb, entity_spans=entity_spans)
@@ -154,17 +157,17 @@ class TestQualifierLexicon:
 
 
 class TestSpansAndDeterminism:
-    def test_spans_do_not_overlap(self, paragraph_one, paragraph_two):
+    def test_spans_do_not_overlap(self, paragraph_one, paragraph_two, mini_kb):
         for text in (paragraph_one, paragraph_two):
             for sentence in split_records(text, SplitMode.PARAGRAPHS):
-                attrs = extract_attributes(sentence)
+                attrs = extract_attributes(sentence, mini_kb)
                 for prev, nxt in zip(attrs, attrs[1:]):
                     assert prev.end <= nxt.start
 
-    def test_values_appear_inside_span(self, paragraph_one, paragraph_two):
+    def test_values_appear_inside_span(self, paragraph_one, paragraph_two, mini_kb):
         for text in (paragraph_one, paragraph_two):
             for sentence in split_records(text, SplitMode.PARAGRAPHS):
-                for a in extract_attributes(sentence):
+                for a in extract_attributes(sentence, mini_kb):
                     for v in a.values:
                         digits = str(int(v)) if v == int(v) else str(v)
                         has_digit = digits in a.surface
@@ -174,13 +177,13 @@ class TestSpansAndDeterminism:
                         )
                         assert has_digit or has_word, (a.surface, v)
 
-    def test_deterministic(self, paragraph_two):
+    def test_deterministic(self, paragraph_two, mini_kb):
         sentence = split_records(paragraph_two, SplitMode.PARAGRAPHS)[0]
-        assert extract_attributes(sentence) == extract_attributes(sentence)
+        assert extract_attributes(sentence, mini_kb) == extract_attributes(sentence, mini_kb)
 
-    def test_surface_matches_offsets(self, paragraph_two):
+    def test_surface_matches_offsets(self, paragraph_two, mini_kb):
         for sentence in split_records(paragraph_two, SplitMode.PARAGRAPHS):
-            for a in extract_attributes(sentence):
+            for a in extract_attributes(sentence, mini_kb):
                 assert sentence.text[a.start : a.end] == a.surface
 
 
@@ -311,15 +314,16 @@ class TestGrammarRegression:
     """The grammar's output is pinned on generated lines of its vocabulary."""
 
     # sha256 of every AttributeMention field over 3,000 generated lines,
-    # with the bundled KB and with the built-in unit table.
+    # with the bundled KB and with an empty KB (the built-in unit table).
     DIGEST = "2f62f5c5ffd653322e5d34d2fcfb836008daeae6c434c0ff42e94d0829b7a9ef"
 
     def test_pinned_digest(self, mini_kb):
+        builtin_only = KnowledgeBase.build(())
         digest = hashlib.sha256()
         for line in _grammar_lines(20191, 3000):
             for sentence in split_records(line, SplitMode.LINES):
                 spans = [(e.start, e.end) for e in recognize_entities(sentence, mini_kb)]
-                for kb in (mini_kb, None):
+                for kb in (mini_kb, builtin_only):
                     for a in extract_attributes(sentence, kb, entity_spans=spans):
                         digest.update(repr((
                             a.sentence_index, a.start, a.end, a.surface,

@@ -18,7 +18,7 @@ from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode, split_records
 from critex.syntax import align_block, parse_blocks
 
-from conftest import PARAGRAPH_TWO
+from conftest import MALFORMED_KBS, PARAGRAPH_TWO, malformed_kb_file
 
 
 @pytest.fixture()
@@ -477,6 +477,15 @@ class TestKbCommand:
         code, out, err = run(capsys, "kb", "validate", path)
         assert code == 2
         assert "LOCAL:bad" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_KBS))
+    def test_validate_malformed_terms_and_units(self, capsys, tmp_path, case):
+        path, message = malformed_kb_file(tmp_path, case)
+        code, out, err = run(capsys, "kb", "validate", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("critex: error: ")
+        assert message in err
 
     def test_mine_writes_candidates(self, capsys, tmp_path, fig2_file):
         out_path = tmp_path / "cand.json"

@@ -8,6 +8,7 @@ from critex.attributes import (
     AttributeKind,
     AttributeMention,
     Comparator,
+    attribute_shape,
     extract_attributes,
 )
 from critex.entities import recognize_entities
@@ -18,16 +19,18 @@ from critex.kb import (
     KbEntry,
     KnowledgeBase,
     ValuePattern,
+    compatibility_terms,
     import_tsv,
     kb_to_dict,
     load_kb,
     mine_kb_candidates,
     save_kb,
-    score_compatibility,
 )
 from critex.resources import bundled_kb_path
 from critex.segmentation import SplitMode, split_records
 from critex.units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
+
+from conftest import MALFORMED_KBS, malformed_kb_file
 
 
 def attr(kind, values=(), unit=None, comparator=None):
@@ -36,6 +39,18 @@ def attr(kind, values=(), unit=None, comparator=None):
         sentence_index=0, start=0, end=1, surface=surface, kind=kind,
         comparator=comparator, values=tuple(values), unit=unit,
     )
+
+
+def entries_of(kb, phrase):
+    """The entries of the terms that ``phrase`` fires."""
+
+    return [entry for entry, _ in kb.lookup_terms(phrase)]
+
+
+def terms(entry, attribute):
+    """``(value, unit_term, pattern_term, range_term)`` under default weights."""
+
+    return compatibility_terms(entry, attribute, attribute_shape(attribute))
 
 
 RATIO_MMHG = attr(AttributeKind.RATIO, (140, 90), "mmHg")
@@ -57,16 +72,18 @@ BODY_WEIGHT = KbEntry(
 
 class TestLoadKb:
     def test_bundled_lookup_is_case_insensitive(self, mini_kb):
-        entries = mini_kb.lookup("Blood Pressure")
-        assert len(entries) == 1
-        assert entries[0].concept_id == "C0005823"
+        hits = mini_kb.lookup_terms("Blood Pressure")
+        assert len(hits) == 1
+        entry, term = hits[0]
+        assert entry.concept_id == "C0005823"
+        assert term == "blood pressure"
 
     def test_empty_kb(self, tmp_path):
         path = tmp_path / "kb.json"
         path.write_text('{"version": 1, "units": {}, "entries": []}')
         kb = load_kb(path)
         assert len(kb.entries) == 0
-        assert kb.lookup("anything") == []
+        assert kb.lookup_terms("anything") == ()
 
     def test_inverted_range_rejected(self, tmp_path):
         path = tmp_path / "kb.json"
@@ -95,6 +112,26 @@ class TestLoadKb:
         with pytest.raises(MalformedKb):
             load_kb(path)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_KBS))
+    def test_malformed_terms_and_units_rejected(self, tmp_path, case):
+        path, message = malformed_kb_file(tmp_path, case)
+        with pytest.raises(MalformedKb, match=message):
+            load_kb(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"preferred_term": " "},
+        {"synonyms": ("",)},
+        {"expected_units": (" ",)},
+    ])
+    def test_blank_entry_fields_rejected_by_the_constructor(self, fields):
+        with pytest.raises(MalformedKb, match="blank"):
+            KbEntry(**{"concept_id": "LOCAL:x", "preferred_term": "x", **fields})
+
+    @pytest.mark.parametrize("units", [{" ": "mmHg"}, {"": "mmHg"}, {"torr": " "}])
+    def test_blank_units_rejected_by_build(self, units):
+        with pytest.raises(MalformedKb, match="blank unit"):
+            KnowledgeBase.build((), extra_units=units)
+
     def test_synonym_duplicating_preferred_term_rejected(self):
         with pytest.raises(MalformedKb):
             KbEntry(concept_id="LOCAL:x", preferred_term="x", synonyms=("X",))
@@ -122,14 +159,14 @@ class TestLoadKb:
             [KbEntry("C1", "pressure", expected_units=("torr",))],
             extra_units={"torr": "mmHg"},
         )
-        entry = kb.entry("C1")
+        entry = kb.by_id.get("C1")
         assert entry.expected_units == ("mmHg",)
         assert kb.entries == (entry,)
-        assert [e for e, _ in kb.lookup_terms("pressure")] == [entry]
+        assert entries_of(kb, "pressure") == [entry]
         sentence = split_records("pressure < 30 torr", SplitMode.LINES)[0]
         (attribute,) = extract_attributes(sentence, kb)
         assert attribute.unit == "mmHg"
-        assert score_compatibility(entry, attribute).unit_matched
+        assert terms(entry, attribute)[1] == 1.0  # unit term matches
 
 
 class TestNormalizeUnit:
@@ -168,18 +205,19 @@ class TestNormalizeUnit:
         assert kb.normalize_unit(" TORR ") == "mmHg"
         assert kb.normalize_unit("cm h2o") == "cmH2O"
         assert kb.normalize_unit("cm\th2o") == "cmH2O"
+        assert kb.normalize_unit(" ") is None
 
     def test_whitespace_expected_unit_matches(self):
         kb = KnowledgeBase.build(
             [KbEntry("C1", "pressure", expected_units=(" mm Hg",))]
         )
-        entry = kb.entry("C1")
+        entry = kb.by_id.get("C1")
         assert kb.normalize_unit(" mm Hg") == "mmHg"
         assert entry.expected_units == ("mmHg",)
         sentence = split_records("pressure < 30 mm  Hg", SplitMode.LINES)[0]
         (attribute,) = extract_attributes(sentence, kb)
         assert attribute.unit == "mmHg"
-        assert score_compatibility(entry, attribute).unit_matched
+        assert terms(entry, attribute)[1] == 1.0  # unit term matches
 
     def test_every_table_key_is_its_own_unit_key(self):
         kb = KnowledgeBase.build((), extra_units={" Per  Cent ": "%", "TORR": "mmHg"})
@@ -203,22 +241,26 @@ class TestNormalizeUnit:
 
 class TestLookup:
     def test_synonym_abbreviation(self, mini_kb):
-        hits = mini_kb.lookup("SSRIs")
+        hits = mini_kb.lookup_terms("SSRIs")
         assert len(hits) == 1
-        assert hits[0].preferred_term == "selective serotonin reuptake inhibitor"
+        entry, term = hits[0]
+        assert entry.preferred_term == "selective serotonin reuptake inhibitor"
+        assert term == "SSRIs"
 
     def test_ecg_lowercase(self, mini_kb):
-        hits = mini_kb.lookup("ecg")
+        hits = mini_kb.lookup_terms("ecg")
         assert len(hits) == 1
-        assert hits[0].concept_id == "C0013798"
+        entry, term = hits[0]
+        assert entry.concept_id == "C0013798"
+        assert term == "ECG"
 
     def test_unknown_term(self, mini_kb):
-        assert mini_kb.lookup("xyzzy") == []
+        assert mini_kb.lookup_terms("xyzzy") == ()
 
     def test_terms_with_irregular_whitespace_match(self):
         kb = KnowledgeBase.build([KbEntry("C1", "blood  pressure", synonyms=("BP ",))])
         for phrase in ("blood pressure", "blood  pressure", " Blood\tPressure", "BP"):
-            assert [e.concept_id for e in kb.lookup(phrase)] == ["C1"], phrase
+            assert [e.concept_id for e in entries_of(kb, phrase)] == ["C1"], phrase
         sentence = split_records(
             "blood  pressure < 140/90 mmHg, BP high", SplitMode.LINES
         )[0]
@@ -236,68 +278,65 @@ class TestLookup:
     def test_case_insensitivity_property(self, mini_kb):
         for entry in mini_kb.entries:
             for term in entry.terms:
-                assert mini_kb.lookup(term.upper()) == mini_kb.lookup(term)
+                assert mini_kb.lookup_terms(term.upper()) == mini_kb.lookup_terms(term)
 
 
 class TestScoreCompatibility:
     def test_full_match_scores_one(self):
-        score = score_compatibility(BLOOD_PRESSURE, RATIO_MMHG)
-        assert score.unit_matched and score.pattern_matched and score.range_matched
-        assert score.value == pytest.approx(1.0)
+        value, *matched = terms(BLOOD_PRESSURE, RATIO_MMHG)
+        assert matched == [1.0, 1.0, 1.0]
+        assert value == pytest.approx(1.0)
 
     def test_unitless_range_scores_below_matching_ratio(self):
-        high = score_compatibility(BLOOD_PRESSURE, RATIO_115_75).value
-        low = score_compatibility(BLOOD_PRESSURE, RANGE_11_25).value
+        high = terms(BLOOD_PRESSURE, RATIO_115_75)[0]
+        low = terms(BLOOD_PRESSURE, RANGE_11_25)[0]
         assert low < high
 
     def test_wrong_unit_entry_scores_below_right_unit_entry(self):
         # Hand enumeration of the weight formula:
         #   blood pressure: unit 1*0.6 + pattern 1*0.25 + range 1*0.15 = 1.0
         #   body weight:    unit 0*0.6 + pattern 0*0.25 + range 1*0.15 = 0.15
-        bp = score_compatibility(BLOOD_PRESSURE, RATIO_MMHG)
-        bw = score_compatibility(BODY_WEIGHT, RATIO_MMHG)
-        assert not bw.unit_matched
-        assert bw.value == pytest.approx(0.15)
-        assert bp.value == pytest.approx(1.0)
-        assert bw.value < bp.value
+        bp_value = terms(BLOOD_PRESSURE, RATIO_MMHG)[0]
+        bw_value, bw_unit, _, _ = terms(BODY_WEIGHT, RATIO_MMHG)
+        assert bw_unit != 1.0
+        assert bw_value == pytest.approx(0.15)
+        assert bp_value == pytest.approx(1.0)
+        assert bw_value < bp_value
 
     def test_missing_entry_constraint_scores_neutral_share(self):
         entry = KbEntry(
             concept_id="LOCAL:bp", preferred_term="blood pressure",
             expected_units=("mmHg",), value_pattern=ValuePattern.RATIO,
         )
-        score = score_compatibility(entry, RATIO_MMHG)
-        assert score.range_term == 0.5
-        assert score.value == pytest.approx(0.6 + 0.25 + 0.5 * 0.15)
+        value, _, _, range_term = terms(entry, RATIO_MMHG)
+        assert range_term == 0.5
+        assert value == pytest.approx(0.6 + 0.25 + 0.5 * 0.15)
 
     def test_nonnumeric_attribute_uses_pattern_term_only(self):
-        score = score_compatibility(BLOOD_PRESSURE, QUALIFIER)
-        assert score.unit_term == 0.5
-        assert score.range_term == 0.5
-        assert score.pattern_term == 0.0
-        assert score.value == pytest.approx(0.5 * 0.6 + 0.5 * 0.15)
+        value, unit_term, pattern_term, range_term = terms(BLOOD_PRESSURE, QUALIFIER)
+        assert unit_term == 0.5
+        assert range_term == 0.5
+        assert pattern_term == 0.0
+        assert value == pytest.approx(0.5 * 0.6 + 0.5 * 0.15)
 
     def test_value_recomputable_from_terms(self):
         w = CompatibilityWeights()
         for entry in (BLOOD_PRESSURE, BODY_WEIGHT):
             for attribute in (RATIO_MMHG, RANGE_11_25, QUALIFIER):
-                s = score_compatibility(entry, attribute)
+                value, unit_term, pattern_term, range_term = terms(entry, attribute)
                 expected = (
-                    w.unit * s.unit_term
-                    + w.pattern * s.pattern_term
-                    + w.range * s.range_term
+                    w.unit * unit_term
+                    + w.pattern * pattern_term
+                    + w.range * range_term
                 )
-                assert s.value == pytest.approx(expected)
+                assert value == pytest.approx(expected)
 
     def test_monotone_in_matched_terms(self):
         # adding a matching unit to an otherwise identical attribute never
         # lowers the score
         without_unit = attr(AttributeKind.RATIO, (140, 90))
         with_unit = RATIO_MMHG
-        assert (
-            score_compatibility(BLOOD_PRESSURE, with_unit).value
-            >= score_compatibility(BLOOD_PRESSURE, without_unit).value
-        )
+        assert terms(BLOOD_PRESSURE, with_unit)[0] >= terms(BLOOD_PRESSURE, without_unit)[0]
 
     def test_default_weights_ordering(self):
         w = CompatibilityWeights()
@@ -321,11 +360,11 @@ class TestImportTsv:
         )
         kb = import_tsv(path)
         assert len(kb.entries) == 2
-        bp = kb.lookup("blood pressure")[0]
+        bp = entries_of(kb, "blood pressure")[0]
         assert bp.value_min == 90 and bp.value_max == 250
         assert bp.expected_units == ("mmHg",)
         assert bp.concept_id.startswith("LOCAL:")
-        bw = kb.lookup("body weight")[0]
+        bw = entries_of(kb, "body weight")[0]
         assert bw.expected_units == ("kg",)
 
     def test_bad_range_rejected(self, tmp_path):

@@ -24,7 +24,7 @@ from critex.kb import Category, CompatibilityWeights, KbEntry, KnowledgeBase, Va
 from critex.linker import _Competitors, _mix, _p_sup, _pick, relation_label
 from critex.pipeline import PipelineConfig
 from critex.segmentation import SplitMode, split_records
-from critex.syntax import p_dep
+from conftest import softmin_p_dep
 from oracles import RelationCandidate, generate_candidates
 
 # Two sentences of plain tokens; the mentions below only need sentence
@@ -207,7 +207,7 @@ class TestLinkAttribute:
             )
             relation = competitors.link(self.RATIO, TestPSup.KB)
             sup = sup_list(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
-            scores = _mix(sup, p_dep(distances, tau), theta)
+            scores = _mix(sup, softmin_p_dep(distances, tau), theta)
             assert relation.score == max(scores)
             assert relation.entity is entities[scores.index(max(scores))]
 

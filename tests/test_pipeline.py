@@ -197,10 +197,32 @@ class TestConfigValidation:
 
 
 class TestPublicSurface:
+    EXPORTED = [
+        "AttributeKind", "AttributeMention", "AttributeShape", "Category",
+        "Comparator", "CompatibilityWeights", "CritexError", "CycleDetected",
+        "DanglingRef", "DependencyParse", "DuplicateConceptId", "ElementType",
+        "EntityMention", "EvalReport", "GoldAnnotation", "KbEntry",
+        "KnowledgeBase", "MalformedAnn", "MalformedJsonl", "MalformedKb",
+        "MalformedPrediction", "MalformedText", "MatchMode", "ParseMismatch",
+        "PipelineConfig", "RecordMismatch", "Relation", "RelationPair",
+        "SentenceRecord", "SpanMismatch", "SplitMode", "StructuredRecord",
+        "TimeUnit", "Token", "TokenShape", "UnknownConcept", "ValuePattern",
+        "annotate_record", "attribute_shape", "bundled_kb_path",
+        "compatibility_terms", "evaluate", "extract_attributes", "from_json",
+        "import_tsv", "link_abbreviations", "load_kb", "mine_kb_candidates",
+        "mini_corpus_dir", "normalize_unit", "read_brat", "read_brat_dir",
+        "read_corpus", "recognize_entities", "save_kb", "split_records",
+        "to_json", "tokenize",
+    ]
+
     def test_every_exported_name_resolves_once(self):
         assert len(critex.__all__) == len(set(critex.__all__))
         for name in critex.__all__:
             assert getattr(critex, name) is not None, name
+
+    def test_exported_names_are_pinned(self):
+        assert len(self.EXPORTED) == 58
+        assert sorted(critex.__all__) == self.EXPORTED
 
     @pytest.mark.parametrize("module, name", [
         ("linker", "LinkerConfig"),
@@ -210,11 +232,24 @@ class TestPublicSurface:
         ("linker", "ConceptColumns"),
         ("linker", "link_attribute"),
         ("syntax", "path_distance"),
+        ("kb", "score_compatibility"),
+        ("kb", "CompatibilityScore"),
+        ("syntax", "p_dep"),
     ])
     def test_removed_names_are_gone(self, module, name):
         assert name not in critex.__all__
         assert not hasattr(critex, name)
         assert not hasattr(importlib.import_module(f"critex.{module}"), name)
+
+    @pytest.mark.parametrize("method", ["lookup", "entry"])
+    def test_removed_kb_methods_are_gone(self, method):
+        assert not hasattr(KnowledgeBase, method)
+
+    @pytest.mark.parametrize("name", ["ClauseIndex", "heuristic_distance", "path_distances"])
+    def test_linker_internals_leave_the_top_level(self, name):
+        assert name not in critex.__all__
+        assert not hasattr(critex, name)
+        assert hasattr(importlib.import_module("critex.syntax"), name)
 
     def test_config_stays_importable_where_the_cli_reads_it(self):
         assert critex.PipelineConfig is pipeline.PipelineConfig

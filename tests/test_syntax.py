@@ -18,10 +18,11 @@ from critex.syntax import (
     _head_token_index,
     align_block,
     heuristic_distance,
-    p_dep,
     parse_blocks,
     path_distances,
 )
+
+from conftest import softmin_p_dep
 
 
 def sentence_of(text):
@@ -229,38 +230,44 @@ class TestHeuristicDistance:
 
 
 class TestPDep:
+    """The softmin of the linker: ``softmin_weights`` over their total."""
+
     def test_single_candidate(self):
-        assert p_dep([3.0]) == [1.0]
+        assert softmin_p_dep([3.0]) == [1.0]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^softmin needs at least one distance$"):
+            softmin_p_dep([])
 
     def test_equal_distances_split_evenly(self):
-        assert p_dep([2.0, 2.0]) == pytest.approx([0.5, 0.5])
+        assert softmin_p_dep([2.0, 2.0]) == pytest.approx([0.5, 0.5])
 
     def test_softmin_values(self):
         # independent evaluation of the formula for distances [0, 4], tau=2:
         # p0 = 1 / (1 + e^-2), p1 = e^-2 / (1 + e^-2)
         z = 1.0 + math.exp(-2.0)
-        probs = p_dep([0.0, 4.0], tau=2.0)
+        probs = softmin_p_dep([0.0, 4.0], tau=2.0)
         assert probs == pytest.approx([1.0 / z, math.exp(-2.0) / z], abs=1e-12)
         assert probs == pytest.approx([0.881, 0.119], abs=5e-4)
 
     def test_mixed_sources_rejected(self):
-        # p_dep takes bare distances; the pipeline never puts parse paths in
-        # one list with other distances.  The signal-based softmin of the
-        # oracle chain still refuses such a group, and accepts heuristic
-        # and cross-sentence distances together.
+        # the softmin takes bare distances; the pipeline never puts parse
+        # paths in one list with other distances.  The signal-based softmin
+        # of the oracle chain still refuses such a group, and accepts
+        # heuristic and cross-sentence distances together.
         for other in ("heuristic", "cross"):
             signals = [oracles.Signal(1.0, other), oracles.Signal(2.0, "parse")]
             with pytest.raises(ValueError):
                 oracles.p_dep(signals, 2.0)
         mixed = [oracles.Signal(1.0, "heuristic"), oracles.Signal(2.0, "cross")]
-        assert oracles.p_dep(mixed, 2.0) == p_dep([1.0, 2.0], 2.0)
+        assert oracles.p_dep(mixed, 2.0) == softmin_p_dep([1.0, 2.0], 2.0)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=500), min_size=1, max_size=8),
         st.floats(min_value=0.1, max_value=10),
     )
     def test_distribution_properties(self, distances, tau):
-        probs = p_dep(distances, tau=tau)
+        probs = softmin_p_dep(distances, tau=tau)
         assert all(p >= 0 for p in probs)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         signals = [oracles.Signal(d, "heuristic") for d in distances]
@@ -272,11 +279,11 @@ class TestPDep:
     )
     def test_shift_invariance(self, distances, shift):
         shifted = [d + shift for d in distances]
-        assert p_dep(distances) == pytest.approx(p_dep(shifted), abs=1e-9)
+        assert softmin_p_dep(distances) == pytest.approx(softmin_p_dep(shifted), abs=1e-9)
 
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=6, unique=True))
     def test_strictly_order_reversing(self, distances):
-        probs = p_dep([float(d) for d in distances])
+        probs = softmin_p_dep([float(d) for d in distances])
         order_by_distance = sorted(range(len(distances)), key=lambda i: distances[i])
         order_by_prob = sorted(range(len(probs)), key=lambda i: -probs[i])
         assert order_by_distance == order_by_prob
@@ -296,7 +303,7 @@ class TestLeftSum:
     def test_softmin_total(self):
         # exp(-37) is below half an ulp of 1.0, so 1.0 plus two of them, one
         # at a time, stays 1.0; compensated, the total is the next float up
-        assert p_dep([0.0, 37.0, 37.0], tau=1.0)[0] == 1.0
+        assert softmin_p_dep([0.0, 37.0, 37.0], tau=1.0)[0] == 1.0
 
 
 def _outcome(fn, *args):

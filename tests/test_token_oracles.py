@@ -27,6 +27,7 @@ from critex.segmentation import SplitMode, split_records, tokenize
 from critex.syntax import ClauseIndex, heuristic_distance
 
 BUNDLED_KB = load_kb(bundled_kb_path())
+BUILTIN_UNITS_KB = KnowledgeBase.build(())  # no entries, the built-in unit table
 
 KB_WORDS = sorted({w for e in BUNDLED_KB.entries for t in e.terms for w in t.split()})
 GRAMMAR_WORDS = sorted(
@@ -154,7 +155,7 @@ class TestGrammarGate:
     @given(text=LINE, with_kb=st.booleans(), with_spans=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_gated_scan_matches_ungated(self, text, with_kb, with_spans):
-        kb = BUNDLED_KB if with_kb else None
+        kb = BUNDLED_KB if with_kb else BUILTIN_UNITS_KB
         for sentence in split_records(text, SplitMode.LINES):
             spans = None
             if with_spans:
