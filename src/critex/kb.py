@@ -291,20 +291,27 @@ def _entry_from_dict(raw: dict, where: str) -> KbEntry:
         category = Category(raw.get("category", "OTHER"))
     except ValueError:
         raise MalformedKb(f"{where}: unknown category {raw.get('category')!r}") from None
-    return KbEntry(
-        concept_id=raw["concept_id"],
-        preferred_term=raw["preferred_term"],
-        synonyms=tuple(raw.get("synonyms", ())),
-        expected_units=tuple(raw.get("expected_units", ())),
-        value_min=raw.get("value_min"),
-        value_max=raw.get("value_max"),
-        value_pattern=pattern,
-        category=category,
-    )
+    try:
+        return KbEntry(
+            concept_id=raw["concept_id"],
+            preferred_term=raw["preferred_term"],
+            synonyms=tuple(raw.get("synonyms", ())),
+            expected_units=tuple(raw.get("expected_units", ())),
+            value_min=raw.get("value_min"),
+            value_max=raw.get("value_max"),
+            value_pattern=pattern,
+            category=category,
+        )
+    except MalformedKb as exc:
+        raise MalformedKb(f"{where}: {exc}") from None
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    """Load and validate a knowledge-base JSON document."""
+    """Load and validate a knowledge-base JSON document.
+
+    Every :class:`MalformedKb` names the file, and ``entries[i]`` when one
+    entry is at fault.
+    """
 
     path = Path(path)
     try:
@@ -327,7 +334,10 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         _entry_from_dict(raw, f"{path}: entries[{i}]")
         for i, raw in enumerate(raw_entries)
     ]
-    return KnowledgeBase.build(entries, extra_units=units)
+    try:
+        return KnowledgeBase.build(entries, extra_units=units)
+    except MalformedKb as exc:  # a DuplicateConceptId stays one
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def kb_to_dict(kb: KnowledgeBase) -> dict:

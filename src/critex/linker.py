@@ -10,35 +10,39 @@ offset, then leftmost position.  The winner becomes a :class:`Relation`
 only at or above ``min_score``.  An entity may win several attributes, an
 attribute links to at most one entity.
 
-Under cross-sentence linking most entities of a long record lie so far
-from an attribute that their softmin weight ``exp(-(d - d_min) / tau)`` is
-exactly 0.0.  Those far competitors are settled by concept id alone, and
-the result stays bit for bit the one of scoring every entity:
+Under cross-sentence linking every entity of the record competes, but only
+a few can win, and only those are scored; the relation stays bit for bit
+the one of scoring every entity:
 
-- a weight of 0.0 leaves the ``p_dep`` total unchanged (totals add left
-  to right, :func:`~critex.floats.left_sum`, the same on every Python), so
-  the near entities keep their ``p_dep`` and a far entity's is exactly 0.0;
-- a far entity thus scores ``theta * p_sup + (1 - theta) * 0.0``, which its
-  concept alone decides; the best far score is that of the far concept
-  with the largest compatibility, found from each concept's first and last
-  mention without a per-entity loop;
-- the ``p_sup`` total still sums every competitor, near and far, in
-  mention order; attributes whose competitors are every mention of the
-  record share that ``p_sup`` when they share the shape, unit and values
-  that compatibility reads;
-- far entities enter the tie-break only when their score reaches the best
-  near score, and then only the one that can win it is listed, with its
-  distance.
+- ``p_dep`` divides each softmin weight ``exp(-(d - d_min) / tau)`` by the
+  total over all competitors, added left to right
+  (:func:`~critex.floats.left_sum`, the same on every Python).  Most
+  entities of a long record lie so far from an attribute that their weight
+  is exactly 0.0 and leaves the total unchanged, so the total needs only
+  the softmin window, the competitors whose weight is not 0.0;
+- the mixed score grows with ``p_sup``, the same for every mention of one
+  concept, and with the weight, which does not grow as a mention gets
+  farther from the attribute's sentence on either side.  Among one
+  concept's mentions on one side, the nearest thus scores highest and has
+  the smallest distance; a cross-sentence character gap is infinite, so
+  of the mentions at that distance the leftmost wins the tie-break.  The
+  candidates scored are the attribute's own-sentence competitors and, for
+  each concept, its nearest mention ahead and behind: at most two
+  mentions per concept, whatever the record's length;
+- the ``p_sup`` total still sums every competitor in mention order;
+  attributes whose competitors are every mention of the record share that
+  ``p_sup`` when they share the shape, unit and values that compatibility
+  reads.
 
 Every setting (``theta``, ``min_score``, the compatibility ``weights``, the
 softmin temperature ``tau`` and the ``boundary_penalty`` of distances)
 comes from the one :class:`~critex.pipeline.PipelineConfig`, which
 validates them when it is created.
 
-The routine works on plain lists built once per record, with one float per
-near competitor, and builds no object per entity-attribute pair, so a long
-record's linking costs each attribute its window plus a pass over the
-record's distinct concepts.
+The routine works on plain lists built once per record and builds no
+object per entity-attribute pair, so a long record's linking costs each
+attribute one weight per mention of its window plus a few candidates per
+distinct concept.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .attributes import AttributeKind, AttributeMention, attribute_shape
@@ -187,21 +191,20 @@ class _Competitors:
     ``(sentence_index, start)`` and do not overlap: their sentence indexes
     and, with cross-sentence linking, their concept ids, global token
     positions and each concept's mention indexes.  :meth:`link` links an
-    attribute and gives a distance only to the competitors inside its
-    softmin window.
+    attribute by scoring only the candidates of the module docstring.
 
-    The window is exact.  Mentions are ordered and disjoint, so the
-    cross-sentence distance never increases as a mention gets closer to the
-    attribute's sentence, from either side (float rounding keeps the
-    order).  The smallest distance is therefore among the attribute's own
-    sentence and the two nearest mentions outside it, and the mentions
-    whose weight ``exp(-(d - d_min) / tau)`` is exactly 0.0 form a prefix
-    and a suffix of the mention list.  Two bisections find their ends, each
-    evaluating that very expression; the mentions past them are the far
-    competitors of the module docstring.
+    The softmin window is used for the ``p_dep`` total alone.  Mentions are
+    ordered and disjoint, so the cross-sentence distance never increases as
+    a mention gets closer to the attribute's sentence, from either side
+    (float rounding keeps the order).  The smallest distance is therefore
+    among the attribute's own sentence and the two nearest mentions
+    outside it, and the mentions whose weight ``exp(-(d - d_min) / tau)``
+    is exactly 0.0 form a prefix and a suffix of the mention list.  Two
+    bisections find their ends, each evaluating that very expression, and
+    one comprehension per side weighs the mentions between, straight from
+    the position lists (:meth:`_window`).
 
-    Outside the window an attribute costs O(distinct concepts), not
-    O(mentions):
+    Per attribute, the rest costs O(distinct concepts), not O(mentions):
 
     - ``p_sup`` once per signature.  When no entity span holds the
       attribute, every mention of the record competes, in mention order,
@@ -209,15 +212,11 @@ class _Competitors:
       unit, values)``; attributes with the same signature share one
       ``p_sup``, computed on first use.  An attribute inside an entity span
       has one competitor fewer and computes its own.
-    - The far maximum from concept occurrences.  A concept has a far
-      mention when its first mention lies before the window or its last
-      one after it, so the best far ``p_sup`` is a maximum over concepts.
-    - A bounded tie listing.  A far mention's character gap is infinite,
-      so among far mentions that tie the best near score the smallest
-      distance wins, then the leftmost mention.  Only that one is listed:
-      a bisection of each tied concept's mention indexes finds its nearest
-      mention on each side, and ahead of the window, a walk back over its
-      mentions at the same distance finds the leftmost.
+    - Two candidates per concept.  A bisection of the concept's mention
+      indexes finds its nearest mention on each side; ahead, a walk back
+      over its mentions at the same distance finds the leftmost.  A
+      candidate outside the window weighs exactly 0.0 and scores
+      ``theta * p_sup``.
 
     Every :meth:`link` call on one instance must pass the same knowledge
     base, on which the shared ``p_sup`` results depend.
@@ -243,6 +242,7 @@ class _Competitors:
             spans = [self._position(m) for m in mentions]
             self._lefts = [left for left, _ in spans]
             self._rights = [right for _, right in spans]
+            self._sentence_f = [float(s) for s in self._sentence_of]  # see _position
             self._concepts = [m.concept_id for m in mentions]
             self._occurrences: dict[str, list[int]] = {}
             for i, concept_id in enumerate(self._concepts):
@@ -260,20 +260,23 @@ class _Competitors:
             )
         return index
 
-    def _position(self, m: EntityMention | AttributeMention) -> tuple[int, int]:
+    def _position(self, m: EntityMention | AttributeMention) -> tuple[float, float]:
         """Global token positions ``(left, right)`` of a mention's span.
 
         ``left`` counts the record's tokens that end at or before the span
         starts, ``right`` those that start before it ends.  The tokens
         strictly between an earlier span and a later one are then ``left``
-        of the later minus ``right`` of the earlier.
+        of the later minus ``right`` of the earlier.  Like the sentence
+        indexes under cross-sentence linking, the counts are kept as floats,
+        so that distances are computed in float arithmetic alone; whole
+        numbers below 2**53 subtract exactly.
         """
 
         base = self._before[m.sentence_index]
         index = self._clauses(m.sentence_index)
         return (
-            base + bisect_right(index.ends, m.start),
-            base + bisect_left(index.starts, m.end),
+            float(base + bisect_right(index.ends, m.start)),
+            float(base + bisect_left(index.starts, m.end)),
         )
 
     def _local(
@@ -306,7 +309,7 @@ class _Competitors:
             ]
         return lo, hi, others, local, distances
 
-    def _ahead(self, left: int, s_a: int, i: int) -> float:
+    def _ahead(self, left: float, s_a: float, i: int) -> float:
         """Distance of mention ``i``, of a sentence before ``s_a``, to a
         span of sentence ``s_a`` at global token ``left``.
 
@@ -314,15 +317,51 @@ class _Competitors:
         sentence boundary crossed.
         """
 
-        return float(left - self._rights[i]) + self._penalty * (s_a - self._sentence_of[i])
+        return left - self._rights[i] + self._penalty * (s_a - self._sentence_f[i])
 
-    def _behind(self, right: int, s_a: int, j: int) -> float:
+    def _behind(self, right: float, s_a: float, j: int) -> float:
         """Distance of mention ``j``, of a sentence after ``s_a``, to a span
         of sentence ``s_a`` ending at global token ``right``; counted as in
         :meth:`_ahead`.
         """
 
-        return float(self._lefts[j] - right) + self._penalty * (self._sentence_of[j] - s_a)
+        return self._lefts[j] - right + self._penalty * (self._sentence_f[j] - s_a)
+
+    def _window(
+        self, s_a: float, left: float, right: float, lo: int, hi: int,
+        distances: Sequence[float],
+    ) -> tuple[list[float], list[float]]:
+        """The softmin weights of the window's mentions ahead and behind.
+
+        For a span of sentence ``s_a`` at global tokens ``left:right``,
+        whose sentence holds mentions ``lo:hi`` and whose local competitors
+        lie at ``distances``: the weights ``exp(-(d - d_min) / tau)``,
+        ``d_min`` the smallest distance of every competitor, of mentions
+        ``first:lo`` ahead and ``hi:last`` behind, those that are not 0.0.
+        Computed straight from the position lists, with the distance
+        expression of :meth:`_ahead` and :meth:`_behind`.
+        """
+
+        n, tau = len(self._mentions), self._config.tau
+        ahead, behind = self._ahead, self._behind
+        d_min = min(distances, default=math.inf)
+        if lo:
+            d_min = min(d_min, ahead(left, s_a, lo - 1))
+        if hi < n:
+            d_min = min(d_min, behind(right, s_a, hi))
+        first = _first_weighted(lambda i: ahead(left, s_a, i), lo, d_min, tau)
+        last = n - _first_weighted(lambda k: behind(right, s_a, n - 1 - k), n - hi, d_min, tau)
+        exp, penalty, sentence_of = math.exp, self._penalty, self._sentence_f
+        return (
+            [
+                exp(-(left - r + penalty * (s_a - s) - d_min) / tau)
+                for r, s in zip(self._rights[first:lo], sentence_of[first:lo])
+            ],
+            [
+                exp(-(l - right + penalty * (s - s_a) - d_min) / tau)
+                for l, s in zip(self._lefts[hi:last], sentence_of[hi:last])
+            ],
+        )
 
     def link(self, a: AttributeMention, kb: KnowledgeBase) -> Relation | None:
         """Link ``a`` to the best of its competitors, or None.
@@ -330,10 +369,9 @@ class _Competitors:
         The relation of scoring every competitor, bit for bit: the entities
         of ``a``'s sentence but those whose span holds ``a`` and, with
         cross-sentence linking, every other entity of the record, at the
-        distance of :meth:`_ahead` or :meth:`_behind`.  Only the near
-        competitors, inside the softmin window (see the class docstring),
-        are listed with distances.  Returns None when no entity competes or
-        the best score is below ``min_score``.  Raises
+        distance of :meth:`_ahead` or :meth:`_behind`.  Only the candidates
+        of the class docstring are scored.  Returns None when no entity
+        competes or the best score is below ``min_score``.  Raises
         :class:`UnknownConcept` for the first competitor whose concept is
         not in ``kb``.
         """
@@ -342,34 +380,16 @@ class _Competitors:
         if not (entities or others):
             return None
         config = self._config
-        near = [e.concept_id for e in entities]
-        if others:
+        ids = [e.concept_id for e in entities]
+        local = len(ids)
+        if not others:
+            sup = _p_sup(a, dict.fromkeys(ids), ids, local, kb, config.weights)
+        else:
             mentions, concepts, n = self._mentions, self._concepts, len(self._mentions)
-            s_a, tau = a.sentence_index, config.tau
-            ahead, behind = self._ahead, self._behind
-            left, right = self._position(a)
-            held = len(entities) < hi - lo  # an entity span holds a
-            d_min = min(distances, default=math.inf)
-            if lo:
-                d_min = min(d_min, ahead(left, s_a, lo - 1))
-            if hi < n:
-                d_min = min(d_min, behind(right, s_a, hi))
-            # mentions first:lo ahead and hi:last behind have a non-zero weight
-            first = _first_weighted(lambda i: ahead(left, s_a, i), lo, d_min, tau)
-            last = n - _first_weighted(
-                lambda k: behind(right, s_a, n - 1 - k), n - hi, d_min, tau
-            )
-            entities = mentions[first:lo] + entities + mentions[hi:last]
-            distances = (
-                [ahead(left, s_a, i) for i in range(first, lo)]
-                + distances
-                + [behind(right, s_a, j) for j in range(hi, last)]
-            )
-            near = concepts[first:lo] + near + concepts[hi:last]
-            if held:
+            if local < hi - lo:  # an entity span holds a
                 sup = _p_sup(
-                    a, self._distinct, chain(concepts[:first], near, concepts[last:]),
-                    first + len(near) + n - last, kb, config.weights,
+                    a, self._distinct, chain(concepts[:lo], ids, concepts[hi:]),
+                    lo + local + n - hi, kb, config.weights,
                 )
             else:
                 signature = (attribute_shape(a), a.unit, a.values)
@@ -378,54 +398,31 @@ class _Competitors:
                     sup = self._sup_by_signature[signature] = _p_sup(
                         a, self._distinct, concepts, n, kb, config.weights
                     )
-        else:
-            sup = _p_sup(a, dict.fromkeys(near), near, len(near), kb, config.weights)
-
+            s_a, (left, right) = float(a.sentence_index), self._position(a)
+            ahead_w, behind_w = self._window(s_a, left, right, lo, hi, distances)
+            ahead, behind = self._ahead, self._behind
+            picks = []
+            for occurrences in self._occurrences.values():
+                k = bisect_left(occurrences, lo)
+                if k:  # the last mention ahead is the nearest; walk back over equals
+                    d = ahead(left, s_a, occurrences[k - 1])
+                    while k > 1 and ahead(left, s_a, occurrences[k - 2]) == d:
+                        k -= 1
+                    picks.append(occurrences[k - 1])
+                    distances.append(d)
+                k = bisect_left(occurrences, hi)
+                if k < len(occurrences):  # the first mention behind is the nearest
+                    picks.append(occurrences[k])
+                    distances.append(behind(right, s_a, occurrences[k]))
+            entities += map(mentions.__getitem__, picks)
+            ids += map(concepts.__getitem__, picks)
+        # each side's nearest mention, or one at its distance, is a candidate,
+        # so the smallest candidate distance is the window's d_min, and a
+        # candidate outside the window weighs exactly 0.0
         weights = softmin_weights(distances, tau=config.tau)
-        scores = _mix(map(sup.__getitem__, near), weights, config.theta, left_sum(weights))
-        if others and (first or last < n):
-            # a far entity's p_dep is 0.0, so its score follows from its concept,
-            # and the mixture grows with p_sup
-            far_sup = max(
-                sup[c]
-                for c, occurrences in self._occurrences.items()
-                if occurrences[0] < first or occurrences[-1] >= last
-            )
-            best = _mix([far_sup], [0.0], config.theta)[0]
-            if best >= max(scores):
-                far_score = zip(sup, _mix(sup.values(), repeat(0.0), config.theta))
-                tied = [c for c, score in far_score if score == best]
-                distance, k = self._nearest_far(tied, left, right, s_a, first, last)
-                entities.append(mentions[k])
-                distances.append(distance)
-                scores.append(best)
+        total = left_sum(chain(ahead_w, weights[:local], behind_w) if others else weights)
+        scores = _mix(map(sup.__getitem__, ids), weights, config.theta, total)
         return _pick(a, entities, distances, scores, config.min_score)
-
-    def _nearest_far(
-        self, tied: Iterable[str], left: int, right: int, s_a: int, first: int, last: int
-    ) -> tuple[float, int]:
-        """``(distance, index)`` of the far mention that ``_pick`` prefers
-        among the mentions of the ``tied`` concepts outside ``first:last``.
-
-        Their character gaps are all infinite, so the smallest distance
-        wins, then the leftmost mention.  At least one tied concept must
-        have a mention outside the window.
-        """
-
-        ahead, behind = self._ahead, self._behind
-        found = []
-        for c in tied:
-            occurrences = self._occurrences[c]
-            k = bisect_left(occurrences, first)
-            if k:  # the last mention ahead is the nearest; walk back over equals
-                d = ahead(left, s_a, occurrences[k - 1])
-                while k > 1 and ahead(left, s_a, occurrences[k - 2]) == d:
-                    k -= 1
-                found.append((d, occurrences[k - 1]))
-            k = bisect_left(occurrences, last)
-            if k < len(occurrences):  # the first mention behind is the nearest
-                found.append((behind(right, s_a, occurrences[k]), occurrences[k]))
-        return min(found)
 
 
 def _first_weighted(distance, stop: int, d_min: float, tau: float) -> int:

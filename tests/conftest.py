@@ -36,6 +36,7 @@ MALFORMED_KBS = {
     ),
     "blank synonym": ({}, {"synonyms": [" "]}, "blank synonym"),
     "blank expected unit": ({}, {"expected_units": ["\t"]}, "blank expected unit"),
+    "inverted range": ({}, {"value_min": 10, "value_max": 5}, "value_min 10 > value_max 5"),
     "blank unit variant": ({"  ": "mmHg"}, {"expected_units": ["mmHg"]}, "blank unit"),
     "blank canonical unit": ({"torr": ""}, {"expected_units": ["torr"]}, "blank unit"),
 }
@@ -52,6 +53,13 @@ def malformed_kb_file(tmp_path, case):
     path = tmp_path / "kb.json"
     path.write_text(json.dumps({"version": 1, "units": units, "entries": [entry]}))
     return path, message
+
+
+def malformed_kb_where(path, case):
+    """The start of a :data:`MALFORMED_KBS` case's message: the file, and
+    the entry when the entry is at fault rather than the unit table."""
+
+    return f"{path}: " if MALFORMED_KBS[case][0] else f"{path}: entries[0]: "
 
 
 def softmin_p_dep(distances, tau=DEFAULT_TAU):

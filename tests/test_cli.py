@@ -18,7 +18,7 @@ from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode, split_records
 from critex.syntax import align_block, parse_blocks
 
-from conftest import MALFORMED_KBS, PARAGRAPH_TWO, malformed_kb_file
+from conftest import MALFORMED_KBS, PARAGRAPH_TWO, malformed_kb_file, malformed_kb_where
 
 
 @pytest.fixture()
@@ -484,8 +484,16 @@ class TestKbCommand:
         code, out, err = run(capsys, "kb", "validate", path)
         assert code == 2
         assert out == ""
-        assert err.startswith("critex: error: ")
+        assert err.startswith("critex: error: " + malformed_kb_where(path, case))
         assert message in err
+
+    def test_validate_duplicate_concept_id(self, capsys, tmp_path):
+        path = tmp_path / "kb.json"
+        entry = {"concept_id": "LOCAL:x", "preferred_term": "x"}
+        path.write_text(json.dumps({"version": 1, "entries": [entry, dict(entry)]}))
+        code, out, err = run(capsys, "kb", "validate", path)
+        assert (code, out) == (2, "")
+        assert err == f"critex: error: {path}: duplicate concept_id: LOCAL:x\n"
 
     def test_mine_writes_candidates(self, capsys, tmp_path, fig2_file):
         out_path = tmp_path / "cand.json"

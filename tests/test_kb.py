@@ -30,7 +30,7 @@ from critex.resources import bundled_kb_path
 from critex.segmentation import SplitMode, split_records
 from critex.units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
 
-from conftest import MALFORMED_KBS, malformed_kb_file
+from conftest import MALFORMED_KBS, malformed_kb_file, malformed_kb_where
 
 
 def attr(kind, values=(), unit=None, comparator=None):
@@ -103,8 +103,9 @@ class TestLoadKb:
         path.write_text(json.dumps({
             "version": 1, "units": {}, "entries": [entry, dict(entry)],
         }))
-        with pytest.raises(DuplicateConceptId):
+        with pytest.raises(DuplicateConceptId) as info:
             load_kb(path)
+        assert str(info.value) == f"{path}: duplicate concept_id: LOCAL:x"
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "kb.json"
@@ -115,8 +116,19 @@ class TestLoadKb:
     @pytest.mark.parametrize("case", sorted(MALFORMED_KBS))
     def test_malformed_terms_and_units_rejected(self, tmp_path, case):
         path, message = malformed_kb_file(tmp_path, case)
-        with pytest.raises(MalformedKb, match=message):
+        with pytest.raises(MalformedKb, match=message) as info:
             load_kb(path)
+        assert type(info.value) is MalformedKb
+        assert str(info.value).startswith(malformed_kb_where(path, case))
+
+    def test_entry_errors_name_the_index_of_the_entry(self, tmp_path):
+        path = tmp_path / "kb.json"
+        entries = [{"concept_id": f"LOCAL:{i}", "preferred_term": f"t{i}"} for i in range(3)]
+        entries[2]["synonyms"] = [" "]
+        path.write_text(json.dumps({"version": 1, "entries": entries}))
+        with pytest.raises(MalformedKb) as info:
+            load_kb(path)
+        assert str(info.value) == f"{path}: entries[2]: LOCAL:2: blank synonym: ' '"
 
     @pytest.mark.parametrize("fields", [
         {"preferred_term": " "},

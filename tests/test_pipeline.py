@@ -28,7 +28,7 @@ from critex.linker import _Competitors
 from critex.pipeline import PipelineConfig, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
-from critex.syntax import DependencyParse, align_block, parse_blocks
+from critex.syntax import DependencyParse, align_block, parse_blocks, softmin_weights
 from critex.segmentation import split_records
 
 
@@ -565,6 +565,102 @@ class TestSoftminWindow:
         assert _relation_rows(text, kb, config) == _oracle_rows(text, kb, config)
 
 
+class TestCandidates:
+    """Cross-sentence linking scores the local competitors and each
+    concept's nearest mention on each side, ahead the leftmost of those at
+    its distance; the window serves the ``p_dep`` total alone."""
+
+    CONCEPTS = ("C0005823", "C0013798", "C0005802")  # blood pressure, ECG, glucose
+
+    @staticmethod
+    @st.composite
+    def records(draw):
+        """Sentences and entity mentions at arbitrary spans inside a few of
+        their tokens, often several inside one: mentions of one concept then
+        lie at one distance, ahead and behind.  Half the sentences have no
+        mention, so that the runs of other sentences win."""
+
+        sentences = split_records(draw(MULTI_SENTENCE), SplitMode.PARAGRAPHS)
+        mentions = []
+        for s in sentences:
+            if not (s.tokens and draw(st.booleans())):
+                continue
+            picked = draw(st.lists(st.integers(0, len(s.tokens) - 1), max_size=4))
+            for token in (s.tokens[i] for i in sorted(set(picked))):
+                cuts = draw(st.lists(st.integers(token.start, token.end), min_size=2,
+                                     max_size=6))
+                cuts = sorted(set(cuts))
+                for start, end in zip(cuts[::2], cuts[1::2]):
+                    concept = draw(st.sampled_from(TestCandidates.CONCEPTS))
+                    mentions.append(EntityMention(
+                        s.sentence_index, start, end, s.text[start:end], concept, "e"
+                    ))
+        return sentences, mentions
+
+    @pytest.mark.parametrize("text, linked", [
+        # ahead: two mentions inside "Pressure", at one distance
+        ("Pressure was taken. 140/90 mmHg", (0, 1, 3)),
+        # behind: two mentions inside "Pressure"; the nearest is the leftmost
+        ("140/90 mmHg. Pressure was taken.", (1, 1, 3)),
+    ])
+    @pytest.mark.parametrize("theta", (0.0, 1.0))
+    def test_equal_distance_run_goes_to_its_leftmost_mention(self, mini_kb, text, linked,
+                                                             theta):
+        sentences = split_records(text, SplitMode.PARAGRAPHS)
+        mentions = [
+            EntityMention(linked[0], start, start + 2, "xx", "C0005823", "e")
+            for start in (1, 4)
+        ]
+        (a,) = [a for s in sentences for a in extract_attributes(s, mini_kb)]
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
+                                theta=theta, boundary_penalty=1.0)
+        competitors = _Competitors(sentences, mentions, config, None)
+        _, distances = oracles.competitors_of(competitors, a)
+        assert distances[0] == distances[1]
+        r = competitors.link(a, mini_kb)
+        assert (r.entity.sentence_index, r.entity.start, r.entity.end) == linked
+        assert [r] == oracles.link(sentences, mentions, [a], mini_kb, config)
+
+    @given(
+        record=records(),
+        tau=st.one_of(st.sampled_from((0.01, 1e3)), st.floats(0.01, 1e3)),
+        theta=st.sampled_from((0.0, 0.5, 1.0)),
+        penalty=st.sampled_from((1.0, 2.0, 0.3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_chain_on_equal_distance_runs(
+        self, mini_kb, record, tau, theta, penalty
+    ):
+        sentences, mentions = record
+        attributes = [a for s in sentences for a in extract_attributes(s, mini_kb)]
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True, tau=tau,
+                                theta=theta, boundary_penalty=penalty, min_score=0.0)
+        competitors = _Competitors(sentences, mentions, config, None)
+        expected = {
+            r.attribute: (r.entity, float.hex(r.score))
+            for r in oracles.link(sentences, mentions, attributes, mini_kb, config)
+        }
+        for a in attributes:
+            r = competitors.link(a, mini_kb)
+            assert (r and (r.entity, float.hex(r.score))) == expected.get(a)
+            self._assert_window_weights(competitors, a, tau)
+
+    @staticmethod
+    def _assert_window_weights(competitors, a, tau):
+        # the window's inline distances weigh every mention as _ahead and
+        # _behind do; the mentions left out weigh exactly 0.0
+        lo, hi, others, local, distances = competitors._local(a)
+        if not others:
+            return
+        left, right = competitors._position(a)
+        ahead, behind = competitors._window(a.sentence_index, left, right, lo, hi, distances)
+        _, every = oracles.competitors_of(competitors, a)
+        weights = softmin_weights(every, tau)
+        after = len(competitors._mentions) - hi
+        assert weights[:lo] == [0.0] * (lo - len(ahead)) + ahead
+        assert weights[lo + len(local):] == behind + [0.0] * (after - len(behind))
+
+
 class TestSharedPSup:
     """Under cross-sentence linking, attributes of one signature share one
     ``p_sup``; an attribute inside an entity span computes its own."""
@@ -701,4 +797,21 @@ class TestPinnedOutput:
                         digest.update(repr(rows).encode("utf-8"))
         assert digest.hexdigest() == (
             "d4c60801201d8bee0a9b46a0433f3eea111214555523c5c5bc881f43fd378777"
+        )
+
+    def test_long_record_over_a_config_grid(self, mini_kb):
+        # the joined corpus ten times over (16,729 chars), where few
+        # competitors are local: 77-83% of the pairs weigh exactly 0.0 under
+        # tau 0.5, 27-41% under the default 2.0 and none under 50
+        text = " ".join([JOINED_CORPUS] * 10)
+        digest = hashlib.sha256()
+        for tau in (0.5, 2.0, 50.0):
+            for penalty in (0.0, 0.3, 5.0):
+                for theta in (0.0, 0.5):
+                    config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
+                                            tau=tau, theta=theta, boundary_penalty=penalty)
+                    record = annotate_record("r", text, mini_kb, config)
+                    digest.update(to_json(record, extended=True).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "0bbf4efeae8b413dd632ca237cefd7b6d9329c8ed1057156a46b626aadb74bc8"
         )
