@@ -155,68 +155,55 @@ def link_abbreviations(
 ) -> list[EntityMention]:
     """Expand "<LongForm> (<ABBR>)" definitions across one record.
 
-    ``mentions`` holds the recognized mentions of all sentences of the
-    record.  Later occurrences of a defined short form are emitted as new
-    mentions carrying the long form's concept id; everything else passes
-    through unchanged.
+    ``sentences`` are the record's sentences in order and ``mentions`` the
+    recognized mentions of all of them.  One pass walks the sentences in
+    order.  A sentence's mentions add the definitions they open, the first
+    definition of a short form winning; once any definition exists, every
+    token of the sentence that is a defined short form, comes after its
+    definition and lies inside no mention becomes a new mention carrying
+    the long form's concept id.  A definition never expands a token before
+    it, so the pass sees at each token what the whole record defines
+    there.  Everything else passes through unchanged; the result is
+    ordered by ``(sentence_index, start)``.
     """
 
     by_sentence: dict[int, list[EntityMention]] = {}
     for m in mentions:
         by_sentence.setdefault(m.sentence_index, []).append(m)
-    # token start and end offsets of each sentence that has mentions
-    offsets: dict[int, tuple[list[int], list[int]]] = {
-        s.sentence_index: ([t.start for t in s.tokens], [t.end for t in s.tokens])
-        for s in sentences
-        if s.sentence_index in by_sentence
-    }
-
-    # (sentence_index, token_index) of the defining occurrence per surface
+    # short form -> (concept id, long form, (sentence_index, token_index))
     definitions: dict[str, tuple[str, str, tuple[int, int]]] = {}
+    out = list(mentions)
     for sentence in sentences:
-        toks = sentence.tokens
-        for m in by_sentence.get(sentence.sentence_index, ()):
-            ends = offsets[sentence.sentence_index][1]
+        index, toks = sentence.sentence_index, sentence.tokens
+        group = by_sentence.get(index, ())
+        ends = [t.end for t in toks] if group else []
+        for m in group:
             k = bisect_left(ends, m.end)
             if k + 3 >= len(toks) or ends[k] != m.end:
                 continue
             if toks[k + 1].surface != "(" or toks[k + 3].surface != ")":
                 continue
             abbr = toks[k + 2]
-            if abbr.shape not in _MATCHABLE:
-                continue
-            if _initials_match(abbr.surface, m.surface):
-                definitions.setdefault(
-                    abbr.surface,
-                    (m.concept_id, m.surface, (sentence.sentence_index, k + 2)),
-                )
-
-    if not definitions:
-        return sorted(mentions, key=lambda m: (m.sentence_index, m.start))
-
-    out = list(mentions)
-    # tokens inside a mention: those starting at or after its start and
-    # ending at or before its end, a contiguous index range
-    occupied = {
-        (index, i)
-        for index, (starts, ends) in offsets.items()
-        for m in by_sentence[index]
-        for i in range(bisect_left(starts, m.start), bisect_right(ends, m.end))
-    }
-    for sentence in sentences:
-        for i, tok in enumerate(sentence.tokens):
+            if abbr.shape in _MATCHABLE and _initials_match(abbr.surface, m.surface):
+                definitions.setdefault(abbr.surface, (m.concept_id, m.surface, (index, k + 2)))
+        if not definitions:
+            continue
+        # tokens inside a mention: those starting at or after its start and
+        # ending at or before its end, a contiguous index range
+        starts = [t.start for t in toks]
+        occupied = {
+            i
+            for m in group
+            for i in range(bisect_left(starts, m.start), bisect_right(ends, m.end))
+        }
+        for i, tok in enumerate(toks):
             hit = definitions.get(tok.surface)
-            if hit is None:
+            if hit is None or (index, i) <= hit[2] or i in occupied:
                 continue
-            concept_id, long_surface, defined_at = hit
-            if (sentence.sentence_index, i) <= defined_at:
-                continue
-            if (sentence.sentence_index, i) in occupied:
-                continue
-            occupied.add((sentence.sentence_index, i))
+            concept_id, long_surface, _ = hit
             out.append(
                 EntityMention(
-                    sentence_index=sentence.sentence_index,
+                    sentence_index=index,
                     start=tok.start,
                     end=tok.end,
                     surface=tok.surface,

@@ -12,6 +12,7 @@ concept's unit is strong evidence.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -79,6 +80,10 @@ class KbEntry:
         for unit in self.expected_units:
             if not unit_key(unit):
                 raise MalformedKb(f"{self.concept_id}: blank expected unit: {unit!r}")
+        for name in ("value_min", "value_max"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise MalformedKb(f"{self.concept_id}: {name} must be finite, got {value}")
         if (
             self.value_min is not None
             and self.value_max is not None
@@ -279,7 +284,8 @@ def _entry_from_dict(raw: dict, where: str) -> KbEntry:
         ):
             raise MalformedKb(f"{where}: field {key!r} must be a list of strings")
     for key in ("value_min", "value_max"):
-        if raw.get(key) is not None and not isinstance(raw[key], (int, float)):
+        value = raw.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise MalformedKb(f"{where}: field {key!r} must be a number")
     pattern = raw.get("value_pattern")
     if pattern is not None:
@@ -413,16 +419,19 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
                 if u.strip()
             )
         )
-        entries.append(
-            KbEntry(
-                concept_id=f"LOCAL:{_slug(term)}",
-                preferred_term=term,
-                expected_units=units,
-                value_min=value_min,
-                value_max=value_max,
-                category=Category.MEASUREMENT if units else Category.OTHER,
+        try:
+            entries.append(
+                KbEntry(
+                    concept_id=f"LOCAL:{_slug(term)}",
+                    preferred_term=term,
+                    expected_units=units,
+                    value_min=value_min,
+                    value_max=value_max,
+                    category=Category.MEASUREMENT if units else Category.OTHER,
+                )
             )
-        )
+        except MalformedKb as exc:  # e.g. a bound too long for a finite float
+            raise MalformedKb(f"{path}:{lineno}: {exc}") from None
     return KnowledgeBase.build(entries)
 
 

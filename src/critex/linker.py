@@ -57,7 +57,7 @@ from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
 from .errors import UnknownConcept
 from .floats import left_sum
-from .kb import CompatibilityWeights, DEFAULT_WEIGHTS, KnowledgeBase, compatibility_terms
+from .kb import CompatibilityWeights, KnowledgeBase, compatibility_terms
 from .segmentation import SentenceRecord
 from .syntax import (
     ClauseIndex,
@@ -91,29 +91,25 @@ def relation_label(attribute: AttributeMention) -> str:
 
 def _p_sup(
     attribute: AttributeMention,
-    scored: Iterable[str],
-    competitors: Iterable[str],
-    count: int,
+    competitors: Sequence[str],
     kb: KnowledgeBase,
-    weights: CompatibilityWeights = DEFAULT_WEIGHTS,
+    weights: CompatibilityWeights,
 ) -> dict[str, float]:
     """Normalized compatibility of each competing concept with one attribute.
 
-    ``scored`` lists, each once, every concept id a competitor may carry
-    (it may list more); ``competitors`` holds the ``count`` competitors'
-    concept ids in mention order.  The attribute is shared, so
-    compatibility depends on the concept alone: each concept is scored
-    once, and the result maps a concept id to the ``p_sup`` of every
-    competitor that carries it.  Raw compatibilities are normalized by
-    their total over all competitors, summed in mention order; when that
-    total is zero the distribution falls back to uniform.  Raises
-    :class:`UnknownConcept` for the first competitor whose concept is not
-    in ``kb``.
+    ``competitors`` holds the competitors' concept ids in mention order.
+    The attribute is shared, so compatibility depends on the concept alone:
+    each distinct concept is scored once, and the result maps a concept id
+    to the ``p_sup`` of every competitor that carries it.  Raw
+    compatibilities are normalized by their total over all competitors,
+    summed in mention order; when that total is zero the distribution falls
+    back to uniform.  Raises :class:`UnknownConcept` for the first
+    competitor whose concept is not in ``kb``.
     """
 
     shape = attribute_shape(attribute)
     raw: dict[str, float] = {}
-    for concept_id in scored:
+    for concept_id in dict.fromkeys(competitors):
         entry = kb.by_id.get(concept_id)
         if entry is not None:
             raw[concept_id] = compatibility_terms(entry, attribute, shape, weights)[0]
@@ -123,16 +119,16 @@ def _p_sup(
         raise UnknownConcept(f"concept {exc.args[0]} not in knowledge base") from None
     if total > 0:
         return {c: r / total for c, r in raw.items()}
-    return dict.fromkeys(raw, 1.0 / count)
+    return dict.fromkeys(raw, 1.0 / len(competitors))
 
 
 def _mix(
-    sup: Iterable[float], dep: Iterable[float], theta: float, total: float = 1.0
+    sup: Iterable[float], dep: Iterable[float], theta: float, total: float
 ) -> list[float]:
     """Convex mixture ``theta * p_sup + (1 - theta) * p_dep``, entity by entity.
 
     ``p_dep`` is ``dep`` divided by ``total``, so softmin weights can be
-    mixed as they are normalized; dividing by 1.0 is exact.
+    mixed as they are normalized.
     """
 
     rest = 1.0 - theta
@@ -247,7 +243,6 @@ class _Competitors:
             self._occurrences: dict[str, list[int]] = {}
             for i, concept_id in enumerate(self._concepts):
                 self._occurrences.setdefault(concept_id, []).append(i)
-            self._distinct = tuple(self._occurrences)
             self._sup_by_signature: dict[tuple, dict[str, float]] = {}
 
     def _clauses(self, sentence_index: int) -> ClauseIndex:
@@ -383,20 +378,17 @@ class _Competitors:
         ids = [e.concept_id for e in entities]
         local = len(ids)
         if not others:
-            sup = _p_sup(a, dict.fromkeys(ids), ids, local, kb, config.weights)
+            sup = _p_sup(a, ids, kb, config.weights)
         else:
-            mentions, concepts, n = self._mentions, self._concepts, len(self._mentions)
+            mentions, concepts = self._mentions, self._concepts
             if local < hi - lo:  # an entity span holds a
-                sup = _p_sup(
-                    a, self._distinct, chain(concepts[:lo], ids, concepts[hi:]),
-                    lo + local + n - hi, kb, config.weights,
-                )
+                sup = _p_sup(a, concepts[:lo] + ids + concepts[hi:], kb, config.weights)
             else:
                 signature = (attribute_shape(a), a.unit, a.values)
                 sup = self._sup_by_signature.get(signature)
                 if sup is None:
                     sup = self._sup_by_signature[signature] = _p_sup(
-                        a, self._distinct, concepts, n, kb, config.weights
+                        a, concepts, kb, config.weights
                     )
             s_a, (left, right) = float(a.sentence_index), self._position(a)
             ahead_w, behind_w = self._window(s_a, left, right, lo, hi, distances)

@@ -1,12 +1,14 @@
 """End-to-end annotation: text in, structured record out.
 
-The stages run in a fixed order: sentence/token segmentation, dictionary
-entity recognition plus abbreviation expansion, attribute parsing, then
-linking, one attribute at a time.  The linker's ``_Competitors``, built
-once per record over its sentences, mentions and optional external
+Each record takes one forward pass through the stages, in a fixed order:
+sentence/token segmentation, dictionary entity recognition, abbreviation
+expansion in sentence order, attribute parsing around each sentence's
+entity spans, then one link per attribute.  The linker's ``_Competitors``,
+built once per record over its sentences, mentions and optional external
 parses, lists the entities that compete for each attribute with their
 syntactic distances, scores them and keeps the best (see
-:mod:`critex.linker`).
+:mod:`critex.linker`).  The record is built from those links: attribute
+``i`` is payload ``i``, unlinked when its link is None.
 Everything is deterministic: the same record, knowledge base and config
 always give the same output.
 """
@@ -125,29 +127,20 @@ def _annotate_sentences(
     align parses to it, passes them here instead of splitting it again.
     """
 
-    mentions: list[EntityMention] = []
-    for sentence in sentences:
-        mentions.extend(recognize_entities(sentence, kb))
-    mentions = link_abbreviations(sentences, mentions)
-    mentions_by_sentence: dict[int, list[EntityMention]] = {}
+    mentions = link_abbreviations(
+        sentences, [m for s in sentences for m in recognize_entities(s, kb)]
+    )
+    spans: list[list[tuple[int, int]]] = [[] for _ in sentences]
     for m in mentions:
-        mentions_by_sentence.setdefault(m.sentence_index, []).append(m)
-
-    attributes: list[AttributeMention] = []
-    for sentence in sentences:
-        spans = [
-            (m.start, m.end)
-            for m in mentions_by_sentence.get(sentence.sentence_index, ())
-        ]
-        attributes.extend(extract_attributes(sentence, kb, entity_spans=spans))
-
+        spans[m.sentence_index].append((m.start, m.end))
+    attributes = [
+        a
+        for s, entity_spans in zip(sentences, spans)
+        for a in extract_attributes(s, kb, entity_spans=entity_spans)
+    ]
     competitors = _Competitors(sentences, mentions, config, parses)
-    relations = []
-    for a in attributes:
-        relation = competitors.link(a, kb)
-        if relation is not None:
-            relations.append(relation)
-    return _build_record(record_id, text, sentences, mentions, attributes, relations)
+    links = [competitors.link(a, kb) for a in attributes]
+    return _build_record(record_id, text, sentences, mentions, attributes, links)
 
 
 def _build_record(
@@ -156,43 +149,35 @@ def _build_record(
     sentences: Sequence[SentenceRecord],
     mentions: Sequence[EntityMention],
     attributes: Sequence[AttributeMention],
-    relations: Sequence[Relation],
+    links: Sequence[Relation | None],
 ) -> StructuredRecord:
+    """The record of attribute ``i`` linked by ``links[i]`` (None: unlinked)."""
+
     entity_payloads = [_entity_payload(sentences, m) for m in mentions]
     attribute_payloads = [_attribute_payload(sentences, a) for a in attributes]
-    entity_index = {
-        (m.sentence_index, m.start, m.end): i for i, m in enumerate(mentions)
-    }
-    attribute_index = {
-        (a.sentence_index, a.start, a.end): i for i, a in enumerate(attributes)
-    }
-
+    # mentions are disjoint, so a sentence and a start name one
+    entity_index = {(m.sentence_index, m.start): i for i, m in enumerate(mentions)}
     pairs = []
     relation_payloads = []
-    linked_attrs = set()
-    for r in relations:
+    unlinked = []
+    for i, r in enumerate(links):
+        if r is None:
+            unlinked.append(attribute_payloads[i])
+            continue
         pairs.append(RelationPair(entity=r.entity.surface, attribute=r.attribute.surface))
-        a_key = (r.attribute.sentence_index, r.attribute.start, r.attribute.end)
-        e_key = (r.entity.sentence_index, r.entity.start, r.entity.end)
-        linked_attrs.add(a_key)
         relation_payloads.append(
             {
-                "entity": entity_index[e_key],
-                "attribute": attribute_index[a_key],
+                "entity": entity_index[r.entity.sentence_index, r.entity.start],
+                "attribute": i,
                 "label": r.label,
                 "score": r.score,
             }
         )
-    unlinked = [
-        attribute_payloads[i]
-        for i, a in enumerate(attributes)
-        if (a.sentence_index, a.start, a.end) not in linked_attrs
-    ]
     extended = {
         "entities": entity_payloads,
         "attributes": attribute_payloads,
         "relations": relation_payloads,
-        "scores": [r.score for r in relations],
+        "scores": [p["score"] for p in relation_payloads],
         "unlinked_attributes": unlinked,
     }
     return StructuredRecord(

@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import repeat
 
 import pytest
@@ -37,6 +38,10 @@ MALFORMED_KBS = {
     "blank synonym": ({}, {"synonyms": [" "]}, "blank synonym"),
     "blank expected unit": ({}, {"expected_units": ["\t"]}, "blank expected unit"),
     "inverted range": ({}, {"value_min": 10, "value_max": 5}, "value_min 10 > value_max 5"),
+    # json writes and reads NaN and Infinity, which are not JSON
+    "NaN bound": ({}, {"value_min": math.nan, "value_max": 5}, "value_min must be finite"),
+    "infinite bound": ({}, {"value_max": math.inf}, "value_max must be finite"),
+    "boolean bound": ({}, {"value_min": True}, "'value_min' must be a number"),
     "blank unit variant": ({"  ": "mmHg"}, {"expected_units": ["mmHg"]}, "blank unit"),
     "blank canonical unit": ({"torr": ""}, {"expected_units": ["torr"]}, "blank unit"),
 }

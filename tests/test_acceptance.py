@@ -14,7 +14,7 @@ import pytest
 from critex.attributes import AttributeKind, AttributeMention, Comparator, attribute_shape
 from critex.cli import main
 from critex.io_eval import ElementType, MatchMode, evaluate, read_brat_dir, read_corpus
-from critex.kb import compatibility_terms, load_kb
+from critex.kb import DEFAULT_WEIGHTS, compatibility_terms, load_kb
 from critex.pipeline import PipelineConfig, annotate_record
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode
@@ -113,7 +113,7 @@ def test_criterion_3_unit_dominance(kb):
     sentence = split_records(PARAGRAPH_TWO, SplitMode.PARAGRAPHS)[1]
     competing = {m.concept_id for m in recognize_entities(sentence, kb)}
     order = sorted(competing)  # C0005823 (blood pressure) before C0013798 (ECG)
-    sup = _p_sup(ratio((140, 90), "mmHg"), order, order, len(order), kb)  # per concept
+    sup = _p_sup(ratio((140, 90), "mmHg"), order, kb, DEFAULT_WEIGHTS)  # per concept
     probs = [sup[c] for c in order]
     assert order == ["C0005823", "C0013798"]
     assert probs[0] > 0.5 > probs[1]
@@ -217,7 +217,7 @@ def test_criterion_6_probability_normalization(kb):
     for _ in range(500):
         attribute = rng.choice(attribute_pool)
         chosen = rng.sample(concepts, rng.randint(1, 5))
-        sup = _p_sup(attribute, chosen, chosen, len(chosen), kb)  # p_sup per concept
+        sup = _p_sup(attribute, chosen, kb, DEFAULT_WEIGHTS)  # p_sup per concept
         probs = [sup[c] for c in chosen]
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert all(p >= 0 for p in probs)

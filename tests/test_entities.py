@@ -153,3 +153,47 @@ class TestLinkAbbreviations:
             mentions += recognize_entities(s, self.LONG_KB)
         linked = link_abbreviations(sentences, mentions)
         assert [m.surface for m in linked] == ["electrocardiograph"]
+
+
+class TestAbbreviationOrder:
+    """Which definition, if any, expands each occurrence of a short form."""
+
+    KB = KnowledgeBase.build([
+        KbEntry(concept_id="C1", preferred_term="electrocardiograph"),
+        KbEntry(concept_id="C2", preferred_term="electrocardiogram"),
+        KbEntry(concept_id="C3", preferred_term="ECG monitor"),
+    ])
+
+    def expand(self, text):
+        """(sentence_index, start, concept_id) of each added mention."""
+
+        sentences = split_records(text, SplitMode.LINES)
+        mentions = [m for s in sentences for m in recognize_entities(s, self.KB)]
+        linked = link_abbreviations(sentences, mentions)
+        return [(m.sentence_index, m.start, m.concept_id) for m in linked if m not in mentions]
+
+    def test_first_of_two_definitions_wins(self):
+        text = (
+            "An electrocardiograph (ECG) was recorded.\n"
+            "The ECG was normal.\n"
+            "An electrocardiogram (ECG) was repeated.\n"
+            "The ECG was filed."
+        )
+        # the second definition's own short form takes the first one too
+        assert self.expand(text) == [(1, 4, "C1"), (2, 22, "C1"), (3, 4, "C1")]
+
+    def test_occurrences_before_the_definition_stay_plain(self):
+        text = (
+            "The ECG came first.\n"
+            "ECG before an electrocardiograph (ECG) here.\n"
+            "Then ECG."
+        )
+        assert self.expand(text) == [(2, 5, "C1")]
+
+    def test_occurrence_inside_a_longer_mention_stays_plain(self):
+        text = "An electrocardiograph (ECG) was recorded.\nThe ECG monitor beeped."
+        assert self.expand(text) == []
+
+    def test_later_occurrence_in_the_defining_sentence_expands(self):
+        text = "An electrocardiograph (ECG) showed the ECG rhythm."
+        assert self.expand(text) == [(0, text.rindex("ECG"), "C1")]

@@ -1,6 +1,7 @@
 """Knowledge-base loading, unit normalization, lookup, scoring and mining."""
 
 import json
+import math
 
 import pytest
 
@@ -143,6 +144,13 @@ class TestLoadKb:
     def test_blank_units_rejected_by_build(self, units):
         with pytest.raises(MalformedKb, match="blank unit"):
             KnowledgeBase.build((), extra_units=units)
+
+    @pytest.mark.parametrize("bounds", [
+        {"value_min": math.nan}, {"value_max": math.inf}, {"value_min": -math.inf},
+    ])
+    def test_non_finite_bounds_rejected_by_the_constructor(self, bounds):
+        with pytest.raises(MalformedKb, match="must be finite"):
+            KbEntry(concept_id="LOCAL:x", preferred_term="x", **bounds)
 
     def test_synonym_duplicating_preferred_term_rejected(self):
         with pytest.raises(MalformedKb):
@@ -384,6 +392,13 @@ class TestImportTsv:
         path.write_text("term\tvalue_range\tunits\nheight\t10-20\tcm\n")
         with pytest.raises(MalformedKb):
             import_tsv(path)
+
+    def test_bound_too_long_for_a_float_names_the_line(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_text(f"term\tvalue_range\tunits\nheight\t1..{'9' * 400}\tcm\n")
+        with pytest.raises(MalformedKb, match="value_max must be finite") as info:
+            import_tsv(path)
+        assert str(info.value).startswith(f"{path}:2: LOCAL:")
 
 
 class TestMining:

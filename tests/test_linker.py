@@ -62,7 +62,7 @@ def make_attr(j, sentence=0, start=None, kind=AttributeKind.RANGE):
 def sup_list(attribute, concepts, kb, weights=CompatibilityWeights()):
     """``_p_sup`` of each competitor, in order."""
 
-    sup = _p_sup(attribute, dict.fromkeys(concepts), concepts, len(concepts), kb, weights)
+    sup = _p_sup(attribute, concepts, kb, weights)
     return [sup[c] for c in concepts]
 
 
@@ -143,12 +143,12 @@ class TestPSup:
 
     def test_unknown_concept(self):
         with pytest.raises(UnknownConcept):
-            _p_sup(make_attr(0), ["LOCAL:e9"], ["LOCAL:e9"], 1, self.KB)
+            _p_sup(make_attr(0), ["LOCAL:e9"], self.KB, CompatibilityWeights())
 
     def test_first_unknown_concept_is_reported(self):
         concepts = [f"LOCAL:e{i}" for i in (0, 7, 0, 8)]
         with pytest.raises(UnknownConcept, match="LOCAL:e7 "):
-            _p_sup(make_attr(0), dict.fromkeys(concepts), concepts, len(concepts), self.KB)
+            _p_sup(make_attr(0), concepts, self.KB, CompatibilityWeights())
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -207,20 +207,20 @@ class TestLinkAttribute:
             )
             relation = competitors.link(self.RATIO, TestPSup.KB)
             sup = sup_list(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
-            scores = _mix(sup, softmin_p_dep(distances, tau), theta)
+            scores = _mix(sup, softmin_p_dep(distances, tau), theta, 1.0)
             assert relation.score == max(scores)
             assert relation.entity is entities[scores.index(max(scores))]
 
 
 class TestMix:
     def test_theta_zero_is_pure_syntax(self):
-        assert _mix([0.9], [0.3], 0.0) == [0.3]
+        assert _mix([0.9], [0.3], 0.0, 1.0) == [0.3]
 
     def test_theta_one_is_pure_compatibility(self):
-        assert _mix([0.9], [0.3], 1.0) == [0.9]
+        assert _mix([0.9], [0.3], 1.0, 1.0) == [0.9]
 
     def test_halfway(self):
-        assert _mix([0.9], [0.3], 0.5) == pytest.approx([0.6])
+        assert _mix([0.9], [0.3], 0.5, 1.0) == pytest.approx([0.6])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -262,7 +262,9 @@ def score_all(candidates, config):
     """Mix each attribute's signals with the linker's ``_mix``."""
 
     for group in _groups(candidates):
-        scores = _mix([c.p_sup for c in group], [c.p_dep for c in group], config.theta)
+        scores = _mix(
+            [c.p_sup for c in group], [c.p_dep for c in group], config.theta, 1.0
+        )
         for c, score in zip(group, scores):
             c.score = score
     return candidates

@@ -748,6 +748,16 @@ class TestFuzz:
         _assert_disjoint(ext["entities"])
         _assert_disjoint(ext["attributes"])
         assert all(0.0 <= score <= 1.0 for score in ext["scores"])
+        # each attribute is linked once, in attribute order, or unlinked
+        linked = [r["attribute"] for r in ext["relations"]]
+        assert linked == sorted(set(linked))
+        unlinked = [i for i, a in enumerate(ext["attributes"]) if a in ext["unlinked_attributes"]]
+        assert ext["unlinked_attributes"] == [ext["attributes"][i] for i in unlinked]
+        assert sorted(linked + unlinked) == list(range(len(ext["attributes"])))
+        for pair, r in zip(record.relations, ext["relations"], strict=True):
+            assert pair.entity == ext["entities"][r["entity"]]["surface"]
+            assert pair.attribute == ext["attributes"][r["attribute"]]["surface"]
+        assert ext["scores"] == [r["score"] for r in ext["relations"]]
         again = annotate_record("r", text, mini_kb, config)
         assert to_json(again, extended=True) == to_json(record, extended=True)
 
