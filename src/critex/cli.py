@@ -20,18 +20,15 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import pipeline
-from .errors import CritexError, CycleDetected, MalformedJsonl, ParseMismatch
+from .errors import CritexError, CycleDetected, ParseMismatch
 from .io_eval import (
     ElementType,
     EvalReport,
     MatchMode,
-    StructuredRecord,
-    check_unique_id,
     evaluate,
-    extended_problem,
-    from_json,
     read_brat_dir,
     read_corpus,
+    read_predictions,
     read_text,
     to_json,
 )
@@ -228,21 +225,7 @@ def _format_table(report: EvalReport) -> str:
 
 def _cmd_evaluate(args) -> int:
     gold = read_brat_dir(args.gold)
-    predictions: list[StructuredRecord] = []
-    first_line: dict[str, int] = {}  # record id -> line it first appeared on
-    for lineno, line in enumerate(read_text(Path(args.pred)).splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{args.pred}: line {lineno}"
-        try:
-            record = from_json(line)
-        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-            raise MalformedJsonl(lineno, f"{where}: not an annotate record: {exc!r}") from None
-        problem = extended_problem(record.extended)
-        if problem:
-            raise MalformedJsonl(lineno, f"{where}: {problem}")
-        check_unique_id(first_line, record.id, lineno, where)
-        predictions.append(record)
+    predictions = read_predictions(args.pred)
     mode = None if args.mode == "both" else MatchMode(args.mode.upper())
     report = evaluate(predictions, gold, mode=mode, match_labels=args.match_labels)
     if args.format == "json":

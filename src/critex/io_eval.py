@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DanglingRef,
@@ -80,8 +80,10 @@ def to_json(record: StructuredRecord, extended: bool = False, indent: int | None
 
 
 def from_json(text: str) -> StructuredRecord:
-    doc = json.loads(text)
-    result = doc["result"]
+    return _from_result(json.loads(text)["result"])
+
+
+def _from_result(result: dict) -> StructuredRecord:
     return StructuredRecord(
         id=result["id"],
         text=result["text"],
@@ -276,26 +278,22 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         out: dict = {"records": self.n_records, "micro": {}, "macro": {}}
-        for (etype, mode), c in sorted(
-            self.micro.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        ):
+        for etype, mode in sorted(self.micro, key=lambda k: (k[0].value, k[1].value)):
+            c = self.micro[etype, mode]
+            p, r, f1 = self.macro[etype, mode]
             out["micro"].setdefault(etype.value, {})[mode.value] = {
-                "precision": c.precision,
-                "recall": c.recall,
-                "f1": c.f1,
-                "tp": c.tp,
-                "fp": c.fp,
-                "fn": c.fn,
+                "precision": c.precision, "recall": c.recall, "f1": c.f1,
+                "tp": c.tp, "fp": c.fp, "fn": c.fn,
             }
-        for (etype, mode), (p, r, f1) in sorted(
-            self.macro.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        ):
             out["macro"].setdefault(etype.value, {})[mode.value] = {
-                "precision": p,
-                "recall": r,
-                "f1": f1,
+                "precision": p, "recall": r, "f1": f1,
             }
         return out
+
+
+# what evaluation matches: an item's spans (one, or a relation's entity and
+# attribute) and its label (None but for relations)
+_Item = tuple[tuple[tuple[int, int], ...], str | None]
 
 
 def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -343,23 +341,43 @@ def _max_matching(edges: Sequence[Sequence[int]], n_gold: int) -> int:
     return size
 
 
-def _match_counts(pred, gold, mode: MatchMode, same, overlapping) -> Counts:
-    """Optimal one-to-one matching; each gold item matches one prediction.
+def _edges(
+    pred: Sequence[_Item], gold: Sequence[_Item], match_labels: bool
+) -> dict[MatchMode, list[list[int]]]:
+    """Each match mode's edges: the gold items each prediction may match.
 
-    EXACT matches on ``same`` edges.  OVERLAP matches on ``same`` or
-    ``overlapping`` edges, a superset, so EXACT tp <= OVERLAP tp.  Both
-    count a maximum matching: a greedy pass can let one prediction take the
-    only gold item another could match.
+    Items are ``(spans, label)``.  EXACT matches equal spans; OVERLAP
+    matches equal spans or spans that overlap one by one, a superset, so
+    EXACT tp <= OVERLAP tp.  Labels must be equal only under
+    ``match_labels``.  Each pair is compared once for both modes.
     """
 
-    if mode is MatchMode.OVERLAP:
-        edges = [
-            [j for j, g in enumerate(gold) if same(p, g) or overlapping(p, g)] for p in pred
-        ]
-    else:
-        edges = [[j for j, g in enumerate(gold) if same(p, g)] for p in pred]
-    tp = _max_matching(edges, len(gold))
-    return Counts(tp=tp, fp=len(pred) - tp, fn=len(gold) - tp)
+    exact, overlap = [], []
+    for spans, label in pred:
+        same, near = [], []
+        for j, (gold_spans, gold_label) in enumerate(gold):
+            if match_labels and label != gold_label:
+                continue
+            if spans == gold_spans:
+                same.append(j)
+                near.append(j)
+            elif all(map(_spans_overlap, spans, gold_spans)):
+                near.append(j)
+        exact.append(same)
+        overlap.append(near)
+    return {MatchMode.EXACT: exact, MatchMode.OVERLAP: overlap}
+
+
+def _items(entities, attributes, relations) -> dict[ElementType, list[_Item]]:
+    """Each element type's items from entity and attribute spans and
+    ``(entity span, attribute span, label)`` relations.
+    """
+
+    return {
+        ElementType.ENTITY: [((span,), None) for span in entities],
+        ElementType.ATTRIBUTE: [((span,), None) for span in attributes],
+        ElementType.RELATION: [((e, a), label) for e, a, label in relations],
+    }
 
 
 def extended_problem(ext) -> str | None:
@@ -386,67 +404,25 @@ def extended_problem(ext) -> str | None:
     return None
 
 
-def _record_counts(
-    record: StructuredRecord, gold: GoldAnnotation, mode: MatchMode, match_labels: bool
-) -> dict[ElementType, Counts]:
-    ext = record.extended
-    pred_entities = [((e["start"], e["end"]),) for e in ext["entities"]]
-    pred_attributes = [((a["start"], a["end"]),) for a in ext["attributes"]]
-    pred_relations = [
-        (
-            (
-                ext["entities"][r["entity"]]["start"],
-                ext["entities"][r["entity"]]["end"],
-            ),
-            (
-                ext["attributes"][r["attribute"]]["start"],
-                ext["attributes"][r["attribute"]]["end"],
-            ),
-            r["label"],
-        )
+def _prediction_items(ext: dict) -> dict[ElementType, list[_Item]]:
+    entities = [(e["start"], e["end"]) for e in ext["entities"]]
+    attributes = [(a["start"], a["end"]) for a in ext["attributes"]]
+    relations = [
+        (entities[r["entity"]], attributes[r["attribute"]], r["label"])
         for r in ext["relations"]
     ]
-    gold_entities = [((s.start, s.end),) for s in gold.entities]
-    gold_attributes = [((s.start, s.end),) for s in gold.attributes]
-    gold_relations = [
-        (
-            (r.entity.start, r.entity.end),
-            (r.attribute.start, r.attribute.end),
-            r.label,
-        )
-        for r in gold.relations
-    ]
+    return _items(entities, attributes, relations)
 
-    def span_exact(p, g):
-        return p[0] == g[0]
 
-    def span_overlap(p, g):
-        return _spans_overlap(p[0], g[0])
-
-    def rel_labels_ok(p, g):
-        return not match_labels or p[2] == g[2]
-
-    def rel_exact(p, g):
-        return p[0] == g[0] and p[1] == g[1] and rel_labels_ok(p, g)
-
-    def rel_overlap(p, g):
-        return (
-            _spans_overlap(p[0], g[0])
-            and _spans_overlap(p[1], g[1])
-            and rel_labels_ok(p, g)
-        )
-
-    return {
-        ElementType.ENTITY: _match_counts(
-            pred_entities, gold_entities, mode, span_exact, span_overlap
-        ),
-        ElementType.ATTRIBUTE: _match_counts(
-            pred_attributes, gold_attributes, mode, span_exact, span_overlap
-        ),
-        ElementType.RELATION: _match_counts(
-            pred_relations, gold_relations, mode, rel_exact, rel_overlap
-        ),
-    }
+def _gold_items(gold: GoldAnnotation) -> dict[ElementType, list[_Item]]:
+    return _items(
+        [(s.start, s.end) for s in gold.entities],
+        [(s.start, s.end) for s in gold.attributes],
+        [
+            ((r.entity.start, r.entity.end), (r.attribute.start, r.attribute.end), r.label)
+            for r in gold.relations
+        ],
+    )
 
 
 def evaluate(
@@ -457,16 +433,22 @@ def evaluate(
 ) -> EvalReport:
     """Span-level precision/recall/F1, aligned by record id.
 
-    Every prediction needs an extended payload that
+    Every prediction needs a string id and an extended payload that
     :func:`extended_problem` accepts, or :class:`MalformedPrediction`
-    names the first record without one.  Prediction ids must be unique and
+    names the first record without them.  Prediction ids must be unique and
     equal the gold ids, or :class:`RecordMismatch` is raised.
-    ``mode=None`` evaluates both EXACT and OVERLAP.  Micro metrics pool
+    ``mode=None`` evaluates both EXACT and OVERLAP.  Each gold item
+    matches at most one prediction, and the true positives are a maximum
+    matching over :func:`_edges`: a greedy pass can let one prediction
+    take the only gold item another could match.  Micro metrics pool
     counts over records; macro metrics average per-record scores.
     """
 
     for record in predictions:
-        problem = extended_problem(record.extended)
+        if isinstance(record.id, str):
+            problem = extended_problem(record.extended)
+        else:
+            problem = "'id' must be a string"
         if problem:
             raise MalformedPrediction(f"record {record.id}: {problem}")
     pred_by_id = {r.id: r for r in predictions}
@@ -479,21 +461,22 @@ def evaluate(
         raise RecordMismatch(f"prediction/gold ids differ: {sorted(missing)}")
     modes = [mode] if mode is not None else [MatchMode.EXACT, MatchMode.OVERLAP]
 
-    micro: dict[tuple[ElementType, MatchMode], Counts] = {}
     per_record: dict[tuple[ElementType, MatchMode], list[Counts]] = {}
     for record_id in sorted(pred_by_id):
-        for m in modes:
-            counts = _record_counts(
-                pred_by_id[record_id], gold_by_id[record_id], m, match_labels
-            )
-            for etype, c in counts.items():
-                key = (etype, m)
-                micro[key] = micro.get(key, Counts()) + c
-                per_record.setdefault(key, []).append(c)
+        pred_items = _prediction_items(pred_by_id[record_id].extended)
+        gold_items = _gold_items(gold_by_id[record_id])
+        for etype in ElementType:
+            p, g = pred_items[etype], gold_items[etype]
+            edges = _edges(p, g, match_labels)
+            for m in modes:
+                tp = _max_matching(edges[m], len(g))
+                c = Counts(tp=tp, fp=len(p) - tp, fn=len(g) - tp)
+                per_record.setdefault((etype, m), []).append(c)
 
-    macro = {}
+    micro, macro = {}, {}
     for key, counts_list in per_record.items():
         n = len(counts_list)
+        micro[key] = sum(counts_list, Counts())
         macro[key] = (
             left_sum(c.precision for c in counts_list) / n,
             left_sum(c.recall for c in counts_list) / n,
@@ -510,8 +493,8 @@ def read_corpus(path: str | Path) -> list[tuple[str, str]]:
     """Read records as (id, text) pairs.
 
     A directory is one ``*.txt`` file per record (id = filename stem); a
-    JSONL file carries one ``{"id", "text"}`` object per line, and an id
-    may occur on one line only.  A plain text file is treated as a single
+    JSONL file carries one ``{"id", "text"}`` object per line (see
+    :func:`_jsonl_records`).  A plain text file is treated as a single
     record.
     """
 
@@ -520,34 +503,57 @@ def read_corpus(path: str | Path) -> list[tuple[str, str]]:
         return [(p.stem, read_text(p)) for p in sorted(path.glob("*.txt"))]
     if path.suffix != ".jsonl":
         return [(path.stem, read_text(path))]
+    return [(doc["id"], doc["text"]) for _, _, doc in _jsonl_records(path)]
+
+
+def read_predictions(path: str | Path) -> list[StructuredRecord]:
+    """Read ``annotate --extended --format jsonl`` output, one record per line.
+
+    Each line's ``result`` is read as :func:`read_corpus` reads a JSONL
+    record, and needs an extended payload that :func:`extended_problem`
+    accepts.
+    """
+
     records = []
+    for lineno, where, result in _jsonl_records(Path(path), "result"):
+        problem = extended_problem(result.get("extended"))
+        if problem:
+            raise MalformedJsonl(lineno, f"{where}: {problem}")
+        try:
+            records.append(_from_result(result))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise MalformedJsonl(lineno, f"{where}: not an annotate record: {exc!r}") from None
+    return records
+
+
+def _jsonl_records(path: Path, key: str | None = None) -> Iterator[tuple[int, str, dict]]:
+    """``(lineno, where, record)`` for each non-blank line of a JSONL file.
+
+    ``record`` is the line's object, or its ``key`` member when ``key`` is
+    given; it needs ``id`` and ``text``, both strings, and an id may occur
+    on one line only.  ``where`` is ``"PATH: line N"``, which starts every
+    :class:`MalformedJsonl` message.
+    """
+
     first_line: dict[str, int] = {}  # record id -> line it first appeared on
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}: line {lineno}"
         try:
-            doc = json.loads(line)
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise MalformedJsonl(lineno, f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict) or "id" not in doc or "text" not in doc:
-            raise MalformedJsonl(lineno, f"line {lineno}: object needs 'id' and 'text'")
-        for key in ("id", "text"):
-            if not isinstance(doc[key], str):
-                raise MalformedJsonl(lineno, f"line {lineno}: {key!r} must be a string")
-        check_unique_id(first_line, doc["id"], lineno, f"line {lineno}")
-        records.append((doc["id"], doc["text"]))
-    return records
-
-
-def check_unique_id(first_line: dict[str, int], record_id: str, lineno: int, where: str) -> None:
-    """Note ``record_id`` on JSONL line ``lineno``; a repeated id is :class:`MalformedJsonl`.
-
-    ``first_line`` maps each id seen so far to the line it first appeared
-    on; ``where`` prefixes the message.
-    """
-
-    seen = first_line.setdefault(record_id, lineno)
-    if seen != lineno:
-        raise MalformedJsonl(
-            lineno, f"{where}: duplicate record id {record_id!r} (also on line {seen})"
-        )
+            raise MalformedJsonl(lineno, f"{where}: invalid JSON: {exc}") from None
+        if key is not None and isinstance(record, dict):
+            record = record.get(key)
+        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+            raise MalformedJsonl(lineno, f"{where}: {key or 'object'} needs 'id' and 'text'")
+        for name in ("id", "text"):
+            if not isinstance(record[name], str):
+                raise MalformedJsonl(lineno, f"{where}: {name!r} must be a string")
+        seen = first_line.setdefault(record["id"], lineno)
+        if seen != lineno:
+            raise MalformedJsonl(
+                lineno, f"{where}: duplicate record id {record['id']!r} (also on line {seen})"
+            )
+        yield lineno, where, record

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
-from .errors import UnknownConcept
+from .errors import ParseMismatch, UnknownConcept
 from .floats import left_sum
 from .kb import CompatibilityWeights, KnowledgeBase, compatibility_terms
 from .segmentation import SentenceRecord
@@ -214,23 +214,33 @@ class _Competitors:
       candidate outside the window weighs exactly 0.0 and scores
       ``theta * p_sup``.
 
-    Every :meth:`link` call on one instance must pass the same knowledge
-    base, on which the shared ``p_sup`` results depend.
+    Each parse must be None or aligned to the sentence at its index, or
+    :class:`ParseMismatch` names that index.
     """
 
     def __init__(
         self,
         sentences: Sequence[SentenceRecord],
         mentions: Sequence[EntityMention],
+        kb: KnowledgeBase,
         config: PipelineConfig,
         parses: Sequence[DependencyParse | None] | None,
     ):
+        parses = parses or ()
+        for i, (sentence, parse) in enumerate(zip(sentences, parses)):
+            if parse is None or parse.sentence is sentence:
+                continue
+            if parse.sentence is None:
+                raise ParseMismatch(i, f"sentence {i}: parse is not aligned to a sentence")
+            if parse.sentence.text != sentence.text:
+                raise ParseMismatch(i, f"sentence {i}: parse is aligned to another sentence")
         self._sentences = sentences
         self._clause_indexes: list[ClauseIndex | None] = [None] * len(sentences)
         self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
         self._mentions = list(mentions)
         self._sentence_of = [m.sentence_index for m in mentions]
-        self._parses = parses or ()
+        self._parses = parses
+        self._kb = kb
         self._config = config
         self._penalty = config.boundary_penalty
         self._cross = config.cross_sentence
@@ -299,9 +309,7 @@ class _Competitors:
             distances = path_distances(parse, a, local)
         else:
             clauses, penalty = self._clauses(s_a), self._penalty
-            distances = [
-                heuristic_distance(clauses, e, a, boundary_penalty=penalty) for e in local
-            ]
+            distances = [heuristic_distance(clauses, e, a, penalty) for e in local]
         return lo, hi, others, local, distances
 
     def _ahead(self, left: float, s_a: float, i: int) -> float:
@@ -358,7 +366,7 @@ class _Competitors:
             ],
         )
 
-    def link(self, a: AttributeMention, kb: KnowledgeBase) -> Relation | None:
+    def link(self, a: AttributeMention) -> Relation | None:
         """Link ``a`` to the best of its competitors, or None.
 
         The relation of scoring every competitor, bit for bit: the entities
@@ -368,13 +376,13 @@ class _Competitors:
         of the class docstring are scored.  Returns None when no entity
         competes or the best score is below ``min_score``.  Raises
         :class:`UnknownConcept` for the first competitor whose concept is
-        not in ``kb``.
+        not in the knowledge base.
         """
 
         lo, hi, others, entities, distances = self._local(a)
         if not (entities or others):
             return None
-        config = self._config
+        config, kb = self._config, self._kb
         ids = [e.concept_id for e in entities]
         local = len(ids)
         if not others:
@@ -411,7 +419,7 @@ class _Competitors:
         # each side's nearest mention, or one at its distance, is a candidate,
         # so the smallest candidate distance is the window's d_min, and a
         # candidate outside the window weighs exactly 0.0
-        weights = softmin_weights(distances, tau=config.tau)
+        weights = softmin_weights(distances, config.tau)
         total = left_sum(chain(ahead_w, weights[:local], behind_w) if others else weights)
         scores = _mix(map(sup.__getitem__, ids), weights, config.theta, total)
         return _pick(a, entities, distances, scores, config.min_score)

@@ -25,7 +25,7 @@ from .kb import CompatibilityWeights, KnowledgeBase
 from .io_eval import RelationPair, StructuredRecord
 from .linker import Relation, _Competitors
 from .segmentation import SentenceRecord, SplitMode, split_records
-from .syntax import DEFAULT_BOUNDARY_PENALTY, DEFAULT_TAU, DependencyParse
+from .syntax import DependencyParse
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class PipelineConfig:
     theta: float = 0.5
     min_score: float = 0.2
     cross_sentence: bool = False
-    tau: float = DEFAULT_TAU
-    boundary_penalty: float = DEFAULT_BOUNDARY_PENALTY
+    tau: float = 2.0
+    boundary_penalty: float = 5.0
     weights: CompatibilityWeights = field(default_factory=CompatibilityWeights)
 
     def __post_init__(self):
@@ -103,7 +103,9 @@ def annotate_record(
     """Run the full pipeline on one record.
 
     ``parses`` optionally supplies one external dependency parse per
-    sentence (None entries fall back to the heuristic).  The compact
+    sentence (None entries fall back to the heuristic), each aligned to the
+    sentence at its index (:func:`~critex.syntax.align_block`), or
+    :class:`~critex.errors.ParseMismatch` names the index.  The compact
     relations echo surfaces verbatim; the extended payload carries
     record-level offsets, payloads, scores and unlinked attributes.
     """
@@ -138,8 +140,8 @@ def _annotate_sentences(
         for s, entity_spans in zip(sentences, spans)
         for a in extract_attributes(s, kb, entity_spans=entity_spans)
     ]
-    competitors = _Competitors(sentences, mentions, config, parses)
-    links = [competitors.link(a, kb) for a in attributes]
+    competitors = _Competitors(sentences, mentions, kb, config, parses)
+    links = [competitors.link(a) for a in attributes]
     return _build_record(record_id, text, sentences, mentions, attributes, links)
 
 

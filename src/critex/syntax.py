@@ -26,9 +26,6 @@ from .entities import EntityMention
 from .errors import CycleDetected, ParseMismatch
 from .segmentation import SentenceRecord
 
-DEFAULT_TAU = 2.0
-DEFAULT_BOUNDARY_PENALTY = 5.0
-
 _BOUNDARY_SURFACES = frozenset({",", ";"})
 _BOUNDARY_WORDS = frozenset({"and", "or", "but", "who", "whom", "which", "that", "whose"})
 
@@ -214,7 +211,7 @@ def heuristic_distance(
     clauses: ClauseIndex,
     e: EntityMention,
     a: AttributeMention,
-    boundary_penalty: float = DEFAULT_BOUNDARY_PENALTY,
+    boundary_penalty: float,
 ) -> float:
     """Clause-proximity fallback: token gap plus a per-boundary penalty.
 
@@ -237,7 +234,7 @@ def heuristic_distance(
     return float(gap) + boundary_penalty * boundaries
 
 
-def softmin_weights(distances: Sequence[float], tau: float = DEFAULT_TAU) -> list[float]:
+def softmin_weights(distances: Sequence[float], tau: float) -> list[float]:
     """The softmin's unnormalized weights ``exp(-(d - d_min) / tau)``.
 
     Shifting by the smallest distance keeps the numbers stable (softmin is

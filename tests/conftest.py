@@ -8,7 +8,8 @@ from critex import bundled_kb_path, load_kb
 from critex.floats import left_sum
 from critex.kb import KbEntry, KnowledgeBase
 from critex.linker import _mix
-from critex.syntax import DEFAULT_TAU, softmin_weights
+from critex.pipeline import PipelineConfig
+from critex.syntax import softmin_weights
 
 CRITERION_LINE = "Body Mass Index ≤ 40 kg/m^2"
 
@@ -67,7 +68,7 @@ def malformed_kb_where(path, case):
     return f"{path}: " if MALFORMED_KBS[case][0] else f"{path}: entries[0]: "
 
 
-def softmin_p_dep(distances, tau=DEFAULT_TAU):
+def softmin_p_dep(distances, tau=PipelineConfig().tau):
     """``p_dep`` of each distance, normalized as the linker normalizes it.
 
     The softmin weights over their left-to-right total, through the

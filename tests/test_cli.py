@@ -445,6 +445,19 @@ class TestMalformedInput:
             capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", tmp_path
         )
 
+    @pytest.mark.parametrize("record_id", [5, ["a"]], ids=["int", "list"])
+    def test_evaluate_non_string_pred_id(self, capsys, tmp_path, record_id):
+        def edit_line(line):
+            doc = json.loads(line)
+            doc["result"]["id"] = record_id
+            return json.dumps(doc)
+
+        pred = self._pred_with(capsys, tmp_path, edit_line)
+        err = self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
+        )
+        assert err == f"critex: error: {pred}: line 2: 'id' must be a string\n"
+
     def test_evaluate_duplicate_pred_id(self, capsys, tmp_path):
         pred = self._pred_with(capsys, tmp_path, lambda line: line)
         lines = pred.read_text().splitlines()

@@ -15,7 +15,6 @@ from critex.errors import (
     SpanMismatch,
 )
 from critex.io_eval import (
-    Counts,
     ElementType,
     GoldAnnotation,
     GoldRelation,
@@ -302,6 +301,13 @@ class TestEvaluate:
         with pytest.raises(RecordMismatch, match="duplicate"):
             evaluate([pred, pred], [gold])
 
+    @pytest.mark.parametrize("record_id", [5, ["a"]], ids=["int", "list"])
+    def test_non_string_prediction_id(self, record_id):
+        pred, gold = self._fixture()
+        pred.id = record_id
+        with pytest.raises(MalformedPrediction, match="'id' must be a string"):
+            evaluate([pred], [gold])
+
     def test_prediction_without_extended_payload(self):
         pred, gold = self._fixture()
         bare = StructuredRecord(id=pred.id, text=pred.text, relations=pred.relations)
@@ -388,6 +394,7 @@ class TestReadCorpus:
         with pytest.raises(MalformedJsonl) as info:
             read_corpus(path)
         assert info.value.line == 3
+        assert str(info.value).startswith(f"{path}: line 3: ")
         assert "line 3" in str(info.value) and "line 1" in str(info.value)
         assert "'a'" in str(info.value)
 
@@ -405,9 +412,22 @@ def _brute_force_matching(edges, n_gold):
     return best(0, frozenset())
 
 
-SMALL_SPANS = st.lists(
-    st.tuples(st.integers(0, 12), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1])),
-    max_size=6,
+SPAN = st.tuples(st.integers(0, 12), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def _items(n_spans, labels):
+    """Lists of ``(spans, label)`` evaluation items with ``n_spans`` spans each."""
+
+    return st.lists(
+        st.tuples(st.tuples(*[SPAN] * n_spans), st.sampled_from(labels)), max_size=6
+    )
+
+
+# (predictions, gold) of one element type: entities and attributes have one
+# span and no label, relations an entity and an attribute span and a label
+ITEM_PAIRS = st.one_of(
+    st.tuples(_items(1, (None,)), _items(1, (None,))),
+    st.tuples(_items(2, ("has_value", "has_temporal")), _items(2, ("has_value", "has_temporal"))),
 )
 
 
@@ -415,35 +435,30 @@ class TestOptimalMatching:
     def test_greedy_undercount_is_fixed(self):
         # [0,10) could take [1,3) first and leave [1,2) without a partner;
         # the optimum pairs [0,10)-[8,9) and [1,2)-[1,3)
-        pred = [((0, 10),), ((1, 2),)]
-        gold = [((1, 3),), ((8, 9),)]
+        pred = [(((0, 10),), None), (((1, 2),), None)]
+        gold = [(((1, 3),), None), (((8, 9),), None)]
+        edges = io_eval._edges(pred, gold, match_labels=False)
+        assert io_eval._max_matching(edges[MatchMode.OVERLAP], len(gold)) == 2
+        assert io_eval._max_matching(edges[MatchMode.EXACT], len(gold)) == 0
 
-        def same(p, g):
-            return p[0] == g[0]
+    @given(items=ITEM_PAIRS, match_labels=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force(self, items, match_labels):
+        pred, gold = items
 
-        def overlap(p, g):
-            return io_eval._spans_overlap(p[0], g[0])
-
-        assert io_eval._match_counts(pred, gold, MatchMode.OVERLAP, same, overlap) == Counts(2, 0, 0)
-        assert io_eval._match_counts(pred, gold, MatchMode.EXACT, same, overlap) == Counts(0, 2, 2)
-
-    @given(pred=SMALL_SPANS, gold=SMALL_SPANS)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_brute_force(self, pred, gold):
-        pred = [(p,) for p in pred]
-        gold = [(g,) for g in gold]
-
-        def same(p, g):
-            return p[0] == g[0]
+        def exact(p, g):
+            return (not match_labels or p[1] == g[1]) and p[0] == g[0]
 
         def overlap(p, g):
-            return io_eval._spans_overlap(p[0], g[0])
+            every_span = all(a[0] < b[1] and b[0] < a[1] for a, b in zip(p[0], g[0]))
+            return (not match_labels or p[1] == g[1]) and (p[0] == g[0] or every_span)
 
-        counts = {}
-        for mode in MatchMode:
-            counts[mode] = io_eval._match_counts(pred, gold, mode, same, overlap)
-            test = same if mode is MatchMode.EXACT else (lambda p, g: same(p, g) or overlap(p, g))
-            edges = [[j for j, g in enumerate(gold) if test(p, g)] for p in pred]
-            tp = _brute_force_matching(edges, len(gold))
-            assert counts[mode] == Counts(tp, len(pred) - tp, len(gold) - tp)
-        assert counts[MatchMode.EXACT].tp <= counts[MatchMode.OVERLAP].tp
+        edges = io_eval._edges(pred, gold, match_labels)
+        tp = {}
+        for mode, test in ((MatchMode.EXACT, exact), (MatchMode.OVERLAP, overlap)):
+            assert edges[mode] == [[j for j, g in enumerate(gold) if test(p, g)] for p in pred]
+            tp[mode] = io_eval._max_matching(edges[mode], len(gold))
+            assert tp[mode] == _brute_force_matching(edges[mode], len(gold))
+        for same, near in zip(edges[MatchMode.EXACT], edges[MatchMode.OVERLAP]):
+            assert set(same) <= set(near)
+        assert tp[MatchMode.EXACT] <= tp[MatchMode.OVERLAP]

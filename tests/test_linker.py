@@ -69,9 +69,8 @@ def sup_list(attribute, concepts, kb, weights=CompatibilityWeights()):
 def competing_pairs(entities, attributes, cross_sentence=False):
     """(entity, attribute) pairs that compete, attribute-major, as the pipeline selects them."""
 
-    competitors = _Competitors(
-        SENTENCES, entities, PipelineConfig(cross_sentence=cross_sentence), None
-    )
+    config = PipelineConfig(cross_sentence=cross_sentence)
+    competitors = _Competitors(SENTENCES, entities, KnowledgeBase.build(()), config, None)
     return [(e, a) for a in attributes
             for e in oracles.competitors_of(competitors, a)[0]]
 
@@ -201,11 +200,11 @@ class TestLinkAttribute:
             (1.0, 8.0, CompatibilityWeights(0.4, 0.35, 0.25)),
         ):
             config = PipelineConfig(theta=theta, tau=tau, weights=weights, min_score=0.0)
-            competitors = _Competitors(SENTENCES, entities, config, None)
+            competitors = _Competitors(SENTENCES, entities, TestPSup.KB, config, None)
             assert oracles.competitors_of(competitors, self.RATIO) == (
                 entities, distances
             )
-            relation = competitors.link(self.RATIO, TestPSup.KB)
+            relation = competitors.link(self.RATIO)
             sup = sup_list(self.RATIO, TestPSup.PAIR, TestPSup.KB, weights)
             scores = _mix(sup, softmin_p_dep(distances, tau), theta, 1.0)
             assert relation.score == max(scores)

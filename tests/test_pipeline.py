@@ -21,7 +21,7 @@ from critex.attributes import (
 )
 from critex.cli import main
 from critex.entities import EntityMention, link_abbreviations, recognize_entities
-from critex.errors import CritexError, UnknownConcept
+from critex.errors import CritexError, ParseMismatch, UnknownConcept
 from critex.io_eval import to_json
 from critex.kb import KbEntry, KnowledgeBase, compatibility_terms
 from critex.linker import _Competitors
@@ -99,7 +99,7 @@ class TestCandidateCount:
         assert len(mentions) == 4 and len(attributes) == 4
 
         def count(config):
-            competitors = _Competitors(sentences, mentions, config, None)
+            competitors = _Competitors(sentences, mentions, mini_kb, config, None)
             return sum(
                 len(oracles.competitors_of(competitors, a)[0]) for a in attributes
             )
@@ -145,6 +145,24 @@ class TestExternalParses:
         assert [(p.entity, p.attribute) for p in record.relations] == [
             ("Body Mass Index", "≤ 40 kg/m^2")
         ]
+
+    def test_parse_without_a_sentence_is_a_mismatch(self, mini_kb, criterion_line):
+        n = len(split_records(criterion_line, SplitMode.LINES)[0].tokens)
+        parse = DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n)
+        with pytest.raises(ParseMismatch, match="^sentence 0: parse is not aligned") as info:
+            annotate_record("r", criterion_line, mini_kb, parses=[parse])
+        assert info.value.index == 0
+
+    def test_parse_of_another_sentence_is_a_mismatch(self, mini_kb, criterion_line):
+        text = f"Age 18-65 years\n{criterion_line}"
+        parses = [
+            DependencyParse((0,) + tuple(range(1, len(s.tokens))), ("dep",) * len(s.tokens), s)
+            for s in split_records(text, SplitMode.LINES)
+        ]
+        for index, given in ((0, parses[::-1]), (1, [None, parses[0]])):
+            with pytest.raises(ParseMismatch, match=f"^sentence {index}: parse is aligned to"):
+                annotate_record("r", text, mini_kb, parses=given)
+        annotate_record("r", text, mini_kb, parses=parses)
 
 
 class TestThetaFlag:
@@ -292,7 +310,7 @@ class TestCrossSentenceOracles:
         config = PipelineConfig(
             mode=SplitMode.PARAGRAPHS, cross_sentence=True, boundary_penalty=penalty
         )
-        competitors = _Competitors(sentences, mentions, config, None)
+        competitors = _Competitors(sentences, mentions, mini_kb, config, None)
         for a in attributes:
             entities, distances = oracles.competitors_of(competitors, a)
             for e, distance in zip(entities, distances):
@@ -322,7 +340,7 @@ class TestCrossSentenceOracles:
 
         e = EntityMention(i, *span(i), "e", "LOCAL:e", "e")
         a = AttributeMention(j, *span(j), "a", AttributeKind.QUALIFIER)
-        competitors = _Competitors(sentences, [e], CROSS_CONFIG, None)
+        competitors = _Competitors(sentences, [e], KnowledgeBase.build(()), CROSS_CONFIG, None)
         expected = oracles.cross_sentence_distance(sentences, e, a, 5.0)
         assert oracles.competitors_of(competitors, a) == ([e], [expected])
 
@@ -489,7 +507,7 @@ class TestSoftminWindow:
 
         sentences, mentions, attributes = _front_end(text, kb)
         (a,) = attributes
-        competitors = _Competitors(sentences, mentions, config, None)
+        competitors = _Competitors(sentences, mentions, kb, config, None)
         entities, distances = oracles.competitors_of(competitors, a)
         d_min = min(distances)
         return {
@@ -531,7 +549,7 @@ class TestSoftminWindow:
                                 boundary_penalty=1e17, theta=1.0, min_score=0.0)
         sentences, mentions, (a,) = _front_end(text, mini_kb)
         _, distances = oracles.competitors_of(
-            _Competitors(sentences, mentions, config, None), a
+            _Competitors(sentences, mentions, mini_kb, config, None), a
         )
         assert distances == [1e17, 1e17, 0.0]
         assert self._linked(text, mini_kb, config) == [("Blood pressure", 0)]
@@ -614,10 +632,10 @@ class TestCandidates:
         (a,) = [a for s in sentences for a in extract_attributes(s, mini_kb)]
         config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True,
                                 theta=theta, boundary_penalty=1.0)
-        competitors = _Competitors(sentences, mentions, config, None)
+        competitors = _Competitors(sentences, mentions, mini_kb, config, None)
         _, distances = oracles.competitors_of(competitors, a)
         assert distances[0] == distances[1]
-        r = competitors.link(a, mini_kb)
+        r = competitors.link(a)
         assert (r.entity.sentence_index, r.entity.start, r.entity.end) == linked
         assert [r] == oracles.link(sentences, mentions, [a], mini_kb, config)
 
@@ -635,13 +653,13 @@ class TestCandidates:
         attributes = [a for s in sentences for a in extract_attributes(s, mini_kb)]
         config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True, tau=tau,
                                 theta=theta, boundary_penalty=penalty, min_score=0.0)
-        competitors = _Competitors(sentences, mentions, config, None)
+        competitors = _Competitors(sentences, mentions, mini_kb, config, None)
         expected = {
             r.attribute: (r.entity, float.hex(r.score))
             for r in oracles.link(sentences, mentions, attributes, mini_kb, config)
         }
         for a in attributes:
-            r = competitors.link(a, mini_kb)
+            r = competitors.link(a)
             assert (r and (r.entity, float.hex(r.score))) == expected.get(a)
             self._assert_window_weights(competitors, a, tau)
 
@@ -677,10 +695,10 @@ class TestSharedPSup:
             r.attribute: (r.entity, float.hex(r.score))
             for r in oracles.link(sentences, mentions, attributes, held_kb, CROSS_CONFIG)
         }
-        competitors = _Competitors(sentences, mentions, CROSS_CONFIG, None)
+        competitors = _Competitors(sentences, mentions, held_kb, CROSS_CONFIG, None)
 
         def link(a):
-            r = competitors.link(a, held_kb)
+            r = competitors.link(a)
             return r.entity, float.hex(r.score)
 
         assert link(held) == expected[held]

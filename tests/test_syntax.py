@@ -11,6 +11,7 @@ from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import CycleDetected, ParseMismatch
 from critex.floats import left_sum
+from critex.pipeline import PipelineConfig
 from critex.segmentation import SplitMode, split_records
 from critex.syntax import (
     ClauseIndex,
@@ -193,20 +194,24 @@ class TestPathDistance:
         assert path_distances(parse, e_as_attr, [a_as_entity])[0] == forward
 
 
+PENALTY = PipelineConfig().boundary_penalty
+
+
 class TestHeuristicDistance:
     def test_adjacent_is_zero(self):
         sentence = sentence_of("ages 21-45")
         e = entity(sentence, "ages")
         a = attribute(sentence, "21-45")
-        distance = heuristic_distance(ClauseIndex(sentence), e, a)
+        distance = heuristic_distance(ClauseIndex(sentence), e, a, PENALTY)
         assert type(distance) is float
         assert distance == 0
 
     def test_nearer_entity_gets_smaller_distance(self, paragraph_two):
         sentence = split_records(paragraph_two, SplitMode.PARAGRAPHS)[0]
         a = attribute(sentence, "21-45")
-        d_ages = heuristic_distance(ClauseIndex(sentence), entity(sentence, "ages"), a)
-        d_cocaine = heuristic_distance(ClauseIndex(sentence), entity(sentence, "cocaine"), a)
+        index = ClauseIndex(sentence)
+        d_ages = heuristic_distance(index, entity(sentence, "ages"), a, PENALTY)
+        d_cocaine = heuristic_distance(index, entity(sentence, "cocaine"), a, PENALTY)
         assert d_ages < d_cocaine
 
     def test_boundary_arithmetic(self):
@@ -215,7 +220,7 @@ class TestHeuristicDistance:
         sentence = sentence_of("weight is low , so glucose 5-8")
         e = entity(sentence, "weight")
         a = attribute(sentence, "5-8", values=(5, 8))
-        assert heuristic_distance(ClauseIndex(sentence), e, a) == 9
+        assert heuristic_distance(ClauseIndex(sentence), e, a, PENALTY) == 9
 
     def test_overlapping_spans_zero(self):
         sentence = sentence_of("five times of their elimination half-lives")
@@ -226,7 +231,7 @@ class TestHeuristicDistance:
             AttributeKind.FREQUENCY,
             values=(5,),
         )
-        assert heuristic_distance(ClauseIndex(sentence), e, a) == 0
+        assert heuristic_distance(ClauseIndex(sentence), e, a, PENALTY) == 0
 
 
 class TestPDep:
