@@ -16,19 +16,26 @@ the one of scoring every entity:
 
 - ``p_dep`` divides each softmin weight ``exp(-(d - d_min) / tau)`` by the
   total over all competitors, added left to right
-  (:func:`~critex.floats.left_sum`, the same on every Python).  Most
-  entities of a long record lie so far from an attribute that their weight
-  is exactly 0.0 and leaves the total unchanged, so the total needs only
-  the softmin window, the competitors whose weight is not 0.0;
+  (:func:`~critex.floats.left_sum`, the same on every Python): the mentions
+  ahead of the attribute's sentence, its own sentence's, then those behind.
+  Most entities of a long record lie so far from an attribute that adding
+  their weight leaves the total unchanged, so the total needs only the
+  softmin window.  Ahead, that is the mentions whose weight is not 0.0.
+  Behind, the nearest competitor's weight of exactly 1.0 is in the total
+  before any weight below ``2**-53``, half a unit in the last place of
+  1.0, is added, so such a weight rounds away; the window keeps the
+  mentions behind that weigh at least ``2**-53``;
 - the mixed score grows with ``p_sup``, the same for every mention of one
   concept, and with the weight, which does not grow as a mention gets
   farther from the attribute's sentence on either side.  Among one
-  concept's mentions on one side, the nearest thus scores highest and has
-  the smallest distance; a cross-sentence character gap is infinite, so
-  of the mentions at that distance the leftmost wins the tie-break.  The
+  concept's mentions outside that sentence, the nearest thus scores
+  highest and wins the tie-break, which prefers the smaller distance and
+  then the earlier sentence; a cross-sentence character gap is infinite,
+  so of the mentions ahead at that distance the leftmost wins.  The
   candidates scored are the attribute's own-sentence competitors and, for
-  each concept, its nearest mention ahead and behind: at most two
-  mentions per concept, whatever the record's length;
+  each concept, the nearer of its nearest mentions ahead and behind, the
+  one ahead at equal distances: at most one mention per concept, whatever
+  the record's length;
 - the ``p_sup`` total still sums every competitor in mention order;
   attributes whose competitors are every mention of the record share that
   ``p_sup`` when they share the shape, unit and values that compatibility
@@ -41,7 +48,7 @@ validates them when it is created.
 
 The routine works on plain lists built once per record and builds no
 object per entity-attribute pair, so a long record's linking costs each
-attribute one weight per mention of its window plus a few candidates per
+attribute one weight per mention of its window plus one candidate per
 distinct concept.
 """
 
@@ -194,11 +201,12 @@ class _Competitors:
     a mention gets closer to the attribute's sentence, from either side
     (float rounding keeps the order).  The smallest distance is therefore
     among the attribute's own sentence and the two nearest mentions
-    outside it, and the mentions whose weight ``exp(-(d - d_min) / tau)``
-    is exactly 0.0 form a prefix and a suffix of the mention list.  Two
-    bisections find their ends, each evaluating that very expression, and
-    one comprehension per side weighs the mentions between, straight from
-    the position lists (:meth:`_window`).
+    outside it, and the mentions left out of the window (ahead, weight
+    exactly 0.0; behind, weight below ``2**-53``) form a prefix and a
+    suffix of the mention list.  Two bisections find their ends, each
+    evaluating the weight expression ``exp(-(d - d_min) / tau)``, and one
+    comprehension per side weighs the mentions between, straight from the
+    position lists (:meth:`_window`).
 
     Per attribute, the rest costs O(distinct concepts), not O(mentions):
 
@@ -208,11 +216,12 @@ class _Competitors:
       unit, values)``; attributes with the same signature share one
       ``p_sup``, computed on first use.  An attribute inside an entity span
       has one competitor fewer and computes its own.
-    - Two candidates per concept.  A bisection of the concept's mention
-      indexes finds its nearest mention on each side; ahead, a walk back
-      over its mentions at the same distance finds the leftmost.  A
-      candidate outside the window weighs exactly 0.0 and scores
-      ``theta * p_sup``.
+    - One candidate per concept.  A bisection of the concept's mention
+      indexes finds its nearest mention on each side, and the one at the
+      smaller distance is kept, the one ahead at equal distances.  Ahead, a
+      walk back over its mentions at the same distance finds the leftmost.
+      Each candidate is weighed from its own distance, as scoring every
+      competitor would weigh it.
 
     Each parse must be None or aligned to the sentence at its index, or
     :class:`ParseMismatch` names that index.
@@ -227,8 +236,20 @@ class _Competitors:
         parses: Sequence[DependencyParse | None] | None,
     ):
         parses = parses or ()
+        if len(parses) > len(sentences):
+            n = len(sentences)
+            raise ParseMismatch(
+                n, f"sentence {n}: parse past the record's last sentence"
+                f" ({len(parses)} parses, {n} sentences)"
+            )
         for i, (sentence, parse) in enumerate(zip(sentences, parses)):
-            if parse is None or parse.sentence is sentence:
+            if parse is None:
+                continue
+            if not isinstance(parse, DependencyParse):
+                raise ParseMismatch(
+                    i, f"sentence {i}: parse is a {type(parse).__name__}, not a DependencyParse"
+                )
+            if parse.sentence is sentence:
                 continue
             if parse.sentence is None:
                 raise ParseMismatch(i, f"sentence {i}: parse is not aligned to a sentence")
@@ -340,9 +361,11 @@ class _Competitors:
         whose sentence holds mentions ``lo:hi`` and whose local competitors
         lie at ``distances``: the weights ``exp(-(d - d_min) / tau)``,
         ``d_min`` the smallest distance of every competitor, of mentions
-        ``first:lo`` ahead and ``hi:last`` behind, those that are not 0.0.
-        Computed straight from the position lists, with the distance
-        expression of :meth:`_ahead` and :meth:`_behind`.
+        ``first:lo`` ahead, those that are not 0.0, and ``hi:last`` behind,
+        those of at least ``2**-53`` (the module docstring tells why the
+        others leave the total unchanged).  Computed straight from the
+        position lists, with the distance expression of :meth:`_ahead` and
+        :meth:`_behind`.
         """
 
         n, tau = len(self._mentions), self._config.tau
@@ -352,9 +375,13 @@ class _Competitors:
             d_min = min(d_min, ahead(left, s_a, lo - 1))
         if hi < n:
             d_min = min(d_min, behind(right, s_a, hi))
-        first = _first_weighted(lambda i: ahead(left, s_a, i), lo, d_min, tau)
-        last = n - _first_weighted(lambda k: behind(right, s_a, n - 1 - k), n - hi, d_min, tau)
         exp, penalty, sentence_of = math.exp, self._penalty, self._sentence_f
+        first = _first_weighted(
+            lambda i: exp(-(ahead(left, s_a, i) - d_min) / tau), lo, _NONZERO
+        )
+        last = n - _first_weighted(
+            lambda k: exp(-(behind(right, s_a, n - 1 - k) - d_min) / tau), n - hi, _NOT_ABSORBED
+        )
         return (
             [
                 exp(-(left - r + penalty * (s_a - s) - d_min) / tau)
@@ -403,42 +430,50 @@ class _Competitors:
             ahead, behind = self._ahead, self._behind
             picks = []
             for occurrences in self._occurrences.values():
+                # the last mention ahead and the first behind are the nearest
                 k = bisect_left(occurrences, lo)
-                if k:  # the last mention ahead is the nearest; walk back over equals
+                j = bisect_left(occurrences, hi, k)
+                d_behind = behind(right, s_a, occurrences[j]) if j < len(occurrences) else math.inf
+                if k:
                     d = ahead(left, s_a, occurrences[k - 1])
-                    while k > 1 and ahead(left, s_a, occurrences[k - 2]) == d:
-                        k -= 1
-                    picks.append(occurrences[k - 1])
-                    distances.append(d)
-                k = bisect_left(occurrences, hi)
-                if k < len(occurrences):  # the first mention behind is the nearest
-                    picks.append(occurrences[k])
-                    distances.append(behind(right, s_a, occurrences[k]))
+                    if d <= d_behind:  # ahead wins a tie; walk back over equals
+                        while k > 1 and ahead(left, s_a, occurrences[k - 2]) == d:
+                            k -= 1
+                        picks.append(occurrences[k - 1])
+                        distances.append(d)
+                        continue
+                if j < len(occurrences):
+                    picks.append(occurrences[j])
+                    distances.append(d_behind)
             entities += map(mentions.__getitem__, picks)
             ids += map(concepts.__getitem__, picks)
-        # each side's nearest mention, or one at its distance, is a candidate,
-        # so the smallest candidate distance is the window's d_min, and a
-        # candidate outside the window weighs exactly 0.0
+        # the nearer of each concept's nearest mentions, or one at its
+        # distance, is a candidate, so the smallest candidate distance is the
+        # window's d_min
         weights = softmin_weights(distances, config.tau)
         total = left_sum(chain(ahead_w, weights[:local], behind_w) if others else weights)
         scores = _mix(map(sup.__getitem__, ids), weights, config.theta, total)
         return _pick(a, entities, distances, scores, config.min_score)
 
 
-def _first_weighted(distance, stop: int, d_min: float, tau: float) -> int:
-    """The first ``i`` in ``range(stop)`` whose softmin weight is not 0.0.
+# A softmin weight is not 0.0 when it is at least the smallest positive float.
+_NONZERO = math.ulp(0.0)
+# Half a unit in the last place of 1.0: a smaller weight added to a total of
+# at least 1.0 leaves it unchanged under round-to-nearest.  A weight of
+# exactly 2**-53 is a tie, which round-half-to-even can round up.
+_NOT_ABSORBED = 2.0**-53
 
-    ``distance(i)`` must not increase with ``i``, so the weight
-    ``exp(-(distance(i) - d_min) / tau)`` (the expression of
-    :func:`~critex.syntax.softmin_weights`) is 0.0 on a prefix of the range.
-    Returns ``stop`` when every weight is 0.0.
+
+def _first_weighted(weight, stop: int, floor: float) -> int:
+    """The first ``i`` in ``range(stop)`` whose ``weight(i)`` is ``>= floor``.
+
+    ``weight(i)`` must not decrease with ``i``, as a softmin weight
+    ``exp(-(d - d_min) / tau)`` (the expression of
+    :func:`~critex.syntax.softmin_weights`) does when ``d`` does not
+    increase, so it is below ``floor`` on a prefix of the range.  Returns
+    ``stop`` when every weight is below ``floor``.
     """
 
-    exp = math.exp
-
-    def weighted(i: int) -> bool:
-        return exp(-(distance(i) - d_min) / tau) != 0.0
-
-    if stop == 0 or weighted(0):
+    if stop == 0 or weight(0) >= floor:
         return 0
-    return bisect_left(range(stop), True, 1, key=weighted)
+    return bisect_left(range(stop), floor, 1, key=weight)

@@ -21,7 +21,8 @@ from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
 from critex.errors import UnknownConcept
 from critex.kb import Category, CompatibilityWeights, KbEntry, KnowledgeBase, ValuePattern
-from critex.linker import _Competitors, _mix, _p_sup, _pick, relation_label
+from critex import linker
+from critex.linker import _Competitors, _first_weighted, _mix, _p_sup, _pick, relation_label
 from critex.pipeline import PipelineConfig
 from critex.segmentation import SplitMode, split_records
 from conftest import softmin_p_dep
@@ -486,3 +487,50 @@ class TestMixtureProperties:
         for group in by_attr.values():
             assert sum(c.p_dep for c in group) == pytest.approx(1.0, abs=1e-9)
             assert sum(c.p_sup for c in group) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestFirstWeighted:
+    """The window's bisection finds the first weight a linear scan finds:
+    ahead the first that is not 0.0, behind the first of at least 2**-53."""
+
+    HALF_ULP = 2.0**-53
+
+    CUTS = (
+        (linker._NONZERO, lambda w: w != 0.0),
+        (linker._NOT_ABSORBED, lambda w: w >= 2.0**-53),
+    )
+
+    @staticmethod
+    def _scan(weights, kept):
+        return next((i for i, w in enumerate(weights) if kept(w)), len(weights))
+
+    @given(
+        gaps=st.lists(st.floats(0.0, 2e3), max_size=30),
+        tau=st.floats(0.01, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_linear_scan(self, gaps, tau):
+        # distances that do not increase, d_min the last; weights as _window
+        # computes them
+        distances = sorted(gaps, reverse=True)
+        d_min = min(distances, default=0.0)
+        weight = lambda i: math.exp(-(distances[i] - d_min) / tau)
+        weights = [weight(i) for i in range(len(distances))]
+        for floor, kept in self.CUTS:
+            assert _first_weighted(weight, len(weights), floor) == self._scan(weights, kept)
+
+    @pytest.mark.parametrize("weights, ahead, behind", [
+        ([], 0, 0),
+        ([0.0, 0.0], 2, 2),
+        ([0.0, 1e-300, HALF_ULP, 1.0], 1, 2),
+        ([0.0, math.ulp(0.0), math.nextafter(HALF_ULP, 0.0), HALF_ULP], 1, 3),
+        ([0.0, 1e-20, 1e-17], 1, 3),
+        ([HALF_ULP, 1.0], 0, 0),
+    ])
+    def test_a_weight_of_exactly_half_an_ulp_of_one_is_kept(self, weights, ahead, behind):
+        # a distance whose weight is exactly 2**-53 need not exist (glibc's
+        # exp() returns it for no float near 53 ln 2), so the weights are
+        # given as they are
+        for (floor, kept), expected in zip(self.CUTS, (ahead, behind)):
+            assert self._scan(weights, kept) == expected
+            assert _first_weighted(weights.__getitem__, len(weights), floor) == expected

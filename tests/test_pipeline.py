@@ -6,6 +6,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,7 @@ from critex.attributes import (
 from critex.cli import main
 from critex.entities import EntityMention, link_abbreviations, recognize_entities
 from critex.errors import CritexError, ParseMismatch, UnknownConcept
+from critex.floats import left_sum
 from critex.io_eval import to_json
 from critex.kb import KbEntry, KnowledgeBase, compatibility_terms
 from critex.linker import _Competitors
@@ -163,6 +165,21 @@ class TestExternalParses:
             with pytest.raises(ParseMismatch, match=f"^sentence {index}: parse is aligned to"):
                 annotate_record("r", text, mini_kb, parses=given)
         annotate_record("r", text, mini_kb, parses=parses)
+
+    def test_parse_past_the_last_sentence_is_a_mismatch(self, mini_kb, criterion_line):
+        (sentence,) = split_records(criterion_line, SplitMode.LINES)
+        n = len(sentence.tokens)
+        parse = DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n, sentence)
+        for parses in ([parse, None], [None, None, parse]):
+            with pytest.raises(ParseMismatch, match="^sentence 1: parse past the") as info:
+                annotate_record("r", criterion_line, mini_kb, parses=parses)
+            assert info.value.index == 1
+
+    def test_parse_of_another_type_is_a_mismatch(self, mini_kb, criterion_line):
+        text = f"Age 18-65 years\n{criterion_line}"
+        for index, parses in ((0, ["junk"]), (1, [None, ("heads", "labels")])):
+            with pytest.raises(ParseMismatch, match=f"^sentence {index}: parse is a .*, not"):
+                annotate_record("r", text, mini_kb, parses=parses)
 
 
 class TestThetaFlag:
@@ -584,9 +601,10 @@ class TestSoftminWindow:
 
 
 class TestCandidates:
-    """Cross-sentence linking scores the local competitors and each
-    concept's nearest mention on each side, ahead the leftmost of those at
-    its distance; the window serves the ``p_dep`` total alone."""
+    """Cross-sentence linking scores the local competitors and, for each
+    concept, the nearer of its nearest mentions ahead and behind (the one
+    ahead at equal distances, and of those ahead at its distance the
+    leftmost); the window serves the ``p_dep`` total alone."""
 
     CONCEPTS = ("C0005823", "C0013798", "C0005802")  # blood pressure, ECG, glucose
 
@@ -663,10 +681,43 @@ class TestCandidates:
             assert (r and (r.entity, float.hex(r.score))) == expected.get(a)
             self._assert_window_weights(competitors, a, tau)
 
+    @given(
+        record=records(),
+        tau=st.floats(0.01, 1e3),
+        penalty=st.sampled_from((0.0, 0.3, 5.0, 1e18)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_total_is_the_total_over_every_competitor(
+        self, mini_kb, record, tau, penalty
+    ):
+        sentences, mentions = record
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True, tau=tau,
+                                boundary_penalty=penalty)
+        competitors = _Competitors(sentences, mentions, mini_kb, config, None)
+        for a in (a for s in sentences for a in extract_attributes(s, mini_kb)):
+            self._assert_window_weights(competitors, a, tau)
+
+    def test_window_leaves_out_a_weight_behind_that_rounds_away(self, mini_kb):
+        # ECG holds the attribute (distance 0); blood pressure lies ahead at
+        # distance 9 and behind at 6.  Under tau 0.1 the window keeps
+        # exp(-90) ahead, added before the 1.0, and leaves out exp(-60)
+        # behind, not 0.0 but below 2**-53
+        text = "Blood pressure was taken. ECG 140/90 mmHg. Blood pressure again."
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=True, tau=0.1)
+        sentences, mentions, (a,) = _front_end(text, mini_kb)
+        competitors = _Competitors(sentences, mentions, mini_kb, config, None)
+        assert oracles.competitors_of(competitors, a)[1] == [9.0, 0.0, 6.0]
+        left, right = competitors._position(a)
+        lo, hi, _, _, distances = competitors._local(a)
+        assert competitors._window(1.0, left, right, lo, hi, distances) == ([math.exp(-90)], [])
+        self._assert_window_weights(competitors, a, 0.1)
+        assert _relation_rows(text, mini_kb, config) == _oracle_rows(text, mini_kb, config)
+
     @staticmethod
     def _assert_window_weights(competitors, a, tau):
         # the window's inline distances weigh every mention as _ahead and
-        # _behind do; the mentions left out weigh exactly 0.0
+        # _behind do; the mentions left out weigh 0.0 ahead and less than
+        # 2**-53 behind, so the window's total is every competitor's
         lo, hi, others, local, distances = competitors._local(a)
         if not others:
             return
@@ -674,9 +725,13 @@ class TestCandidates:
         ahead, behind = competitors._window(a.sentence_index, left, right, lo, hi, distances)
         _, every = oracles.competitors_of(competitors, a)
         weights = softmin_weights(every, tau)
-        after = len(competitors._mentions) - hi
-        assert weights[:lo] == [0.0] * (lo - len(ahead)) + ahead
-        assert weights[lo + len(local):] == behind + [0.0] * (after - len(behind))
+        first, mid, last = lo - len(ahead), lo + len(local), lo + len(local) + len(behind)
+        assert weights[:first] == [0.0] * first
+        assert weights[first:lo] == ahead
+        assert weights[mid:last] == behind
+        assert all(w < 2.0**-53 for w in weights[last:])
+        window = chain(ahead, weights[lo:mid], behind)
+        assert float.hex(left_sum(window)) == float.hex(left_sum(weights))
 
 
 class TestSharedPSup:
