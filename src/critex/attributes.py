@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .segmentation import SentenceRecord, Token, TokenShape
@@ -206,12 +207,14 @@ def _time_unit_at(toks: Sequence[Token], i: int) -> TimeUnit | None:
 def _unit_at(toks: Sequence[Token], i: int, normalize) -> tuple[str, int] | None:
     """Longest unit match starting at token i, up to three tokens wide."""
 
-    for n in (3, 2, 1):
-        if i + n > len(toks):
-            continue
-        if any(t.shape in (TokenShape.PUNCT, TokenShape.SYMBOL) for t in toks[i : i + n]):
-            continue
-        canonical = normalize(" ".join(t.surface for t in toks[i : i + n]))
+    # a unit spans no punctuation or symbol token
+    surfaces = []
+    for tok in toks[i : i + 3]:
+        if tok.shape is TokenShape.PUNCT or tok.shape is TokenShape.SYMBOL:
+            break
+        surfaces.append(tok.surface)
+    for n in range(len(surfaces), 0, -1):
+        canonical = normalize(" ".join(surfaces[:n]))
         if canonical is not None:
             return canonical, n
     return None
@@ -380,18 +383,18 @@ def _frequency(toks, i, hit, normalize) -> _Parse | None:
                   anchor=anchor)
 
 
-def _is_numeric_qualifier(tok: Token) -> bool:
+def _is_numeric_qualifier(surface: str, shape: TokenShape) -> bool:
     # the digit head is a prefix of the surface, so a surface that does not
     # open with a digit has none
-    if tok.shape is not TokenShape.WORD or not tok.surface[:1].isdigit():
+    if shape is not TokenShape.WORD or not surface[:1].isdigit():
         return False
-    head = tok.surface.split("-")[0].split("–")[0]
-    return head.isdigit() and any(c.isalpha() for c in tok.surface)
+    head = surface.split("-")[0].split("–")[0]
+    return head.isdigit() and any(c.isalpha() for c in surface)
 
 
 def _qualifier(toks, i, entity_spans) -> _Parse | None:
     tok = toks[i]
-    if _is_numeric_qualifier(tok):
+    if _is_numeric_qualifier(tok.surface, tok.shape):
         return _Parse(AttributeKind.QUALIFIER, i, i, i + 1)
     if tok.surface.lower() in QUALIFIER_LEXICON and entity_spans:
         for k in (i - 1, i + 1):
@@ -421,13 +424,19 @@ def _may_start(tok: Token) -> bool:
 
     A parse starts with a value-shaped token, a comparator glyph, a start
     word or a numeric qualifier; every other position is skipped unparsed.
+    The answer depends on the surface and shape alone, so it is cached.
     """
 
+    return _opens(tok.surface, tok.shape)
+
+
+@lru_cache(maxsize=4096)
+def _opens(surface: str, shape: TokenShape) -> bool:
     return (
-        tok.shape in _VALUE_SHAPES
-        or tok.surface in _GLYPH_COMPARATORS
-        or tok.surface.lower() in _START_WORDS
-        or _is_numeric_qualifier(tok)
+        shape in _VALUE_SHAPES
+        or surface in _GLYPH_COMPARATORS
+        or surface.lower() in _START_WORDS
+        or _is_numeric_qualifier(surface, shape)
     )
 
 

@@ -38,12 +38,6 @@ class EntityMention:
     matched_term: str
 
 
-def _fold_plural(word: str) -> str | None:
-    if len(word) > 3 and word.endswith("s") and not word.endswith("ss"):
-        return word[:-1]
-    return None
-
-
 def _choose_entry(
     hits: Sequence[tuple[KbEntry, str]], numeric_sentence: bool
 ) -> tuple[KbEntry, str]:
@@ -84,9 +78,10 @@ def recognize_entities(
             child = node.children.get(key)
             hits = child.hits if child is not None else ()
             if not hits:
-                folded = _fold_plural(toks[j].surface)
-                if folded is not None:
-                    folded_node = node.children.get(folded.casefold())
+                # fold a plural "s", not "ss", off a surface of four or more characters
+                surface = toks[j].surface
+                if len(surface) > 3 and surface[-1] == "s" and surface[-2] != "s":
+                    folded_node = node.children.get(surface[:-1].casefold())
                     if folded_node is not None:
                         hits = folded_node.hits
             if hits:

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .units import normalize_unit
 
@@ -35,9 +36,12 @@ class TokenShape(Enum):
     SYMBOL = "SYMBOL"
 
 
-@dataclass(frozen=True)
-class Token:
-    """One token with half-open character offsets into its sentence."""
+class Token(NamedTuple):
+    """One token with half-open character offsets into its sentence.
+
+    A named tuple: cheap to build (the tokenizer makes one per token), and
+    immutable, so assigning a field raises ``AttributeError``.
+    """
 
     surface: str
     start: int

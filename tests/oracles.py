@@ -12,8 +12,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from critex.attributes import (
+    _FREQUENCY_WORDS,
     _GLYPH_COMPARATORS,
+    _NUMBER_WORDS,
     _WORD_COMPARATORS,
+    QUALIFIER_LEXICON,
     AttributeMention,
     _comparison,
     _frequency,
@@ -28,7 +31,6 @@ from critex.entities import (
     _NUMERIC,
     MAX_NGRAM,
     EntityMention,
-    _fold_plural,
     _initials_match,
 )
 from critex.errors import CycleDetected, UnknownConcept
@@ -446,12 +448,26 @@ def term_index(kb):
     return {k: tuple(v) for k, v in index.items()}
 
 
+_PLURAL_RE = re.compile(r"(.{2,}[^s])s", re.S)
+
+
+def fold_plural(word):
+    """``word`` less its plural "s", or None.
+
+    A plural is four or more characters that end in one "s": "drugs" folds
+    to "drug", while "glass", "has" and "drugS" do not fold.
+    """
+
+    m = _PLURAL_RE.fullmatch(word)
+    return m.group(1) if m else None
+
+
 def _lookup_window(window, index):
     key = " ".join(t.surface for t in window)
     hits = index.get(term_key(key), ())
     if hits:
         return hits
-    folded = _fold_plural(window[-1].surface)
+    folded = fold_plural(window[-1].surface)
     if folded is not None:
         parts = [t.surface for t in window[:-1]] + [folded]
         return index.get(term_key(" ".join(parts)), ())
@@ -521,6 +537,58 @@ def comparator_at(toks, i):
             toks[i + k].surface.lower() == words[k] for k in range(n)
         ):
             return comp, n, False
+    return None
+
+
+def is_numeric_qualifier(tok):
+    """A word like "12-lead": digits up to its first hyphen or en dash, and a letter."""
+
+    head = ""
+    for ch in tok.surface:
+        if ch in "-–":
+            break
+        head += ch
+    return (
+        tok.shape is TokenShape.WORD
+        and head.isdigit()
+        and any(ch.isalpha() for ch in tok.surface)
+    )
+
+
+def may_start(tok):
+    """Whether a production or qualifier can start at ``tok``, term by term.
+
+    Values (numbers, ratios, ranges), comparison glyphs, the first word of
+    a word comparator, number and frequency words, qualifier words,
+    "within", "between" and numeric qualifiers open a parse; nothing else
+    does.
+    """
+
+    word = tok.surface.lower()
+    return (
+        tok.shape in (TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE)
+        or tok.surface in _GLYPHS
+        or any(word == words[0] for words, _ in _WORD_COMPARATORS)
+        or word in _NUMBER_WORDS
+        or word in _FREQUENCY_WORDS
+        or word in QUALIFIER_LEXICON
+        or word in ("within", "between")
+        or is_numeric_qualifier(tok)
+    )
+
+
+def unit_at(toks, i, normalize):
+    """Longest unit at token i: every window of 3, 2, then 1 tokens that
+    holds no punctuation or symbol token, joined and looked up."""
+
+    for n in (3, 2, 1):
+        if i + n > len(toks):
+            continue
+        if any(t.shape in (TokenShape.PUNCT, TokenShape.SYMBOL) for t in toks[i : i + n]):
+            continue
+        canonical = normalize(" ".join(t.surface for t in toks[i : i + n]))
+        if canonical is not None:
+            return canonical, n
     return None
 
 

@@ -11,6 +11,7 @@ from critex.resources import mini_corpus_dir
 from critex.segmentation import (
     SentenceRecord,
     SplitMode,
+    Token,
     TokenShape,
     _paragraph_spans,
     split_records,
@@ -69,6 +70,39 @@ class TestSplitRecords:
     def test_record_id_carried(self):
         sentences = split_records("one line", SplitMode.LINES, record_id="NCT123")
         assert sentences[0].record_id == "NCT123"
+
+
+class TestTokenContract:
+    """``Token`` is a named tuple of (surface, start, end, shape)."""
+
+    def test_fields_by_name_and_position(self):
+        tok = Token("mmHg", 4, 8, TokenShape.UNIT_LIKE)
+        assert (tok.surface, tok.start, tok.end, tok.shape) == ("mmHg", 4, 8, TokenShape.UNIT_LIKE)
+        assert Token._fields == ("surface", "start", "end", "shape")
+        surface, start, end, shape = tok
+        assert (surface, start, end, shape) == tuple(tok) == (tok[0], tok[1], tok[2], tok[3])
+
+    def test_repr(self):
+        assert repr(Token("≤", 0, 1, TokenShape.SYMBOL)) == (
+            "Token(surface='≤', start=0, end=1, shape=<TokenShape.SYMBOL: 'SYMBOL'>)"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        tok = Token("age", 0, 3, TokenShape.WORD)
+        for field, value in (("surface", "x"), ("start", 1), ("end", 9), ("shape", TokenShape.PUNCT)):
+            with pytest.raises(AttributeError):
+                setattr(tok, field, value)
+        with pytest.raises(AttributeError):
+            tok.extra = 1
+        assert tok == Token("age", 0, 3, TokenShape.WORD)
+
+    def test_equal_tokens_are_equal_and_hash_alike(self):
+        first, second = tokenize("Age >= 18 years"), tokenize("Age >= 18 years")
+        assert first == second and first[0] is not second[0]
+        assert [hash(t) for t in first] == [hash(t) for t in second]
+        assert len(set(first) | set(second)) == len(first)
+        assert Token("age", 0, 3, TokenShape.WORD) != Token("age", 0, 3, TokenShape.UNIT_LIKE)
+        assert Token("age", 0, 3, TokenShape.WORD) != Token("age", 1, 4, TokenShape.WORD)
 
 
 class TestTokenize:

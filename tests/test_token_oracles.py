@@ -6,8 +6,12 @@ try every n-gram and every position.  Lines are drawn from KB-term and
 grammar vocabulary with case noise, plural endings, punctuation, numbers
 and comparison glyphs, and are scanned with the bundled KB and with KBs
 drawn from the same vocabulary (multi-word synonyms, shared prefixes,
-terms longer than the n-gram cap, ambiguous terms).
+terms longer than the n-gram cap, ambiguous terms).  The cached start
+gate and the unit window are checked against the gate written out term by
+term and the 3-2-1 window loop.
 """
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +27,7 @@ from critex.entities import (
 )
 from critex.kb import Category, KbEntry, KnowledgeBase, load_kb, term_key
 from critex.resources import bundled_kb_path
-from critex.segmentation import SplitMode, split_records, tokenize
+from critex.segmentation import SplitMode, Token, TokenShape, split_records, tokenize
 from critex.syntax import ClauseIndex, heuristic_distance
 
 BUNDLED_KB = load_kb(bundled_kb_path())
@@ -123,6 +127,29 @@ class TestEntityScan:
         for sentence in split_records(text, SplitMode.LINES):
             assert recognize_entities(sentence, kb) == oracles.recognize_entities(sentence, kb)
 
+    def test_plural_fold_matches_oracle_rule(self):
+        # every word of two to five letters over "a", "s", "S", alone and as
+        # the last of two words, against a KB that holds it less its last
+        # letter, so a fold taken or not taken shows
+        letters = ("a", "s", "S")
+        words = ["".join(p) for n in range(2, 6) for p in itertools.product(letters, repeat=n)]
+        for word in words:
+            kb = KnowledgeBase.build(
+                [KbEntry("C1", word[:-1]), KbEntry("C2", "b " + word[:-1])]
+            )
+            for text in (word, "b " + word):
+                (sentence,) = split_records(text, SplitMode.LINES)
+                assert recognize_entities(sentence, kb) == oracles.recognize_entities(
+                    sentence, kb
+                ), text
+
+    def test_oracle_fold_rule(self):
+        for word, folded in (
+            ("drugs", "drug"), ("Drugs", "Drug"), ("SSRIs", "SSRI"), ("asss", None),
+            ("glass", None), ("has", None), ("BPs", None), ("drugS", None), ("s", None),
+        ):
+            assert oracles.fold_plural(word) == folded, word
+
     @given(phrase=st.one_of(TERM, LINE), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_lookup_terms_matches_flat_index(self, phrase, data):
@@ -193,6 +220,105 @@ class TestGrammarGate:
         for word in ("patients", "dose", "pressure", "the", "a", "(", "mmHg"):
             (tok,) = tokenize(word)
             assert not attributes._may_start(tok), word
+
+
+# Surfaces for the start gate: grammar and KB words with case noise, glyphs,
+# values, digit-led words with a hyphen or en dash (a decimal head makes
+# them no qualifier) and arbitrary short strings.
+GATE_SURFACE = st.one_of(
+    WORD,
+    st.from_regex(r"\A\d{1,3}(\.\d)?[-–][A-Za-z0-9][A-Za-z0-9-]{0,4}\Z"),
+    st.text(max_size=6),
+)
+
+
+class TestStartGate:
+    """The cached ``_may_start`` answers as the gate written out term by term."""
+
+    @given(surface=GATE_SURFACE)
+    @settings(max_examples=500, deadline=None)
+    def test_cached_gate_matches_spelled_out_gate_for_every_shape(self, surface):
+        # every shape for one surface, so a cache keyed by the surface alone fails
+        for shape in TokenShape:
+            tok = Token(surface, 0, len(surface), shape)
+            assert attributes._may_start(tok) == oracles.may_start(tok), tok
+
+    @given(text=LINE)
+    @settings(max_examples=300, deadline=None)
+    def test_cached_gate_matches_spelled_out_gate_on_tokens(self, text):
+        for tok in tokenize(text):
+            assert attributes._may_start(tok) == oracles.may_start(tok), tok
+
+    def test_digit_led_words(self):
+        cases = {
+            "12-lead": True, "3–day": True, "1-2-step": True, "2.5-fold": False,
+            "12-": False, "-12a": False, "12a": False,
+        }
+        for surface, expected in cases.items():
+            # only a WORD is a numeric qualifier; value shapes pass whatever the surface
+            for shape in (TokenShape.WORD, TokenShape.UNIT_LIKE, TokenShape.SYMBOL):
+                tok = Token(surface, 0, len(surface), shape)
+                assert attributes._may_start(tok) is (expected and shape is TokenShape.WORD)
+                assert oracles.may_start(tok) is attributes._may_start(tok)
+
+
+# Unit pieces, so windows of one to three tokens spell units, split by
+# punctuation and symbol tokens ("kg/m" "²" is a SYMBOL after a word).
+UNIT_PIECE = st.sampled_from(
+    ("mm", "Hg", "MM", "hg", "beats", "per", "minute", "kg", "KG", "m2", "m^2", "kg/m",
+     "kg/m2", "²", "mg", "dl", "dL", "%", "percent", "cent", "square", "meter",
+     "millimeters", "of", "mercury", "mcg", "ml", "/", ",", "(", ")", "-", "≤", "=",
+     "18", "140/90", "21-45", "12-lead", "x")
+)
+UNIT_TEXT = st.lists(UNIT_PIECE, min_size=1, max_size=10).map(" ".join)
+
+
+class TestUnitWindow:
+    """``_unit_at`` asks for the same windows in the same order as the 3-2-1 loop."""
+
+    @given(text=UNIT_TEXT, data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_unit_at_matches_window_loop(self, text, data):
+        toks = tokenize(text)
+        # a position anywhere, up to and past the sentence end
+        i = data.draw(st.integers(0, len(toks) + 1))
+        windows = [
+            " ".join(t.surface for t in toks[j : j + n])
+            for j in range(len(toks))
+            for n in (1, 2, 3)
+        ]
+        accepted = data.draw(st.sets(st.sampled_from(windows))) if windows else set()
+        lookups = (
+            BUNDLED_KB.normalize_unit,
+            BUILTIN_UNITS_KB.normalize_unit,
+            lambda s: s.upper() if s in accepted else None,  # windows spanning punctuation too
+        )
+
+        def recording(lookup, asked):
+            return lambda s: asked.append(s) or lookup(s)
+
+        for lookup in lookups:
+            asked, asked_oracle = [], []
+            got = attributes._unit_at(toks, i, recording(lookup, asked))
+            assert got == oracles.unit_at(toks, i, recording(lookup, asked_oracle))
+            assert asked == asked_oracle
+
+    def test_punctuation_and_symbols_cut_the_window(self):
+        def anything(s):
+            return s
+
+        for text, i, expected in (
+            ("mm Hg x", 0, ("mm Hg x", 3)),
+            ("mm , Hg", 0, ("mm", 1)),
+            ("kg/m²", 0, ("kg/m", 1)),
+            ("mm ≤ Hg", 0, ("mm", 1)),
+            ("beats per", 0, ("beats per", 2)),
+            ("( mm", 0, None),
+            ("mm", 1, None),
+        ):
+            toks = tokenize(text)
+            assert attributes._unit_at(toks, i, anything) == expected, text
+            assert oracles.unit_at(toks, i, anything) == expected, text
 
 
 class TestHeuristicDistance:
