@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .segmentation import SentenceRecord, Token, TokenShape
@@ -383,18 +382,27 @@ def _frequency(toks, i, hit, normalize) -> _Parse | None:
                   anchor=anchor)
 
 
-def _is_numeric_qualifier(surface: str, shape: TokenShape) -> bool:
+# The shapes the start gate tests, bound to module names: the gate runs on
+# nearly every token, and an identity test against a module global costs
+# less than hashing the Enum into a set or looking the member up on its
+# class.
+_NUMBER, _RATIO, _RANGE, _WORD = (
+    TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE, TokenShape.WORD
+)
+
+
+def _is_numeric_qualifier(tok: Token) -> bool:
     # the digit head is a prefix of the surface, so a surface that does not
     # open with a digit has none
-    if shape is not TokenShape.WORD or not surface[:1].isdigit():
+    if tok.shape is not _WORD or not tok.surface[:1].isdigit():
         return False
-    head = surface.split("-")[0].split("–")[0]
-    return head.isdigit() and any(c.isalpha() for c in surface)
+    head = tok.surface.split("-")[0].split("–")[0]
+    return head.isdigit() and any(c.isalpha() for c in tok.surface)
 
 
 def _qualifier(toks, i, entity_spans) -> _Parse | None:
     tok = toks[i]
-    if _is_numeric_qualifier(tok.surface, tok.shape):
+    if _is_numeric_qualifier(tok):
         return _Parse(AttributeKind.QUALIFIER, i, i, i + 1)
     if tok.surface.lower() in QUALIFIER_LEXICON and entity_spans:
         for k in (i - 1, i + 1):
@@ -406,8 +414,6 @@ def _qualifier(toks, i, entity_spans) -> _Parse | None:
 def _inside_any(tok: Token, spans: Sequence[tuple[int, int]]) -> bool:
     return any(s <= tok.start and tok.end <= e for s, e in spans)
 
-
-_VALUE_SHAPES = frozenset({TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE})
 
 # Lowercased words that can open a production or a qualifier.
 _START_WORDS = frozenset(
@@ -424,19 +430,16 @@ def _may_start(tok: Token) -> bool:
 
     A parse starts with a value-shaped token, a comparator glyph, a start
     word or a numeric qualifier; every other position is skipped unparsed.
-    The answer depends on the surface and shape alone, so it is cached.
     """
 
-    return _opens(tok.surface, tok.shape)
-
-
-@lru_cache(maxsize=4096)
-def _opens(surface: str, shape: TokenShape) -> bool:
+    shape = tok.shape
     return (
-        shape in _VALUE_SHAPES
-        or surface in _GLYPH_COMPARATORS
-        or surface.lower() in _START_WORDS
-        or _is_numeric_qualifier(surface, shape)
+        shape is _NUMBER
+        or shape is _RATIO
+        or shape is _RANGE
+        or tok.surface in _GLYPH_COMPARATORS
+        or tok.surface.lower() in _START_WORDS
+        or _is_numeric_qualifier(tok)
     )
 
 

@@ -6,9 +6,9 @@ try every n-gram and every position.  Lines are drawn from KB-term and
 grammar vocabulary with case noise, plural endings, punctuation, numbers
 and comparison glyphs, and are scanned with the bundled KB and with KBs
 drawn from the same vocabulary (multi-word synonyms, shared prefixes,
-terms longer than the n-gram cap, ambiguous terms).  The cached start
-gate and the unit window are checked against the gate written out term by
-term and the 3-2-1 window loop.
+terms longer than the n-gram cap, ambiguous terms).  The start gate and
+the unit window are checked against the gate written out term by term and
+the 3-2-1 window loop.
 """
 
 import itertools
@@ -233,19 +233,19 @@ GATE_SURFACE = st.one_of(
 
 
 class TestStartGate:
-    """The cached ``_may_start`` answers as the gate written out term by term."""
+    """``_may_start`` answers as the gate written out term by term."""
 
     @given(surface=GATE_SURFACE)
     @settings(max_examples=500, deadline=None)
-    def test_cached_gate_matches_spelled_out_gate_for_every_shape(self, surface):
-        # every shape for one surface, so a cache keyed by the surface alone fails
+    def test_gate_matches_spelled_out_gate_for_every_shape(self, surface):
+        # every shape for one surface, not only the shape the tokenizer gives it
         for shape in TokenShape:
             tok = Token(surface, 0, len(surface), shape)
             assert attributes._may_start(tok) == oracles.may_start(tok), tok
 
     @given(text=LINE)
     @settings(max_examples=300, deadline=None)
-    def test_cached_gate_matches_spelled_out_gate_on_tokens(self, text):
+    def test_gate_matches_spelled_out_gate_on_tokens(self, text):
         for tok in tokenize(text):
             assert attributes._may_start(tok) == oracles.may_start(tok), tok
 
