@@ -133,6 +133,12 @@ def _resolve_kb_path(flag_value: str | None) -> Path:
     return bundled_kb_path()
 
 
+def _block_where(deps_path: str, cursor: int, record_id: str, sentence_index: int) -> str:
+    """Names a parse block (counted from 1), its record and its sentence."""
+
+    return f"{deps_path}: block {cursor + 1} (record {record_id}, sentence {sentence_index})"
+
+
 def _load_parses(deps_path: str, records, mode: SplitMode):
     """Split every record and match parse blocks to its sentences, in id order.
 
@@ -157,15 +163,13 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
             )
         parses = []
         for s in sentences:
-            where = (
-                f"{deps_path}: block {cursor + 1}"
-                f" (record {record_id}, sentence {s.sentence_index})"
-            )
             try:
                 parses.append(align_block(blocks.pop(), s))
             except ParseMismatch as exc:
+                where = _block_where(deps_path, cursor, record_id, s.sentence_index)
                 raise ParseMismatch(exc.index, f"{where}: {exc}") from None
             except CycleDetected as exc:
+                where = _block_where(deps_path, cursor, record_id, s.sentence_index)
                 raise CycleDetected(f"{where}: {exc}") from None
             cursor += 1
         split.append((sentences, parses))

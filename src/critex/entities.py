@@ -1,11 +1,17 @@
 """Dictionary-based recognition of medical entity mentions.
 
-Mentions are found by walking the knowledge base's term trie from each
-token, one casefolded token per step.  A walk stops at a token that is not
-a word, at a missing trie child, or after six tokens; every depth that ends
-a term is a candidate, and the longest candidates win.  When the full last
-token ends no term, its trailing plural "s" is folded so "antidepressants"
-hits "antidepressant".
+Mentions are found by walking the knowledge base's term trie from a token,
+one casefolded token per step.  A walk starts only at a token whose
+casefolded surface is in the KB's ``first_words`` (each word that opens a
+term, and that word plus "s"); the filter runs in C over the whole sentence
+(``map`` and ``compress``), and no other token can open a term, so it
+drops no mention.  With a dense KB, whose terms open with most words of the
+text, nearly every token passes and the scan costs what a walk from every
+token costs, plus one set test per token.  A walk stops at a token that is
+not a word, at a missing trie child, or after six tokens; every depth that
+ends a term is a candidate, and the longest candidates win.  When the full
+last token ends no term, its trailing plural "s" is folded so
+"antidepressants" hits "antidepressant".
 Parenthesized abbreviation definitions ("electrocardiograph (ECG)") create
 record-local synonyms: later occurrences of the short form become mentions
 of the long form's concept.
@@ -15,14 +21,18 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Sequence
 
 from .kb import Category, KbEntry, KnowledgeBase
-from .segmentation import SentenceRecord, TokenShape
+from .segmentation import SentenceRecord, TokenShape, token_columns
 
 MAX_NGRAM = 6
 
 _MATCHABLE = (TokenShape.WORD, TokenShape.UNIT_LIKE)
+_WORD, _UNIT_LIKE = _MATCHABLE  # the walk tests a token's shape by identity
+_END = attrgetter("end")  # bisection key over a sentence's tokens
 _NUMERIC = (TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE)
 
 
@@ -63,23 +73,22 @@ def recognize_entities(
     Output is sorted by span start and pairwise non-overlapping.
     """
 
-    toks = sentence.tokens
-    keys = [t.surface.casefold() if t.shape in _MATCHABLE else None for t in toks]
+    surfaces, starts, ends, shapes = token_columns(sentence.tokens)
+    n = len(surfaces)
+    keys = list(map(str.casefold, surfaces))
     root = kb.term_trie
     candidates = []  # (ntokens, first_token, last_token, hits)
-    for i in range(len(toks)):
-        if keys[i] is None:
-            continue
+    for i in compress(range(n), map(kb.first_words.__contains__, keys)):
         node = root
-        for j in range(i, min(i + MAX_NGRAM, len(toks))):
-            key = keys[j]
-            if key is None:
+        for j in range(i, min(i + MAX_NGRAM, n)):
+            shape = shapes[j]
+            if shape is not _WORD and shape is not _UNIT_LIKE:
                 break
-            child = node.children.get(key)
+            child = node.children.get(keys[j])
             hits = child.hits if child is not None else ()
             if not hits:
                 # fold a plural "s", not "ss", off a surface of four or more characters
-                surface = toks[j].surface
+                surface = surfaces[j]
                 if len(surface) > 3 and surface[-1] == "s" and surface[-2] != "s":
                     folded_node = node.children.get(surface[:-1].casefold())
                     if folded_node is not None:
@@ -102,9 +111,9 @@ def recognize_entities(
             entry, term = hits[0]
         else:
             if numeric_sentence is None:
-                numeric_sentence = any(t.shape in _NUMERIC for t in toks)
+                numeric_sentence = any(shape in _NUMERIC for shape in shapes)
             entry, term = _choose_entry(hits, numeric_sentence)
-        start, end = toks[first].start, toks[last].end
+        start, end = starts[first], ends[last]
         mentions.append(
             EntityMention(
                 sentence_index=sentence.sentence_index,
@@ -171,10 +180,11 @@ def link_abbreviations(
     for sentence in sentences:
         index, toks = sentence.sentence_index, sentence.tokens
         group = by_sentence.get(index, ())
-        ends = [t.end for t in toks] if group else []
         for m in group:
-            k = bisect_left(ends, m.end)
-            if k + 3 >= len(toks) or ends[k] != m.end:
+            # the token ending where the mention ends, found by bisection
+            # over the tokens themselves, so no column of ends is built
+            k = bisect_left(toks, m.end, key=_END)
+            if k + 3 >= len(toks) or toks[k].end != m.end:
                 continue
             if toks[k + 1].surface != "(" or toks[k + 3].surface != ")":
                 continue
@@ -183,25 +193,24 @@ def link_abbreviations(
                 definitions.setdefault(abbr.surface, (m.concept_id, m.surface, (index, k + 2)))
         if not definitions:
             continue
+        surfaces, starts, ends, _ = token_columns(toks)
         # tokens inside a mention: those starting at or after its start and
         # ending at or before its end, a contiguous index range
-        starts = [t.start for t in toks]
         occupied = {
             i
             for m in group
             for i in range(bisect_left(starts, m.start), bisect_right(ends, m.end))
         }
-        for i, tok in enumerate(toks):
-            hit = definitions.get(tok.surface)
+        for i, hit in enumerate(map(definitions.get, surfaces)):
             if hit is None or (index, i) <= hit[2] or i in occupied:
                 continue
             concept_id, long_surface, _ = hit
             out.append(
                 EntityMention(
                     sentence_index=index,
-                    start=tok.start,
-                    end=tok.end,
-                    surface=tok.surface,
+                    start=starts[i],
+                    end=ends[i],
+                    surface=surfaces[i],
                     concept_id=concept_id,
                     matched_term=long_surface,
                 )

@@ -121,12 +121,25 @@ class TermNode:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Immutable bundle of entries plus the term trie and the unit table."""
+    """Immutable bundle of entries plus the term trie and the unit table.
+
+    ``first_words`` is derived from the trie when the KB is created, by any
+    constructor: each word that opens a term, and that word plus "s", so
+    the entity scan starts a walk only at a casefolded token in it (a
+    walk's first step may fold a plural "s").
+    """
 
     entries: tuple[KbEntry, ...]
     term_trie: TermNode
     unit_table: dict[str, str]
     by_id: dict[str, KbEntry]
+    first_words: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        words = self.term_trie.children
+        object.__setattr__(
+            self, "first_words", frozenset(words).union(w + "s" for w in words)
+        )
 
     @classmethod
     def build(

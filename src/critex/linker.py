@@ -257,7 +257,6 @@ class _Competitors:
                 raise ParseMismatch(i, f"sentence {i}: parse is aligned to another sentence")
         self._sentences = sentences
         self._clause_indexes: list[ClauseIndex | None] = [None] * len(sentences)
-        self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
         self._mentions = list(mentions)
         self._sentence_of = [m.sentence_index for m in mentions]
         self._parses = parses
@@ -266,6 +265,8 @@ class _Competitors:
         self._penalty = config.boundary_penalty
         self._cross = config.cross_sentence
         if self._cross:
+            # tokens before each sentence, read only by _position
+            self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
             spans = [self._position(m) for m in mentions]
             self._lefts = [left for left, _ in spans]
             self._rights = [right for _, right in spans]

@@ -8,6 +8,13 @@ qualifiers ("12-lead") and compound units ("kg/m^2") each come out as a
 single token.  One regex pass finds the tokens, and the branch that matched
 a token gives its shape; only words, numeric qualifiers and single
 characters consult the built-in unit table, once per distinct surface.
+
+The scan tries WORD, the most frequent branch, first.  That changes no
+token because the branches' openers are disjoint: WORD opens with an ASCII
+letter, the four number branches with a digit, SYMBOL with a comparison
+glyph, so at any position the same branch wins in either order.  A branch
+added later must keep its opener disjoint from those before it, or the
+order decides and this one changes tokens.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .units import normalize_unit
 
@@ -70,14 +77,15 @@ _PUNCT_CHARS = frozenset("()[]{},;:.!?\"'`/\\-–—&")
 # matched is the token's shape, except that QUALIFIER, WORD and OTHER tokens
 # are looked up by :func:`_looked_up_shape`.  Comparison glyphs come out as
 # SYMBOL tokens; "≦"/"≧" are treated as aliases of "≤"/"≥" downstream, and
-# the surface is preserved here.
+# the surface is preserved here.  Only the digit-led branches share an
+# opener, so only their order matters (see the module docstring).
 _SCAN_RE = re.compile(
     r"""
-      (?P<RATIO>\d+(?:\.\d+)?/\d+(?:\.\d+)?)                   # 140/90
+      (?P<WORD>[A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*)  # word, kg/m^2
+    | (?P<RATIO>\d+(?:\.\d+)?/\d+(?:\.\d+)?)                   # 140/90
     | (?P<RANGE>\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?(?![A-Za-z]))    # 21-45
     | (?P<QUALIFIER>\d+(?:\.\d+)?[-–][A-Za-z][A-Za-z0-9-]*)    # 12-lead
     | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)         # 40, 1,000, 2.5
-    | (?P<WORD>[A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*)  # word, kg/m^2
     | (?P<SYMBOL><=|>=|≤|≥|≦|≧|[<>=])
     | (?P<OTHER>\S)
     """,
@@ -109,15 +117,32 @@ def _looked_up_shape(surface: str) -> TokenShape:
     return TokenShape.SYMBOL
 
 
+_new_tuple = tuple.__new__
+
+
 def tokenize(sentence_text: str) -> list[Token]:
     """Tokenize one sentence, preserving character offsets."""
 
     tokens = []
     for m in _SCAN_RE.finditer(sentence_text):
-        surface = m.group(0)
+        surface = m.group()
+        start, end = m.span()
         shape = _BRANCH_SHAPES.get(m.lastgroup) or _looked_up_shape(surface)
-        tokens.append(Token(surface, m.start(), m.end(), shape))
+        # the tuple constructor itself, without Token.__new__'s Python frame
+        tokens.append(_new_tuple(Token, (surface, start, end, shape)))
     return tokens
+
+
+def token_columns(
+    tokens: Sequence[Token],
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[TokenShape, ...]]:
+    """``(surfaces, starts, ends, shapes)`` of ``tokens``, one tuple per field.
+
+    The fields are read in C, which costs less than reading them token by
+    token in a Python loop.
+    """
+
+    return tuple(zip(*tokens)) or ((), (), (), ())
 
 
 # Terminal periods after these tokens never end a sentence.

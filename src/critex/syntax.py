@@ -24,10 +24,13 @@ from typing import Sequence
 from .attributes import AttributeMention
 from .entities import EntityMention
 from .errors import CycleDetected, ParseMismatch
-from .segmentation import SentenceRecord
+from .segmentation import SentenceRecord, token_columns
 
-_BOUNDARY_SURFACES = frozenset({",", ";"})
-_BOUNDARY_WORDS = frozenset({"and", "or", "but", "who", "whom", "which", "that", "whose"})
+# Boundary tokens, tested in lower case: "," and ";" lower to themselves,
+# and no other surface lowers to either.
+_BOUNDARY = frozenset(
+    {",", ";", "and", "or", "but", "who", "whom", "which", "that", "whose"}
+)
 
 # token states while a parse's head graph is checked
 _UNSEEN, _ON_PATH, _REACHES_ROOT = 0, 1, 2
@@ -188,23 +191,22 @@ def path_distances(
     return distances
 
 
-def _is_boundary(surface: str) -> bool:
-    return surface in _BOUNDARY_SURFACES or surface.lower() in _BOUNDARY_WORDS
-
-
 class ClauseIndex:
     """Token offsets and boundary-token prefix counts of one sentence.
 
     Built once per sentence, it lets :func:`heuristic_distance` count the
-    tokens between two spans by bisection instead of a scan.
+    tokens between two spans by bisection instead of a scan.  ``starts``
+    and ``ends`` are tuples of the tokens' offsets; ``boundaries[k]``
+    counts the boundary tokens among the first ``k``.  All three are built
+    from the token columns in C (``zip``, ``map``, ``accumulate``), with no
+    Python-level loop over the tokens.
     """
 
     def __init__(self, sentence: SentenceRecord):
-        toks = sentence.tokens
-        self.starts = [t.start for t in toks]
-        self.ends = [t.end for t in toks]
-        # boundaries[k]: boundary tokens among the first k tokens
-        self.boundaries = list(accumulate((_is_boundary(t.surface) for t in toks), initial=0))
+        surfaces, self.starts, self.ends, _ = token_columns(sentence.tokens)
+        self.boundaries = list(
+            accumulate(map(_BOUNDARY.__contains__, map(str.lower, surfaces)), initial=0)
+        )
 
 
 def heuristic_distance(

@@ -41,13 +41,11 @@ from critex.segmentation import (
     _ABBREVIATIONS,
     _NEXT_SENTENCE_RE,
     _PUNCT_CHARS,
-    _SCAN_RE,
     _SINGLE_INITIAL_RE,
     _TOKEN_SEPARATORS,
     Token,
     TokenShape,
 )
-from critex.syntax import _is_boundary
 from critex.units import normalize_unit
 
 
@@ -364,12 +362,35 @@ def shape_of(surface):
     return TokenShape.SYMBOL
 
 
+# The token scan with its branches in their first order, digit-led branches
+# before WORD; the package tries WORD first.
+_SCAN_IN_FIRST_ORDER_RE = re.compile(
+    r"""
+      (?P<RATIO>\d+(?:\.\d+)?/\d+(?:\.\d+)?)
+    | (?P<RANGE>\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?(?![A-Za-z]))
+    | (?P<QUALIFIER>\d+(?:\.\d+)?[-–][A-Za-z][A-Za-z0-9-]*)
+    | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)
+    | (?P<WORD>[A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*)
+    | (?P<SYMBOL><=|>=|≤|≥|≦|≧|[<>=])
+    | (?P<OTHER>\S)
+    """,
+    re.VERBOSE,
+)
+
+
+def scan_branches(sentence_text):
+    """``(span, branch name)`` of each match of the scan in its first order."""
+
+    return [(m.span(), m.lastgroup) for m in _SCAN_IN_FIRST_ORDER_RE.finditer(sentence_text)]
+
+
 def tokenize(sentence_text):
-    """Tokens of the scan, each shape re-derived by :func:`shape_of`."""
+    """Tokens of the scan in its first branch order, each shape re-derived
+    by :func:`shape_of`."""
 
     return [
         Token(m.group(0), m.start(), m.end(), shape_of(m.group(0)))
-        for m in _SCAN_RE.finditer(sentence_text)
+        for m in _SCAN_IN_FIRST_ORDER_RE.finditer(sentence_text)
     ]
 
 
@@ -635,6 +656,17 @@ def extract_attributes(sentence, kb, entity_spans=None):
     return out
 
 
+_BOUNDARY_PUNCTUATION = (",", ";")
+_BOUNDARY_WORDS = ("and", "or", "but", "who", "whom", "which", "that", "whose")
+
+
+def is_boundary(surface):
+    """A clause boundary: a comma or semicolon, or a conjunction or relative
+    pronoun in any case ("AND", "Which")."""
+
+    return surface in _BOUNDARY_PUNCTUATION or surface.lower() in _BOUNDARY_WORDS
+
+
 def heuristic_distance(sentence, e, a, boundary_penalty):
     """Token gap plus boundary penalty, rescanning the sentence's tokens."""
 
@@ -646,7 +678,7 @@ def heuristic_distance(sentence, e, a, boundary_penalty):
     boundaries = 0
     for t in sentence.tokens:
         if t.start >= left_end and t.end <= right_start:
-            if _is_boundary(t.surface):
+            if is_boundary(t.surface):
                 boundaries += 1
             else:
                 gap += 1

@@ -8,12 +8,16 @@ and comparison glyphs, and are scanned with the bundled KB and with KBs
 drawn from the same vocabulary (multi-word synonyms, shared prefixes,
 terms longer than the n-gram cap, ambiguous terms).  The start gate and
 the unit window are checked against the gate written out term by term and
-the 3-2-1 window loop.
+the 3-2-1 window loop.  The entity scan is also run with a dense KB, whose
+terms are every word of the line, and with KBs whose terms open only with
+words the line spells with a plural "s", so every walk starts through the
+fold.  The clause index is checked on drawn token surfaces in any case, and
+the tokenizer against the scan with its branches in their first order.
 """
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from critex import attributes
@@ -27,7 +31,15 @@ from critex.entities import (
 )
 from critex.kb import Category, KbEntry, KnowledgeBase, load_kb, term_key
 from critex.resources import bundled_kb_path
-from critex.segmentation import SplitMode, Token, TokenShape, split_records, tokenize
+from critex.segmentation import (
+    _SCAN_RE,
+    SentenceRecord,
+    SplitMode,
+    Token,
+    TokenShape,
+    split_records,
+    tokenize,
+)
 from critex.syntax import ClauseIndex, heuristic_distance
 
 BUNDLED_KB = load_kb(bundled_kb_path())
@@ -119,6 +131,38 @@ def kb_for(text):
     return st.one_of(st.just(BUNDLED_KB), drawn_kb(st.one_of(TERM, variants)))
 
 
+def _words_of(text):
+    return [t.surface for t in tokenize(text) if t.shape in MATCHABLE]
+
+
+def dense_kb(text):
+    """A KB whose terms are every word of ``text`` and every run of two or
+    three of its words, so that every word is a first word."""
+
+    words = _words_of(text)
+    runs = [" ".join(words[i : i + n]) for n in (1, 2, 3) for i in range(len(words) - n + 1)]
+    return KnowledgeBase.build(KbEntry(f"D{k}", run) for k, run in enumerate(runs))
+
+
+def fold_only_kb(text):
+    """KBs whose terms open only with a word of ``text`` less its plural "s".
+
+    A word the text also spells without the "s" is left out, so a walk
+    can start at these words only by folding; terms of two or three words
+    must then not match, as a fold ends the walk.
+    """
+
+    words = _words_of(text)
+    keys = {term_key(w) for w in words}
+    folded = [f for f in map(oracles.fold_plural, words) if f and term_key(f) not in keys]
+    if not folded:
+        return st.just(BUILTIN_UNITS_KB)
+    terms = st.tuples(
+        st.sampled_from(folded), st.lists(st.sampled_from(words), max_size=2)
+    ).map(lambda p: " ".join((p[0], *p[1])))
+    return drawn_kb(terms)
+
+
 class TestEntityScan:
     @given(text=LINE, data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -126,6 +170,23 @@ class TestEntityScan:
         kb = data.draw(kb_for(text))
         for sentence in split_records(text, SplitMode.LINES):
             assert recognize_entities(sentence, kb) == oracles.recognize_entities(sentence, kb)
+
+    @given(text=LINE, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dense_and_fold_only_kbs_match_ngram_scan(self, text, data):
+        kb = data.draw(st.one_of(st.just(text).map(dense_kb), fold_only_kb(text)))
+        for sentence in split_records(text, SplitMode.LINES):
+            assert recognize_entities(sentence, kb) == oracles.recognize_entities(sentence, kb)
+
+    def test_first_words_hold_each_opening_word_and_its_plural(self):
+        kb = KnowledgeBase.build(
+            [KbEntry("C1", "Blood pressure"), KbEntry("C2", "drug", synonyms=("drug abuse",))]
+        )
+        assert kb.first_words == {"blood", "bloods", "drug", "drugs"}
+        # derived by any constructor, not only build
+        same = KnowledgeBase(kb.entries, kb.term_trie, kb.unit_table, kb.by_id)
+        assert same.first_words == kb.first_words
+        assert BUILTIN_UNITS_KB.first_words == frozenset()
 
     def test_plural_fold_matches_oracle_rule(self):
         # every word of two to five letters over "a", "s", "S", alone and as
@@ -321,7 +382,54 @@ class TestUnitWindow:
             assert oracles.unit_at(toks, i, anything) == expected, text
 
 
+# Token surfaces for the clause index: the boundary words in several cases,
+# near misses, and letters whose lower case is longer ("İ" lowers to "i"
+# plus a combining dot) or differs from their case fold ("ß", "ſ").
+CLAUSE_SURFACE = st.one_of(
+    st.sampled_from(
+        (",", ";", ".", "(", "and", "AND", "And", "aNd", "or", "OR", "but", "BUT",
+         "who", "WHO", "whom", "Whom", "which", "Which", "WHICH", "that", "THAT",
+         "That", "whose", "WHOSE", "andy", "nor", "İ", "WHİCH", "THİS", "İAND",
+         "ß", "ſ", "K", "12", "≤", "bp")
+    ),
+    st.text(min_size=1, max_size=3),
+)
+
+
 class TestHeuristicDistance:
+    @given(
+        surfaces=st.lists(CLAUSE_SURFACE, min_size=1, max_size=12),
+        penalty=st.sampled_from((0.0, 1.5, 5.0)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_counts_match_token_scan_on_drawn_surfaces(self, surfaces, penalty, data):
+        tokens, pos = [], 0
+        for surface in surfaces:
+            tokens.append(Token(surface, pos, pos + len(surface), TokenShape.WORD))
+            pos += len(surface) + 1
+        sentence = SentenceRecord("r", 0, " ".join(surfaces), 0, tuple(tokens))
+        index = ClauseIndex(sentence)
+        assert index.boundaries == list(
+            itertools.accumulate(map(oracles.is_boundary, surfaces), initial=0)
+        )
+        offsets = sorted({t.start for t in tokens} | {t.end for t in tokens})
+        for _ in range(2):
+            e_start, e_end, a_start, a_end = (data.draw(st.sampled_from(offsets)) for _ in range(4))
+            e = EntityMention(0, min(e_start, e_end), max(e_start, e_end), "e", "C", "e")
+            a = AttributeMention(
+                0, min(a_start, a_end), max(a_start, a_end), "a", AttributeKind.QUALIFIER
+            )
+            assert heuristic_distance(index, e, a, penalty) == (
+                oracles.heuristic_distance(sentence, e, a, penalty)
+            )
+
+    def test_boundary_words_count_in_any_case(self):
+        surfaces = ("x", "AND", "Which", "THAT", ",", "İ", "y")
+        tokens = tuple(Token(s, 2 * k, 2 * k + 1, TokenShape.WORD) for k, s in enumerate(surfaces))
+        index = ClauseIndex(SentenceRecord("r", 0, "", 0, tokens))
+        assert index.boundaries == [0, 0, 1, 2, 3, 4, 4, 4]
+
     @given(text=LINE, penalty=st.sampled_from((0.0, 1.5, 5.0)), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_prefix_counts_match_token_scan(self, text, penalty, data):
@@ -343,3 +451,28 @@ class TestHeuristicDistance:
                 assert heuristic_distance(index, e, a, penalty) == (
                     oracles.heuristic_distance(sentence, e, a, penalty)
                 )
+
+
+# Text from the characters the scan's branch openers turn on: letters
+# (ASCII and not), digits (ASCII and not), the comparison glyphs and the
+# joiners "-", "–", "/", "^", ".", ",", "'", "’".
+SCAN_TEXT = st.text(
+    alphabet=st.sampled_from(
+        list("aAzZkgmL") + ["é", "µ"] + list("0179") + ["٣"]
+        + ["<", ">", "=", "≤", "≥", "≦", "≧"] + list("-–/^.,'’") + [" ", " "]
+    ),
+    max_size=40,
+)
+
+
+class TestScanOrder:
+    """Trying WORD first gives the tokens of the scan's first branch order."""
+
+    @given(text=SCAN_TEXT)
+    @example(text="12-lead a1-2 kg/m^2 140/90 21-45a 1,000.5 x≤5 a'b’c")
+    @settings(max_examples=500, deadline=None)
+    def test_tokens_and_branches_match_first_order(self, text):
+        assert tokenize(text) == oracles.tokenize(text)
+        assert [(m.span(), m.lastgroup) for m in _SCAN_RE.finditer(text)] == (
+            oracles.scan_branches(text)
+        )
