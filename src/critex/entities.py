@@ -25,8 +25,8 @@ from itertools import compress
 from operator import attrgetter
 from typing import Sequence
 
-from .kb import Category, KbEntry, KnowledgeBase
-from .segmentation import SentenceRecord, TokenShape, token_columns
+from .kb import Category, KbEntry, KnowledgeBase, term_key
+from .segmentation import SentenceRecord, TokenShape, token_columns, tokenize
 
 MAX_NGRAM = 6
 
@@ -126,6 +126,25 @@ def recognize_entities(
         )
     mentions.sort(key=lambda m: m.start)
     return mentions
+
+
+def can_match(term: str) -> bool:
+    """True when :func:`recognize_entities` can match ``term``.
+
+    The walk steps one token per trie word, so the term's tokens must be
+    exactly its words (their casefolded surfaces the words of its
+    :func:`~critex.kb.term_key`), each a word (WORD or UNIT_LIKE), and at
+    most ``MAX_NGRAM`` of them.  A term that fails can never be matched:
+    "type 2 diabetes" holds the NUMBER "2", "blood pressure (BP)" tokenizes
+    "(BP)" as three tokens, and "Sjögren" is three tokens, "ö" not a word.
+    """
+
+    tokens = tokenize(term)
+    return (
+        len(tokens) <= MAX_NGRAM
+        and all(t.shape is _WORD or t.shape is _UNIT_LIKE for t in tokens)
+        and [t.surface.casefold() for t in tokens] == term_key(term).split(" ")
+    )
 
 
 def _initials_match(abbr: str, long_form: str) -> bool:

@@ -10,6 +10,18 @@ offset, then leftmost position.  The winner becomes a :class:`Relation`
 only at or above ``min_score``.  An entity may win several attributes, an
 attribute links to at most one entity.
 
+Eligibility criteria often pair one entity with one attribute.  An attribute
+with at most one competitor is decided without scoring: when no other
+sentence competes and its sentence holds at most one mention, it has no
+competitor (no mention, or the mention's span holds it) or exactly one.  A
+lone competitor's ``p_sup`` is its compatibility over itself, ``r / r``, or
+the uniform ``1 / 1`` when ``r`` is 0, and its ``p_dep`` is its softmin
+weight ``exp(0) = 1.0`` over itself; both are exactly 1.0, whatever ``r``
+and the distance.  So it scores ``theta + (1 - theta)``, which rounds to
+exactly 1.0 for every ``theta`` in ``[0, 1]``, and its distance, clause
+index and compatibility are never computed.  The relation is the one of
+scoring it, bit for bit.
+
 Under cross-sentence linking every entity of the record competes, but only
 a few can win, and only those are scored; the relation stays bit for bit
 the one of scoring every entity:
@@ -123,10 +135,20 @@ def _p_sup(
     try:
         total = left_sum(map(raw.__getitem__, competitors))
     except KeyError as exc:  # the first competitor whose concept is unknown
-        raise UnknownConcept(f"concept {exc.args[0]} not in knowledge base") from None
+        raise _unknown(exc.args[0]) from None
     if total > 0:
         return {c: r / total for c, r in raw.items()}
     return dict.fromkeys(raw, 1.0 / len(competitors))
+
+
+def _unknown(concept_id: str) -> UnknownConcept:
+    return UnknownConcept(f"concept {concept_id} not in knowledge base")
+
+
+def _holds(e: EntityMention, a: AttributeMention) -> bool:
+    """True when ``e``'s span holds ``a``'s; such an entity does not compete."""
+
+    return e.start <= a.start and a.end <= e.end
 
 
 def _mix(
@@ -195,6 +217,11 @@ class _Competitors:
     and, with cross-sentence linking, their concept ids, global token
     positions and each concept's mention indexes.  :meth:`link` links an
     attribute by scoring only the candidates of the module docstring.
+    First, an attribute with at most one competitor in a sentence that no
+    other sentence competes with is decided without distances, clause
+    indexes or compatibility, as the module docstring tells; the same
+    nesting rule (:func:`_holds`) drops a mention whose span holds the
+    attribute there and in :meth:`_local`.
 
     The softmin window is used for the ``p_dep`` total alone.  Mentions are
     ordered and disjoint, so the cross-sentence distance never increases as
@@ -264,6 +291,9 @@ class _Competitors:
         self._config = config
         self._penalty = config.boundary_penalty
         self._cross = config.cross_sentence
+        # a lone competitor's score, whatever its compatibility and distance
+        # (module docstring)
+        self._lone_scores = _mix((1.0,), (1.0,), config.theta, 1.0)
         if self._cross:
             # tokens before each sentence, read only by _position
             self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
@@ -306,24 +336,31 @@ class _Competitors:
             float(base + bisect_left(index.starts, m.end)),
         )
 
-    def _local(
-        self, a: AttributeMention
-    ) -> tuple[int, int, bool, list[EntityMention], list[float]]:
-        """``lo, hi, others, local, distances`` for ``a``.
+    def _span(self, a: AttributeMention) -> tuple[int, int, bool]:
+        """``lo, hi, others`` for ``a``.
 
         ``lo:hi`` are the mentions of ``a``'s sentence; ``others`` tells
-        whether the mentions of other sentences compete too.  ``local``
-        lists the entities of ``a``'s sentence that compete, all but those
-        whose span holds ``a``, and ``distances`` their distances: from the
-        sentence's parse when one is supplied and no other sentence
-        competes, otherwise from :func:`heuristic_distance`.
+        whether the mentions of other sentences compete too.
         """
 
-        s_a, mentions = a.sentence_index, self._mentions
-        lo = bisect_left(self._sentence_of, s_a)
-        hi = bisect_right(self._sentence_of, s_a, lo)
-        others = self._cross and (lo > 0 or hi < len(mentions))
-        local = [e for e in mentions[lo:hi] if not (e.start <= a.start and a.end <= e.end)]
+        sentence_of = self._sentence_of
+        lo = bisect_left(sentence_of, a.sentence_index)
+        hi = bisect_right(sentence_of, a.sentence_index, lo)
+        return lo, hi, self._cross and (lo > 0 or hi < len(sentence_of))
+
+    def _local(
+        self, a: AttributeMention, lo: int, hi: int, others: bool
+    ) -> tuple[list[EntityMention], list[float]]:
+        """``local, distances`` for ``a`` and its :meth:`_span` ``lo, hi, others``.
+
+        ``local`` lists the entities of ``a``'s sentence that compete, all
+        but those whose span holds ``a``, and ``distances`` their
+        distances: from the sentence's parse when one is supplied and no
+        other sentence competes, otherwise from :func:`heuristic_distance`.
+        """
+
+        s_a = a.sentence_index
+        local = [e for e in self._mentions[lo:hi] if not _holds(e, a)]
         parse = self._parses[s_a] if s_a < len(self._parses) else None
         if not local:
             distances = []
@@ -332,7 +369,7 @@ class _Competitors:
         else:
             clauses, penalty = self._clauses(s_a), self._penalty
             distances = [heuristic_distance(clauses, e, a, penalty) for e in local]
-        return lo, hi, others, local, distances
+        return local, distances
 
     def _ahead(self, left: float, s_a: float, i: int) -> float:
         """Distance of mention ``i``, of a sentence before ``s_a``, to a
@@ -400,23 +437,34 @@ class _Competitors:
         The relation of scoring every competitor, bit for bit: the entities
         of ``a``'s sentence but those whose span holds ``a`` and, with
         cross-sentence linking, every other entity of the record, at the
-        distance of :meth:`_ahead` or :meth:`_behind`.  Only the candidates
-        of the class docstring are scored.  Returns None when no entity
-        competes or the best score is below ``min_score``.  Raises
+        distance of :meth:`_ahead` or :meth:`_behind`.  A lone competitor
+        gets its exact score, 1.0, without being scored; otherwise only the
+        candidates of the class docstring are scored.  Returns None when no
+        entity competes or the best score is below ``min_score``.  Raises
         :class:`UnknownConcept` for the first competitor whose concept is
         not in the knowledge base.
         """
 
-        lo, hi, others, entities, distances = self._local(a)
+        lo, hi, others = self._span(a)
+        mentions, config = self._mentions, self._config
+        if not others and hi - lo <= 1:  # at most one competitor
+            if lo == hi or _holds(mentions[lo], a):
+                return None
+            e = mentions[lo]
+            if e.concept_id not in self._kb.by_id:
+                raise _unknown(e.concept_id)
+            # one entity wins no tie-break, so its distance is never read
+            return _pick(a, (e,), (), self._lone_scores, config.min_score)
+        entities, distances = self._local(a, lo, hi, others)
         if not (entities or others):
             return None
-        config, kb = self._config, self._kb
+        kb = self._kb
         ids = [e.concept_id for e in entities]
         local = len(ids)
         if not others:
             sup = _p_sup(a, ids, kb, config.weights)
         else:
-            mentions, concepts = self._mentions, self._concepts
+            concepts = self._concepts
             if local < hi - lo:  # an entity span holds a
                 sup = _p_sup(a, concepts[:lo] + ids + concepts[hi:], kb, config.weights)
             else:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 from .attributes import AttributeMention, extract_attributes
@@ -41,6 +42,16 @@ class PipelineConfig:
     weights: CompatibilityWeights = field(default_factory=CompatibilityWeights)
 
     def __post_init__(self):
+        if not isinstance(self.mode, SplitMode):
+            raise TypeError(f"mode must be a SplitMode, got {self.mode!r}")
+        if not isinstance(self.cross_sentence, bool):
+            raise TypeError(f"cross_sentence must be a bool, got {self.cross_sentence!r}")
+        if not isinstance(self.weights, CompatibilityWeights):
+            raise TypeError(f"weights must be CompatibilityWeights, got {self.weights!r}")
+        for name in ("theta", "min_score", "tau", "boundary_penalty"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not (math.isfinite(self.boundary_penalty) and self.boundary_penalty >= 0):

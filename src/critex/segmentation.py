@@ -221,9 +221,12 @@ def split_records(raw: str, mode: SplitMode, record_id: str = "") -> list[Senten
 
     ``LINES`` emits one unit per non-empty line; ``PARAGRAPHS`` splits at
     terminal punctuation followed by whitespace and a capital letter or
-    digit, guarded by an abbreviation stop list.
+    digit, guarded by an abbreviation stop list.  ``mode`` must be a
+    :class:`SplitMode`; its value string is not accepted.
     """
 
+    if not isinstance(mode, SplitMode):
+        raise TypeError(f"mode must be a SplitMode, got {mode!r}")
     if not raw:
         return []
     spans = _line_spans(raw) if mode is SplitMode.LINES else _paragraph_spans(raw)

@@ -73,7 +73,8 @@ def competitors_of(competitors, a):
     order, at the distance of ``_ahead`` or ``_behind``.
     """
 
-    lo, hi, others, local, distances = competitors._local(a)
+    lo, hi, others = competitors._span(a)
+    local, distances = competitors._local(a, lo, hi, others)
     if not others:
         return local, distances
     mentions, s_a = competitors._mentions, a.sentence_index

@@ -477,6 +477,23 @@ class TestKbCommand:
         code, out, err = run(capsys, "kb", "validate", bundled_kb_path())
         assert code == 0
         assert "OK" in out
+        assert err == ""
+
+    def test_validate_names_terms_that_can_never_match(self, capsys, tmp_path):
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps({"version": 1, "entries": [
+            {"concept_id": "LOCAL:t2d", "preferred_term": "type 2 diabetes",
+             "synonyms": ["diabetes", "Sjögren syndrome"]},
+            {"concept_id": "LOCAL:bp", "preferred_term": "blood pressure (BP)"},
+        ]}))
+        code, out, err = run(capsys, "kb", "validate", path)
+        assert (code, out) == (0, "OK: 2 entries, 106 unit variants\n")
+        lines = err.splitlines()
+        assert [line.split(" can never be matched")[0] for line in lines] == [
+            f"critex: warning: {path}: LOCAL:t2d: term 'type 2 diabetes'",
+            f"critex: warning: {path}: LOCAL:t2d: term 'Sjögren syndrome'",
+            f"critex: warning: {path}: LOCAL:bp: term 'blood pressure (BP)'",
+        ]
 
     def test_validate_inverted_range(self, capsys, tmp_path):
         path = tmp_path / "kb.json"

@@ -1,10 +1,11 @@
 """Dictionary entity recognition and abbreviation linking."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from critex.entities import MAX_NGRAM, link_abbreviations, recognize_entities
-from critex.kb import Category, KbEntry, KnowledgeBase
-from critex.segmentation import SplitMode, split_records
+from critex.entities import MAX_NGRAM, can_match, link_abbreviations, recognize_entities
+from critex.kb import Category, KbEntry, KnowledgeBase, term_key
+from critex.segmentation import SentenceRecord, SplitMode, split_records, tokenize
 
 
 def kb_of(*entries):
@@ -197,3 +198,37 @@ class TestAbbreviationOrder:
     def test_later_occurrence_in_the_defining_sentence_expands(self):
         text = "An electrocardiograph (ECG) showed the ECG rhythm."
         assert self.expand(text) == [(0, text.rindex("ECG"), "C1")]
+
+
+# Words the scan can and cannot walk, glued by spaces, tabs and punctuation.
+TERM_WORDS = ("blood", "pressures", "mg", "%", "2", "(BP)", "Sjögren", "kg/m^2", "it's",
+              "x-ray", "HbA1c", "µg", "Straße", "stress", "s", "a.b", "12-lead", ">=")
+TERMS = st.one_of(
+    st.lists(st.sampled_from(TERM_WORDS), min_size=1, max_size=MAX_NGRAM + 2).map(" ".join),
+    st.text(alphabet="abcsAS 09-/^'().,%\töµßﬁİ", min_size=1, max_size=16),
+)
+
+
+class TestCanMatch:
+    @pytest.mark.parametrize(
+        "term",
+        ["type 2 diabetes", "blood pressure (BP)", "Sjögren syndrome", "a b c d e f g"],
+    )
+    def test_terms_the_scan_cannot_walk(self, term):
+        assert not can_match(term)
+
+    def test_every_bundled_term_can_match(self, mini_kb):
+        assert all(can_match(term) for entry in mini_kb.entries for term in entry.terms)
+
+    @given(term=TERMS)
+    @settings(max_examples=400, deadline=None)
+    def test_found_in_itself_exactly_when_it_can_match(self, term):
+        assume(term_key(term))
+        kb = kb_of(KbEntry("C1", term))
+        tokens = tuple(tokenize(term))
+        sentence = SentenceRecord("r", 0, term, 0, tokens)
+        found = [(m.start, m.end) for m in recognize_entities(sentence, kb)]
+        if can_match(term):
+            assert found == [(tokens[0].start, tokens[-1].end)]
+        else:
+            assert found == []

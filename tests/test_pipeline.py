@@ -5,8 +5,10 @@ import importlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,6 +36,7 @@ from critex.syntax import DependencyParse, align_block, parse_blocks, softmin_we
 from critex.segmentation import split_records
 
 
+ROOT = Path(__file__).resolve().parents[1]
 PARAGRAPH_CONFIG = PipelineConfig(mode=SplitMode.PARAGRAPHS)
 
 
@@ -229,6 +232,33 @@ class TestConfigValidation:
     def test_edge_values_accepted(self):
         config = PipelineConfig(tau=1e-9, boundary_penalty=0.0, theta=0.0, min_score=1.0)
         assert config.boundary_penalty == 0.0
+
+    # one field each; every value was accepted before, and the first three
+    # ran paragraph splitting, cross-sentence linking and an AttributeError
+    # in the linker
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("mode", "lines", "mode must be a SplitMode, got 'lines'"),
+            ("cross_sentence", "no", "cross_sentence must be a bool, got 'no'"),
+            ("weights", None, "weights must be CompatibilityWeights, got None"),
+            ("theta", True, "theta must be a real number, got True"),
+            ("min_score", "0.2", "min_score must be a real number, got '0.2'"),
+            ("tau", True, "tau must be a real number, got True"),
+            ("boundary_penalty", None, "boundary_penalty must be a real number, got None"),
+        ],
+    )
+    def test_wrong_types_rejected_at_construction(self, name, value, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**{name: value})
+        with pytest.raises(TypeError):
+            replace(PipelineConfig(), **{name: value})
+
+    def test_whole_numbers_link_as_their_floats(self, mini_kb):
+        whole = PipelineConfig(theta=1, min_score=0, tau=2, boundary_penalty=0)
+        floats = PipelineConfig(theta=1.0, min_score=0.0, tau=2.0, boundary_penalty=0.0)
+        rows = _relation_rows(JOINED_CORPUS, mini_kb, floats)
+        assert rows and _relation_rows(JOINED_CORPUS, mini_kb, whole) == rows
 
 
 class TestPublicSurface:
@@ -453,6 +483,19 @@ def _random_parses(sentences, rng):
     return parses[: rng.randint(0, len(parses))] if rng.random() < 0.3 else parses
 
 
+def _without(kb, concepts):
+    """``kb`` whose linker no longer knows ``concepts``; the scan still finds them."""
+
+    return replace(kb, by_id={k: v for k, v in kb.by_id.items() if k not in concepts})
+
+
+def _outcome(run, text, kb, config, parses=None):
+    try:
+        return run(text, kb, config, parses)
+    except UnknownConcept as exc:
+        return str(exc)
+
+
 class TestLinkerChainOracle:
     """The per-attribute linker equals the candidate-object chain it replaced."""
 
@@ -495,17 +538,150 @@ class TestLinkerChainOracle:
     )
     @settings(max_examples=40, deadline=None)
     def test_unknown_concept_raised_alike(self, mini_kb, text, cross_sentence, dropped):
-        # the entity scan still finds the dropped concepts; linking does not
-        kb = replace(mini_kb, by_id={k: v for k, v in mini_kb.by_id.items()
-                                     if k not in dropped})
+        kb = _without(mini_kb, dropped)
         config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=cross_sentence)
-        outcomes = []
-        for run in (_relation_rows, _oracle_rows):
-            try:
-                outcomes.append(run(text, kb, config))
-            except UnknownConcept as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        expected = _outcome(_oracle_rows, text, kb, config)
+        assert _outcome(_relation_rows, text, kb, config) == expected
+
+
+# Records whose sentences hold 0, 1 or 2 entity mentions.  Under
+# ``held_kb``, "12-lead ECG" and "resting heart rate" are lone mentions that
+# hold their sentence's qualifier.
+LONE_ENTITIES = ("blood pressure", "ECG", "heart rate", "glucose", "12-lead ECG",
+                 "resting heart rate")
+LONE_CONCEPTS = ("C0005823", "C0013798", "C0018810", "C0005802", "LOCAL:ecg12", "LOCAL:rhr")
+LONE_FILLER = ("was", "x", "and", ",")
+
+
+@st.composite
+def few_mention_texts(draw):
+    sentences = []
+    for k in range(draw(st.integers(1, 3))):
+        pieces = (
+            draw(st.lists(st.sampled_from(LONE_ENTITIES), max_size=2))
+            + draw(st.lists(st.sampled_from(TIE_ATTRIBUTES), min_size=1, max_size=2))
+            + draw(st.lists(st.sampled_from(LONE_FILLER), max_size=3))
+        )
+        pieces = draw(st.permutations(pieces))
+        if k:  # a capital after " .\n" starts a sentence in both split modes
+            pieces = ["Also", *pieces]
+        sentences.append(" ".join(pieces))
+    return " .\n".join(sentences)
+
+
+class TestLoneCompetitor:
+    """An attribute whose sentence holds at most one mention, with no other
+    sentence competing, is decided without distances, clause indexes or
+    compatibility, and links as scoring its one competitor would link it."""
+
+    # every sentence holds at most one mention: blood pressure links its
+    # value, "within three days" has no competitor, ECG links "21-45"
+    TEXT = "Blood pressure of less than 140/90 mmHg. Also within three days. ECG 21-45."
+
+    @given(
+        text=few_mention_texts(),
+        mode=st.sampled_from(tuple(SplitMode)),
+        cross_sentence=st.booleans(),
+        theta=st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)),
+        min_score=st.sampled_from((0.0, 0.2, 0.6, 1.0)),
+        with_parses=st.booleans(),
+        held=st.booleans(),
+        dropped=st.one_of(
+            st.just(frozenset()), st.frozensets(st.sampled_from(LONE_CONCEPTS), min_size=1,
+                                                max_size=2)
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_chain_bit_for_bit(
+        self, mini_kb, held_kb, text, mode, cross_sentence, theta, min_score, with_parses,
+        held, dropped, seed,
+    ):
+        kb = _without(held_kb if held else mini_kb, dropped)
+        parses = None
+        if with_parses:
+            parses = _random_parses(split_records(text, mode), random.Random(seed))
+        config = PipelineConfig(mode=mode, cross_sentence=cross_sentence, theta=theta,
+                                min_score=min_score)
+        expected = _outcome(_oracle_rows, text, kb, config, parses)
+        assert _outcome(_relation_rows, text, kb, config, parses) == expected
+
+    @given(theta=st.floats(0.0, 1.0))
+    def test_lone_score_is_one_for_every_theta(self, theta):
+        assert linker._mix((1.0,), (1.0,), theta, 1.0) == [1.0]
+
+    @pytest.mark.parametrize("cross_sentence", [False, True])
+    def test_lone_mention_holding_the_attribute_leaves_it_unlinked(
+        self, held_kb, cross_sentence
+    ):
+        config = replace(PARAGRAPH_CONFIG, cross_sentence=cross_sentence, min_score=0.0)
+        record = annotate_record("r", "12-lead ECG", held_kb, config)
+        assert [m["surface"] for m in record.extended["entities"]] == ["12-lead ECG"]
+        assert [a["surface"] for a in record.extended["unlinked_attributes"]] == ["12-lead"]
+        assert _relation_rows("12-lead ECG", held_kb, config) == []
+        assert _oracle_rows("12-lead ECG", held_kb, config) == []
+
+    def test_unknown_lone_concept_raises_the_p_sup_message(self, mini_kb):
+        kb = _without(mini_kb, {"C0013798"})
+        with pytest.raises(UnknownConcept, match=r"^concept C0013798 not in knowledge base$"):
+            annotate_record("r", self.TEXT, kb, PARAGRAPH_CONFIG)
+        assert _outcome(_oracle_rows, self.TEXT, kb, PARAGRAPH_CONFIG) == (
+            "concept C0013798 not in knowledge base"
+        )
+
+    @pytest.mark.parametrize(
+        "text, cross_sentence, with_parses",
+        [
+            (TEXT, False, False),
+            (TEXT, False, True),
+            # the record's one mention, in the attributes' sentence: no
+            # other sentence competes
+            ("Blood pressure of less than 140/90 mmHg, 21-45.", True, False),
+            ("Blood pressure of less than 140/90 mmHg, 21-45.", True, True),
+        ],
+    )
+    def test_runs_no_distance_clause_index_or_compatibility(
+        self, mini_kb, monkeypatch, text, cross_sentence, with_parses
+    ):
+        config = replace(PARAGRAPH_CONFIG, cross_sentence=cross_sentence, min_score=1.0)
+        parses = None
+        if with_parses:
+            parses = [
+                DependencyParse(tuple(range(len(s.tokens))), ("dep",) * len(s.tokens), s)
+                for s in split_records(text, config.mode)
+            ]
+        expected = _oracle_rows(text, mini_kb, config, parses)
+        assert expected and all(float.fromhex(row[3]) == 1.0 for row in expected)
+
+        def unreachable(*args):
+            raise AssertionError("a lone competitor needs no distance or compatibility")
+
+        names = ["heuristic_distance", "path_distances", "compatibility_terms"]
+        if not cross_sentence:  # cross-sentence linking indexes every mention once
+            names.append("ClauseIndex")
+        for name in names:
+            monkeypatch.setattr(linker, name, unreachable)
+        assert _relation_rows(text, mini_kb, config, parses) == expected
+
+    def test_work_counts_on_the_batch_workload(self, mini_kb, monkeypatch):
+        # 2,000 short records of the benchmark's batch workload, seed 1; an
+        # attribute that takes the exit builds no clause index, measures no
+        # distance and scores no compatibility (3,869, 13,367 and 12,951
+        # without the exit)
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        inputs = importlib.import_module("inputs")
+        counts = dict.fromkeys(("ClauseIndex", "heuristic_distance", "compatibility_terms"), 0)
+        for name in counts:
+            def counting(*args, _name=name, _f=getattr(linker, name)):
+                counts[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(linker, name, counting)
+        for r in inputs.batch_records(inputs.read_gold_corpus(mini_corpus_dir()), 1):
+            annotate_record(r.id, r.text, mini_kb, PARAGRAPH_CONFIG)
+        assert counts == {
+            "ClauseIndex": 2027, "heuristic_distance": 11139, "compatibility_terms": 10723,
+        }
 
 
 class TestSoftminWindow:
@@ -708,7 +884,8 @@ class TestCandidates:
         competitors = _Competitors(sentences, mentions, mini_kb, config, None)
         assert oracles.competitors_of(competitors, a)[1] == [9.0, 0.0, 6.0]
         left, right = competitors._position(a)
-        lo, hi, _, _, distances = competitors._local(a)
+        lo, hi, others = competitors._span(a)
+        _, distances = competitors._local(a, lo, hi, others)
         assert competitors._window(1.0, left, right, lo, hi, distances) == ([math.exp(-90)], [])
         self._assert_window_weights(competitors, a, 0.1)
         assert _relation_rows(text, mini_kb, config) == _oracle_rows(text, mini_kb, config)
@@ -718,7 +895,8 @@ class TestCandidates:
         # the window's inline distances weigh every mention as _ahead and
         # _behind do; the mentions left out weigh 0.0 ahead and less than
         # 2**-53 behind, so the window's total is every competitor's
-        lo, hi, others, local, distances = competitors._local(a)
+        lo, hi, others = competitors._span(a)
+        local, distances = competitors._local(a, lo, hi, others)
         if not others:
             return
         left, right = competitors._position(a)

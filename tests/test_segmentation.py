@@ -32,6 +32,13 @@ class TestSplitRecords:
         assert split_records("", SplitMode.PARAGRAPHS) == []
         assert split_records("", SplitMode.LINES) == []
 
+    # "lines" was split as paragraphs, since the mode is tested by identity
+    @pytest.mark.parametrize("mode", ["lines", "paragraphs", None])
+    @pytest.mark.parametrize("text", ["BMI <= 40. Age >= 18\nECG", ""])
+    def test_mode_must_be_a_split_mode(self, mode, text):
+        with pytest.raises(TypeError, match=f"^mode must be a SplitMode, got {mode!r}$"):
+            split_records(text, mode)
+
     def test_lines_mode(self):
         sentences = split_records("BMI <= 40 kg/m2\nAge >= 18", SplitMode.LINES)
         assert len(sentences) == 2
