@@ -33,7 +33,8 @@ for sentence in split_records(paragraph, SplitMode.PARAGRAPHS):
 
 # -- token shapes --------------------------------------------------------------
 # Ratios, numeric ranges, hyphenated numeric qualifiers and compound units
-# each stay atomic; comparison glyphs come out as SYMBOL tokens.
+# each stay atomic; comparison glyphs come out as SYMBOL tokens.  A unit is a
+# WORD like any other: which words are units is the knowledge base's answer.
 
 print("\ntokens of 'blood pressure of less than 140/90 mmHg':")
 for token in tokenize("blood pressure of less than 140/90 mmHg"):

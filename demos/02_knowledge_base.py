@@ -15,7 +15,6 @@ from critex import (
     compatibility_terms,
     load_kb,
     mine_kb_candidates,
-    normalize_unit,
     split_records,
 )
 
@@ -33,10 +32,11 @@ for phrase in ("Blood Pressure", "SSRIs", "ecg", "xyzzy"):
     print(f"  kb.lookup_terms({phrase!r:<18}) -> {shown}")
 
 # -- unit normalization ---------------------------------------------------------
+# The KB's table: the built-in spellings plus any the KB file adds.
 
 print("\nunit surface variants fold to one canonical form:")
 for surface in ("kg/m2", "kg per m2", "mm Hg", "banana"):
-    print(f"  {surface!r:<12} -> {normalize_unit(surface)!r}")
+    print(f"  {surface!r:<12} -> {kb.normalize_unit(surface)!r}")
 
 # -- compatibility scoring ------------------------------------------------------
 # "115/75 mmHg" fits blood pressure on all three terms; "11-25" fits none.

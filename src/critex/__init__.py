@@ -62,7 +62,6 @@ from .pipeline import PipelineConfig, annotate_record
 from .resources import bundled_kb_path, mini_corpus_dir
 from .segmentation import SentenceRecord, SplitMode, Token, TokenShape, split_records, tokenize
 from .syntax import DependencyParse
-from .units import normalize_unit
 
 __version__ = "0.1.0"
 
@@ -86,5 +85,4 @@ __all__ = [
     "SentenceRecord", "SplitMode", "Token", "TokenShape", "split_records",
     "tokenize",
     "DependencyParse",
-    "normalize_unit",
 ]

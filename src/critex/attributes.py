@@ -227,7 +227,7 @@ def _anchor_at(toks: Sequence[Token], i: int) -> int:
         while (
             j + n < len(toks)
             and n < limit
-            and toks[j + n].shape in (TokenShape.WORD, TokenShape.UNIT_LIKE)
+            and toks[j + n].shape is TokenShape.WORD
             and toks[j + n].surface.lower() not in _ANCHOR_STOP
         ):
             n += 1

@@ -30,8 +30,7 @@ from .segmentation import SentenceRecord, TokenShape, token_columns, tokenize
 
 MAX_NGRAM = 6
 
-_MATCHABLE = (TokenShape.WORD, TokenShape.UNIT_LIKE)
-_WORD, _UNIT_LIKE = _MATCHABLE  # the walk tests a token's shape by identity
+_WORD = TokenShape.WORD  # the walk tests a token's shape by identity
 _END = attrgetter("end")  # bisection key over a sentence's tokens
 _NUMERIC = (TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE)
 
@@ -81,8 +80,7 @@ def recognize_entities(
     for i in compress(range(n), map(kb.first_words.__contains__, keys)):
         node = root
         for j in range(i, min(i + MAX_NGRAM, n)):
-            shape = shapes[j]
-            if shape is not _WORD and shape is not _UNIT_LIKE:
+            if shapes[j] is not _WORD:
                 break
             child = node.children.get(keys[j])
             hits = child.hits if child is not None else ()
@@ -133,16 +131,17 @@ def can_match(term: str) -> bool:
 
     The walk steps one token per trie word, so the term's tokens must be
     exactly its words (their casefolded surfaces the words of its
-    :func:`~critex.kb.term_key`), each a word (WORD or UNIT_LIKE), and at
-    most ``MAX_NGRAM`` of them.  A term that fails can never be matched:
-    "type 2 diabetes" holds the NUMBER "2", "blood pressure (BP)" tokenizes
-    "(BP)" as three tokens, and "Sjögren" is three tokens, "ö" not a word.
+    :func:`~critex.kb.term_key`), each a WORD, and at most ``MAX_NGRAM`` of
+    them.  A term that fails can never be matched: "type 2 diabetes" holds
+    the NUMBER "2", "blood pressure (BP)" tokenizes "(BP)" as three tokens,
+    and "Sjögren" is the three WORD tokens "Sj", "ö" and "gren" for one
+    word of the term.
     """
 
     tokens = tokenize(term)
     return (
         len(tokens) <= MAX_NGRAM
-        and all(t.shape is _WORD or t.shape is _UNIT_LIKE for t in tokens)
+        and all(t.shape is _WORD for t in tokens)
         and [t.surface.casefold() for t in tokens] == term_key(term).split(" ")
     )
 
@@ -208,7 +207,7 @@ def link_abbreviations(
             if toks[k + 1].surface != "(" or toks[k + 3].surface != ")":
                 continue
             abbr = toks[k + 2]
-            if abbr.shape in _MATCHABLE and _initials_match(abbr.surface, m.surface):
+            if abbr.shape is _WORD and _initials_match(abbr.surface, m.surface):
                 definitions.setdefault(abbr.surface, (m.concept_id, m.surface, (index, k + 2)))
         if not definitions:
             continue

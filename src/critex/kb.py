@@ -479,10 +479,10 @@ def _slug(term: str) -> str:
 def mine_kb_candidates(corpus: Sequence[SentenceRecord]) -> list[KbEntry]:
     """Mine candidate entries from "<noun phrase> <connector> <number> [unit]".
 
-    Noun phrases are detected by token shape plus a stop-word list rather
-    than part-of-speech tags; the output is meant for human curation and is
-    never loaded automatically.  Duplicate terms merge their units; pattern
-    conflicts widen to ANY.
+    Noun phrases are runs of words that are neither built-in units nor stop
+    words, not part-of-speech tags; the output is meant for human curation
+    and is never loaded automatically.  Duplicate terms merge their units;
+    pattern conflicts widen to ANY.
     """
 
     found: dict[str, KbEntry] = {}
@@ -507,12 +507,13 @@ def mine_kb_candidates(corpus: Sequence[SentenceRecord]) -> list[KbEntry]:
                     break
             if connectors == 0:
                 continue
-            # noun phrase: run of plain words, newest first, capped at 4
+            # noun phrase: run of words that are no unit, newest first, capped at 4
             np_end = j
             while (
                 j >= 0
                 and np_end - j < 4
                 and toks[j].shape is TokenShape.WORD
+                and normalize_unit(toks[j].surface) is None
                 and toks[j].surface.lower() not in _MINING_STOPWORDS
             ):
                 j -= 1

@@ -6,8 +6,11 @@ supports both layouts.  The tokenizer keeps clinically meaningful units
 atomic: ratios ("140/90"), numeric ranges ("21-45"), hyphenated numeric
 qualifiers ("12-lead") and compound units ("kg/m^2") each come out as a
 single token.  One regex pass finds the tokens, and the branch that matched
-a token gives its shape; only words, numeric qualifiers and single
-characters consult the built-in unit table, once per distinct surface.
+a token gives its shape: words and numeric qualifiers are WORD, and only a
+single character outside every other branch is looked at again ("%" and
+letters are WORD, punctuation PUNCT, anything else SYMBOL).  Whether a word
+is a unit is the knowledge base's question (``KnowledgeBase.normalize_unit``),
+never the tokenizer's.
 
 The scan tries WORD, the most frequent branch, first.  That changes no
 token because the branches' openers are disjoint: WORD opens with an ASCII
@@ -22,10 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple, Sequence
-
-from .units import normalize_unit
 
 
 class SplitMode(Enum):
@@ -38,7 +38,6 @@ class TokenShape(Enum):
     NUMBER = "NUMBER"
     RATIO = "RATIO"
     RANGE = "RANGE"
-    UNIT_LIKE = "UNIT_LIKE"
     PUNCT = "PUNCT"
     SYMBOL = "SYMBOL"
 
@@ -74,11 +73,11 @@ class SentenceRecord:
 _PUNCT_CHARS = frozenset("()[]{},;:.!?\"'`/\\-–—&")
 
 # One branch per token kind, tried in order; the name of the branch that
-# matched is the token's shape, except that QUALIFIER, WORD and OTHER tokens
-# are looked up by :func:`_looked_up_shape`.  Comparison glyphs come out as
-# SYMBOL tokens; "≦"/"≧" are treated as aliases of "≤"/"≥" downstream, and
-# the surface is preserved here.  Only the digit-led branches share an
-# opener, so only their order matters (see the module docstring).
+# matched gives the token's shape (see ``_BRANCH_SHAPES``), except for OTHER,
+# whose single character :func:`_other_shape` classifies.  Comparison glyphs
+# come out as SYMBOL tokens; "≦"/"≧" are treated as aliases of "≤"/"≥"
+# downstream, and the surface is preserved here.  Only the digit-led branches
+# share an opener, so only their order matters (see the module docstring).
 _SCAN_RE = re.compile(
     r"""
       (?P<WORD>[A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*)  # word, kg/m^2
@@ -92,8 +91,9 @@ _SCAN_RE = re.compile(
     re.VERBOSE,
 )
 
-# Shapes fixed by the branch alone; the other branches look the surface up.
 _BRANCH_SHAPES = {
+    "WORD": TokenShape.WORD,
+    "QUALIFIER": TokenShape.WORD,
     "RATIO": TokenShape.RATIO,
     "RANGE": TokenShape.RANGE,
     "NUMBER": TokenShape.NUMBER,
@@ -101,20 +101,12 @@ _BRANCH_SHAPES = {
 }
 
 
-@lru_cache(maxsize=4096)
-def _looked_up_shape(surface: str) -> TokenShape:
-    """Shape of a word, numeric qualifier or single-character token.
+def _other_shape(char: str) -> TokenShape:
+    """Shape of a single character that no other branch matched."""
 
-    Surfaces with a letter, and "%", are UNIT_LIKE when the built-in unit
-    table knows them and WORD otherwise; other characters are PUNCT or
-    SYMBOL.  The result depends on the surface alone, so it is cached.
-    """
-
-    if surface == "%" or any(c.isalpha() for c in surface):
-        return TokenShape.UNIT_LIKE if normalize_unit(surface) is not None else TokenShape.WORD
-    if surface in _PUNCT_CHARS:
-        return TokenShape.PUNCT
-    return TokenShape.SYMBOL
+    if char == "%" or char.isalpha():
+        return TokenShape.WORD
+    return TokenShape.PUNCT if char in _PUNCT_CHARS else TokenShape.SYMBOL
 
 
 _new_tuple = tuple.__new__
@@ -127,7 +119,7 @@ def tokenize(sentence_text: str) -> list[Token]:
     for m in _SCAN_RE.finditer(sentence_text):
         surface = m.group()
         start, end = m.span()
-        shape = _BRANCH_SHAPES.get(m.lastgroup) or _looked_up_shape(surface)
+        shape = _BRANCH_SHAPES.get(m.lastgroup) or _other_shape(surface)
         # the tuple constructor itself, without Token.__new__'s Python frame
         tokens.append(_new_tuple(Token, (surface, start, end, shape)))
     return tokens

@@ -27,7 +27,6 @@ from critex.attributes import (
     attribute_shape,
 )
 from critex.entities import (
-    _MATCHABLE,
     _NUMERIC,
     MAX_NGRAM,
     EntityMention,
@@ -46,7 +45,6 @@ from critex.segmentation import (
     Token,
     TokenShape,
 )
-from critex.units import normalize_unit
 
 
 def cross_sentence_distance(sentences, e, a, boundary_penalty):
@@ -356,8 +354,7 @@ def shape_of(surface):
     if surface in _GLYPHS:
         return TokenShape.SYMBOL
     if surface == "%" or any(c.isalpha() for c in surface):
-        known = normalize_unit(surface) is not None
-        return TokenShape.UNIT_LIKE if known else TokenShape.WORD
+        return TokenShape.WORD
     if len(surface) == 1 and surface in _PUNCT_CHARS:
         return TokenShape.PUNCT
     return TokenShape.SYMBOL
@@ -484,6 +481,13 @@ def fold_plural(word):
     return m.group(1) if m else None
 
 
+def is_word(tok):
+    """A token that a term can be made of: a WORD, the one shape of every
+    letter run, numeric qualifier ("12-lead") and "%", unit or not."""
+
+    return tok.shape is TokenShape.WORD
+
+
 def _lookup_window(window, index):
     key = " ".join(t.surface for t in window)
     hits = index.get(term_key(key), ())
@@ -513,12 +517,12 @@ def recognize_entities(sentence, kb):
     toks = sentence.tokens
     candidates = []
     for i in range(len(toks)):
-        if toks[i].shape not in _MATCHABLE:
+        if not is_word(toks[i]):
             continue
         max_n = min(MAX_NGRAM, len(toks) - i)
         for n in range(max_n, 0, -1):
             window = toks[i : i + n]
-            if any(t.shape not in _MATCHABLE for t in window):
+            if not all(map(is_word, window)):
                 continue
             hits = _lookup_window(window, index)
             if hits:
@@ -709,7 +713,7 @@ def link_abbreviations(sentences, mentions):
             if toks[k + 1].surface != "(" or toks[k + 3].surface != ")":
                 continue
             abbr = toks[k + 2]
-            if abbr.shape not in _MATCHABLE:
+            if not is_word(abbr):
                 continue
             if _initials_match(abbr.surface, m.surface):
                 definitions.setdefault(

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
-    "01_segmentation.py": "a91b43503401783ce49afdb46c1c70ac57e1b13c479b8578a68513bf430c0bd8",
+    "01_segmentation.py": "e1b0c608e214e902eb8bdfb5735bc666ec646a97eeb64afbcd0c3f7346f894dd",
     "02_knowledge_base.py": "0cef7c873b980793ee2321606e8f23fceb7ecc97e043ccb5431b827b4223f520",
     "03_entities_and_attributes.py": "732ed82a14163981bf1c20864e1508cc74e8893b404fbf4b4e0b5b2645ea7a57",
     "04_linking.py": "c0eebf5c0497fc4314b29cf01df3e6167f118071a1d6afc7bfe4a77003638ab0",

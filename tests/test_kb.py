@@ -434,6 +434,15 @@ class TestMining:
         assert set(glucose[0].expected_units) == {"mg/dL", "mmol/L"}
         assert glucose[0].value_pattern is ValuePattern.ANY
 
+    def test_unit_word_is_not_a_noun(self):
+        # "mmHg" is a word to the tokenizer; mining asks the unit table itself
+        sentences = self._sentences("Systolic mmHg of 140", SplitMode.LINES)
+        assert mine_kb_candidates(sentences) == []
+
+    def test_unit_word_ends_the_noun_phrase(self):
+        sentences = self._sentences("Weight kg change of 5", SplitMode.LINES)
+        assert [c.concept_id for c in mine_kb_candidates(sentences)] == ["LOCAL:change"]
+
     def test_candidates_load_as_knowledge_base(self, paragraph_two):
         candidates = mine_kb_candidates(self._sentences(paragraph_two))
         kb = KnowledgeBase.build(candidates)

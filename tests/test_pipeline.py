@@ -275,7 +275,7 @@ class TestPublicSurface:
         "annotate_record", "attribute_shape", "bundled_kb_path",
         "compatibility_terms", "evaluate", "extract_attributes", "from_json",
         "import_tsv", "link_abbreviations", "load_kb", "mine_kb_candidates",
-        "mini_corpus_dir", "normalize_unit", "read_brat", "read_brat_dir",
+        "mini_corpus_dir", "read_brat", "read_brat_dir",
         "read_corpus", "recognize_entities", "save_kb", "split_records",
         "to_json", "tokenize",
     ]
@@ -286,7 +286,7 @@ class TestPublicSurface:
             assert getattr(critex, name) is not None, name
 
     def test_exported_names_are_pinned(self):
-        assert len(self.EXPORTED) == 58
+        assert len(self.EXPORTED) == 57
         assert sorted(critex.__all__) == self.EXPORTED
 
     @pytest.mark.parametrize("module, name", [
@@ -305,6 +305,15 @@ class TestPublicSurface:
         assert name not in critex.__all__
         assert not hasattr(critex, name)
         assert not hasattr(importlib.import_module(f"critex.{module}"), name)
+
+    def test_removed_public_unit_names_are_gone(self):
+        # the KB's method is the one public unit normalizer; the built-in
+        # table's function stays internal to KB construction and mining
+        assert "normalize_unit" not in critex.__all__
+        assert not hasattr(critex, "normalize_unit")
+        assert critex.KnowledgeBase.build(()).normalize_unit("mm Hg") == "mmHg"
+        assert not hasattr(critex.TokenShape, "UNIT_LIKE")
+        assert len(critex.TokenShape) == 6
 
     @pytest.mark.parametrize("method", ["lookup", "entry"])
     def test_removed_kb_methods_are_gone(self, method):

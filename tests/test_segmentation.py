@@ -83,8 +83,8 @@ class TestTokenContract:
     """``Token`` is a named tuple of (surface, start, end, shape)."""
 
     def test_fields_by_name_and_position(self):
-        tok = Token("mmHg", 4, 8, TokenShape.UNIT_LIKE)
-        assert (tok.surface, tok.start, tok.end, tok.shape) == ("mmHg", 4, 8, TokenShape.UNIT_LIKE)
+        tok = Token("mmHg", 4, 8, TokenShape.WORD)
+        assert (tok.surface, tok.start, tok.end, tok.shape) == ("mmHg", 4, 8, TokenShape.WORD)
         assert Token._fields == ("surface", "start", "end", "shape")
         surface, start, end, shape = tok
         assert (surface, start, end, shape) == tuple(tok) == (tok[0], tok[1], tok[2], tok[3])
@@ -108,7 +108,7 @@ class TestTokenContract:
         assert first == second and first[0] is not second[0]
         assert [hash(t) for t in first] == [hash(t) for t in second]
         assert len(set(first) | set(second)) == len(first)
-        assert Token("age", 0, 3, TokenShape.WORD) != Token("age", 0, 3, TokenShape.UNIT_LIKE)
+        assert Token("age", 0, 3, TokenShape.WORD) != Token("age", 0, 3, TokenShape.SYMBOL)
         assert Token("age", 0, 3, TokenShape.WORD) != Token("age", 1, 4, TokenShape.WORD)
 
 
@@ -122,7 +122,7 @@ class TestTokenize:
             TokenShape.WORD,
             TokenShape.SYMBOL,
             TokenShape.NUMBER,
-            TokenShape.UNIT_LIKE,
+            TokenShape.WORD,
         ]
 
     def test_ratio_is_single_token(self):
@@ -160,7 +160,7 @@ class TestTokenize:
         for surface in ("kg/m^2", "kg/m2", "mmHg", "mg/dL", "mmol/L"):
             tokens = tokenize(f"40 {surface}")
             assert tokens[1].surface == surface
-            assert tokens[1].shape is TokenShape.UNIT_LIKE
+            assert tokens[1].shape is TokenShape.WORD
 
     def test_hyphenated_word_stays_single(self):
         tokens = tokenize("elimination half-lives")
@@ -233,7 +233,7 @@ class TestTokenRegression:
 
     # sha256 of (surface, start, end, shape) of every token of the bundled
     # corpus's records and 3,000 generated grammar lines, split both ways.
-    DIGEST = "190fc225a3f8ccec4fb89256d81eebd81a441f61993c45eeb5e3535dfb3810d2"
+    DIGEST = "439fd98720e0f5eec5839696df81631545a8ade648ec5b2e657f9ada1dc5b54c"
 
     def test_pinned_digest(self):
         digest = hashlib.sha256()

@@ -23,7 +23,6 @@ import oracles
 from critex import attributes
 from critex.attributes import AttributeKind, AttributeMention, extract_attributes
 from critex.entities import (
-    _MATCHABLE as MATCHABLE,
     MAX_NGRAM,
     EntityMention,
     link_abbreviations,
@@ -121,7 +120,7 @@ def kb_for(text):
     straddle punctuation in the text and must not match there.
     """
 
-    words = [t.surface for t in tokenize(text) if t.shape in MATCHABLE]
+    words = [t.surface for t in tokenize(text) if oracles.is_word(t)]
     runs = st.tuples(
         st.integers(0, max(0, len(words) - 1)), st.integers(1, MAX_NGRAM + 1)
     ).map(lambda p: " ".join(words[p[0] : p[0] + p[1]]) or "x")
@@ -132,7 +131,7 @@ def kb_for(text):
 
 
 def _words_of(text):
-    return [t.surface for t in tokenize(text) if t.shape in MATCHABLE]
+    return [t.surface for t in tokenize(text) if oracles.is_word(t)]
 
 
 def dense_kb(text):
@@ -317,7 +316,7 @@ class TestStartGate:
         }
         for surface, expected in cases.items():
             # only a WORD is a numeric qualifier; value shapes pass whatever the surface
-            for shape in (TokenShape.WORD, TokenShape.UNIT_LIKE, TokenShape.SYMBOL):
+            for shape in (TokenShape.WORD, TokenShape.SYMBOL):
                 tok = Token(surface, 0, len(surface), shape)
                 assert attributes._may_start(tok) is (expected and shape is TokenShape.WORD)
                 assert oracles.may_start(tok) is attributes._may_start(tok)
