@@ -6,6 +6,15 @@ expressions ("within three days"), frequencies ("at least twice a week"),
 and qualifiers ("12-lead", "concomitant").  A deterministic longest-match
 grammar over tokens produces at most one parse per span.
 
+Starts are found by one static dispatch table, built at import from the
+grammar's own vocabulary.  A value token (NUMBER, RATIO, RANGE) is looked
+up by its shape, any other token by its lowercased surface, and the entry
+lists the productions that token can open.  At a comparator opener (a
+glyph, or the first word of a word comparator) the comparator is probed,
+and the token after it decides; a token with no entry opens nothing
+unless it is a numeric qualifier.  Only the listed productions are tried,
+because every other one would fail at that start.
+
 Span convention: comparison glyphs (≤, >=) are part of the attribute
 surface, while comparator words ("less than", "at least") are recorded in
 the ``comparator`` field but excluded from the surface of value expressions;
@@ -382,10 +391,10 @@ def _frequency(toks, i, hit, normalize) -> _Parse | None:
                   anchor=anchor)
 
 
-# The shapes the start gate tests, bound to module names: the gate runs on
-# nearly every token, and an identity test against a module global costs
-# less than hashing the Enum into a set or looking the member up on its
-# class.
+# The value shapes, bound to module names: the scan tests the shape of
+# every token, and identity tests against module globals cost less than
+# hashing the Enum, whose ``__hash__`` runs in Python, so only value tokens
+# are looked up by their shape.
 _NUMBER, _RATIO, _RANGE, _WORD = (
     TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE, TokenShape.WORD
 )
@@ -415,32 +424,43 @@ def _inside_any(tok: Token, spans: Sequence[tuple[int, int]]) -> bool:
     return any(s <= tok.start and tok.end <= e for s, e in spans)
 
 
-# Lowercased words that can open a production or a qualifier.
-_START_WORDS = frozenset(
-    _WORD_COMPARATORS_BY_FIRST.keys()
-    | _NUMBER_WORDS.keys()
-    | _FREQUENCY_WORDS.keys()
-    | QUALIFIER_LEXICON
-    | {_WITHIN, _BETWEEN}
-)
-
-
-def _may_start(tok: Token) -> bool:
-    """False where no production or qualifier can start, tested in O(1).
-
-    A parse starts with a value-shaped token, a comparator glyph, a start
-    word or a numeric qualifier; every other position is skipped unparsed.
-    """
+def _key(tok: Token) -> TokenShape | str:
+    """A token's dispatch key: a value token's shape, else its lowercased surface."""
 
     shape = tok.shape
-    return (
-        shape is _NUMBER
-        or shape is _RATIO
-        or shape is _RANGE
-        or tok.surface in _GLYPH_COMPARATORS
-        or tok.surface.lower() in _START_WORDS
-        or _is_numeric_qualifier(tok)
-    )
+    if shape is _NUMBER or shape is _RATIO or shape is _RANGE:
+        return shape
+    return tok.surface.lower()
+
+
+# The productions a comparator opens, by the key of the token after it.
+_AFTER_COMPARATOR: dict[TokenShape | str, tuple] = {
+    _NUMBER: (_frequency, _temporal, _comparison),
+    **dict.fromkeys(_NUMBER_WORDS, (_frequency, _temporal, _comparison)),
+    **dict.fromkeys(_FREQUENCY_WORDS, (_frequency,)),
+    _RATIO: (_ratio,),
+}
+
+# The productions each start token can open, by its key, each tuple in the
+# order (_frequency, _temporal, _ratio, _range, _comparison) in which ties
+# of length go to the earlier one.  Qualifier words open no production, only
+# a qualifier.  A comparator opener maps to ``_AFTER_COMPARATOR``; one that
+# starts no comparator ("at screening") opens nothing.  The keys are the
+# grammar's closed vocabulary, so a word seen for the first time costs one
+# failed lookup and adds no key.
+_DISPATCH: dict[TokenShape | str, tuple | dict] = {
+    _NUMBER: (_frequency, _comparison),
+    **dict.fromkeys(_NUMBER_WORDS, (_frequency, _comparison)),
+    **dict.fromkeys(_FREQUENCY_WORDS, (_frequency,)),
+    _WITHIN: (_temporal,),
+    _RATIO: (_ratio,),
+    _RANGE: (_range,),
+    _BETWEEN: (_range,),
+    **dict.fromkeys(QUALIFIER_LEXICON, ()),
+    **dict.fromkeys(
+        _GLYPH_COMPARATORS.keys() | _WORD_COMPARATORS_BY_FIRST.keys(), _AFTER_COMPARATOR
+    ),
+}
 
 
 def extract_attributes(
@@ -449,6 +469,15 @@ def extract_attributes(
     entity_spans: Sequence[tuple[int, int]] | None = None,
 ) -> list[AttributeMention]:
     """Parse all attribute expressions in a tokenized sentence.
+
+    Each token is looked up in ``_DISPATCH`` (a value token by its shape,
+    any other by its lowercased surface), and only the productions its
+    entry names are tried there; the longest parse wins, and of equal
+    lengths the earlier production.  A comparator opener probes for its
+    comparator, and the token after the comparator picks the productions
+    from ``_AFTER_COMPARATOR``.  A token without an entry is skipped unless
+    it is a WORD opening with a digit, which may be a numeric qualifier;
+    where no production parses, a qualifier is tried.
 
     ``kb`` supplies unit normalization.
     ``entity_spans`` (character spans of recognized entities) gates the
@@ -459,16 +488,33 @@ def extract_attributes(
     """
 
     normalize = kb.normalize_unit
+    dispatch = _DISPATCH
     toks = sentence.tokens
+    n = len(toks)
     out: list[AttributeMention] = []
     i = 0
-    while i < len(toks):
-        if not _may_start(toks[i]):
-            i += 1
-            continue
+    while i < n:
+        # the start's dispatch key, as _key computes it
+        tok = toks[i]
+        shape = tok.shape
+        if shape is _NUMBER or shape is _RATIO or shape is _RANGE:
+            prods = dispatch[shape]
+        else:
+            surface = tok.surface
+            prods = dispatch.get(surface.lower())
+            if prods is None:
+                # only a numeric qualifier ("12-lead") starts here
+                if shape is not _WORD or not surface[:1].isdigit():
+                    i += 1
+                    continue
+                prods = ()
+        hit = None
+        if prods is _AFTER_COMPARATOR:
+            hit = _comparator_at(toks, i)
+            j = i + hit[1] if hit else n  # no comparator: nothing to look up
+            prods = _AFTER_COMPARATOR.get(_key(toks[j]), ()) if j < n else ()
         best: _Parse | None = None
-        hit = _comparator_at(toks, i)
-        for prod in (_frequency, _temporal, _ratio, _range, _comparison):
+        for prod in prods:
             parse = prod(toks, i, hit, normalize)
             if parse and (best is None or parse.next_i > best.next_i):
                 best = parse

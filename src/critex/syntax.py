@@ -40,7 +40,11 @@ _START = attrgetter("start")  # bisection key over a sentence's tokens
 
 @dataclass(frozen=True)
 class DependencyParse:
-    """One head (0 = root, else 1-based index) and label per token."""
+    """One head (0 = root, else 1-based index) and label per token.
+
+    A head must be an ``int`` and not a ``bool``, and a label a ``str``;
+    anything else is a ``TypeError`` naming the token (counted from 1).
+    """
 
     heads: tuple[int, ...]
     labels: tuple[str, ...]
@@ -50,6 +54,11 @@ class DependencyParse:
         n = len(self.heads)
         if len(self.labels) != n:
             raise CycleDetected("heads and labels must have equal length")
+        for i, (head, label) in enumerate(zip(self.heads, self.labels), start=1):
+            if isinstance(head, bool) or not isinstance(head, int):
+                raise TypeError(f"token {i} head must be an int, got {head!r}")
+            if not isinstance(label, str):
+                raise TypeError(f"token {i} label must be a str, got {label!r}")
         if n == 0:
             return
         roots = sum(1 for h in self.heads if h == 0)
@@ -83,6 +92,8 @@ def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
 
     Each line carries tab-separated ID, FORM, HEAD, DEPREL columns; blank
     lines separate sentences, and the IDs of a block run 1, 2, ... in order.
+    ID and HEAD are ASCII decimal digits only: "1_0", "+2", " 3" or "٣",
+    which ``int()`` would read, are a ``ParseMismatch`` naming the line.
     """
 
     blocks: list[list[tuple[int, str, int, str]]] = []
@@ -96,13 +107,14 @@ def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
         cols = line.split("\t")
         if len(cols) < 4:
             raise ParseMismatch(lineno, f"line {lineno}: expected 4 tab-separated columns")
-        try:
-            idx = int(cols[0])
-            head = int(cols[2])
-        except ValueError:
+        id_s, head_s = cols[0], cols[2]
+        if not (id_s.isdigit() and head_s.isdigit() and id_s.isascii() and head_s.isascii()):
             raise ParseMismatch(
-                lineno, f"line {lineno}: ID and HEAD must be integers"
-            ) from None
+                lineno,
+                f"line {lineno}: ID and HEAD must be ASCII decimal integers,"
+                f" got {id_s!r} and {head_s!r}",
+            )
+        idx, head = int(id_s), int(head_s)
         if idx != len(current) + 1:
             raise ParseMismatch(
                 lineno, f"line {lineno}: ID {idx} out of order, expected {len(current) + 1}"

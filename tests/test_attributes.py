@@ -1,12 +1,23 @@
 """Attribute grammar: comparisons, ranges, ratios, temporals, frequencies."""
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
-from critex import annotate_record, attributes, bundled_kb_path, load_kb, to_json
+import oracles
+from critex import (
+    PipelineConfig,
+    annotate_record,
+    attributes,
+    bundled_kb_path,
+    load_kb,
+    mini_corpus_dir,
+    read_corpus,
+    to_json,
+)
 from critex.attributes import (
     AttributeKind,
     AttributeMention,
@@ -352,3 +363,131 @@ class TestGrammarRegression:
                 assert len(positions) <= len(sentence.tokens)
                 calls += len(positions)
         assert calls
+
+
+# The productions in the order in which ties of length go to the earlier one.
+PRODUCTIONS = (
+    attributes._frequency, attributes._temporal, attributes._ratio, attributes._range,
+    attributes._comparison,
+)
+
+
+def record_tries(monkeypatch, tried):
+    """Swap the dispatch tables for copies whose productions append
+    ``(i, production)`` to ``tried`` before they run."""
+
+    def recording(prod):
+        def tries(toks, i, hit, normalize):
+            tried.append((i, prod))
+            return prod(toks, i, hit, normalize)
+
+        return tries
+
+    wrapped = {prod: recording(prod) for prod in PRODUCTIONS}
+    after = {
+        key: tuple(map(wrapped.get, prods))
+        for key, prods in attributes._AFTER_COMPARATOR.items()
+    }
+    dispatch = {
+        key: after if prods is attributes._AFTER_COMPARATOR else tuple(map(wrapped.get, prods))
+        for key, prods in attributes._DISPATCH.items()
+    }
+    monkeypatch.setattr(attributes, "_AFTER_COMPARATOR", after)
+    monkeypatch.setattr(attributes, "_DISPATCH", dispatch)
+
+
+def _casings(word):
+    return dict.fromkeys((word, word.upper(), word.capitalize()))
+
+
+class TestDispatchTable:
+    """At each start the scan tries only the productions the dispatch table
+    names, and each production it leaves out would have returned None."""
+
+    # Every key in three casings (value shapes by their surfaces), every
+    # word comparator whole, then each class of token after the start, then
+    # tails that complete each production.
+    STARTS = (
+        *(v for k in attributes._DISPATCH if isinstance(k, str) for v in _casings(k)),
+        *(v for words, _ in attributes._WORD_COMPARATORS for v in _casings(" ".join(words))),
+        "18", "1,000", "2.5", "140/90", "0/5", "21-45", "3–7",
+    )
+    FOLLOWERS = {
+        "RATIO": ("140/90", "0/5"),
+        "NUMBER": ("18", "1,000", "2.5"),
+        "number word": ("three", "Twenty", "ZERO"),
+        "frequency word": ("once", "TWICE"),
+        "other word": (
+            "patients", "times", "days", "and", "within", "between", "21-45", "12-lead",
+            "mmHg", ",", "<",
+        ),
+        "end of sentence": ("",),
+    }
+    TAILS = (
+        "", " days", " times", " times a week", " a day", " per week prior to screening",
+        " and 5", " and five mmHg", " mmHg", " days before dosing",
+    )
+
+    def test_comparator_openers_open_nothing_else(self):
+        openers = attributes._GLYPH_COMPARATORS.keys() | attributes._WORD_COMPARATORS_BY_FIRST.keys()
+        others = (
+            attributes._NUMBER_WORDS.keys() | attributes._FREQUENCY_WORDS.keys()
+            | attributes.QUALIFIER_LEXICON | {attributes._WITHIN, attributes._BETWEEN}
+        )
+        assert not openers & others
+        for key, prods in attributes._DISPATCH.items():
+            assert (prods is attributes._AFTER_COMPARATOR) == (key in openers), key
+        for prods in (*attributes._DISPATCH.values(), *attributes._AFTER_COMPARATOR.values()):
+            if prods is not attributes._AFTER_COMPARATOR:
+                assert list(prods) == sorted(prods, key=PRODUCTIONS.index)
+
+    def test_left_out_productions_parse_nothing(self, monkeypatch):
+        tried = []
+        record_tries(monkeypatch, tried)
+        normalize = BUNDLED_KB.normalize_unit
+        followers = [f for group in self.FOLLOWERS.values() for f in group]
+        cases = 0
+        for start, follower in itertools.product(self.STARTS, followers):
+            for tail in self.TAILS if follower else ("",):
+                text = " ".join(filter(None, (start, follower))) + tail
+                (sentence,) = split_records(text, SplitMode.LINES)
+                tried.clear()
+                extract_attributes(sentence, BUNDLED_KB)
+                at_start = [prod for i, prod in tried if i == 0]
+                assert at_start == sorted(set(at_start), key=PRODUCTIONS.index), text
+                # the oracle's comparator, not the scan's, so a probe the
+                # scan skips shows here
+                hit = oracles.comparator_at(sentence.tokens, 0)
+                for prod in PRODUCTIONS:
+                    if prod not in at_start:
+                        assert prod(sentence.tokens, 0, hit, normalize) is None, (text, prod)
+                cases += 1
+        assert cases > 30_000
+
+    @pytest.mark.parametrize("mode", [SplitMode.LINES, SplitMode.PARAGRAPHS])
+    def test_work_counts_on_the_bundled_corpus(self, monkeypatch, mode):
+        # Trying all five productions at each of the 43 starts that could
+        # open a parse, each after a comparator probe, made 215 production
+        # calls.  The unit table is read as often either way: a production
+        # the table leaves out fails before it reads a unit.  (On the
+        # benchmark's batch workload, seed 1: 42,530 -> 9,691 production
+        # calls, 8,506 -> 3,759 probes, 8,890 unit lookups.)
+        tried, probed, units = [], [], []
+        record_tries(monkeypatch, tried)
+        comparator_at = attributes._comparator_at
+        normalize_unit = KnowledgeBase.normalize_unit
+
+        def probing(toks, i):
+            probed.append(i)
+            return comparator_at(toks, i)
+
+        def looking_up(kb, surface):
+            units.append(surface)
+            return normalize_unit(kb, surface)
+
+        monkeypatch.setattr(attributes, "_comparator_at", probing)
+        monkeypatch.setattr(KnowledgeBase, "normalize_unit", looking_up)
+        config = PipelineConfig(mode=mode)
+        for record_id, text in read_corpus(mini_corpus_dir()):
+            annotate_record(record_id, text, BUNDLED_KB, config)
+        assert (len(tried), len(probed), len(units)) == (49, 19, 44)

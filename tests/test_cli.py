@@ -240,6 +240,27 @@ class TestDeps:
         assert err == f"critex: error: {deps}: line 1: ID 7 out of order, expected 1\n"
 
     @pytest.mark.parametrize(
+        "column,value", [(0, "1_0"), (2, "1_0"), (2, "+5"), (2, " 5"), (0, "٣"), (2, "5.0")]
+    )
+    def test_id_or_head_that_is_not_ascii_digits_names_the_line(
+        self, capsys, deps_corpus, column, value
+    ):
+        corpus, deps, blocks = deps_corpus
+        # block 3 is record b's only sentence, from file line 18
+        cols = blocks[2][0].split("\t")
+        cols[column] = value
+        bad = ["\t".join(cols), *blocks[2][1:]]
+        deps.write_text(deps.read_text().replace("\n".join(blocks[2]), "\n".join(bad), 1))
+        code, out, err = run(capsys, "annotate", "--deps", deps, corpus)
+        assert code == 2
+        assert out == ""
+        got_id, got_head = (value, "5") if column == 0 else ("1", value)
+        assert err == (
+            f"critex: error: {deps}: line 18: ID and HEAD must be ASCII decimal integers,"
+            f" got {got_id!r} and {got_head!r}\n"
+        )
+
+    @pytest.mark.parametrize(
         "row,message",
         [
             ("2\tratE\t5\tdep", "token 1: parse FORM 'ratE' != surface 'rate'"),

@@ -1,6 +1,7 @@
 """Dependency-parse ingestion, distances, and the softmin distribution."""
 
 import math
+import re
 import time
 
 import pytest
@@ -104,6 +105,35 @@ class TestIngestParse:
         with pytest.raises(ParseMismatch, match=f"^line {line}: ID ") as info:
             parse_blocks("1\tfirst\t0\troot\n\n" + rows)
         assert info.value.index == line
+
+    @pytest.mark.parametrize("value", ["1_0", "+2", " 3", "3 ", "٣", "²", "-1", "1.0", ""])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_ids_and_heads_are_ascii_digits_only(self, column, value):
+        cols = ["2", "w", "1", "dep"]
+        cols[column] = value
+        with pytest.raises(ParseMismatch, match="^line 2: ID and HEAD must be ASCII decimal") as info:
+            parse_blocks("1\tfirst\t0\troot\n" + "\t".join(cols) + "\n")
+        assert info.value.index == 2
+
+    def test_multi_digit_ids_and_heads_are_read(self):
+        rows = "".join(f"{i}\tw\t{1 if i > 1 else 0}\tdep\n" for i in range(1, 13))
+        (block,) = parse_blocks(rows)
+        assert [(idx, head) for idx, _, head, _ in block][-3:] == [(10, 1), (11, 1), (12, 1)]
+
+    @pytest.mark.parametrize(
+        "heads,labels,message",
+        [
+            ((0, 1.5), ("a", "b"), "token 2 head must be an int, got 1.5"),
+            ((0, "1"), ("a", "b"), "token 2 head must be an int, got '1'"),
+            ((0, True), ("a", "b"), "token 2 head must be an int, got True"),
+            ((0.0, 1), ("a", "b"), "token 1 head must be an int, got 0.0"),
+            ((0, 1), ("a", 2), "token 2 label must be a str, got 2"),
+            ((0, 1), (None, "b"), "token 1 label must be a str, got None"),
+        ],
+    )
+    def test_heads_are_ints_and_labels_strs(self, heads, labels, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            DependencyParse(heads, labels)
 
     def test_empty_file_empty_sentence(self):
         from critex.segmentation import SentenceRecord

@@ -1,17 +1,17 @@
 """The token layer's fast scans agree exactly with their loop oracles.
 
-The entity scan walks the KB's term trie and the attribute grammar skips
-positions that no production can start; ``oracles`` keeps the scans that
-try every n-gram and every position.  Lines are drawn from KB-term and
-grammar vocabulary with case noise, plural endings, punctuation, numbers
-and comparison glyphs, and are scanned with the bundled KB and with KBs
-drawn from the same vocabulary (multi-word synonyms, shared prefixes,
-terms longer than the n-gram cap, ambiguous terms).  The start gate and
-the unit window are checked against the gate written out term by term and
-the 3-2-1 window loop.  The entity scan is also run with a dense KB, whose
-terms are every word of the line, and with KBs whose terms open only with
-words the line spells with a plural "s", so every walk starts through the
-fold.  The clause index is checked on drawn token surfaces in any case, and
+The entity scan walks the KB's term trie and the attribute grammar tries
+at each start only the productions its dispatch table names; ``oracles``
+keeps the scans that try every n-gram, and every production at every
+position.  Lines are drawn from KB-term and grammar vocabulary with case
+noise, plural endings, punctuation, numbers and comparison glyphs, and are
+scanned with the bundled KB and with KBs drawn from the same vocabulary
+(multi-word synonyms, shared prefixes, terms longer than the n-gram cap,
+ambiguous terms).  The starts the dispatch table lets through and the unit
+window are checked against the gate written out term by term and the 3-2-1
+window loop.  The entity scan is also run with a dense KB, whose terms are
+every word of the line, and with KBs whose terms open only with words the
+line spells with a plural "s", so every walk starts through the fold.  The clause index is checked on drawn token surfaces in any case, and
 the tokenizer against the scan with its branches in their first order.
 """
 
@@ -47,7 +47,8 @@ BUILTIN_UNITS_KB = KnowledgeBase.build(())  # no entries, the built-in unit tabl
 KB_WORDS = sorted({w for e in BUNDLED_KB.entries for t in e.terms for w in t.split()})
 GRAMMAR_WORDS = sorted(
     {w for words, _ in attributes._WORD_COMPARATORS for w in words}
-    | attributes._START_WORDS
+    | {k for k in attributes._DISPATCH if isinstance(k, str)}
+    - attributes._GLYPH_COMPARATORS.keys()
     | attributes._TIME_UNITS.keys()
     | set(attributes._ANCHOR_HEADS)
     | {"to", "the", "past", "last", "for", "of", "their", "a", "an", "per", "times", "and"}
@@ -62,6 +63,7 @@ PHRASES = (
     "between 5 and 30", "between two and", "within three days", "at least twice a week",
     "less than 140/90 mmHg", "no more than 2 times", "prior to screening visit",
     "for the past six months", "of their elimination half-lives", "once per day",
+    "less than twice a week", "over 140/90", "taken within",
 )
 ABBREVIATED = (
     "electrocardiograph (ECG)", "blood pressure (BP)", "body weight (BW)",
@@ -259,12 +261,17 @@ class TestGrammarGate:
             + list(attributes.QUALIFIER_LEXICON)
             + [attributes._WITHIN, attributes._BETWEEN]
             + list(attributes._GLYPH_COMPARATORS)
-            + ["18", "1,000", "140/90", "21-45", "3–7", "12-lead"]
+            + ["18", "1,000", "140/90", "21-45", "3–7"]
         )
         for word in words:
             for variant in (word, word.upper(), word.capitalize()):
                 (tok,) = tokenize(variant)
-                assert attributes._may_start(tok), variant
+                assert attributes._key(tok) in attributes._DISPATCH, variant
+        # a numeric qualifier has no key; the scan lets it through by shape
+        for variant in ("12-lead", "12-LEAD", "12-Lead"):
+            (tok,) = tokenize(variant)
+            assert attributes._key(tok) not in attributes._DISPATCH, variant
+            assert table_lets_through(tok), variant
 
     def test_comparator_index_holds_every_table_entry_in_order(self):
         index = attributes._WORD_COMPARATORS_BY_FIRST
@@ -279,7 +286,14 @@ class TestGrammarGate:
     def test_gate_skips_plain_words(self):
         for word in ("patients", "dose", "pressure", "the", "a", "(", "mmHg"):
             (tok,) = tokenize(word)
-            assert not attributes._may_start(tok), word
+            assert not table_lets_through(tok), word
+
+
+def table_lets_through(tok):
+    """Whether the scan tries a parse at ``tok``: its key is in the dispatch
+    table, or it is a numeric qualifier, which has no key."""
+
+    return attributes._key(tok) in attributes._DISPATCH or attributes._is_numeric_qualifier(tok)
 
 
 # Surfaces for the start gate: grammar and KB words with case noise, glyphs,
@@ -293,7 +307,7 @@ GATE_SURFACE = st.one_of(
 
 
 class TestStartGate:
-    """``_may_start`` answers as the gate written out term by term."""
+    """The dispatch table lets through the starts of the gate written out term by term."""
 
     @given(surface=GATE_SURFACE)
     @settings(max_examples=500, deadline=None)
@@ -301,13 +315,13 @@ class TestStartGate:
         # every shape for one surface, not only the shape the tokenizer gives it
         for shape in TokenShape:
             tok = Token(surface, 0, len(surface), shape)
-            assert attributes._may_start(tok) == oracles.may_start(tok), tok
+            assert table_lets_through(tok) == oracles.may_start(tok), tok
 
     @given(text=LINE)
     @settings(max_examples=300, deadline=None)
     def test_gate_matches_spelled_out_gate_on_tokens(self, text):
         for tok in tokenize(text):
-            assert attributes._may_start(tok) == oracles.may_start(tok), tok
+            assert table_lets_through(tok) == oracles.may_start(tok), tok
 
     def test_digit_led_words(self):
         cases = {
@@ -318,8 +332,8 @@ class TestStartGate:
             # only a WORD is a numeric qualifier; value shapes pass whatever the surface
             for shape in (TokenShape.WORD, TokenShape.SYMBOL):
                 tok = Token(surface, 0, len(surface), shape)
-                assert attributes._may_start(tok) is (expected and shape is TokenShape.WORD)
-                assert oracles.may_start(tok) is attributes._may_start(tok)
+                assert table_lets_through(tok) is (expected and shape is TokenShape.WORD)
+                assert oracles.may_start(tok) is table_lets_through(tok)
 
 
 # Unit pieces, so windows of one to three tokens spell units, split by
