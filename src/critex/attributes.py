@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .segmentation import SentenceRecord, Token, TokenShape
 
@@ -70,9 +70,8 @@ class AttributeShape(Enum):
     NONNUMERIC = "NONNUMERIC"
 
 
-@dataclass(frozen=True)
-class AttributeMention:
-    """A parsed attribute span with its typed payload."""
+class _AttributeFields(NamedTuple):
+    """The fields of an ``AttributeMention``, in order, with their defaults."""
 
     sentence_index: int
     start: int
@@ -85,21 +84,54 @@ class AttributeMention:
     time_unit: TimeUnit | None = None
     anchor: str | None = None
 
-    def __post_init__(self):
-        if self.kind is AttributeKind.RANGE:
-            lo, hi = self.values
+
+class AttributeMention(_AttributeFields):
+    """A parsed attribute span with its typed payload, as a named tuple.
+
+    The payload is checked against its kind however the mention is built:
+    by the constructor, by ``_make`` or by ``_replace``.
+    """
+
+    __slots__ = ()
+
+    # the fields and defaults of _AttributeFields, spelled out: a call with
+    # them costs half of one through the tuple's own generated __new__
+    def __new__(
+        cls,
+        sentence_index: int,
+        start: int,
+        end: int,
+        surface: str,
+        kind: AttributeKind,
+        comparator: Comparator | None = None,
+        values: tuple[float, ...] = (),
+        unit: str | None = None,
+        time_unit: TimeUnit | None = None,
+        anchor: str | None = None,
+    ):
+        if kind is AttributeKind.RANGE:
+            lo, hi = values
             if lo > hi:
                 raise ValueError("range values must be ordered")
-        elif self.kind is AttributeKind.RATIO:
-            num, den = self.values
+        elif kind is AttributeKind.RATIO:
+            num, den = values
             if num <= 0 or den <= 0:
                 raise ValueError("ratio parts must be positive")
-        elif self.kind is AttributeKind.COMPARISON:
-            if self.comparator is None or len(self.values) != 1:
+        elif kind is AttributeKind.COMPARISON:
+            if comparator is None or len(values) != 1:
                 raise ValueError("comparison needs a comparator and one value")
-        elif self.kind is AttributeKind.QUALIFIER:
-            if self.values or self.unit is not None:
+        elif kind is AttributeKind.QUALIFIER:
+            if values or unit is not None:
                 raise ValueError("qualifiers carry no values or unit")
+        return tuple.__new__(
+            cls,
+            (sentence_index, start, end, surface, kind, comparator, values, unit, time_unit, anchor),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "AttributeMention":
+        # ``_replace`` builds through ``_make``, so it is checked too
+        return cls(*iterable)
 
 
 def attribute_shape(attr: AttributeMention) -> AttributeShape:
@@ -531,16 +563,8 @@ def extract_attributes(
             anchor = sentence.text[a_start:a_end]
         out.append(
             AttributeMention(
-                sentence_index=sentence.sentence_index,
-                start=start,
-                end=end,
-                surface=sentence.text[start:end],
-                kind=best.kind,
-                comparator=best.comparator,
-                values=best.values,
-                unit=best.unit,
-                time_unit=best.time_unit,
-                anchor=anchor,
+                sentence.sentence_index, start, end, sentence.text[start:end],
+                best.kind, best.comparator, best.values, best.unit, best.time_unit, anchor,
             )
         )
         i = best.next_i

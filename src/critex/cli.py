@@ -116,6 +116,8 @@ def _build_parser() -> _Parser:
     kb_mine.add_argument("corpus", help="record file, directory of .txt, or .jsonl")
     kb_mine.add_argument("--out", required=True, help="candidate file to write (for curation)")
     kb_mine.add_argument("--mode", choices=modes, default=defaults.mode.value)
+    kb_mine.add_argument("--kb", help="knowledge base whose unit spellings mining also knows"
+                         " (default: the built-in unit table only)")
 
     config = sub.add_parser("config", help="show configuration")
     config.add_argument("--show-defaults", action="store_true",
@@ -258,7 +260,10 @@ def _cmd_kb(args) -> int:
     sentences = []
     for record_id, text in sorted(records, key=lambda r: r[0]):
         sentences.extend(split_records(text, mode, record_id=record_id))
-    candidates = mine_kb_candidates(sentences)
+    if args.kb:
+        candidates = mine_kb_candidates(sentences, load_kb(args.kb).normalize_unit)
+    else:
+        candidates = mine_kb_candidates(sentences)
     save_kb(KnowledgeBase.build(candidates), args.out)
     print(f"wrote {len(candidates)} candidate entries to {args.out}")
     return EXIT_OK

@@ -20,10 +20,9 @@ of the long form's concept.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kb import Category, KbEntry, KnowledgeBase, term_key
 from .segmentation import SentenceRecord, TokenShape, token_columns, tokenize
@@ -35,8 +34,7 @@ _END = attrgetter("end")  # bisection key over a sentence's tokens
 _NUMERIC = (TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE)
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     """A recognized concept span, with sentence-local character offsets."""
 
     sentence_index: int
@@ -114,12 +112,8 @@ def recognize_entities(
         start, end = starts[first], ends[last]
         mentions.append(
             EntityMention(
-                sentence_index=sentence.sentence_index,
-                start=start,
-                end=end,
-                surface=sentence.text[start:end],
-                concept_id=entry.concept_id,
-                matched_term=term,
+                sentence.sentence_index, start, end, sentence.text[start:end],
+                entry.concept_id, term,
             )
         )
     mentions.sort(key=lambda m: m.start)

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     DanglingRef,
@@ -39,8 +39,7 @@ ENTITY_LABELS = frozenset({"Entity"})
 ATTRIBUTE_LABELS = frozenset({"Attribute", "Value", "Temporal", "Qualifier"})
 
 
-@dataclass(frozen=True)
-class RelationPair:
+class RelationPair(NamedTuple):
     entity: str
     attribute: str
 
@@ -64,8 +63,20 @@ _EMPTY_EXTENDED = {
 }
 
 
+# One encoder for every compact document.  ``json.dumps(...,
+# ensure_ascii=False)`` would build an encoder per call, and the
+# circular-reference check walks every container; a record's payload is a
+# tree built by the pipeline, so there is no cycle to find.
+_COMPACT = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+
+
 def to_json(record: StructuredRecord, extended: bool = False, indent: int | None = None) -> str:
-    """Serialize a record; key order is fixed for byte-stable output."""
+    """Serialize a record; key order is fixed for byte-stable output.
+
+    The compact form (``indent=None``) does not check for circular
+    references: a hand-built ``extended`` that contains itself raises
+    ``RecursionError``.
+    """
 
     result = {
         "id": record.id,
@@ -76,6 +87,8 @@ def to_json(record: StructuredRecord, extended: bool = False, indent: int | None
     }
     if extended:
         result["extended"] = record.extended if record.extended is not None else dict(_EMPTY_EXTENDED)
+    if indent is None:
+        return _COMPACT.encode({"result": result})
     return json.dumps({"result": result}, ensure_ascii=False, indent=indent)
 
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .attributes import AttributeMention, AttributeShape
 from .errors import DuplicateConceptId, MalformedKb
@@ -476,13 +476,18 @@ def _slug(term: str) -> str:
     return cleaned or "term"
 
 
-def mine_kb_candidates(corpus: Sequence[SentenceRecord]) -> list[KbEntry]:
+def mine_kb_candidates(
+    corpus: Sequence[SentenceRecord],
+    normalize_unit: Callable[[str], str | None] = normalize_unit,
+) -> list[KbEntry]:
     """Mine candidate entries from "<noun phrase> <connector> <number> [unit]".
 
-    Noun phrases are runs of words that are neither built-in units nor stop
-    words, not part-of-speech tags; the output is meant for human curation
-    and is never loaded automatically.  Duplicate terms merge their units;
-    pattern conflicts widen to ANY.
+    Noun phrases are runs of words that are neither units nor stop words,
+    not part-of-speech tags; the output is meant for human curation and is
+    never loaded automatically.  ``normalize_unit`` decides what a unit is
+    and spells it: the built-in table by default, or a knowledge base's
+    ``KnowledgeBase.normalize_unit``, which also knows its own spellings.
+    Duplicate terms merge their units; pattern conflicts widen to ANY.
     """
 
     found: dict[str, KbEntry] = {}

@@ -68,9 +68,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
@@ -90,8 +89,7 @@ if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A directed link from an entity to its attribute."""
 
     entity: EntityMention

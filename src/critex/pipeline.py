@@ -9,6 +9,9 @@ parses, lists the entities that compete for each attribute with their
 syntactic distances, scores them and keeps the best (see
 :mod:`critex.linker`).  The record is built from those links: attribute
 ``i`` is payload ``i``, unlinked when its link is None.
+Sentences, mentions, relations and output pairs are ``typing.NamedTuple``s
+(``AttributeMention`` checks its payload in ``__new__``), so the record
+build reads their fields by unpacking and builds each payload dict inline.
 Everything is deterministic: the same record, knowledge base and config
 always give the same output.
 """
@@ -65,43 +68,6 @@ class PipelineConfig:
 
 
 DEFAULT_CONFIG = PipelineConfig()
-
-
-def _abs_span(sentences, sentence_index: int, start: int, end: int) -> tuple[int, int]:
-    offset = sentences[sentence_index].char_offset
-    return offset + start, offset + end
-
-
-def _entity_payload(sentences, m: EntityMention) -> dict:
-    start, end = _abs_span(sentences, m.sentence_index, m.start, m.end)
-    return {
-        "surface": m.surface,
-        "start": start,
-        "end": end,
-        "concept_id": m.concept_id,
-        "matched_term": m.matched_term,
-        "sentence_index": m.sentence_index,
-    }
-
-
-def _num(x: float) -> float | int:
-    return int(x) if float(x).is_integer() else x
-
-
-def _attribute_payload(sentences, a: AttributeMention) -> dict:
-    start, end = _abs_span(sentences, a.sentence_index, a.start, a.end)
-    return {
-        "surface": a.surface,
-        "start": start,
-        "end": end,
-        "kind": a.kind.value,
-        "comparator": a.comparator.name if a.comparator else None,
-        "values": [_num(v) for v in a.values],
-        "unit": a.unit,
-        "time_unit": a.time_unit.name if a.time_unit else None,
-        "anchor": a.anchor,
-        "sentence_index": a.sentence_index,
-    }
 
 
 def annotate_record(
@@ -164,10 +130,44 @@ def _build_record(
     attributes: Sequence[AttributeMention],
     links: Sequence[Relation | None],
 ) -> StructuredRecord:
-    """The record of attribute ``i`` linked by ``links[i]`` (None: unlinked)."""
+    """The record of attribute ``i`` linked by ``links[i]`` (None: unlinked).
 
-    entity_payloads = [_entity_payload(sentences, m) for m in mentions]
-    attribute_payloads = [_attribute_payload(sentences, a) for a in attributes]
+    Payload offsets are record-level: a mention's sentence offset plus its
+    own.  Enum fields are read as ``_value_`` and ``_name_``, plain
+    attributes, where the ``value`` and ``name`` properties run Python code
+    on every read.
+    """
+
+    offsets = [s.char_offset for s in sentences]
+    entity_payloads = [
+        {
+            "surface": surface,
+            "start": offsets[index] + start,
+            "end": offsets[index] + end,
+            "concept_id": concept_id,
+            "matched_term": matched_term,
+            "sentence_index": index,
+        }
+        for index, start, end, surface, concept_id, matched_term in mentions
+    ]
+    attribute_payloads = [
+        {
+            "surface": surface,
+            "start": offsets[index] + start,
+            "end": offsets[index] + end,
+            "kind": kind._value_,
+            "comparator": comparator._name_ if comparator is not None else None,
+            # an integral value prints as an int ("40", not "40.0")
+            "values": [int(v) if float(v).is_integer() else v for v in values],
+            "unit": unit,
+            "time_unit": time_unit._name_ if time_unit is not None else None,
+            "anchor": anchor,
+            "sentence_index": index,
+        }
+        for (
+            index, start, end, surface, kind, comparator, values, unit, time_unit, anchor
+        ) in attributes
+    ]
     # mentions are disjoint, so a sentence and a start name one
     entity_index = {(m.sentence_index, m.start): i for i, m in enumerate(mentions)}
     pairs = []
@@ -177,13 +177,14 @@ def _build_record(
         if r is None:
             unlinked.append(attribute_payloads[i])
             continue
-        pairs.append(RelationPair(entity=r.entity.surface, attribute=r.attribute.surface))
+        entity, attribute, label, score = r
+        pairs.append(RelationPair(entity.surface, attribute.surface))
         relation_payloads.append(
             {
-                "entity": entity_index[r.entity.sentence_index, r.entity.start],
+                "entity": entity_index[entity.sentence_index, entity.start],
                 "attribute": i,
-                "label": r.label,
-                "score": r.score,
+                "label": label,
+                "score": score,
             }
         )
     extended = {

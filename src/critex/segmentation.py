@@ -5,7 +5,8 @@ summaries and conclusions are prose paragraphs, so :func:`split_records`
 supports both layouts.  The tokenizer keeps clinically meaningful units
 atomic: ratios ("140/90"), numeric ranges ("21-45"), hyphenated numeric
 qualifiers ("12-lead") and compound units ("kg/m^2") each come out as a
-single token.  One regex pass finds the tokens, and the branch that matched
+single token, and so does a number in scientific notation ("1e5",
+"2.5E-3").  One regex pass finds the tokens, and the branch that matched
 a token gives its shape: words and numeric qualifiers are WORD, and only a
 single character outside every other branch is looked at again ("%" and
 letters are WORD, punctuation PUNCT, anything else SYMBOL).  Whether a word
@@ -18,12 +19,16 @@ letter, the four number branches with a digit, SYMBOL with a comparison
 glyph, so at any position the same branch wins in either order.  A branch
 added later must keep its opener disjoint from those before it, or the
 order decides and this one changes tokens.
+
+The per-record value types, ``Token`` and ``SentenceRecord`` here and the
+mention, relation and output-pair types downstream, are
+``typing.NamedTuple``s: immutable, cheap to build, and equal (and hashed
+alike) field by field.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -55,9 +60,8 @@ class Token(NamedTuple):
     shape: TokenShape
 
 
-@dataclass(frozen=True)
-class SentenceRecord:
-    """A sentence-scoped unit of one record.
+class SentenceRecord(NamedTuple):
+    """A sentence-scoped unit of one record, as a named tuple.
 
     ``char_offset`` locates the sentence inside the original record text, so
     ``record_text[char_offset : char_offset + len(text)] == text``.
@@ -84,7 +88,7 @@ _SCAN_RE = re.compile(
     | (?P<RATIO>\d+(?:\.\d+)?/\d+(?:\.\d+)?)                   # 140/90
     | (?P<RANGE>\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?(?![A-Za-z]))    # 21-45
     | (?P<QUALIFIER>\d+(?:\.\d+)?[-–][A-Za-z][A-Za-z0-9-]*)    # 12-lead
-    | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)         # 40, 1,000, 2.5
+    | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?)  # 40, 1,000, 2.5, 1e5
     | (?P<SYMBOL><=|>=|≤|≥|≦|≧|[<>=])
     | (?P<OTHER>\S)
     """,
@@ -229,12 +233,8 @@ def split_records(raw: str, mode: SplitMode, record_id: str = "") -> list[Senten
             continue
         text = raw[start:end]
         sentences.append(
-            SentenceRecord(
-                record_id=record_id,
-                sentence_index=len(sentences),
-                text=text,
-                char_offset=start,
-                tokens=tuple(tokenize(text)),
+            _new_tuple(
+                SentenceRecord, (record_id, len(sentences), text, start, tuple(tokenize(text)))
             )
         )
     return sentences

@@ -6,6 +6,7 @@ package now computes faster.  The tests check that the two agree exactly.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -339,7 +340,9 @@ def validate_heads(heads, labels):
 _GLYPHS = frozenset({"<=", ">=", "≤", "≥", "≦", "≧", "<", ">", "="})
 _RATIO_RE = re.compile(r"\d+(?:\.\d+)?/\d+(?:\.\d+)?")
 _RANGE_RE = re.compile(r"\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?")
-_NUMBER_RE = re.compile(r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
+# digits, optionally grouped by thousands, an optional fraction and an
+# optional exponent: "40", "1,000", "2.5", "1e5", "2.5E-3"
+_NUMBER_RE = re.compile(r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
 def shape_of(surface):
@@ -367,7 +370,7 @@ _SCAN_IN_FIRST_ORDER_RE = re.compile(
       (?P<RATIO>\d+(?:\.\d+)?/\d+(?:\.\d+)?)
     | (?P<RANGE>\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?(?![A-Za-z]))
     | (?P<QUALIFIER>\d+(?:\.\d+)?[-–][A-Za-z][A-Za-z0-9-]*)
-    | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?)
+    | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<WORD>[A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*)
     | (?P<SYMBOL><=|>=|≤|≥|≦|≧|[<>=])
     | (?P<OTHER>\S)
@@ -753,3 +756,75 @@ def link_abbreviations(sentences, mentions):
             )
     out.sort(key=lambda m: (m.sentence_index, m.start))
     return out
+
+
+def _abs_span(sentences, sentence_index, start, end):
+    offset = sentences[sentence_index].char_offset
+    return offset + start, offset + end
+
+
+def _entity_payload(sentences, m):
+    start, end = _abs_span(sentences, m.sentence_index, m.start, m.end)
+    return {
+        "surface": m.surface,
+        "start": start,
+        "end": end,
+        "concept_id": m.concept_id,
+        "matched_term": m.matched_term,
+        "sentence_index": m.sentence_index,
+    }
+
+
+def _num(x):
+    return int(x) if float(x).is_integer() else x
+
+
+def _attribute_payload(sentences, a):
+    start, end = _abs_span(sentences, a.sentence_index, a.start, a.end)
+    return {
+        "surface": a.surface,
+        "start": start,
+        "end": end,
+        "kind": a.kind.value,
+        "comparator": a.comparator.name if a.comparator else None,
+        "values": [_num(v) for v in a.values],
+        "unit": a.unit,
+        "time_unit": a.time_unit.name if a.time_unit else None,
+        "anchor": a.anchor,
+        "sentence_index": a.sentence_index,
+    }
+
+
+def record_json(record_id, text, sentences, mentions, attributes, links, extended):
+    """The output line of a record, one payload helper per mention and a
+    fresh ``json.dumps`` per record."""
+
+    entity_payloads = [_entity_payload(sentences, m) for m in mentions]
+    attribute_payloads = [_attribute_payload(sentences, a) for a in attributes]
+    entity_index = {(m.sentence_index, m.start): i for i, m in enumerate(mentions)}
+    relation = []
+    relation_payloads = []
+    unlinked = []
+    for i, r in enumerate(links):
+        if r is None:
+            unlinked.append(attribute_payloads[i])
+            continue
+        relation.append({"entity": r.entity.surface, "attribute": r.attribute.surface})
+        relation_payloads.append(
+            {
+                "entity": entity_index[r.entity.sentence_index, r.entity.start],
+                "attribute": i,
+                "label": r.label,
+                "score": r.score,
+            }
+        )
+    result = {"id": record_id, "text": text, "relation": relation}
+    if extended:
+        result["extended"] = {
+            "entities": entity_payloads,
+            "attributes": attribute_payloads,
+            "relations": relation_payloads,
+            "scores": [p["score"] for p in relation_payloads],
+            "unlinked_attributes": unlinked,
+        }
+    return json.dumps({"result": result}, ensure_ascii=False)

@@ -227,6 +227,39 @@ class TestNonFiniteNumbers:
         assert single(f"less than {'9' * 300} mmHg").values == (float("9" * 300),)
 
 
+class TestScientificNotation:
+    """A number in scientific notation is one value."""
+
+    def test_comparison_reads_the_exponent(self):
+        a = single("Platelets greater than 1e5")
+        assert (a.surface, a.kind, a.comparator, a.values) == (
+            "1e5", AttributeKind.COMPARISON, Comparator.GT, (100000.0,)
+        )
+
+    def test_negative_exponent_with_unit(self):
+        a = single("Dose 2.5E-3 mg")
+        assert (a.surface, a.values, a.unit) == ("2.5E-3 mg", (0.0025,), "mg")
+
+    def test_extended_output_prints_an_integral_value_as_an_int(self, mini_kb):
+        record = annotate_record("r", "Platelets greater than 1e5", mini_kb)
+        (payload,) = json.loads(to_json(record, extended=True))["result"]["extended"]["attributes"]
+        assert (payload["surface"], payload["values"]) == ("1e5", [100000])
+        assert '"values": [100000]' in to_json(record, extended=True)
+
+    def test_exponent_beyond_a_float_is_skipped(self):
+        assert parse("Platelets greater than 1e400") == []
+        assert parse("Dose 1e400 mg") == []
+
+    def test_letter_without_exponent_digits_reads_as_before(self):
+        assert parse("Stage 3e disease") == []
+        assert [(a.surface, a.values, a.unit) for a in parse("dose of 5mg daily")] == [
+            ("5mg", (5.0,), "mg")
+        ]
+        assert [(a.surface, a.kind) for a in parse("a 12-lead ECG")] == [
+            ("12-lead", AttributeKind.QUALIFIER)
+        ]
+
+
 class TestAttributeShape:
     def test_mapping(self):
         comparison = AttributeMention(

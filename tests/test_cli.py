@@ -558,6 +558,45 @@ class TestKbCommand:
         assert "blood pressure" in terms
 
 
+    def test_mine_with_kb_knows_its_unit_spellings(self, capsys, tmp_path):
+        corpus = tmp_path / "r.txt"
+        corpus.write_text("Pressure of 140 Torr\nPressure Torr of 140\n", encoding="utf-8")
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps({"version": 1, "units": {"torr": "mmHg"}, "entries": []}))
+
+        def mined(*kb_args):
+            out_path = tmp_path / "cand.json"
+            code, out, err = run(capsys, "kb", "mine", corpus, "--out", out_path, *kb_args)
+            assert (code, err) == (0, "")
+            return {e["concept_id"]: e for e in json.loads(out_path.read_text())["entries"]}
+
+        assert set(mined()) == {"LOCAL:pressure", "LOCAL:pressure-torr"}
+        assert mined()["LOCAL:pressure"]["expected_units"] == []
+        with_kb = mined("--kb", kb_path)
+        assert set(with_kb) == {"LOCAL:pressure"}
+        assert with_kb["LOCAL:pressure"]["expected_units"] == ["mmHg"]
+        assert with_kb["LOCAL:pressure"]["category"] == "MEASUREMENT"
+
+    def test_mine_without_kb_ignores_the_kb_environment(self, capsys, tmp_path, monkeypatch):
+        corpus = tmp_path / "r.txt"
+        corpus.write_text("Pressure of 140 Torr\n", encoding="utf-8")
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps({"version": 1, "units": {"torr": "mmHg"}, "entries": []}))
+        monkeypatch.setenv("CRITEX_KB", str(kb_path))
+        out_path = tmp_path / "cand.json"
+        assert run(capsys, "kb", "mine", corpus, "--out", out_path)[0] == 0
+        (entry,) = json.loads(out_path.read_text())["entries"]
+        assert entry["expected_units"] == []
+
+    def test_mine_with_a_malformed_kb_is_a_data_error(self, capsys, tmp_path, fig2_file):
+        path, message = malformed_kb_file(tmp_path, "blank synonym")
+        code, out, err = run(capsys, "kb", "mine", fig2_file, "--out", tmp_path / "c.json",
+                             "--kb", path)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not (tmp_path / "c.json").exists()
+
+
 class TestConfigCommand:
     def test_show_defaults(self, capsys):
         code, out, err = run(capsys, "config", "--show-defaults")

@@ -443,6 +443,22 @@ class TestMining:
         sentences = self._sentences("Weight kg change of 5", SplitMode.LINES)
         assert [c.concept_id for c in mine_kb_candidates(sentences)] == ["LOCAL:change"]
 
+    def test_kb_unit_spelling_is_mined_as_the_unit(self):
+        kb = KnowledgeBase.build((), extra_units={"torr": "mmHg"})
+        sentences = self._sentences("Pressure of 140 Torr", SplitMode.LINES)
+        (builtin,) = mine_kb_candidates(sentences)
+        assert (builtin.concept_id, builtin.expected_units) == ("LOCAL:pressure", ())
+        (mined,) = mine_kb_candidates(sentences, kb.normalize_unit)
+        assert (mined.concept_id, mined.expected_units, mined.category) == (
+            "LOCAL:pressure", ("mmHg",), Category.MEASUREMENT
+        )
+
+    def test_kb_unit_spelling_ends_the_noun_phrase(self):
+        kb = KnowledgeBase.build((), extra_units={"torr": "mmHg"})
+        sentences = self._sentences("Pressure Torr of 140", SplitMode.LINES)
+        assert [c.concept_id for c in mine_kb_candidates(sentences)] == ["LOCAL:pressure-torr"]
+        assert mine_kb_candidates(sentences, kb.normalize_unit) == []
+
     def test_candidates_load_as_knowledge_base(self, paragraph_two):
         candidates = mine_kb_candidates(self._sentences(paragraph_two))
         kb = KnowledgeBase.build(candidates)

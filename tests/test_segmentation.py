@@ -194,6 +194,32 @@ class TestTokenize:
                     assert not any(c.isalpha() for c in t.surface)
 
 
+class TestScientificNotation:
+    """A number takes an optional exponent right after its digits."""
+
+    @pytest.mark.parametrize("surface", ["1e5", "2.5E-3", "1E+4", "1,000e-2", "1e400"])
+    def test_exponent_is_part_of_the_number(self, surface):
+        assert tokenize(f"of {surface} mg") == [
+            Token("of", 0, 2, TokenShape.WORD),
+            Token(surface, 3, 3 + len(surface), TokenShape.NUMBER),
+            Token("mg", 4 + len(surface), 6 + len(surface), TokenShape.WORD),
+        ]
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("5mg", [("5", TokenShape.NUMBER), ("mg", TokenShape.WORD)]),
+        ("Stage 3e disease", [
+            ("Stage", TokenShape.WORD), ("3", TokenShape.NUMBER), ("e", TokenShape.WORD),
+            ("disease", TokenShape.WORD),
+        ]),
+        ("3e-lead", [("3", TokenShape.NUMBER), ("e-lead", TokenShape.WORD)]),
+        ("12-lead", [("12-lead", TokenShape.WORD)]),
+        ("21-45", [("21-45", TokenShape.RANGE)]),
+        ("140/90", [("140/90", TokenShape.RATIO)]),
+    ])
+    def test_an_e_without_exponent_digits_keeps_its_tokens(self, text, tokens):
+        assert [(t.surface, t.shape) for t in tokenize(text)] == tokens
+
+
 @given(st.text(alphabet=string.printable + "≤≥–", max_size=200))
 def test_tokenize_spans_are_valid_on_arbitrary_text(text):
     tokens = tokenize(text)
@@ -206,11 +232,13 @@ def test_tokenize_spans_are_valid_on_arbitrary_text(text):
 
 
 # Clinical vocabulary with the characters the shape rules turn on: Unicode
-# digits and letters, "%", en dash, the comparison glyphs and glued forms.
+# digits and letters, "%", en dash, the comparison glyphs, exponents and
+# glued forms.
 _CLINICAL_PIECES = st.sampled_from([
     "٣", "٣٤", "µ", "µg", "²", "m²", "kg/m²", "%", "–", "3–7", "≦", "≧", "≤", "<=", "=",
     "21-45a", "21-45", "12-lead", "3-day", "kg/m^2", "kg/m2", "1,000.5", "1,00", "140/90",
     "2.5", "18", "mmHg", "mm", "Hg", "bpm", "percent", "d", "h", "age", "años", "é", "x",
+    "1e5", "2.5E-3", "e", "E+", "e-", "3e", "1e400",
     "(", ")", ",", ".", "-", "/", "'", "’", "^", "&", "_",
 ])
 _TOKENIZER_TEXT = st.lists(

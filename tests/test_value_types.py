@@ -1,0 +1,215 @@
+"""The per-record value types and the record build and serialize path.
+
+``EntityMention``, ``AttributeMention``, ``Relation``, ``RelationPair`` and
+``SentenceRecord`` are named tuples, as ``Token`` is: fields read by name
+and by position, none can be assigned, and equal values compare equal and
+hash alike.  ``AttributeMention`` checks its payload however it is built.
+The record build and ``to_json`` are checked byte for byte against the
+payload helpers and the per-record ``json.dumps`` kept in ``oracles``.
+"""
+
+import inspect
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from critex.attributes import AttributeKind, AttributeMention, Comparator, TimeUnit
+from critex.entities import EntityMention
+from critex.io_eval import RelationPair, StructuredRecord, to_json
+from critex.linker import Relation
+from critex.pipeline import _build_record
+from critex.segmentation import SentenceRecord, Token, TokenShape
+
+ENTITY = EntityMention(1, 4, 18, "blood pressure", "C0005823", "blood pressure")
+ATTRIBUTE = AttributeMention(
+    1, 19, 28, "≤ 40 mmHg", AttributeKind.COMPARISON, Comparator.LE, (40.0,), "mmHg"
+)
+
+
+def _values():
+    """One value of each type."""
+
+    return {
+        EntityMention: ENTITY,
+        AttributeMention: ATTRIBUTE,
+        Relation: Relation(ENTITY, ATTRIBUTE, "has_value", 0.75),
+        RelationPair: RelationPair("blood pressure", "≤ 40 mmHg"),
+        SentenceRecord: SentenceRecord(
+            "r1", 1, "BP ≤ 40", 12,
+            (Token("BP", 0, 2, TokenShape.WORD), Token("≤", 3, 4, TokenShape.SYMBOL)),
+        ),
+    }
+
+
+FIELDS = {
+    EntityMention: ("sentence_index", "start", "end", "surface", "concept_id", "matched_term"),
+    AttributeMention: (
+        "sentence_index", "start", "end", "surface", "kind", "comparator", "values",
+        "unit", "time_unit", "anchor",
+    ),
+    Relation: ("entity", "attribute", "label", "score"),
+    RelationPair: ("entity", "attribute"),
+    SentenceRecord: ("record_id", "sentence_index", "text", "char_offset", "tokens"),
+}
+TYPES = sorted(FIELDS, key=lambda t: t.__name__)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda t: t.__name__)
+class TestValueTypeContract:
+    def test_fields_by_name_and_position(self, cls):
+        value = _values()[cls]
+        assert cls._fields == FIELDS[cls]
+        by_name = tuple(getattr(value, name) for name in cls._fields)
+        assert by_name == tuple(value) == tuple(value[i] for i in range(len(cls._fields)))
+        assert cls(**dict(zip(cls._fields, by_name))) == value
+
+    def test_fields_cannot_be_assigned(self, cls):
+        value = _values()[cls]
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == _values()[cls]
+
+    def test_equal_values_are_equal_and_hash_alike(self, cls):
+        value = _values()[cls]
+        other = pickle.loads(pickle.dumps(value))  # rebuilt through the constructor
+        assert other == value and other is not value
+        assert hash(other) == hash(value)
+        assert len({value, other}) == 1
+        assert value._replace(**{cls._fields[0]: "other"}) != value
+
+
+def test_attribute_constructor_spells_the_fields_and_defaults():
+    parameters = list(inspect.signature(AttributeMention).parameters.values())
+    assert tuple(p.name for p in parameters) == AttributeMention._fields
+    defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+    assert defaults == AttributeMention._field_defaults
+
+
+# (kind, payload fields, message) of an invalid attribute payload
+INVALID = {
+    "unordered range": (AttributeKind.RANGE, {"values": (5.0, 1.0)}, "range values must be ordered"),
+    "non-positive ratio": (AttributeKind.RATIO, {"values": (0.0, 5.0)}, "ratio parts must be positive"),
+    "comparison without comparator": (
+        AttributeKind.COMPARISON, {"values": (5.0,)}, "comparison needs a comparator and one value",
+    ),
+    "qualifier with values": (
+        AttributeKind.QUALIFIER, {"values": (1.0,)}, "qualifiers carry no values or unit",
+    ),
+}
+VALID = {
+    AttributeKind.RANGE: {"values": (1.0, 5.0)},
+    AttributeKind.RATIO: {"values": (140.0, 90.0)},
+    AttributeKind.COMPARISON: {"comparator": Comparator.GT, "values": (5.0,)},
+    AttributeKind.QUALIFIER: {},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+class TestAttributePayloadChecks:
+    """An invalid payload raises the same ``ValueError`` on every path."""
+
+    def _fields(self, case):
+        kind, payload, message = INVALID[case]
+        fields = dict(zip(AttributeMention._fields, (0, 0, 1, "x", kind)))
+        return {**fields, **AttributeMention._field_defaults, **payload}, message
+
+    def test_constructor(self, case):
+        fields, message = self._fields(case)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttributeMention(**fields)
+
+    def test_make(self, case):
+        fields, message = self._fields(case)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttributeMention._make(fields[name] for name in AttributeMention._fields)
+
+    def test_replace(self, case):
+        fields, message = self._fields(case)
+        valid = AttributeMention(0, 0, 1, "x", fields["kind"], **VALID[fields["kind"]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            valid._replace(comparator=fields["comparator"], values=fields["values"])
+
+
+# Text with the characters JSON escapes or keeps: quotes, backslashes,
+# control characters and non-ASCII letters and symbols.
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from('"\\\x00\x07\n\t\x1f\x7f\x85é≤☃\u2028😀')
+    ),
+    max_size=8,
+)
+VALUE = st.one_of(
+    st.floats(),
+    st.sampled_from((-0.0, 0.0, 1e16, float(2**53 + 1), 2.5, 140.0, 1e-7, -3.0)),
+    st.integers(-(2**60), 2**60).map(float),
+)
+OFFSET = st.integers(0, 10_000)
+OPTIONAL_TEXT = st.one_of(st.none(), TEXT)
+
+
+@st.composite
+def attribute_mentions(draw, n_sentences):
+    kind = draw(st.sampled_from(AttributeKind))
+    comparator = draw(st.one_of(st.none(), st.sampled_from(Comparator)))
+    unit = draw(OPTIONAL_TEXT)
+    if kind is AttributeKind.RANGE:
+        values = tuple(sorted(draw(st.tuples(VALUE, VALUE))))
+    elif kind is AttributeKind.RATIO:
+        values = draw(st.tuples(VALUE, VALUE).map(lambda v: tuple(abs(x) or 1.0 for x in v)))
+    elif kind is AttributeKind.COMPARISON:
+        comparator = draw(st.sampled_from(Comparator))
+        values = (draw(VALUE),)
+    elif kind is AttributeKind.QUALIFIER:
+        values, unit = (), None
+    else:
+        values = tuple(draw(st.lists(VALUE, max_size=2)))
+    return AttributeMention(
+        draw(st.integers(0, n_sentences - 1)), draw(OFFSET), draw(OFFSET), draw(TEXT),
+        kind, comparator, values, unit,
+        draw(st.one_of(st.none(), st.sampled_from(TimeUnit))), draw(OPTIONAL_TEXT),
+    )
+
+
+@st.composite
+def record_parts(draw):
+    """``(record_id, text, sentences, mentions, attributes, links)``."""
+
+    n = draw(st.integers(1, 4))
+    sentences = [
+        SentenceRecord("r", i, draw(TEXT), offset, ())
+        for i, offset in enumerate(sorted(draw(st.lists(OFFSET, min_size=n, max_size=n))))
+    ]
+    mentions = draw(st.lists(
+        st.builds(EntityMention, st.integers(0, n - 1), OFFSET, OFFSET, TEXT, TEXT, TEXT),
+        max_size=5,
+    ))
+    attributes = draw(st.lists(attribute_mentions(n), max_size=6))
+    links = []
+    for a in attributes:
+        if mentions and draw(st.booleans()):
+            entity = draw(st.sampled_from(mentions))
+            links.append(Relation(entity, a, draw(TEXT), draw(st.floats())))
+        else:
+            links.append(None)  # unlinked
+    return draw(TEXT), draw(TEXT), sentences, mentions, attributes, links
+
+
+@given(record_parts())
+@settings(max_examples=300)
+def test_record_build_and_serialize_match_the_payload_oracle(parts):
+    record = _build_record(*parts)
+    for extended in (False, True):
+        assert to_json(record, extended=extended) == oracles.record_json(*parts, extended)
+
+
+def test_cyclic_extended_payload_raises_recursion_error():
+    extended = {"entities": []}
+    extended["entities"].append(extended)
+    record = StructuredRecord(id="r", text="t", extended=extended)
+    with pytest.raises(RecursionError):
+        to_json(record, extended=True)
