@@ -36,7 +36,6 @@ from .kb import KnowledgeBase, load_kb, mine_kb_candidates, save_kb
 from .resources import bundled_kb_path
 from .segmentation import SplitMode, split_records
 from .syntax import align_block, parse_blocks
-from .entities import MAX_NGRAM, can_match
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 2
@@ -244,15 +243,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_kb(args) -> int:
     if args.kb_command == "validate":
         kb = load_kb(args.path)
-        for entry in kb.entries:
-            for term in entry.terms:
-                if not can_match(term):
-                    print(
-                        f"critex: warning: {args.path}: {entry.concept_id}: term {term!r}"
-                        " can never be matched: the entity scan matches only terms of at"
-                        f" most {MAX_NGRAM} words, each one word token",
-                        file=sys.stderr,
-                    )
         print(f"OK: {len(kb.entries)} entries, {len(kb.unit_table)} unit variants")
         return EXIT_OK
     records = read_corpus(args.corpus)
@@ -272,7 +262,6 @@ def _cmd_kb(args) -> int:
 def _cmd_config(args) -> int:
     defaults = dataclasses.asdict(pipeline.DEFAULT_CONFIG)
     defaults["mode"] = pipeline.DEFAULT_CONFIG.mode.value
-    defaults["max_ngram"] = MAX_NGRAM
     defaults["kb"] = str(bundled_kb_path())
     print(json.dumps(defaults, indent=2))
     return EXIT_OK

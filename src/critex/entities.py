@@ -1,17 +1,19 @@
 """Dictionary-based recognition of medical entity mentions.
 
 Mentions are found by walking the knowledge base's term trie from a token,
-one casefolded token per step.  A walk starts only at a token whose
-casefolded surface is in the KB's ``first_words`` (each word that opens a
-term, and that word plus "s"); the filter runs in C over the whole sentence
-(``map`` and ``compress``), and no other token can open a term, so it
-drops no mention.  With a dense KB, whose terms open with most words of the
-text, nearly every token passes and the scan costs what a walk from every
-token costs, plus one set test per token.  A walk stops at a token that is
-not a word, at a missing trie child, or after six tokens; every depth that
-ends a term is a candidate, and the longest candidates win.  When the full
-last token ends no term, its trailing plural "s" is folded so
-"antidepressants" hits "antidepressant".
+one casefolded token per step.  The trie is keyed by the same tokens
+(``kb.term_key``), so a walk steps over tokens of any shape and every term
+the KB accepts can match; the trie's depth bounds each walk.  A walk starts
+only at a token whose casefolded surface is in the KB's ``first_words``
+(each token that opens a term, and that token plus "s"); the filter runs
+in C over the whole sentence (``map`` and ``compress``), and no other token
+can open a term, so it drops no mention.  With a dense KB, whose terms open
+with most words of the text, nearly every token passes and the scan costs
+what a walk from every token costs, plus one set test per token.  A walk
+stops at a missing trie child; every depth that ends a term is a
+candidate, and the longest candidates win.  When the full last token ends
+no term, its trailing plural "s" is folded so "antidepressants" hits
+"antidepressant".
 Parenthesized abbreviation definitions ("electrocardiograph (ECG)") create
 record-local synonyms: later occurrences of the short form become mentions
 of the long form's concept.
@@ -24,12 +26,10 @@ from itertools import compress
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .kb import Category, KbEntry, KnowledgeBase, term_key
-from .segmentation import SentenceRecord, TokenShape, token_columns, tokenize
+from .kb import Category, KbEntry, KnowledgeBase
+from .segmentation import SentenceRecord, TokenShape, token_columns
 
-MAX_NGRAM = 6
-
-_WORD = TokenShape.WORD  # the walk tests a token's shape by identity
+_WORD = TokenShape.WORD  # a short form's shape is tested by identity
 _END = attrgetter("end")  # bisection key over a sentence's tokens
 _NUMERIC = (TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE)
 
@@ -77,9 +77,7 @@ def recognize_entities(
     candidates = []  # (ntokens, first_token, last_token, hits)
     for i in compress(range(n), map(kb.first_words.__contains__, keys)):
         node = root
-        for j in range(i, min(i + MAX_NGRAM, n)):
-            if shapes[j] is not _WORD:
-                break
+        for j in range(i, n):
             child = node.children.get(keys[j])
             hits = child.hits if child is not None else ()
             if not hits:
@@ -118,26 +116,6 @@ def recognize_entities(
         )
     mentions.sort(key=lambda m: m.start)
     return mentions
-
-
-def can_match(term: str) -> bool:
-    """True when :func:`recognize_entities` can match ``term``.
-
-    The walk steps one token per trie word, so the term's tokens must be
-    exactly its words (their casefolded surfaces the words of its
-    :func:`~critex.kb.term_key`), each a WORD, and at most ``MAX_NGRAM`` of
-    them.  A term that fails can never be matched: "type 2 diabetes" holds
-    the NUMBER "2", "blood pressure (BP)" tokenizes "(BP)" as three tokens,
-    and "Sjögren" is the three WORD tokens "Sj", "ö" and "gren" for one
-    word of the term.
-    """
-
-    tokens = tokenize(term)
-    return (
-        len(tokens) <= MAX_NGRAM
-        and all(t.shape is _WORD for t in tokens)
-        and [t.surface.casefold() for t in tokens] == term_key(term).split(" ")
-    )
 
 
 def _initials_match(abbr: str, long_form: str) -> bool:

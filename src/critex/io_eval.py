@@ -542,6 +542,10 @@ def read_predictions(path: str | Path) -> list[StructuredRecord]:
 def _jsonl_records(path: Path, key: str | None = None) -> Iterator[tuple[int, str, dict]]:
     """``(lineno, where, record)`` for each non-blank line of a JSONL file.
 
+    Lines end at "\\n" alone, JSONL's line break (:func:`read_text` has
+    turned "\\r\\n" into it): ``to_json`` writes U+2028, and the other
+    characters at which ``str.splitlines`` also breaks, raw inside a string.
+
     ``record`` is the line's object, or its ``key`` member when ``key`` is
     given; it needs ``id`` and ``text``, both strings, and an id may occur
     on one line only.  ``where`` is ``"PATH: line N"``, which starts every
@@ -549,7 +553,7 @@ def _jsonl_records(path: Path, key: str | None = None) -> Iterator[tuple[int, st
     """
 
     first_line: dict[str, int] = {}  # record id -> line it first appeared on
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{path}: line {lineno}"

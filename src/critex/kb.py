@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 from .attributes import AttributeMention, AttributeShape
 from .errors import DuplicateConceptId, MalformedKb
-from .segmentation import SentenceRecord, TokenShape
+from .io_eval import read_text
+from .segmentation import SentenceRecord, TokenShape, tokenize
 from .units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
 
 KB_SCHEMA_VERSION = 1
@@ -43,10 +44,15 @@ class Category(Enum):
     OTHER = "OTHER"
 
 
-def term_key(term: str) -> str:
-    """The key of a concept term in the index, in lookups and in duplicate checks."""
+def term_key(term: str) -> tuple[str, ...]:
+    """The key of a concept term: the casefolded surfaces of its tokens.
 
-    return " ".join(term.split()).casefold()
+    The trie, :meth:`KnowledgeBase.lookup_terms` and the duplicate checks
+    key a term by the tokens the entity scan steps over, so every term the
+    KB accepts can be matched; a term with no tokens is blank.
+    """
+
+    return tuple(t.surface.casefold() for t in tokenize(term))
 
 
 @dataclass(frozen=True)
@@ -63,14 +69,15 @@ class KbEntry:
     category: Category = Category.OTHER
 
     def __post_init__(self):
-        if not term_key(self.preferred_term):
+        preferred = term_key(self.preferred_term)
+        if not preferred:
             raise MalformedKb(f"{self.concept_id}: blank preferred_term")
         seen = set()
         for syn in self.synonyms:
             key = term_key(syn)
             if not key:
                 raise MalformedKb(f"{self.concept_id}: blank synonym: {syn!r}")
-            if key == term_key(self.preferred_term):
+            if key == preferred:
                 raise MalformedKb(
                     f"{self.concept_id}: synonym duplicates preferred_term: {syn!r}"
                 )
@@ -109,10 +116,11 @@ def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbE
 
 @dataclass(slots=True)
 class TermNode:
-    """One node of the term trie: a path of term words from the root.
+    """One node of the term trie: a path of term tokens from the root.
 
-    ``children`` maps the next word (a :func:`term_key` component) to its
-    node; ``hits`` holds the (entry, term) pairs of the terms that end here.
+    ``children`` maps the next casefolded token surface (a :func:`term_key`
+    component) to its node; ``hits`` holds the (entry, term) pairs of the
+    terms that end here.
     """
 
     children: dict[str, "TermNode"] = field(default_factory=dict)
@@ -123,10 +131,11 @@ class TermNode:
 class KnowledgeBase:
     """Immutable bundle of entries plus the term trie and the unit table.
 
-    ``first_words`` is derived from the trie when the KB is created, by any
-    constructor: each word that opens a term, and that word plus "s", so
-    the entity scan starts a walk only at a casefolded token in it (a
-    walk's first step may fold a plural "s").
+    The trie is keyed by :func:`term_key`, so its depth is the token count
+    of the longest term.  ``first_words`` is derived from the trie when the
+    KB is created, by any constructor: each casefolded token that opens a
+    term, and that token plus "s", so the entity scan starts a walk only at
+    a casefolded token in it (a walk's first step may fold a plural "s").
     """
 
     entries: tuple[KbEntry, ...]
@@ -169,7 +178,7 @@ class KnowledgeBase:
         for entry in entries:
             for term in entry.terms:
                 node = root
-                for word in term_key(term).split(" "):
+                for word in term_key(term):
                     node = node.children.setdefault(word, TermNode())
                 node.hits += ((entry, term),)
         return cls(
@@ -185,10 +194,11 @@ class KnowledgeBase:
         return self.unit_table.get(unit_key(surface))
 
     def lookup_terms(self, phrase: str) -> tuple[tuple[KbEntry, str], ...]:
-        """Matching (entry, fired term) pairs for a surface phrase."""
+        """Matching (entry, fired term) pairs for a surface phrase, whose
+        tokens must be exactly a term's tokens, in any case."""
 
         node = self.term_trie
-        for word in term_key(phrase).split(" "):
+        for word in term_key(phrase):
             node = node.children.get(word)
             if node is None:
                 return ()
@@ -394,11 +404,12 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
     """Import a three-column table: term, value_range ("90..250"), units.
 
     Rows become curated entries with ``LOCAL:`` concept ids; units are
-    comma-separated and normalized against the built-in table.
+    comma-separated and normalized against the built-in table.  A file
+    that is not valid UTF-8 raises :class:`MalformedText`, naming it.
     """
 
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         return KnowledgeBase.build(())
     header = [c.strip().lower() for c in lines[0].split("\t")]

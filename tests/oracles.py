@@ -27,15 +27,10 @@ from critex.attributes import (
     _temporal,
     attribute_shape,
 )
-from critex.entities import (
-    _NUMERIC,
-    MAX_NGRAM,
-    EntityMention,
-    _initials_match,
-)
+from critex.entities import _NUMERIC, EntityMention, _initials_match
 from critex.errors import CycleDetected, UnknownConcept
 from critex.floats import left_sum
-from critex.kb import DEFAULT_WEIGHTS, Category, compatibility_terms, term_key
+from critex.kb import DEFAULT_WEIGHTS, Category, compatibility_terms
 from critex.linker import Relation, relation_label
 from critex.segmentation import (
     _ABBREVIATIONS,
@@ -460,6 +455,13 @@ def paragraph_spans_recounting_parens(text):
     return spans
 
 
+def term_key(term):
+    """A term's key: the casefolded surfaces of its tokens, from the scan in
+    its first order (:func:`tokenize`)."""
+
+    return tuple(t.surface.casefold() for t in tokenize(term))
+
+
 def term_index(kb):
     """The flat term-key -> (entry, term) hits table, built from the entries."""
 
@@ -485,21 +487,20 @@ def fold_plural(word):
 
 
 def is_word(tok):
-    """A token that a term can be made of: a WORD, the one shape of every
-    letter run, numeric qualifier ("12-lead") and "%", unit or not."""
+    """A WORD token: the one shape of every letter run, numeric qualifier
+    ("12-lead") and "%", unit or not."""
 
     return tok.shape is TokenShape.WORD
 
 
 def _lookup_window(window, index):
-    key = " ".join(t.surface for t in window)
-    hits = index.get(term_key(key), ())
+    key = tuple(t.surface.casefold() for t in window)
+    hits = index.get(key, ())
     if hits:
         return hits
     folded = fold_plural(window[-1].surface)
     if folded is not None:
-        parts = [t.surface for t in window[:-1]] + [folded]
-        return index.get(term_key(" ".join(parts)), ())
+        return index.get(key[:-1] + (folded.casefold(),), ())
     return ()
 
 
@@ -514,20 +515,16 @@ def _choose_entry(hits, sentence):
 
 
 def recognize_entities(sentence, kb):
-    """Longest-match scan that joins and looks up every token n-gram."""
+    """Longest-match scan that looks up every token n-gram, of any token
+    shapes, up to the token count of the KB's longest term."""
 
     index = term_index(kb)
+    longest = max(map(len, index), default=0)
     toks = sentence.tokens
     candidates = []
     for i in range(len(toks)):
-        if not is_word(toks[i]):
-            continue
-        max_n = min(MAX_NGRAM, len(toks) - i)
-        for n in range(max_n, 0, -1):
-            window = toks[i : i + n]
-            if not all(map(is_word, window)):
-                continue
-            hits = _lookup_window(window, index)
+        for n in range(min(longest, len(toks) - i), 0, -1):
+            hits = _lookup_window(toks[i : i + n], index)
             if hits:
                 candidates.append((n, i, i + n - 1, hits))
     candidates.sort(key=lambda c: (-c[0], c[1]))

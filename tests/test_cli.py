@@ -333,6 +333,35 @@ class TestEvaluateCommand:
         assert out == ""
         assert err == f"critex: error: {gold / 'rec03.ann'}: no rec03.txt beside it\n"
 
+    def test_round_trip_of_a_text_with_a_line_separator(self, capsys, tmp_path):
+        # annotate writes U+2028 raw inside a JSON string; evaluate reads
+        # lines that end at "\n" alone, so the record stays one line
+        text = "Age\u2028over 18 years"
+        corpus = tmp_path / "records.jsonl"
+        corpus.write_text(json.dumps({"id": "a", "text": text}) + "\n", encoding="utf-8")
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        (gold / "a.txt").write_text(text, encoding="utf-8")
+        (gold / "a.ann").write_text(
+            "T1\tEntity 0 3\tAge\nT2\tTemporal 4 17\tover 18 years\n"
+            "R1\thas_temporal Arg1:T1 Arg2:T2\n",
+            encoding="utf-8",
+        )
+        pred = tmp_path / "pred.jsonl"
+        code, out, err = run(
+            capsys, "annotate", "--format", "jsonl", "--extended", "--out", pred, corpus
+        )
+        assert code == 0
+        assert "\u2028" in pred.read_text(encoding="utf-8")
+        code, out, err = run(
+            capsys, "evaluate", "--gold", gold, "--pred", pred, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["records"] == 1
+        assert doc["micro"]["RELATION"]["EXACT"]["f1"] == 1.0
+        assert doc["micro"]["ENTITY"]["EXACT"]["f1"] == 1.0
+
     def test_mismatched_ids_exit_2(self, capsys, tmp_path):
         pred = tmp_path / "pred.jsonl"
         pred.write_text(
@@ -500,7 +529,9 @@ class TestKbCommand:
         assert "OK" in out
         assert err == ""
 
-    def test_validate_names_terms_that_can_never_match(self, capsys, tmp_path):
+    def test_validate_accepts_terms_of_any_token_shape(self, capsys, tmp_path):
+        # terms with numbers, brackets and non-ASCII letters can all match,
+        # so there is nothing to warn about
         path = tmp_path / "kb.json"
         path.write_text(json.dumps({"version": 1, "entries": [
             {"concept_id": "LOCAL:t2d", "preferred_term": "type 2 diabetes",
@@ -508,13 +539,19 @@ class TestKbCommand:
             {"concept_id": "LOCAL:bp", "preferred_term": "blood pressure (BP)"},
         ]}))
         code, out, err = run(capsys, "kb", "validate", path)
-        assert (code, out) == (0, "OK: 2 entries, 106 unit variants\n")
-        lines = err.splitlines()
-        assert [line.split(" can never be matched")[0] for line in lines] == [
-            f"critex: warning: {path}: LOCAL:t2d: term 'type 2 diabetes'",
-            f"critex: warning: {path}: LOCAL:t2d: term 'Sjögren syndrome'",
-            f"critex: warning: {path}: LOCAL:bp: term 'blood pressure (BP)'",
-        ]
+        assert (code, out, err) == (0, "OK: 2 entries, 106 unit variants\n", "")
+
+    def test_validate_synonyms_with_the_same_tokens(self, capsys, tmp_path):
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps({"version": 1, "entries": [
+            {"concept_id": "LOCAL:bp", "preferred_term": "blood pressure",
+             "synonyms": ["BP (x)", "BP(x)"]},
+        ]}))
+        code, out, err = run(capsys, "kb", "validate", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"critex: error: {path}: entries[0]: LOCAL:bp: duplicate synonym: 'BP(x)'\n"
+        )
 
     def test_validate_inverted_range(self, capsys, tmp_path):
         path = tmp_path / "kb.json"
@@ -604,11 +641,10 @@ class TestConfigCommand:
         defaults = json.loads(out)
         assert set(defaults) == {
             "theta", "min_score", "tau", "boundary_penalty", "weights",
-            "max_ngram", "mode", "cross_sentence", "kb",
+            "mode", "cross_sentence", "kb",
         }
         assert defaults["mode"] == "lines"
         assert defaults["cross_sentence"] is False
-        assert defaults["max_ngram"] == 6
         assert defaults["kb"] == str(bundled_kb_path())
         assert defaults["theta"] == 0.5
         assert defaults["min_score"] == 0.2

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from critex.entities import MAX_NGRAM, can_match, link_abbreviations, recognize_entities
+from critex.entities import link_abbreviations, recognize_entities
+from critex.errors import MalformedKb
 from critex.kb import Category, KbEntry, KnowledgeBase, term_key
 from critex.segmentation import SentenceRecord, SplitMode, split_records, tokenize
 
@@ -58,15 +59,14 @@ class TestRecognizeEntities:
         assert [m.surface for m in mentions] == ["Body Mass Index"]
         assert mentions[0].concept_id == "LOCAL:bmi"
 
-    def test_terms_span_at_most_max_ngram_word_tokens(self):
+    def test_terms_span_any_number_of_tokens(self):
         kb = kb_of(
             KbEntry(concept_id="C6", preferred_term="a b c d e f"),
             KbEntry(concept_id="C7", preferred_term="a b c d e f g"),
             KbEntry(concept_id="C2", preferred_term="x y"),
         )
-        assert MAX_NGRAM == 6
         mentions = recognize_entities(sentence_of("a b c d e f g"), kb)
-        assert [m.concept_id for m in mentions] == ["C6"]
+        assert [m.concept_id for m in mentions] == ["C7"]
         for text in ("x, y", "x (y", "x 5 y", "x - y"):
             assert recognize_entities(sentence_of(text), kb) == [], text
 
@@ -200,35 +200,54 @@ class TestAbbreviationOrder:
         assert self.expand(text) == [(0, text.rindex("ECG"), "C1")]
 
 
-# Words the scan can and cannot walk, glued by spaces, tabs and punctuation.
+# Term words of every token shape, up to eight of them, glued by spaces,
+# tabs and punctuation.
 TERM_WORDS = ("blood", "pressures", "mg", "%", "2", "(BP)", "Sjögren", "kg/m^2", "it's",
               "x-ray", "HbA1c", "µg", "Straße", "stress", "s", "a.b", "12-lead", ">=")
 TERMS = st.one_of(
-    st.lists(st.sampled_from(TERM_WORDS), min_size=1, max_size=MAX_NGRAM + 2).map(" ".join),
+    st.lists(st.sampled_from(TERM_WORDS), min_size=1, max_size=8).map(" ".join),
     st.text(alphabet="abcsAS 09-/^'().,%\töµßﬁİ", min_size=1, max_size=16),
 )
 
 
 class TestCanMatch:
-    @pytest.mark.parametrize(
-        "term",
-        ["type 2 diabetes", "blood pressure (BP)", "Sjögren syndrome", "a b c d e f g"],
-    )
-    def test_terms_the_scan_cannot_walk(self, term):
-        assert not can_match(term)
+    """Every term the KB accepts can match: the trie is keyed by the tokens
+    the scan steps over, of any shape and any number."""
+
+    CONCEPTS = {
+        "type 2 diabetes": "C1",
+        "blood pressure (BP)": "C2",
+        "Sjögren syndrome": "C3",
+        "a b c d e f g": "C7",
+    }
+    KB = kb_of(*(KbEntry(c, term) for term, c in CONCEPTS.items()))
+
+    @pytest.mark.parametrize("term", list(CONCEPTS))
+    def test_terms_of_any_token_shape_match(self, term):
+        text = f"History of {term.upper()}, treated"
+        mentions = recognize_entities(sentence_of(text), self.KB)
+        start = text.index(term.upper())
+        assert [(m.start, m.end, m.concept_id, m.matched_term) for m in mentions] == [
+            (start, start + len(term), self.CONCEPTS[term], term)
+        ]
 
     def test_every_bundled_term_can_match(self, mini_kb):
-        assert all(can_match(term) for entry in mini_kb.entries for term in entry.terms)
+        for entry in mini_kb.entries:
+            for term in entry.terms:
+                # word tokens only, so the key is the term's whitespace split
+                assert term_key(term) == tuple(term.casefold().split()), term
+                (sentence,) = split_records(term, SplitMode.LINES)
+                found = recognize_entities(sentence, mini_kb)
+                assert [(m.start, m.end) for m in found] == [(0, len(term))], term
 
     @given(term=TERMS)
     @settings(max_examples=400, deadline=None)
-    def test_found_in_itself_exactly_when_it_can_match(self, term):
-        assume(term_key(term))
-        kb = kb_of(KbEntry("C1", term))
+    def test_every_accepted_term_is_found_in_itself(self, term):
+        try:
+            kb = kb_of(KbEntry("C1", term))
+        except MalformedKb:
+            assume(False)
         tokens = tuple(tokenize(term))
         sentence = SentenceRecord("r", 0, term, 0, tokens)
         found = [(m.start, m.end) for m in recognize_entities(sentence, kb)]
-        if can_match(term):
-            assert found == [(tokens[0].start, tokens[-1].end)]
-        else:
-            assert found == []
+        assert found == [(tokens[0].start, tokens[-1].end)]

@@ -13,7 +13,7 @@ from critex.attributes import (
     extract_attributes,
 )
 from critex.entities import recognize_entities
-from critex.errors import DuplicateConceptId, MalformedKb
+from critex.errors import CritexError, DuplicateConceptId, MalformedKb, MalformedText
 from critex.kb import (
     Category,
     CompatibilityWeights,
@@ -26,6 +26,7 @@ from critex.kb import (
     load_kb,
     mine_kb_candidates,
     save_kb,
+    term_key,
 )
 from critex.resources import bundled_kb_path
 from critex.segmentation import SplitMode, split_records
@@ -294,6 +295,23 @@ class TestLookup:
             KbEntry("C1", "heart rate", synonyms=("Heart  Rate",))
         with pytest.raises(MalformedKb):
             KbEntry("C1", "heart rate", synonyms=("HR", " hr"))
+        # the key is the tokens, so spacing between tokens does not count
+        with pytest.raises(MalformedKb, match="duplicate synonym: 'BP\\(x\\)'"):
+            KbEntry("C1", "blood pressure", synonyms=("BP (x)", "BP(x)"))
+        with pytest.raises(MalformedKb, match="blank synonym"):
+            KbEntry("C1", "blood pressure", synonyms=(" \t",))
+
+    def test_term_key_is_the_casefolded_tokens(self):
+        assert term_key(" Blood\tPressure (BP)") == ("blood", "pressure", "(", "bp", ")")
+        assert term_key("type 2 diabetes") == ("type", "2", "diabetes")
+        assert term_key("Sjögren") == ("sj", "ö", "gren")
+        assert term_key("  ") == ()
+
+    def test_terms_of_any_token_shape_look_up(self):
+        kb = KnowledgeBase.build([KbEntry("C1", "type 2 diabetes", synonyms=("BP (x)",))])
+        for phrase in ("TYPE 2  diabetes", "bp(X)", " BP ( x ) "):
+            assert [e.concept_id for e in entries_of(kb, phrase)] == ["C1"], phrase
+        assert kb.lookup_terms("type 2") == ()
 
     def test_case_insensitivity_property(self, mini_kb):
         for entry in mini_kb.entries:
@@ -399,6 +417,15 @@ class TestImportTsv:
         with pytest.raises(MalformedKb, match="value_max must be finite") as info:
             import_tsv(path)
         assert str(info.value).startswith(f"{path}:2: LOCAL:")
+
+
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_bytes(b"term\tvalue_range\tunits\nheight\xff\t\tcm\n")
+        with pytest.raises(MalformedText) as info:
+            import_tsv(path)
+        assert isinstance(info.value, CritexError)
+        assert str(info.value).startswith(f"{path}: not valid UTF-8")
 
 
 class TestMining:

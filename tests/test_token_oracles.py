@@ -1,18 +1,20 @@
 """The token layer's fast scans agree exactly with their loop oracles.
 
-The entity scan walks the KB's term trie and the attribute grammar tries
-at each start only the productions its dispatch table names; ``oracles``
-keeps the scans that try every n-gram, and every production at every
-position.  Lines are drawn from KB-term and grammar vocabulary with case
-noise, plural endings, punctuation, numbers and comparison glyphs, and are
-scanned with the bundled KB and with KBs drawn from the same vocabulary
-(multi-word synonyms, shared prefixes, terms longer than the n-gram cap,
-ambiguous terms).  The starts the dispatch table lets through and the unit
-window are checked against the gate written out term by term and the 3-2-1
-window loop.  The entity scan is also run with a dense KB, whose terms are
-every word of the line, and with KBs whose terms open only with words the
-line spells with a plural "s", so every walk starts through the fold.  The clause index is checked on drawn token surfaces in any case, and
-the tokenizer against the scan with its branches in their first order.
+The entity scan walks the KB's term trie and the attribute grammar tries at
+each start only the productions its dispatch table names; ``oracles`` keeps
+the scans that try every n-gram, and every production at every position.
+Lines are drawn from KB-term and grammar vocabulary with case noise, plural
+endings, punctuation, numbers and comparison glyphs, and are scanned with
+the bundled KB and with KBs drawn from the same vocabulary (multi-word
+synonyms, shared prefixes, terms of numbers and punctuation as well as
+words, terms longer than six tokens, ambiguous terms).  The starts the
+dispatch table lets through and the unit window are checked against the
+gate written out term by term and the 3-2-1 window loop.  The entity scan
+is also run with a dense KB, whose terms are every word of the line, and
+with KBs whose terms open only with words the line spells with a plural
+"s", so every walk starts through the fold.  The clause index is checked on
+drawn token surfaces in any case, and the tokenizer against the scan with
+its branches in their first order.
 """
 
 import itertools
@@ -22,12 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from critex import attributes
 from critex.attributes import AttributeKind, AttributeMention, extract_attributes
-from critex.entities import (
-    MAX_NGRAM,
-    EntityMention,
-    link_abbreviations,
-    recognize_entities,
-)
+from critex.entities import EntityMention, link_abbreviations, recognize_entities
 from critex.kb import Category, KbEntry, KnowledgeBase, load_kb, term_key
 from critex.resources import bundled_kb_path
 from critex.segmentation import (
@@ -87,7 +84,9 @@ PARAGRAPH = st.lists(
     st.one_of(LINE, st.sampled_from(ABBREVIATED)), min_size=1, max_size=8
 ).map(". ".join)
 
-TERM = st.lists(st.sampled_from(KB_WORDS + GRAMMAR_WORDS), min_size=1, max_size=MAX_NGRAM + 1).flatmap(
+TERM = st.lists(
+    st.sampled_from(KB_WORDS + GRAMMAR_WORDS + list(OTHER_TOKENS)), min_size=1, max_size=7
+).flatmap(
     lambda words: st.tuples(*(_noisy(w) for w in words)).map(" ".join)
 )
 
@@ -116,16 +115,19 @@ def drawn_kb(draw, terms=TERM):
 
 
 def kb_for(text):
-    """The bundled KB, or a drawn KB whose terms include runs of ``text``'s words.
+    """The bundled KB, or a drawn KB whose terms include runs of ``text``'s tokens.
 
-    A run skips the tokens in between that are not words, so some terms
-    straddle punctuation in the text and must not match there.
+    A run is of tokens of any shape, or of the words alone, skipping the
+    tokens in between that are not words, so some terms straddle
+    punctuation in the text and must not match there.
     """
 
-    words = [t.surface for t in tokenize(text) if oracles.is_word(t)]
+    tokens = [t.surface for t in tokenize(text)]
     runs = st.tuples(
-        st.integers(0, max(0, len(words) - 1)), st.integers(1, MAX_NGRAM + 1)
-    ).map(lambda p: " ".join(words[p[0] : p[0] + p[1]]) or "x")
+        st.sampled_from((tokens, _words_of(text))),
+        st.integers(0, max(0, len(tokens) - 1)),
+        st.integers(1, 7),
+    ).map(lambda p: " ".join(p[0][p[1] : p[1] + p[2]]) or "x")
     variants = runs.flatmap(
         lambda t: st.sampled_from((t, t.upper(), t[:-1] if t[-1] in "sS" else t))
     ).filter(str.strip)
@@ -217,9 +219,9 @@ class TestEntityScan:
     def test_lookup_terms_matches_flat_index(self, phrase, data):
         kb = data.draw(kb_for(phrase))
         index = oracles.term_index(kb)
-        assert kb.lookup_terms(phrase) == index.get(term_key(phrase), ())
+        assert kb.lookup_terms(phrase) == index.get(oracles.term_key(phrase), ())
         for key, hits in index.items():
-            assert kb.lookup_terms(key.upper()) == hits
+            assert kb.lookup_terms(" ".join(key).upper()) == hits
 
     @given(text=PARAGRAPH, data=st.data())
     @settings(max_examples=200, deadline=None)
