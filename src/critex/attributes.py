@@ -191,7 +191,6 @@ QUALIFIER_LEXICON = frozenset({"concomitant", "stable", "normal", "resting"})
 _WITHIN = "within"  # opens "within <number> <time unit>"
 _BETWEEN = "between"  # opens "between <number> and <number>"
 
-_ANCHOR_HEADS = ("prior", "before", "after")
 _ANCHOR_STOP = frozenset({"and", "or", "but", "if"})
 
 

@@ -6,7 +6,8 @@ alignment failures, paths that are missing or cannot be read or written),
 order and repeated runs produce identical bytes.  ``annotate`` writes each
 record as soon as it is done; under ``--deps`` every parse block is
 aligned before the first record is annotated.
-Flag defaults come from ``pipeline.DEFAULT_CONFIG``.
+Flag defaults come from ``pipeline.DEFAULT_CONFIG``, and ``PipelineConfig``
+checks ``annotate``'s settings: a bad value is a usage error.
 """
 
 from __future__ import annotations
@@ -48,19 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _unit_interval(name):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number") from None
-        if not 0.0 <= value <= 1.0:
-            raise argparse.ArgumentTypeError(f"{name} must be in [0, 1]")
-        return value
-
-    return parse
-
-
 def _positive_int(text):
     try:
         value = int(text)
@@ -84,10 +72,10 @@ def _build_parser() -> _Parser:
         "--mode", choices=modes, default=defaults.mode.value,
         help=f"sentence layout of the records (default: {defaults.mode.value})",
     )
-    annotate.add_argument("--theta", type=_unit_interval("theta"), default=defaults.theta,
+    annotate.add_argument("--theta", type=float, default=defaults.theta,
                           help="mixture weight of the compatibility signal")
-    annotate.add_argument("--min-score", type=_unit_interval("min-score"),
-                          default=defaults.min_score, help="assignment threshold")
+    annotate.add_argument("--min-score", type=float, default=defaults.min_score,
+                          help="assignment threshold")
     annotate.add_argument("--cross-sentence", action="store_true",
                           help="allow links between entities and attributes of different sentences")
     annotate.add_argument("--deps", help="external dependency parses (ID FORM HEAD DEPREL blocks)")
@@ -179,22 +167,15 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
     return split
 
 
-def _cmd_annotate(args) -> int:
+def _cmd_annotate(args, config: pipeline.PipelineConfig) -> int:
     kb = load_kb(_resolve_kb_path(args.kb))
     records = sorted(read_corpus(args.input), key=lambda r: r[0])
-    mode = SplitMode(args.mode)
-    config = pipeline.PipelineConfig(
-        mode=mode,
-        theta=args.theta,
-        min_score=args.min_score,
-        cross_sentence=args.cross_sentence,
-    )
     if args.deps:
         # every parse is aligned before the first record is annotated
         results = (
             pipeline._annotate_sentences(record_id, text, sentences, kb, config, parses)
             for (record_id, text), (sentences, parses) in zip(
-                records, _load_parses(args.deps, records, mode)
+                records, _load_parses(args.deps, records, config.mode)
             )
         )
     else:
@@ -270,9 +251,18 @@ def _cmd_config(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "annotate":
+        # PipelineConfig checks the settings, before any file is read
+        try:
+            config = pipeline.PipelineConfig(
+                mode=SplitMode(args.mode), theta=args.theta,
+                min_score=args.min_score, cross_sentence=args.cross_sentence,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         if args.command == "annotate":
-            return _cmd_annotate(args)
+            return _cmd_annotate(args, config)
         if args.command == "evaluate":
             return _cmd_evaluate(args)
         if args.command == "kb":

@@ -147,13 +147,15 @@ def read_brat(txt: str, ann: str, record_id: str = "") -> GoldAnnotation:
 
     Span lines ("T1\\tEntity 0 15\\tsurface") must slice the text exactly;
     relation lines ("R1\\thas_value Arg1:T1 Arg2:T2") must reference declared
-    spans, one entity and one attribute.
+    spans, one entity and one attribute.  Lines end at "\\n" (or "\\r\\n")
+    alone, so a surface may hold U+2028 and the other characters at which
+    ``str.splitlines`` also breaks.
     """
 
     gold = GoldAnnotation(record_id=record_id, text=txt)
     spans: dict[str, GoldSpan] = {}
     pending_relations: list[tuple[str, str, str, str]] = []
-    for lineno, line in enumerate(ann.splitlines(), start=1):
+    for lineno, line in enumerate(ann.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip() or line[0] in "#AEN":
             continue  # notes and attribute/event lines are not used here
         if line.startswith("T"):

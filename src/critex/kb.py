@@ -409,9 +409,10 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
     """
 
     path = Path(path)
-    lines = read_text(path).splitlines()
-    if not lines:
+    text = read_text(path)
+    if not text:
         return KnowledgeBase.build(())
+    lines = text.split("\n")  # a term may hold U+2028, at which splitlines breaks
     header = [c.strip().lower() for c in lines[0].split("\t")]
     try:
         term_col = header.index("term")

@@ -248,8 +248,10 @@ class _Competitors:
       Each candidate is weighed from its own distance, as scoring every
       competitor would weigh it.
 
-    Each parse must be None or aligned to the sentence at its index, or
-    :class:`ParseMismatch` names that index.
+    A :class:`DependencyParse` is aligned to its sentence when it is built,
+    so the parse checks left here are the record's: at most one parse per
+    sentence, each None or a ``DependencyParse`` with the text of the
+    sentence at its index, or :class:`ParseMismatch` names that index.
     """
 
     def __init__(
@@ -274,10 +276,6 @@ class _Competitors:
                 raise ParseMismatch(
                     i, f"sentence {i}: parse is a {type(parse).__name__}, not a DependencyParse"
                 )
-            if parse.sentence is sentence:
-                continue
-            if parse.sentence is None:
-                raise ParseMismatch(i, f"sentence {i}: parse is not aligned to a sentence")
             if parse.sentence.text != sentence.text:
                 raise ParseMismatch(i, f"sentence {i}: parse is aligned to another sentence")
         self._sentences = sentences

@@ -80,7 +80,7 @@ def annotate_record(
     """Run the full pipeline on one record.
 
     ``parses`` optionally supplies one external dependency parse per
-    sentence (None entries fall back to the heuristic), each aligned to the
+    sentence (None entries fall back to the heuristic), each built on the
     sentence at its index (:func:`~critex.syntax.align_block`), or
     :class:`~critex.errors.ParseMismatch` names the index.  The compact
     relations echo surfaces verbatim; the extended payload carries

@@ -1,8 +1,9 @@
 """Syntactic proximity between an entity and an attribute.
 
 A distance is a plain non-negative float.  Three sources produce one: an
-ingested external dependency parse (shortest undirected tree path between
-the span head tokens, :func:`path_distances`, one search per attribute), a
+ingested external dependency parse, aligned to its sentence when it is
+built (:class:`DependencyParse`; shortest undirected tree path between the
+span head tokens, :func:`path_distances`, one search per attribute), a
 built-in clause-proximity heuristic within a sentence (token gap plus a
 penalty per crossed clause boundary, :func:`heuristic_distance`), and,
 under cross-sentence linking, the token gap between sentences plus a
@@ -40,20 +41,28 @@ _START = attrgetter("start")  # bisection key over a sentence's tokens
 
 @dataclass(frozen=True)
 class DependencyParse:
-    """One head (0 = root, else 1-based index) and label per token.
+    """One head (0 = root, else 1-based index) and label per token of
+    ``sentence``, to which the parse is aligned when it is built.
 
-    A head must be an ``int`` and not a ``bool``, and a label a ``str``;
-    anything else is a ``TypeError`` naming the token (counted from 1).
+    ``sentence`` must be a :class:`SentenceRecord` (else ``TypeError``)
+    with one token per head, and there must be one label per head (else
+    :class:`ParseMismatch`).  A head must be an ``int`` and not a ``bool``,
+    and a label a ``str``; anything else is a ``TypeError`` naming the
+    token (counted from 1).  The heads must form a tree.
     """
 
     heads: tuple[int, ...]
     labels: tuple[str, ...]
-    sentence: SentenceRecord | None = None
+    sentence: SentenceRecord
 
     def __post_init__(self):
-        n = len(self.heads)
-        if len(self.labels) != n:
-            raise CycleDetected("heads and labels must have equal length")
+        if not isinstance(self.sentence, SentenceRecord):
+            raise TypeError(f"sentence must be a SentenceRecord, got {self.sentence!r}")
+        n, m, k = len(self.heads), len(self.sentence.tokens), len(self.labels)
+        if n != m:
+            raise ParseMismatch(min(n, m), f"parse has {n} tokens, sentence has {m}")
+        if k != n:
+            raise ParseMismatch(min(n, k), f"parse has {n} heads and {k} labels")
         for i, (head, label) in enumerate(zip(self.heads, self.labels), start=1):
             if isinstance(head, bool) or not isinstance(head, int):
                 raise TypeError(f"token {i} head must be an int, got {head!r}")
@@ -130,25 +139,17 @@ def align_block(
 ) -> DependencyParse:
     """Align one parse block from :func:`parse_blocks` to a tokenized sentence.
 
-    FORM must equal the token surface at every position; the head graph must
-    be a tree.
+    FORM must equal the token surface at every position the block and the
+    sentence share; :class:`DependencyParse` then checks the token count
+    and that the head graph is a tree.
     """
 
-    if len(rows) != len(sentence.tokens):
-        raise ParseMismatch(
-            min(len(rows), len(sentence.tokens)),
-            f"parse has {len(rows)} tokens, sentence has {len(sentence.tokens)}",
-        )
-    heads = []
-    labels = []
-    for i, (idx, form, head, deprel) in enumerate(rows):
-        if form != sentence.tokens[i].surface:
-            raise ParseMismatch(
-                i, f"token {i}: parse FORM {form!r} != surface {sentence.tokens[i].surface!r}"
-            )
-        heads.append(head)
-        labels.append(deprel)
-    return DependencyParse(tuple(heads), tuple(labels), sentence)
+    for i, ((_, form, _, _), token) in enumerate(zip(rows, sentence.tokens)):
+        if form != token.surface:
+            raise ParseMismatch(i, f"token {i}: parse FORM {form!r} != surface {token.surface!r}")
+    return DependencyParse(
+        tuple(head for _, _, head, _ in rows), tuple(deprel for _, _, _, deprel in rows), sentence
+    )
 
 
 def _head_token_index(sentence: SentenceRecord, start: int, end: int) -> int:
@@ -178,8 +179,6 @@ def path_distances(
     once, so an attribute costs O(tokens) whatever the depth of the tree.
     """
 
-    if parse.sentence is None:
-        raise ValueError("parse is not aligned to a sentence")
     sentence, heads = parse.sentence, parse.heads
     node = _head_token_index(sentence, a.start, a.end) + 1
     hops: dict[int, int] = {}  # token -> path length to a's head token

@@ -28,7 +28,7 @@ from critex.attributes import (
     attribute_shape,
 )
 from critex.entities import _NUMERIC, EntityMention, _initials_match
-from critex.errors import CycleDetected, UnknownConcept
+from critex.errors import CycleDetected, ParseMismatch, UnknownConcept
 from critex.floats import left_sum
 from critex.kb import DEFAULT_WEIGHTS, Category, compatibility_terms
 from critex.linker import Relation, relation_label
@@ -156,8 +156,6 @@ def _depth_chain(heads, node):
 def path_distance(parse, e, a):
     """Tree path between the span head tokens: token scans, then walks to the root."""
 
-    if parse.sentence is None:
-        raise ValueError("parse is not aligned to a sentence")
     u = head_token_index(parse.sentence, e.start, e.end) + 1
     v = head_token_index(parse.sentence, a.start, a.end) + 1
     if u == v:
@@ -306,12 +304,16 @@ def link(sentences, mentions, attributes, kb, config, parses=None):
     return assign(candidates, config)
 
 
-def validate_heads(heads, labels):
-    """The head-graph checks of DependencyParse, walking each token to the root."""
+def validate_heads(heads, labels, sentence):
+    """The count and head-graph checks of DependencyParse, walking each token
+    to the root: one head per token of ``sentence``, then one label per head.
+    """
 
-    n = len(heads)
-    if len(labels) != n:
-        raise CycleDetected("heads and labels must have equal length")
+    n, tokens, k = len(heads), len(sentence.tokens), len(labels)
+    if n != tokens:
+        raise ParseMismatch(min(n, tokens), f"parse has {n} tokens, sentence has {tokens}")
+    if k != n:
+        raise ParseMismatch(min(n, k), f"parse has {n} heads and {k} labels")
     if n == 0:
         return
     roots = sum(1 for h in heads if h == 0)

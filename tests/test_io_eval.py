@@ -191,6 +191,15 @@ class TestReadBrat:
         gold = read_brat(FIG_TEXT, ann)
         assert len(gold.entities) == 1
 
+    def test_surface_may_hold_a_line_separator(self):
+        # lines end at "\n" alone: str.splitlines would also break at U+2028
+        gold = read_brat("Age\u2028over 18 years", "T3\tEntity 0 8\tAge\u2028over\n")
+        assert [s.surface for s in gold.entities] == ["Age\u2028over"]
+
+    def test_crlf_lines_read(self):
+        gold = read_brat(FIG_TEXT, self._fig_ann().replace("\n", "\r\n"), record_id="fig")
+        assert gold == read_brat(FIG_TEXT, self._fig_ann(), record_id="fig")
+
 
 class TestEvaluate:
     def _fixture(self):

@@ -405,6 +405,18 @@ class TestImportTsv:
         bw = entries_of(kb, "body weight")[0]
         assert bw.expected_units == ("kg",)
 
+    def test_term_may_hold_a_line_separator(self, tmp_path):
+        # rows end at "\n" alone: str.splitlines would also break at U+2028
+        path = tmp_path / "kb.tsv"
+        path.write_text("term\tvalue_range\tunits\nbody\u2028weight\t\tkg\n", encoding="utf-8")
+        (entry,) = import_tsv(path).entries
+        assert entry.preferred_term == "body\u2028weight"
+
+    def test_empty_file_is_an_empty_kb(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_text("")
+        assert import_tsv(path).entries == ()
+
     def test_bad_range_rejected(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("term\tvalue_range\tunits\nheight\t10-20\tcm\n")

@@ -151,13 +151,6 @@ class TestExternalParses:
             ("Body Mass Index", "≤ 40 kg/m^2")
         ]
 
-    def test_parse_without_a_sentence_is_a_mismatch(self, mini_kb, criterion_line):
-        n = len(split_records(criterion_line, SplitMode.LINES)[0].tokens)
-        parse = DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n)
-        with pytest.raises(ParseMismatch, match="^sentence 0: parse is not aligned") as info:
-            annotate_record("r", criterion_line, mini_kb, parses=[parse])
-        assert info.value.index == 0
-
     def test_parse_of_another_sentence_is_a_mismatch(self, mini_kb, criterion_line):
         text = f"Age 18-65 years\n{criterion_line}"
         parses = [

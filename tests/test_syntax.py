@@ -133,7 +133,33 @@ class TestIngestParse:
     )
     def test_heads_are_ints_and_labels_strs(self, heads, labels, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-            DependencyParse(heads, labels)
+            DependencyParse(heads, labels, sentence_of("w0 w1"))
+
+    def test_sentence_is_required(self):
+        # so annotate_record never sees a parse without a sentence
+        with pytest.raises(TypeError):
+            DependencyParse((0,), ("root",))
+
+    @pytest.mark.parametrize("sentence", [None, "w0", ("r", 0, "w0", 0, ())])
+    def test_sentence_must_be_a_sentence_record(self, sentence):
+        # a plain tuple with a SentenceRecord's fields is not one
+        with pytest.raises(TypeError, match="^sentence must be a SentenceRecord, got "):
+            DependencyParse((0,), ("root",), sentence)
+
+    @pytest.mark.parametrize("n", [3, 14])
+    def test_head_count_other_than_the_sentences_is_a_mismatch(self, n):
+        # an IndexError in the linker (3 heads) or accepted (14) when the
+        # count was checked by align_block alone
+        sentence = sentence_of("Body Mass Index ≤ 40 kg/m^2 and blood pressure 140/90 mmHg")
+        assert len(sentence.tokens) == 11
+        with pytest.raises(ParseMismatch, match=f"^parse has {n} tokens, sentence has 11$") as info:
+            DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n, sentence)
+        assert info.value.index == min(n, 11)
+
+    def test_label_count_other_than_the_head_count_is_a_mismatch(self):
+        with pytest.raises(ParseMismatch, match="^parse has 2 heads and 1 labels$") as info:
+            DependencyParse((0, 1), ("a",), sentence_of("w0 w1"))
+        assert info.value.index == 1
 
     def test_empty_file_empty_sentence(self):
         from critex.segmentation import SentenceRecord
@@ -346,6 +372,8 @@ def _outcome(fn, *args):
 
     try:
         return fn(*args)
+    except ParseMismatch as exc:
+        return type(exc), str(exc), exc.index
     except (CycleDetected, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -390,20 +418,23 @@ def head_graphs(draw):
 
 
 class TestParseValidationOracle:
-    @given(heads=head_graphs(), short_labels=st.booleans())
-    @example(heads=[2, 3, 2, 0], short_labels=False)  # token 1 leads into the cycle 2-3
+    @given(heads=head_graphs(), short_labels=st.booleans(), extra_tokens=st.integers(-2, 2))
+    @example(heads=[2, 3, 2, 0], short_labels=False, extra_tokens=0)  # token 1 leads into the cycle 2-3
     @settings(max_examples=300, deadline=None)
-    def test_same_verdict_and_message_as_walk_to_root(self, heads, short_labels):
+    def test_same_verdict_and_message_as_walk_to_root(self, heads, short_labels, extra_tokens):
+        # the sentence has len(heads) + extra_tokens tokens, at least one
         labels = ("dep",) * (len(heads) - short_labels)
-        got = _outcome(lambda: DependencyParse(tuple(heads), labels) and None)
-        assert got == _outcome(oracles.validate_heads, heads, labels)
+        sentence = sentence_of(" ".join(f"w{i}" for i in range(max(1, len(heads) + extra_tokens))))
+        got = _outcome(lambda: DependencyParse(tuple(heads), labels, sentence) and None)
+        assert got == _outcome(oracles.validate_heads, heads, labels, sentence)
 
     def test_long_chain_is_linear(self):
         # each token walked once: a 20,000-token chain takes milliseconds
         # (walking every token to the root took ~2 s at 8,000 tokens)
         n = 20_000
+        sentence = sentence_of(" ".join(f"w{i}" for i in range(n)))
         started = time.perf_counter()
-        DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n)
+        DependencyParse((0,) + tuple(range(1, n)), ("dep",) * n, sentence)
         assert time.perf_counter() - started < 1.0
 
 

@@ -47,7 +47,7 @@ GRAMMAR_WORDS = sorted(
     | {k for k in attributes._DISPATCH if isinstance(k, str)}
     - attributes._GLYPH_COMPARATORS.keys()
     | attributes._TIME_UNITS.keys()
-    | set(attributes._ANCHOR_HEADS)
+    | {"prior", "before", "after"}  # the words that open a temporal anchor
     | {"to", "the", "past", "last", "for", "of", "their", "a", "an", "per", "times", "and"}
 )
 OTHER_TOKENS = (
