@@ -10,6 +10,13 @@ relation object.  Surfaces are verbatim substrings of the record text; the
 optional "extended" payload adds mention offsets, parsed attribute payloads,
 per-relation scores and unlinked attributes, and is what the evaluator
 consumes.  Gold annotations come from Brat standoff (.txt/.ann) files.
+
+A record has two serialize paths to the same bytes.  A pipeline record
+holds the pipeline's tuples (a ``_Payload``) until its ``extended`` is read
+or assigned, and ``to_json`` writes its compact form straight from them,
+one ``%`` template per payload; the first read of ``extended`` builds the
+dicts from the same tuples.  Every other record, and every indented form,
+goes through ``json``'s encoder.
 """
 
 from __future__ import annotations
@@ -44,14 +51,52 @@ class RelationPair(NamedTuple):
     attribute: str
 
 
+class _Payload(NamedTuple):
+    """A pipeline record's tuples, from which its ``extended`` dict is built.
+
+    ``offsets[i]`` is sentence ``i``'s character offset in the record;
+    ``links[i]`` is attribute ``i``'s relation, or None when unlinked; and
+    ``entity_index`` maps a mention's ``(sentence_index, start)`` to its
+    index in ``mentions``.
+    """
+
+    offsets: list[int]
+    mentions: Sequence
+    attributes: Sequence
+    links: Sequence
+    entity_index: dict[tuple[int, int], int]
+
+
 @dataclass
 class StructuredRecord:
-    """Per-record output: id, text, and the linked relation surfaces."""
+    """Per-record output: id, text, and the linked relation surfaces.
+
+    ``extended`` is a property over the private ``_extended`` slot.  The
+    pipeline passes a :class:`_Payload` there, and the first read of
+    ``extended`` replaces it with the dict :func:`_extended_dict` builds;
+    until then :func:`to_json` writes the record straight from the tuples.
+    Assigning ``extended`` stores the value as given.
+    """
 
     id: str
     text: str
     relations: list[RelationPair] = field(default_factory=list)
     extended: dict | None = None
+
+
+def _read_extended(record: StructuredRecord) -> dict | None:
+    value = record._extended
+    if type(value) is _Payload:
+        value = record._extended = _extended_dict(*value)
+    return value
+
+
+def _write_extended(record: StructuredRecord, value: dict | None) -> None:
+    record._extended = value
+
+
+# set after the class is made, so that the dataclass field keeps its default
+StructuredRecord.extended = property(_read_extended, _write_extended)
 
 
 _EMPTY_EXTENDED = {
@@ -63,21 +108,184 @@ _EMPTY_EXTENDED = {
 }
 
 
+def _extended_dict(offsets, mentions, attributes, links, entity_index) -> dict:
+    """The ``extended`` payload of a pipeline record.
+
+    Payload offsets are record-level: a mention's sentence offset plus its
+    own.  Enum fields are read as ``_value_`` and ``_name_``, plain
+    attributes, where the ``value`` and ``name`` properties run Python code
+    on every read.
+    """
+
+    entity_payloads = [
+        {
+            "surface": surface,
+            "start": offsets[index] + start,
+            "end": offsets[index] + end,
+            "concept_id": concept_id,
+            "matched_term": matched_term,
+            "sentence_index": index,
+        }
+        for index, start, end, surface, concept_id, matched_term in mentions
+    ]
+    attribute_payloads = [
+        {
+            "surface": surface,
+            "start": offsets[index] + start,
+            "end": offsets[index] + end,
+            "kind": kind._value_,
+            "comparator": comparator._name_ if comparator is not None else None,
+            # an integral value prints as an int ("40", not "40.0")
+            "values": [int(v) if float(v).is_integer() else v for v in values],
+            "unit": unit,
+            "time_unit": time_unit._name_ if time_unit is not None else None,
+            "anchor": anchor,
+            "sentence_index": index,
+        }
+        for (
+            index, start, end, surface, kind, comparator, values, unit, time_unit, anchor
+        ) in attributes
+    ]
+    relation_payloads = []
+    unlinked = []
+    for i, r in enumerate(links):
+        if r is None:
+            unlinked.append(attribute_payloads[i])
+            continue
+        entity, _, label, score = r
+        relation_payloads.append(
+            {
+                "entity": entity_index[entity.sentence_index, entity.start],
+                "attribute": i,
+                "label": label,
+                "score": score,
+            }
+        )
+    return {
+        "entities": entity_payloads,
+        "attributes": attribute_payloads,
+        "relations": relation_payloads,
+        "scores": [p["score"] for p in relation_payloads],
+        "unlinked_attributes": unlinked,
+    }
+
+
 # One encoder for every compact document.  ``json.dumps(...,
 # ensure_ascii=False)`` would build an encoder per call, and the
 # circular-reference check walks every container; a record's payload is a
 # tree built by the pipeline, so there is no cycle to find.
 _COMPACT = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
+# The compact encoder's own string writer under ``ensure_ascii=False``, and
+# its spelling of the floats that ``float.__repr__`` writes as "nan", "inf"
+# and "-inf".
+_string = json.encoder.encode_basestring
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _payload_json(payload: _Payload) -> str:
+    """The ``"extended"`` object of a pipeline record, as the compact
+    encoder writes :func:`_extended_dict`'s dict.
+
+    Offsets and indexes are ints, which ``%s`` writes as ``int.__repr__``
+    does.
+    """
+
+    offsets, mentions, attributes, links, entity_index = payload
+    entities = ", ".join([
+        '{"surface": %s, "start": %s, "end": %s, "concept_id": %s,'
+        ' "matched_term": %s, "sentence_index": %s}'
+        % (
+            _string(surface), offsets[index] + start, offsets[index] + end,
+            _string(concept_id), _string(matched_term), index,
+        )
+        for index, start, end, surface, concept_id, matched_term in mentions
+    ])
+    attribute_texts = [
+        '{"surface": %s, "start": %s, "end": %s, "kind": %s, "comparator": %s,'
+        ' "values": [%s], "unit": %s, "time_unit": %s, "anchor": %s, "sentence_index": %s}'
+        % (
+            _string(surface), offsets[index] + start, offsets[index] + end,
+            _string(kind._value_),
+            "null" if comparator is None else _string(comparator._name_),
+            # an integral value prints as an int ("40", not "40.0")
+            ", ".join([str(int(v)) if float(v).is_integer() else _float(v) for v in values]),
+            "null" if unit is None else _string(unit),
+            "null" if time_unit is None else _string(time_unit._name_),
+            "null" if anchor is None else _string(anchor),
+            index,
+        )
+        for (
+            index, start, end, surface, kind, comparator, values, unit, time_unit, anchor
+        ) in attributes
+    ]
+    relations = []
+    scores = []
+    unlinked = []
+    for i, r in enumerate(links):
+        if r is None:
+            unlinked.append(attribute_texts[i])
+            continue
+        entity, _, label, score = r
+        score = _float(score)
+        scores.append(score)
+        relations.append(
+            '{"entity": %s, "attribute": %s, "label": %s, "score": %s}'
+            % (entity_index[entity.sentence_index, entity.start], i, _string(label), score)
+        )
+    return (
+        '{"entities": [%s], "attributes": [%s], "relations": [%s], "scores": [%s],'
+        ' "unlinked_attributes": [%s]}'
+        % (
+            entities, ", ".join(attribute_texts), ", ".join(relations), ", ".join(scores),
+            ", ".join(unlinked),
+        )
+    )
+
+
+def _record_json(record: StructuredRecord, payload: _Payload | None) -> str:
+    """The compact document of a pipeline record, with ``payload`` as its
+    ``"extended"`` object unless None."""
+
+    relation = ", ".join([
+        '{"entity": %s, "attribute": %s}' % (_string(p.entity), _string(p.attribute))
+        for p in record.relations
+    ])
+    if payload is None:
+        return '{"result": {"id": %s, "text": %s, "relation": [%s]}}' % (
+            _string(record.id), _string(record.text), relation,
+        )
+    return '{"result": {"id": %s, "text": %s, "relation": [%s], "extended": %s}}' % (
+        _string(record.id), _string(record.text), relation, _payload_json(payload),
+    )
+
 
 def to_json(record: StructuredRecord, extended: bool = False, indent: int | None = None) -> str:
     """Serialize a record; key order is fixed for byte-stable output.
 
-    The compact form (``indent=None``) does not check for circular
-    references: a hand-built ``extended`` that contains itself raises
-    ``RecursionError``.
+    There are two paths to the same bytes.  The compact form
+    (``indent=None``) of a pipeline record whose ``extended`` has not been
+    read or assigned is written straight from its tuples: one ``%``
+    template per payload, with the encoder's own string writer and its
+    spelling of floats (:func:`_record_json`).  Every other record, and
+    every ``indent`` form, goes through ``json``'s encoder; so does a
+    pipeline record whose id or relation surfaces are not strings.
+
+    The compact form does not check for circular references: a hand-built
+    ``extended`` that contains itself raises ``RecursionError``.
     """
 
+    payload = record._extended
+    if indent is None and type(payload) is _Payload:
+        try:
+            return _record_json(record, payload if extended else None)
+        except TypeError:
+            pass  # a value the templates do not write: the encoder decides
     result = {
         "id": record.id,
         "text": record.text,

@@ -10,8 +10,10 @@ syntactic distances, scores them and keeps the best (see
 :mod:`critex.linker`).  The record is built from those links: attribute
 ``i`` is payload ``i``, unlinked when its link is None.
 Sentences, mentions, relations and output pairs are ``typing.NamedTuple``s
-(``AttributeMention`` checks its payload in ``__new__``), so the record
-build reads their fields by unpacking and builds each payload dict inline.
+(``AttributeMention`` checks its payload in ``__new__``).  The record build
+makes only the relation pairs and keeps the pipeline's tuples in the
+record: ``io_eval.to_json`` writes the payload from them, and the
+``extended`` dicts are built only when a caller reads them.
 Everything is deterministic: the same record, knowledge base and config
 always give the same output.
 """
@@ -26,7 +28,7 @@ from typing import Sequence
 from .attributes import AttributeMention, extract_attributes
 from .entities import EntityMention, link_abbreviations, recognize_entities
 from .kb import CompatibilityWeights, KnowledgeBase
-from .io_eval import RelationPair, StructuredRecord
+from .io_eval import RelationPair, StructuredRecord, _Payload
 from .linker import Relation, _Competitors
 from .segmentation import SentenceRecord, SplitMode, split_records
 from .syntax import DependencyParse
@@ -132,68 +134,18 @@ def _build_record(
 ) -> StructuredRecord:
     """The record of attribute ``i`` linked by ``links[i]`` (None: unlinked).
 
-    Payload offsets are record-level: a mention's sentence offset plus its
-    own.  Enum fields are read as ``_value_`` and ``_name_``, plain
-    attributes, where the ``value`` and ``name`` properties run Python code
-    on every read.
+    Only the relation pairs and the entity index are built here.  The
+    record keeps the sentence offsets, mentions, attributes, links and
+    entity index as they are, and ``to_json`` writes its payload from them;
+    its ``extended`` dict is built from them when first read.
     """
 
-    offsets = [s.char_offset for s in sentences]
-    entity_payloads = [
-        {
-            "surface": surface,
-            "start": offsets[index] + start,
-            "end": offsets[index] + end,
-            "concept_id": concept_id,
-            "matched_term": matched_term,
-            "sentence_index": index,
-        }
-        for index, start, end, surface, concept_id, matched_term in mentions
-    ]
-    attribute_payloads = [
-        {
-            "surface": surface,
-            "start": offsets[index] + start,
-            "end": offsets[index] + end,
-            "kind": kind._value_,
-            "comparator": comparator._name_ if comparator is not None else None,
-            # an integral value prints as an int ("40", not "40.0")
-            "values": [int(v) if float(v).is_integer() else v for v in values],
-            "unit": unit,
-            "time_unit": time_unit._name_ if time_unit is not None else None,
-            "anchor": anchor,
-            "sentence_index": index,
-        }
-        for (
-            index, start, end, surface, kind, comparator, values, unit, time_unit, anchor
-        ) in attributes
-    ]
     # mentions are disjoint, so a sentence and a start name one
     entity_index = {(m.sentence_index, m.start): i for i, m in enumerate(mentions)}
-    pairs = []
-    relation_payloads = []
-    unlinked = []
-    for i, r in enumerate(links):
-        if r is None:
-            unlinked.append(attribute_payloads[i])
-            continue
-        entity, attribute, label, score = r
-        pairs.append(RelationPair(entity.surface, attribute.surface))
-        relation_payloads.append(
-            {
-                "entity": entity_index[entity.sentence_index, entity.start],
-                "attribute": i,
-                "label": label,
-                "score": score,
-            }
-        )
-    extended = {
-        "entities": entity_payloads,
-        "attributes": attribute_payloads,
-        "relations": relation_payloads,
-        "scores": [p["score"] for p in relation_payloads],
-        "unlinked_attributes": unlinked,
-    }
-    return StructuredRecord(
-        id=record_id, text=text, relations=pairs, extended=extended
+    pairs = [
+        RelationPair(r.entity.surface, r.attribute.surface) for r in links if r is not None
+    ]
+    payload = _Payload(
+        [s.char_offset for s in sentences], mentions, attributes, links, entity_index
     )
+    return StructuredRecord(id=record_id, text=text, relations=pairs, extended=payload)

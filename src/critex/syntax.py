@@ -103,11 +103,14 @@ def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
     lines separate sentences, and the IDs of a block run 1, 2, ... in order.
     ID and HEAD are ASCII decimal digits only: "1_0", "+2", " 3" or "٣",
     which ``int()`` would read, are a ``ParseMismatch`` naming the line.
+    Lines end at "\\n" (or "\\r\\n") alone, as in :func:`~critex.io_eval.read_brat`,
+    so a FORM or DEPREL may hold U+0085, U+2028 and the other characters at
+    which ``str.splitlines`` also breaks; a lone "\\r" ends no line.
     """
 
     blocks: list[list[tuple[int, str, int, str]]] = []
     current: list[tuple[int, str, int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             if current:
                 blocks.append(current)

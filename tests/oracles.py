@@ -794,21 +794,18 @@ def _attribute_payload(sentences, a):
     }
 
 
-def record_json(record_id, text, sentences, mentions, attributes, links, extended):
-    """The output line of a record, one payload helper per mention and a
-    fresh ``json.dumps`` per record."""
+def extended_payload(sentences, mentions, attributes, links):
+    """The ``extended`` dict of a record, one payload helper per mention."""
 
     entity_payloads = [_entity_payload(sentences, m) for m in mentions]
     attribute_payloads = [_attribute_payload(sentences, a) for a in attributes]
     entity_index = {(m.sentence_index, m.start): i for i, m in enumerate(mentions)}
-    relation = []
     relation_payloads = []
     unlinked = []
     for i, r in enumerate(links):
         if r is None:
             unlinked.append(attribute_payloads[i])
             continue
-        relation.append({"entity": r.entity.surface, "attribute": r.attribute.surface})
         relation_payloads.append(
             {
                 "entity": entity_index[r.entity.sentence_index, r.entity.start],
@@ -817,13 +814,25 @@ def record_json(record_id, text, sentences, mentions, attributes, links, extende
                 "score": r.score,
             }
         )
+    return {
+        "entities": entity_payloads,
+        "attributes": attribute_payloads,
+        "relations": relation_payloads,
+        "scores": [p["score"] for p in relation_payloads],
+        "unlinked_attributes": unlinked,
+    }
+
+
+def record_json(record_id, text, sentences, mentions, attributes, links, extended):
+    """The output line of a record, with :func:`extended_payload` and a
+    fresh ``json.dumps`` per record."""
+
+    relation = [
+        {"entity": r.entity.surface, "attribute": r.attribute.surface}
+        for r in links
+        if r is not None
+    ]
     result = {"id": record_id, "text": text, "relation": relation}
     if extended:
-        result["extended"] = {
-            "entities": entity_payloads,
-            "attributes": attribute_payloads,
-            "relations": relation_payloads,
-            "scores": [p["score"] for p in relation_payloads],
-            "unlinked_attributes": unlinked,
-        }
+        result["extended"] = extended_payload(sentences, mentions, attributes, links)
     return json.dumps({"result": result}, ensure_ascii=False)

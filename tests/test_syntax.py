@@ -120,6 +120,28 @@ class TestIngestParse:
         (block,) = parse_blocks(rows)
         assert [(idx, head) for idx, _, head, _ in block][-3:] == [(10, 1), (11, 1), (12, 1)]
 
+    def test_u0085_in_a_column_ends_no_line(self):
+        # str.splitlines would break after "root", making an empty line
+        # (a new block) and the second row line 3
+        (block,) = parse_blocks("1\tA\t0\troot\u0085\n2\tB\t1\tdep\n")
+        assert block == [(1, "A", 0, "root\u0085"), (2, "B", 1, "dep")]
+
+    def test_u2028_in_a_deprel_ends_no_line(self):
+        # str.splitlines would cut "d\u2028x" into two lines of too few columns
+        (block,) = parse_blocks("1\tA\t0\troot\n2\tB\t1\td\u2028x\n")
+        assert block[1] == (2, "B", 1, "d\u2028x")
+
+    def test_lines_end_at_crlf_and_lf_only(self):
+        crlf = "1\tA\t0\troot\r\n2\tB\t1\tdep\r\n\r\n1\tC\t0\troot\r\n"
+        assert parse_blocks(crlf) == parse_blocks(crlf.replace("\r\n", "\n"))
+        # a lone "\r" is part of the column
+        (block,) = parse_blocks("1\tA\t0\troot\r2\tB\t1\tdep\n")
+        assert block == [(1, "A", 0, "root\r2")]
+
+    def test_a_line_number_counts_lines_ended_at_newline_only(self):
+        with pytest.raises(ParseMismatch, match="^line 2: ID 3 out of order, expected 2$"):
+            parse_blocks("1\tA\t0\troot\u0085\n3\tB\t1\tdep\n")
+
     @pytest.mark.parametrize(
         "heads,labels,message",
         [

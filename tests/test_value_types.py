@@ -5,10 +5,13 @@
 and by position, none can be assigned, and equal values compare equal and
 hash alike.  ``AttributeMention`` checks its payload however it is built.
 The record build and ``to_json`` are checked byte for byte against the
-payload helpers and the per-record ``json.dumps`` kept in ``oracles``.
+payload helpers and the per-record ``json.dumps`` kept in ``oracles``, both
+as written from the pipeline's tuples and after ``extended`` is read.
 """
 
+import dataclasses
 import inspect
+import json
 import pickle
 
 import pytest
@@ -17,10 +20,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from critex.attributes import AttributeKind, AttributeMention, Comparator, TimeUnit
 from critex.entities import EntityMention
-from critex.io_eval import RelationPair, StructuredRecord, to_json
+from critex import io_eval, pipeline
+from critex.io_eval import RelationPair, StructuredRecord, from_json, to_json
 from critex.linker import Relation
-from critex.pipeline import _build_record
-from critex.segmentation import SentenceRecord, Token, TokenShape
+from critex.pipeline import PipelineConfig, _build_record
+from critex.segmentation import SentenceRecord, SplitMode, Token, TokenShape
+
+from conftest import PARAGRAPH_TWO
 
 ENTITY = EntityMention(1, 4, 18, "blood pressure", "C0005823", "blood pressure")
 ATTRIBUTE = AttributeMention(
@@ -203,8 +209,141 @@ def record_parts(draw):
 @settings(max_examples=300)
 def test_record_build_and_serialize_match_the_payload_oracle(parts):
     record = _build_record(*parts)
-    for extended in (False, True):
-        assert to_json(record, extended=extended) == oracles.record_json(*parts, extended)
+    expected = [oracles.record_json(*parts, extended) for extended in (False, True)]
+    # written from the pipeline's tuples, then from the dict built on first read
+    assert [to_json(record, extended=e) for e in (False, True)] == expected
+    record.extended
+    assert [to_json(record, extended=e) for e in (False, True)] == expected
+
+
+def test_non_finite_scores_and_values_are_spelled_as_the_encoder_spells_them():
+    sentences = [SentenceRecord("r", 0, "x", 0, ())]
+    values = (float("inf"), float("nan"), float("-inf"))
+    attributes = [
+        AttributeMention(0, 0, 1, "x", AttributeKind.TEMPORAL, values=values),
+        AttributeMention(0, 0, 1, "y", AttributeKind.COMPARISON, Comparator.GT, (float("nan"),)),
+    ]
+    links = [
+        Relation(ENTITY._replace(sentence_index=0), a, "has_value", score)
+        for a, score in zip(attributes, (float("nan"), float("-inf")))
+    ]
+    parts = ("r", "x", sentences, [ENTITY._replace(sentence_index=0)], attributes, links)
+    record = _build_record(*parts)
+    expected = oracles.record_json(*parts, True)
+    assert '"values": [Infinity, NaN, -Infinity]' in expected
+    assert '"scores": [NaN, -Infinity]' in expected
+    assert to_json(record, extended=True) == expected
+    record.extended
+    assert to_json(record, extended=True) == expected
+
+
+PIPELINE_TEXT = PARAGRAPH_TWO + " Participants must weigh over 50 kg."
+
+
+@pytest.fixture()
+def annotated(mini_kb, monkeypatch):
+    """``annotate(record_id)``: a pipeline record of ``PIPELINE_TEXT`` and
+    the parts ``_build_record`` made it from."""
+
+    made = []
+
+    def build(*parts):
+        made.append(parts)
+        return _build_record(*parts)
+
+    monkeypatch.setattr(pipeline, "_build_record", build)
+
+    def annotate(record_id="r1"):
+        config = PipelineConfig(mode=SplitMode.PARAGRAPHS)
+        return pipeline.annotate_record(record_id, PIPELINE_TEXT, mini_kb, config), made[-1]
+
+    return annotate
+
+
+def eager(record, parts):
+    """``record`` as it was built with its ``extended`` dict up front."""
+
+    extended = oracles.extended_payload(*parts[2:])
+    return StructuredRecord(record.id, record.text, list(record.relations), extended)
+
+
+class TestPipelineRecord:
+    """A pipeline record builds ``extended`` on first read, and is the same
+    record as one built with the dict up front."""
+
+    def test_compact_output_builds_no_dict(self, annotated, monkeypatch):
+        def no_dict(*parts):
+            raise AssertionError("extended dict built")
+
+        monkeypatch.setattr(io_eval, "_extended_dict", no_dict)
+        record, parts = annotated()
+        for extended in (False, True):
+            assert to_json(record, extended=extended) == oracles.record_json(*parts, extended)
+        with pytest.raises(AssertionError, match="extended dict built"):
+            record.extended
+
+    def test_extended_is_built_once(self, annotated):
+        record, parts = annotated()
+        assert record.extended is record.extended
+        assert record.extended == oracles.extended_payload(*parts[2:])
+        assert record.extended["unlinked_attributes"] and record.extended["relations"]
+
+    def test_an_edit_to_extended_is_written(self, annotated):
+        record, parts = annotated()
+        record.extended["entities"][0]["surface"] = "edited"
+        record.extended["scores"].append(0.5)
+        doc = json.loads(to_json(record, extended=True))
+        assert doc["result"]["extended"]["entities"][0]["surface"] == "edited"
+        assert doc["result"]["extended"]["scores"][-1] == 0.5
+
+    @pytest.mark.parametrize(
+        "value,written",
+        [({"entities": []}, {"entities": []}), (None, oracles.extended_payload([], [], [], []))],
+    )
+    def test_an_assigned_extended_is_written(self, annotated, value, written):
+        record, _ = annotated()
+        record.extended = value
+        assert record.extended == value
+        assert json.loads(to_json(record, extended=True))["result"]["extended"] == written
+
+    def test_equality_and_repr_match_a_record_built_with_the_dict(self, annotated):
+        record, parts = annotated()
+        assert repr(record) == repr(eager(record, parts))
+        record, parts = annotated()
+        assert record == eager(record, parts)
+        record, parts = annotated()
+        assert eager(record, parts) == record
+        other, _ = annotated("r2")
+        assert record != other
+
+    def test_replace_asdict_and_pickle(self, annotated):
+        record, parts = annotated()
+        assert dataclasses.replace(record, id="r2") == dataclasses.replace(eager(record, parts), id="r2")
+        record, parts = annotated()
+        assert dataclasses.asdict(record) == dataclasses.asdict(eager(record, parts))
+        record, parts = annotated()
+        again = pickle.loads(pickle.dumps(record))
+        assert to_json(again, extended=True) == oracles.record_json(*parts, True)
+        assert again == eager(record, parts) == record
+
+    def test_json_round_trip(self, annotated):
+        record, _ = annotated()
+        assert from_json(to_json(record, extended=True)) == record
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_indented_output_is_unchanged(self, annotated, extended):
+        record, parts = annotated()
+        document = json.loads(oracles.record_json(*parts, extended))
+        expected = json.dumps(document, ensure_ascii=False, indent=2)
+        assert to_json(record, extended=extended, indent=2) == expected
+        record, _ = annotated()
+        record.extended
+        assert to_json(record, extended=extended, indent=2) == expected
+
+    def test_an_id_that_is_not_a_string_goes_through_the_encoder(self, annotated):
+        record, parts = annotated(7)
+        assert to_json(record, extended=True) == oracles.record_json(*parts, True)
+        assert to_json(record).startswith('{"result": {"id": 7, ')
 
 
 def test_cyclic_extended_payload_raises_recursion_error():
