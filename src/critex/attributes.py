@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .segmentation import SentenceRecord, Token, TokenShape
+from .segmentation import SentenceRecord, TokenShape
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase
@@ -207,51 +207,52 @@ class _Parse:
     anchor: tuple[int, int] | None = None  # char offsets of the anchor phrase
 
 
-def _comparator_at(toks: Sequence[Token], i: int) -> tuple[Comparator, int, bool] | None:
+def _comparator_at(s: SentenceRecord, i: int) -> tuple[Comparator, int, bool] | None:
     """Return (comparator, tokens consumed, is_symbolic) or None."""
 
-    if i >= len(toks):
+    surfaces = s.surfaces
+    if i >= len(surfaces):
         return None
-    surface = toks[i].surface
+    surface = surfaces[i]
     if surface in _GLYPH_COMPARATORS:
         return _GLYPH_COMPARATORS[surface], 1, True
     for words, comp in _WORD_COMPARATORS_BY_FIRST.get(surface.lower(), ()):
         n = len(words)
-        if i + n <= len(toks) and all(
-            toks[i + k].surface.lower() == words[k] for k in range(1, n)
+        if i + n <= len(surfaces) and all(
+            surfaces[i + k].lower() == words[k] for k in range(1, n)
         ):
             return comp, n, False
     return None
 
 
-def _number_at(toks: Sequence[Token], i: int) -> float | None:
-    if i >= len(toks):
+def _number_at(s: SentenceRecord, i: int) -> float | None:
+    if i >= len(s.surfaces):
         return None
-    tok = toks[i]
-    if tok.shape is TokenShape.NUMBER:
-        value = float(tok.surface.replace(",", ""))
+    surface = s.surfaces[i]
+    if s.shapes[i] is TokenShape.NUMBER:
+        value = float(surface.replace(",", ""))
         return value if math.isfinite(value) else None  # too long for a float
-    word = tok.surface.lower()
+    word = surface.lower()
     if word in _NUMBER_WORDS:
         return float(_NUMBER_WORDS[word])
     return None
 
 
-def _time_unit_at(toks: Sequence[Token], i: int) -> TimeUnit | None:
-    if i >= len(toks):
+def _time_unit_at(s: SentenceRecord, i: int) -> TimeUnit | None:
+    if i >= len(s.surfaces):
         return None
-    return _TIME_UNITS.get(toks[i].surface.lower())
+    return _TIME_UNITS.get(s.surfaces[i].lower())
 
 
-def _unit_at(toks: Sequence[Token], i: int, normalize) -> tuple[str, int] | None:
+def _unit_at(s: SentenceRecord, i: int, normalize) -> tuple[str, int] | None:
     """Longest unit match starting at token i, up to three tokens wide."""
 
     # a unit spans no punctuation or symbol token
     surfaces = []
-    for tok in toks[i : i + 3]:
-        if tok.shape is TokenShape.PUNCT or tok.shape is TokenShape.SYMBOL:
+    for surface, shape in zip(s.surfaces[i : i + 3], s.shapes[i : i + 3]):
+        if shape is TokenShape.PUNCT or shape is TokenShape.SYMBOL:
             break
-        surfaces.append(tok.surface)
+        surfaces.append(surface)
     for n in range(len(surfaces), 0, -1):
         canonical = normalize(" ".join(surfaces[:n]))
         if canonical is not None:
@@ -259,24 +260,26 @@ def _unit_at(toks: Sequence[Token], i: int, normalize) -> tuple[str, int] | None
     return None
 
 
-def _anchor_at(toks: Sequence[Token], i: int) -> int:
+def _anchor_at(s: SentenceRecord, i: int) -> int:
     """Number of tokens absorbed by a trailing anchor phrase (0 if none)."""
+
+    surfaces, shapes = s.surfaces, s.shapes
 
     def words_after(j: int, limit: int) -> int:
         n = 0
         while (
-            j + n < len(toks)
+            j + n < len(surfaces)
             and n < limit
-            and toks[j + n].shape is TokenShape.WORD
-            and toks[j + n].surface.lower() not in _ANCHOR_STOP
+            and shapes[j + n] is TokenShape.WORD
+            and surfaces[j + n].lower() not in _ANCHOR_STOP
         ):
             n += 1
         return n
 
-    if i >= len(toks):
+    if i >= len(surfaces):
         return 0
-    head = toks[i].surface.lower()
-    if head == "prior" and i + 1 < len(toks) and toks[i + 1].surface.lower() == "to":
+    head = surfaces[i].lower()
+    if head == "prior" and i + 1 < len(surfaces) and surfaces[i + 1].lower() == "to":
         n = words_after(i + 2, 3)
         return 2 + n if n else 0
     if head in ("before", "after"):
@@ -284,85 +287,86 @@ def _anchor_at(toks: Sequence[Token], i: int) -> int:
         return 1 + n if n else 0
     if (
         head == "for"
-        and i + 1 < len(toks)
-        and toks[i + 1].surface.lower() == "the"
-        and i + 2 < len(toks)
-        and toks[i + 2].surface.lower() in ("past", "last")
-        and _number_at(toks, i + 3) is not None
-        and _time_unit_at(toks, i + 4) is not None
+        and i + 1 < len(surfaces)
+        and surfaces[i + 1].lower() == "the"
+        and i + 2 < len(surfaces)
+        and surfaces[i + 2].lower() in ("past", "last")
+        and _number_at(s, i + 3) is not None
+        and _time_unit_at(s, i + 4) is not None
     ):
         return 5
-    if head == "of" and i + 1 < len(toks) and toks[i + 1].surface.lower() == "their":
+    if head == "of" and i + 1 < len(surfaces) and surfaces[i + 1].lower() == "their":
         n = words_after(i + 2, 4)
         return 2 + n if n else 0
     return 0
 
 
-def _unit_suffix(toks, last: int, normalize) -> tuple[str | None, int, int]:
+def _unit_suffix(s, last: int, normalize) -> tuple[str | None, int, int]:
     """Optional unit after token ``last``: (unit, span_end, next_i)."""
 
-    u = _unit_at(toks, last + 1, normalize)
+    u = _unit_at(s, last + 1, normalize)
     if u is None:
         return None, last, last + 1
     unit, n = u
     return unit, last + n, last + 1 + n
 
 
-def _anchor_suffix(toks, j: int, span_end: int) -> tuple[tuple[int, int] | None, int, int]:
+def _anchor_suffix(s, j: int, span_end: int) -> tuple[tuple[int, int] | None, int, int]:
     """Optional trailing anchor at token ``j``: (anchor, span_end, next_i)."""
 
-    n = _anchor_at(toks, j)
+    n = _anchor_at(s, j)
     if not n:
         return None, span_end, j
-    return (toks[j].start, toks[j + n - 1].end), j + n - 1, j + n
+    return (s.starts[j], s.ends[j + n - 1]), j + n - 1, j + n
 
 
 # what a production sees when no comparator starts the position
 _NO_COMPARATOR = (None, 0, False)
 
 
-def _ratio(toks, i, hit, normalize) -> _Parse | None:
+def _ratio(s, i, hit, normalize) -> _Parse | None:
     comp, n, symbolic = hit or _NO_COMPARATOR
     j = i + n
-    if j >= len(toks) or toks[j].shape is not TokenShape.RATIO:
+    if j >= len(s.shapes) or s.shapes[j] is not TokenShape.RATIO:
         return None
-    num_s, den_s = toks[j].surface.split("/")
+    num_s, den_s = s.surfaces[j].split("/")
     num, den = float(num_s), float(den_s)
     if not (0 < num < math.inf and 0 < den < math.inf):
         return None
-    unit, span_end, next_i = _unit_suffix(toks, j, normalize)
+    unit, span_end, next_i = _unit_suffix(s, j, normalize)
     return _Parse(AttributeKind.RATIO, i if symbolic else j, span_end, next_i,
                   comparator=comp, values=(num, den), unit=unit)
 
 
-def _range(toks, i, hit, normalize) -> _Parse | None:
-    if toks[i].shape is TokenShape.RANGE:
-        lo_s, hi_s = toks[i].surface.replace("–", "-").split("-")
+def _range(s, i, hit, normalize) -> _Parse | None:
+    surfaces = s.surfaces
+    if s.shapes[i] is TokenShape.RANGE:
+        lo_s, hi_s = surfaces[i].replace("–", "-").split("-")
         values, last = (float(lo_s), float(hi_s)), i
         if not all(map(math.isfinite, values)):
             return None
     elif (  # "between X and Y [unit]"
-        toks[i].surface.lower() == _BETWEEN
-        and _number_at(toks, i + 1) is not None
-        and i + 2 < len(toks)
-        and toks[i + 2].surface.lower() == "and"
-        and _number_at(toks, i + 3) is not None
+        surfaces[i].lower() == _BETWEEN
+        and _number_at(s, i + 1) is not None
+        and i + 2 < len(surfaces)
+        and surfaces[i + 2].lower() == "and"
+        and _number_at(s, i + 3) is not None
     ):
-        values, last = (_number_at(toks, i + 1), _number_at(toks, i + 3)), i + 3
+        values, last = (_number_at(s, i + 1), _number_at(s, i + 3)), i + 3
     else:
         return None
-    unit, span_end, next_i = _unit_suffix(toks, last, normalize)
+    unit, span_end, next_i = _unit_suffix(s, last, normalize)
     return _Parse(AttributeKind.RANGE, i, span_end, next_i,
                   values=tuple(sorted(values)), unit=unit)
 
 
-def _comparison(toks, i, hit, normalize) -> _Parse | None:
+def _comparison(s, i, hit, normalize) -> _Parse | None:
     comp, n, symbolic = hit or _NO_COMPARATOR
     j = i + n
-    value = _number_at(toks, j)
+    value = _number_at(s, j)
     if value is None:
         return None
-    unit, span_end, next_i = _unit_suffix(toks, j, normalize)
+    unit, span_end, next_i = _unit_suffix(s, j, normalize)
     # A bare number is not an attribute: we need a comparator or a unit.
     if comp is None:
         if unit is None:
@@ -372,43 +376,44 @@ def _comparison(toks, i, hit, normalize) -> _Parse | None:
                   comparator=comp, values=(value,), unit=unit)
 
 
-def _temporal(toks, i, hit, normalize) -> _Parse | None:
-    if toks[i].surface.lower() == _WITHIN:
+def _temporal(s, i, hit, normalize) -> _Parse | None:
+    if s.surfaces[i].lower() == _WITHIN:
         comp, j = Comparator.LE, i + 1
     elif hit:
         comp, n, _ = hit
         j = i + n
     else:
         return None
-    value = _number_at(toks, j)
+    value = _number_at(s, j)
     if value is None:
         return None
-    unit = _time_unit_at(toks, j + 1)
+    unit = _time_unit_at(s, j + 1)
     if unit is None:
         return None
-    anchor, span_end, next_i = _anchor_suffix(toks, j + 2, j + 1)
+    anchor, span_end, next_i = _anchor_suffix(s, j + 2, j + 1)
     return _Parse(AttributeKind.TEMPORAL, i, span_end, next_i,
                   comparator=comp, values=(value,), time_unit=unit,
                   anchor=anchor)
 
 
-def _frequency(toks, i, hit, normalize) -> _Parse | None:
+def _frequency(s, i, hit, normalize) -> _Parse | None:
     comp, n, _ = hit or _NO_COMPARATOR
     j = i + n
-    if j >= len(toks):
+    surfaces = s.surfaces
+    if j >= len(surfaces):
         return None
-    value = _FREQUENCY_WORDS.get(toks[j].surface.lower())
+    value = _FREQUENCY_WORDS.get(surfaces[j].lower())
     times_form = False
     if value is None:
-        value = _number_at(toks, j)
+        value = _number_at(s, j)
         if value is None:
             return None
-        times_form = j + 1 < len(toks) and toks[j + 1].surface.lower() == "times"
+        times_form = j + 1 < len(surfaces) and surfaces[j + 1].lower() == "times"
     j += 2 if times_form else 1
     time_unit = None
     span_end = j - 1
-    if j < len(toks) and toks[j].surface.lower() in ("a", "an", "per"):
-        time_unit = _time_unit_at(toks, j + 1)
+    if j < len(surfaces) and surfaces[j].lower() in ("a", "an", "per"):
+        time_unit = _time_unit_at(s, j + 1)
         if time_unit is None:
             return None
         span_end = j + 1
@@ -416,7 +421,7 @@ def _frequency(toks, i, hit, normalize) -> _Parse | None:
     elif not times_form:
         # "once"/"twice"/bare numbers need the per-unit part
         return None
-    anchor, span_end, next_i = _anchor_suffix(toks, j, span_end)
+    anchor, span_end, next_i = _anchor_suffix(s, j, span_end)
     return _Parse(AttributeKind.FREQUENCY, i, span_end, next_i,
                   comparator=comp, values=(value,), time_unit=time_unit,
                   anchor=anchor)
@@ -431,37 +436,35 @@ _NUMBER, _RATIO, _RANGE, _WORD = (
 )
 
 
-def _is_numeric_qualifier(tok: Token) -> bool:
+def _is_numeric_qualifier(surface: str, shape: TokenShape) -> bool:
     # the digit head is a prefix of the surface, so a surface that does not
     # open with a digit has none
-    if tok.shape is not _WORD or not tok.surface[:1].isdigit():
+    if shape is not _WORD or not surface[:1].isdigit():
         return False
-    head = tok.surface.split("-")[0].split("–")[0]
-    return head.isdigit() and any(c.isalpha() for c in tok.surface)
+    head = surface.split("-")[0].split("–")[0]
+    return head.isdigit() and any(c.isalpha() for c in surface)
 
 
-def _qualifier(toks, i, entity_spans) -> _Parse | None:
-    tok = toks[i]
-    if _is_numeric_qualifier(tok):
+def _qualifier(s, i, entity_spans) -> _Parse | None:
+    surface = s.surfaces[i]
+    if _is_numeric_qualifier(surface, s.shapes[i]):
         return _Parse(AttributeKind.QUALIFIER, i, i, i + 1)
-    if tok.surface.lower() in QUALIFIER_LEXICON and entity_spans:
+    if surface.lower() in QUALIFIER_LEXICON and entity_spans:
         for k in (i - 1, i + 1):
-            if 0 <= k < len(toks) and _inside_any(toks[k], entity_spans):
+            # the neighbour lies inside an entity span
+            if 0 <= k < len(s.surfaces) and any(
+                lo <= s.starts[k] and s.ends[k] <= hi for lo, hi in entity_spans
+            ):
                 return _Parse(AttributeKind.QUALIFIER, i, i, i + 1)
     return None
 
 
-def _inside_any(tok: Token, spans: Sequence[tuple[int, int]]) -> bool:
-    return any(s <= tok.start and tok.end <= e for s, e in spans)
-
-
-def _key(tok: Token) -> TokenShape | str:
+def _key(surface: str, shape: TokenShape) -> TokenShape | str:
     """A token's dispatch key: a value token's shape, else its lowercased surface."""
 
-    shape = tok.shape
     if shape is _NUMBER or shape is _RATIO or shape is _RANGE:
         return shape
-    return tok.surface.lower()
+    return surface.lower()
 
 
 # The productions a comparator opens, by the key of the token after it.
@@ -520,18 +523,17 @@ def extract_attributes(
 
     normalize = kb.normalize_unit
     dispatch = _DISPATCH
-    toks = sentence.tokens
-    n = len(toks)
+    surfaces, shapes = sentence.surfaces, sentence.shapes
+    n = len(surfaces)
     out: list[AttributeMention] = []
     i = 0
     while i < n:
         # the start's dispatch key, as _key computes it
-        tok = toks[i]
-        shape = tok.shape
+        shape = shapes[i]
         if shape is _NUMBER or shape is _RATIO or shape is _RANGE:
             prods = dispatch[shape]
         else:
-            surface = tok.surface
+            surface = surfaces[i]
             prods = dispatch.get(surface.lower())
             if prods is None:
                 # only a numeric qualifier ("12-lead") starts here
@@ -541,21 +543,21 @@ def extract_attributes(
                 prods = ()
         hit = None
         if prods is _AFTER_COMPARATOR:
-            hit = _comparator_at(toks, i)
+            hit = _comparator_at(sentence, i)
             j = i + hit[1] if hit else n  # no comparator: nothing to look up
-            prods = _AFTER_COMPARATOR.get(_key(toks[j]), ()) if j < n else ()
+            prods = _AFTER_COMPARATOR.get(_key(surfaces[j], shapes[j]), ()) if j < n else ()
         best: _Parse | None = None
         for prod in prods:
-            parse = prod(toks, i, hit, normalize)
+            parse = prod(sentence, i, hit, normalize)
             if parse and (best is None or parse.next_i > best.next_i):
                 best = parse
         if best is None:
-            best = _qualifier(toks, i, entity_spans)
+            best = _qualifier(sentence, i, entity_spans)
         if best is None:
             i += 1
             continue
-        start = toks[best.span_start].start
-        end = toks[best.span_end].end
+        start = sentence.starts[best.span_start]
+        end = sentence.ends[best.span_end]
         anchor = None
         if best.anchor is not None:
             a_start, a_end = best.anchor

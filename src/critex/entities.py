@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .kb import Category, KbEntry, KnowledgeBase
-from .segmentation import SentenceRecord, TokenShape, token_columns
+from .segmentation import SentenceRecord, TokenShape
 
 _WORD = TokenShape.WORD  # a short form's shape is tested by identity
-_END = attrgetter("end")  # bisection key over a sentence's tokens
 _NUMERIC = (TokenShape.NUMBER, TokenShape.RATIO, TokenShape.RANGE)
 
 
@@ -70,7 +68,7 @@ def recognize_entities(
     Output is sorted by span start and pairwise non-overlapping.
     """
 
-    surfaces, starts, ends, shapes = token_columns(sentence.tokens)
+    surfaces = sentence.surfaces
     n = len(surfaces)
     keys = list(map(str.casefold, surfaces))
     root = kb.term_trie
@@ -105,9 +103,9 @@ def recognize_entities(
             entry, term = hits[0]
         else:
             if numeric_sentence is None:
-                numeric_sentence = any(shape in _NUMERIC for shape in shapes)
+                numeric_sentence = any(shape in _NUMERIC for shape in sentence.shapes)
             entry, term = _choose_entry(hits, numeric_sentence)
-        start, end = starts[first], ends[last]
+        start, end = sentence.starts[first], sentence.ends[last]
         mentions.append(
             EntityMention(
                 sentence.sentence_index, start, end, sentence.text[start:end],
@@ -168,22 +166,21 @@ def link_abbreviations(
     definitions: dict[str, tuple[str, str, tuple[int, int]]] = {}
     out = list(mentions)
     for sentence in sentences:
-        index, toks = sentence.sentence_index, sentence.tokens
+        index, surfaces, ends = sentence.sentence_index, sentence.surfaces, sentence.ends
         group = by_sentence.get(index, ())
         for m in group:
             # the token ending where the mention ends, found by bisection
-            # over the tokens themselves, so no column of ends is built
-            k = bisect_left(toks, m.end, key=_END)
-            if k + 3 >= len(toks) or toks[k].end != m.end:
+            k = bisect_left(ends, m.end)
+            if k + 3 >= len(ends) or ends[k] != m.end:
                 continue
-            if toks[k + 1].surface != "(" or toks[k + 3].surface != ")":
+            if surfaces[k + 1] != "(" or surfaces[k + 3] != ")":
                 continue
-            abbr = toks[k + 2]
-            if abbr.shape is _WORD and _initials_match(abbr.surface, m.surface):
-                definitions.setdefault(abbr.surface, (m.concept_id, m.surface, (index, k + 2)))
+            abbr = surfaces[k + 2]
+            if sentence.shapes[k + 2] is _WORD and _initials_match(abbr, m.surface):
+                definitions.setdefault(abbr, (m.concept_id, m.surface, (index, k + 2)))
         if not definitions:
             continue
-        surfaces, starts, ends, _ = token_columns(toks)
+        starts = sentence.starts
         # tokens inside a mention: those starting at or after its start and
         # ending at or before its end, a contiguous index range
         occupied = {

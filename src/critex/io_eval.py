@@ -273,8 +273,7 @@ def to_json(record: StructuredRecord, extended: bool = False, indent: int | None
     read or assigned is written straight from its tuples: one ``%``
     template per payload, with the encoder's own string writer and its
     spelling of floats (:func:`_record_json`).  Every other record, and
-    every ``indent`` form, goes through ``json``'s encoder; so does a
-    pipeline record whose id or relation surfaces are not strings.
+    every ``indent`` form, goes through ``json``'s encoder.
 
     The compact form does not check for circular references: a hand-built
     ``extended`` that contains itself raises ``RecursionError``.
@@ -282,10 +281,7 @@ def to_json(record: StructuredRecord, extended: bool = False, indent: int | None
 
     payload = record._extended
     if indent is None and type(payload) is _Payload:
-        try:
-            return _record_json(record, payload if extended else None)
-        except TypeError:
-            pass  # a value the templates do not write: the encoder decides
+        return _record_json(record, payload if extended else None)
     result = {
         "id": record.id,
         "text": record.text,
@@ -604,7 +600,11 @@ def _items(entities, attributes, relations) -> dict[ElementType, list[_Item]]:
 
 
 def extended_problem(ext) -> str | None:
-    """Why an ``extended`` payload cannot be evaluated, or None if it can."""
+    """Why an ``extended`` payload cannot be evaluated, or None if it can.
+
+    Offsets and relation indexes must be ``int``s: JSON's ``true`` and
+    ``false``, which Python reads as ``bool``s, are neither.
+    """
 
     if ext is None:
         return "no 'extended' payload (use annotate --extended)"
@@ -614,15 +614,14 @@ def extended_problem(ext) -> str | None:
         if not isinstance(ext.get(key), list) or not all(isinstance(x, dict) for x in ext[key]):
             return f"'extended' needs a list of objects {key!r}"
     for key in ("entities", "attributes"):
-        if not all(isinstance(m.get("start"), int) and isinstance(m.get("end"), int)
-                   for m in ext[key]):
+        if not all(type(m.get("start")) is int and type(m.get("end")) is int for m in ext[key]):
             return f"{key!r} items need integer 'start' and 'end'"
     for r in ext["relations"]:
         if "label" not in r:
             return "relations need a 'label'"
         for key, pool in (("entity", "entities"), ("attribute", "attributes")):
             index = r.get(key)
-            if not isinstance(index, int) or not 0 <= index < len(ext[pool]):
+            if type(index) is not int or not 0 <= index < len(ext[pool]):
                 return f"relation {key} index {index!r} is not in {pool!r}"
     return None
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .attributes import AttributeMention, AttributeShape
 from .errors import DuplicateConceptId, MalformedKb
 from .io_eval import read_text
-from .segmentation import SentenceRecord, TokenShape, tokenize
+from .segmentation import SentenceRecord, TokenShape, scan_tokens
 from .units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
 
 KB_SCHEMA_VERSION = 1
@@ -52,7 +52,7 @@ def term_key(term: str) -> tuple[str, ...]:
     KB accepts can be matched; a term with no tokens is blank.
     """
 
-    return tuple(t.surface.casefold() for t in tokenize(term))
+    return tuple(map(str.casefold, scan_tokens(term)[0]))
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,11 @@ class KbEntry:
 
 
 def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbEntry:
+    """``entry`` with each expected unit spelled canonically, each once, in
+    the order of first appearance."""
+
     canonical = tuple(
-        unit_table.get(unit_key(u), u) for u in entry.expected_units
+        dict.fromkeys(unit_table.get(unit_key(u), u) for u in entry.expected_units)
     )
     if canonical == entry.expected_units:
         return entry
@@ -156,7 +159,8 @@ class KnowledgeBase:
         entries: Iterable[KbEntry],
         extra_units: dict[str, str] | None = None,
     ) -> "KnowledgeBase":
-        """Index entries; their expected units are canonicalized here.
+        """Index entries; their expected units are canonicalized and
+        deduplicated here, whichever constructor made the entries.
 
         Raises :class:`MalformedKb` for a blank unit variant or canonical form.
         """
@@ -404,7 +408,8 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
     """Import a three-column table: term, value_range ("90..250"), units.
 
     Rows become curated entries with ``LOCAL:`` concept ids; units are
-    comma-separated and normalized against the built-in table.  A file
+    comma-separated, and :meth:`KnowledgeBase.build` canonicalizes them
+    against the built-in table.  A file
     that is not valid UTF-8 raises :class:`MalformedText`, naming it.
     """
 
@@ -437,13 +442,7 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
             if not m:
                 raise MalformedKb(f"{path}:{lineno}: bad value_range {range_spec!r}")
             value_min, value_max = float(m.group(1)), float(m.group(2))
-        units = tuple(
-            dict.fromkeys(
-                normalize_unit(u.strip()) or u.strip()
-                for u in cols[units_col].split(",")
-                if u.strip()
-            )
-        )
+        units = tuple(u.strip() for u in cols[units_col].split(",") if u.strip())
         try:
             entries.append(
                 KbEntry(
@@ -504,20 +503,20 @@ def mine_kb_candidates(
 
     found: dict[str, KbEntry] = {}
     for sentence in corpus:
-        toks = sentence.tokens
-        for i, tok in enumerate(toks):
-            pattern = _SHAPE_TO_PATTERN.get(tok.shape)
+        surfaces, shapes = sentence.surfaces, sentence.shapes
+        for i, shape in enumerate(shapes):
+            pattern = _SHAPE_TO_PATTERN.get(shape)
             if pattern is None:
                 continue
             # walk left over connector/comparator tokens
             j = i - 1
             connectors = 0
             while j >= 0:
-                word = toks[j].surface.lower()
+                word = surfaces[j].lower()
                 if word in _CONNECTORS or word in _COMPARATOR_WORDS:
                     connectors += 1
                     j -= 1
-                elif toks[j].shape is TokenShape.SYMBOL:
+                elif shapes[j] is TokenShape.SYMBOL:
                     connectors += 1
                     j -= 1
                 else:
@@ -529,17 +528,17 @@ def mine_kb_candidates(
             while (
                 j >= 0
                 and np_end - j < 4
-                and toks[j].shape is TokenShape.WORD
-                and normalize_unit(toks[j].surface) is None
-                and toks[j].surface.lower() not in _MINING_STOPWORDS
+                and shapes[j] is TokenShape.WORD
+                and normalize_unit(surfaces[j]) is None
+                and surfaces[j].lower() not in _MINING_STOPWORDS
             ):
                 j -= 1
             if j == np_end:
                 continue
-            term = sentence.text[toks[j + 1].start : toks[np_end].end]
+            term = sentence.text[sentence.starts[j + 1] : sentence.ends[np_end]]
             unit = None
-            if i + 1 < len(toks):
-                unit = normalize_unit(toks[i + 1].surface)
+            if i + 1 < len(surfaces):
+                unit = normalize_unit(surfaces[i + 1])
             key = _slug(term)
             units = (unit,) if unit else ()
             prior = found.get(key)

@@ -292,7 +292,7 @@ class _Competitors:
         self._lone_scores = _mix((1.0,), (1.0,), config.theta, 1.0)
         if self._cross:
             # tokens before each sentence, read only by _position
-            self._before = list(accumulate((len(s.tokens) for s in sentences), initial=0))
+            self._before = list(accumulate((len(s.surfaces) for s in sentences), initial=0))
             spans = [self._position(m) for m in mentions]
             self._lefts = [left for left, _ in spans]
             self._rights = [right for _, right in spans]
@@ -302,16 +302,6 @@ class _Competitors:
             for i, concept_id in enumerate(self._concepts):
                 self._occurrences.setdefault(concept_id, []).append(i)
             self._sup_by_signature: dict[tuple, dict[str, float]] = {}
-
-    def _clauses(self, sentence_index: int) -> ClauseIndex:
-        """The sentence's :class:`ClauseIndex`, built on first use."""
-
-        index = self._clause_indexes[sentence_index]
-        if index is None:
-            index = self._clause_indexes[sentence_index] = ClauseIndex(
-                self._sentences[sentence_index]
-            )
-        return index
 
     def _position(self, m: EntityMention | AttributeMention) -> tuple[float, float]:
         """Global token positions ``(left, right)`` of a mention's span.
@@ -326,10 +316,10 @@ class _Competitors:
         """
 
         base = self._before[m.sentence_index]
-        index = self._clauses(m.sentence_index)
+        sentence = self._sentences[m.sentence_index]
         return (
-            float(base + bisect_right(index.ends, m.start)),
-            float(base + bisect_left(index.starts, m.end)),
+            float(base + bisect_right(sentence.ends, m.start)),
+            float(base + bisect_left(sentence.starts, m.end)),
         )
 
     def _span(self, a: AttributeMention) -> tuple[int, int, bool]:
@@ -363,7 +353,10 @@ class _Competitors:
         elif parse is not None and not others:
             distances = path_distances(parse, a, local)
         else:
-            clauses, penalty = self._clauses(s_a), self._penalty
+            clauses = self._clause_indexes[s_a]  # built on first use
+            if clauses is None:
+                clauses = self._clause_indexes[s_a] = ClauseIndex(self._sentences[s_a])
+            penalty = self._penalty
             distances = [heuristic_distance(clauses, e, a, penalty) for e in local]
         return local, distances
 

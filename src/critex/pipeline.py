@@ -87,8 +87,11 @@ def annotate_record(
     :class:`~critex.errors.ParseMismatch` names the index.  The compact
     relations echo surfaces verbatim; the extended payload carries
     record-level offsets, payloads, scores and unlinked attributes.
+    ``record_id`` must be a ``str``, else ``TypeError``.
     """
 
+    if not isinstance(record_id, str):
+        raise TypeError(f"record_id must be a str, got {record_id!r}")
     sentences = split_records(text, config.mode, record_id=record_id)
     return _annotate_sentences(record_id, text, sentences, kb, config, parses)
 

@@ -20,6 +20,12 @@ glyph, so at any position the same branch wins in either order.  A branch
 added later must keep its opener disjoint from those before it, or the
 order decides and this one changes tokens.
 
+A sentence stores its tokens as columns, one tuple per field
+(``SentenceRecord.surfaces``, ``starts``, ``ends`` and ``shapes``), built
+in that one scan; every later stage indexes the columns.  A :class:`Token`
+is a view of one position of them: :func:`tokenize` and
+``SentenceRecord.tokens`` build ``Token``s from the same columns.
+
 The per-record value types, ``Token`` and ``SentenceRecord`` here and the
 mention, relation and output-pair types downstream, are
 ``typing.NamedTuple``s: immutable, cheap to build, and equal (and hashed
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class SplitMode(Enum):
@@ -50,8 +56,7 @@ class TokenShape(Enum):
 class Token(NamedTuple):
     """One token with half-open character offsets into its sentence.
 
-    A named tuple: cheap to build (the tokenizer makes one per token), and
-    immutable, so assigning a field raises ``AttributeError``.
+    A named tuple, immutable, so assigning a field raises ``AttributeError``.
     """
 
     surface: str
@@ -64,14 +69,25 @@ class SentenceRecord(NamedTuple):
     """A sentence-scoped unit of one record, as a named tuple.
 
     ``char_offset`` locates the sentence inside the original record text, so
-    ``record_text[char_offset : char_offset + len(text)] == text``.
+    ``record_text[char_offset : char_offset + len(text)] == text``.  The
+    tokens are four columns of equal length: token ``i`` is
+    ``surfaces[i] == text[starts[i]:ends[i]]``, of shape ``shapes[i]``.
     """
 
     record_id: str
     sentence_index: int
     text: str
     char_offset: int
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    shapes: tuple[TokenShape, ...]
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The tokens as :class:`Token`s, built from the columns on each read."""
+
+        return tuple(map(Token, self.surfaces, self.starts, self.ends, self.shapes))
 
 
 _PUNCT_CHARS = frozenset("()[]{},;:.!?\"'`/\\-–—&")
@@ -113,32 +129,26 @@ def _other_shape(char: str) -> TokenShape:
     return TokenShape.PUNCT if char in _PUNCT_CHARS else TokenShape.SYMBOL
 
 
-_new_tuple = tuple.__new__
+def scan_tokens(
+    sentence_text: str,
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[TokenShape, ...]]:
+    """The token columns ``(surfaces, starts, ends, shapes)`` of one
+    sentence, one tuple per field, built in one scan."""
+
+    surfaces, starts, ends, shapes = [], [], [], []
+    for m in _SCAN_RE.finditer(sentence_text):
+        surface = m.group()
+        surfaces.append(surface)
+        starts.append(m.start())
+        ends.append(m.end())
+        shapes.append(_BRANCH_SHAPES.get(m.lastgroup) or _other_shape(surface))
+    return tuple(surfaces), tuple(starts), tuple(ends), tuple(shapes)
 
 
 def tokenize(sentence_text: str) -> list[Token]:
     """Tokenize one sentence, preserving character offsets."""
 
-    tokens = []
-    for m in _SCAN_RE.finditer(sentence_text):
-        surface = m.group()
-        start, end = m.span()
-        shape = _BRANCH_SHAPES.get(m.lastgroup) or _other_shape(surface)
-        # the tuple constructor itself, without Token.__new__'s Python frame
-        tokens.append(_new_tuple(Token, (surface, start, end, shape)))
-    return tokens
-
-
-def token_columns(
-    tokens: Sequence[Token],
-) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[TokenShape, ...]]:
-    """``(surfaces, starts, ends, shapes)`` of ``tokens``, one tuple per field.
-
-    The fields are read in C, which costs less than reading them token by
-    token in a Python loop.
-    """
-
-    return tuple(zip(*tokens)) or ((), (), (), ())
+    return list(map(Token, *scan_tokens(sentence_text)))
 
 
 # Terminal periods after these tokens never end a sentence.
@@ -232,9 +242,7 @@ def split_records(raw: str, mode: SplitMode, record_id: str = "") -> list[Senten
         if start >= end:
             continue
         text = raw[start:end]
-        sentences.append(
-            _new_tuple(
-                SentenceRecord, (record_id, len(sentences), text, start, tuple(tokenize(text)))
-            )
-        )
+        # the tuple constructor itself, without SentenceRecord.__new__'s Python frame
+        fields = (record_id, len(sentences), text, start, *scan_tokens(text))
+        sentences.append(tuple.__new__(SentenceRecord, fields))
     return sentences

@@ -19,13 +19,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from typing import Sequence
 
 from .attributes import AttributeMention
 from .entities import EntityMention
 from .errors import CycleDetected, ParseMismatch
-from .segmentation import SentenceRecord, token_columns
+from .segmentation import SentenceRecord
 
 # Boundary tokens, tested in lower case: "," and ";" lower to themselves,
 # and no other surface lowers to either.
@@ -35,8 +34,6 @@ _BOUNDARY = frozenset(
 
 # token states while a parse's head graph is checked
 _UNSEEN, _ON_PATH, _REACHES_ROOT = 0, 1, 2
-
-_START = attrgetter("start")  # bisection key over a sentence's tokens
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class DependencyParse:
     def __post_init__(self):
         if not isinstance(self.sentence, SentenceRecord):
             raise TypeError(f"sentence must be a SentenceRecord, got {self.sentence!r}")
-        n, m, k = len(self.heads), len(self.sentence.tokens), len(self.labels)
+        n, m, k = len(self.heads), len(self.sentence.surfaces), len(self.labels)
         if n != m:
             raise ParseMismatch(min(n, m), f"parse has {n} tokens, sentence has {m}")
         if k != n:
@@ -147,9 +144,9 @@ def align_block(
     and that the head graph is a tree.
     """
 
-    for i, ((_, form, _, _), token) in enumerate(zip(rows, sentence.tokens)):
-        if form != token.surface:
-            raise ParseMismatch(i, f"token {i}: parse FORM {form!r} != surface {token.surface!r}")
+    for i, ((_, form, _, _), surface) in enumerate(zip(rows, sentence.surfaces)):
+        if form != surface:
+            raise ParseMismatch(i, f"token {i}: parse FORM {form!r} != surface {surface!r}")
     return DependencyParse(
         tuple(head for _, _, head, _ in rows), tuple(deprel for _, _, _, deprel in rows), sentence
     )
@@ -163,9 +160,8 @@ def _head_token_index(sentence: SentenceRecord, start: int, end: int) -> int:
     after the span starts.
     """
 
-    tokens = sentence.tokens
-    head = bisect_left(tokens, end, key=_START) - 1
-    if head < 0 or tokens[head].end <= start:
+    head = bisect_left(sentence.starts, end) - 1
+    if head < 0 or sentence.ends[head] <= start:
         raise ValueError(f"span [{start}, {end}) covers no token")
     return head
 
@@ -210,16 +206,16 @@ class ClauseIndex:
 
     Built once per sentence, it lets :func:`heuristic_distance` count the
     tokens between two spans by bisection instead of a scan.  ``starts``
-    and ``ends`` are tuples of the tokens' offsets; ``boundaries[k]``
-    counts the boundary tokens among the first ``k``.  All three are built
-    from the token columns in C (``zip``, ``map``, ``accumulate``), with no
+    and ``ends`` are the sentence's own offset columns, not copies;
+    ``boundaries[k]`` counts the boundary tokens among the first ``k``,
+    built from the surface column in C (``map``, ``accumulate``), with no
     Python-level loop over the tokens.
     """
 
     def __init__(self, sentence: SentenceRecord):
-        surfaces, self.starts, self.ends, _ = token_columns(sentence.tokens)
+        self.starts, self.ends = sentence.starts, sentence.ends
         self.boundaries = list(
-            accumulate(map(_BOUNDARY.__contains__, map(str.lower, surfaces)), initial=0)
+            accumulate(map(_BOUNDARY.__contains__, map(str.lower, sentence.surfaces)), initial=0)
         )
 
 

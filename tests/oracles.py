@@ -631,11 +631,11 @@ def extract_attributes(sentence, kb, entity_spans=None):
         best = None
         hit = comparator_at(toks, i)
         for prod in (_frequency, _temporal, _ratio, _range, _comparison):
-            parse = prod(toks, i, hit, normalize)
+            parse = prod(sentence, i, hit, normalize)
             if parse and (best is None or parse.next_i > best.next_i):
                 best = parse
         if best is None:
-            best = _qualifier(toks, i, entity_spans)
+            best = _qualifier(sentence, i, entity_spans)
         if best is None:
             i += 1
             continue

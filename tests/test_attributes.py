@@ -493,7 +493,7 @@ class TestDispatchTable:
                 hit = oracles.comparator_at(sentence.tokens, 0)
                 for prod in PRODUCTIONS:
                     if prod not in at_start:
-                        assert prod(sentence.tokens, 0, hit, normalize) is None, (text, prod)
+                        assert prod(sentence, 0, hit, normalize) is None, (text, prod)
                 cases += 1
         assert cases > 30_000
 

@@ -478,6 +478,21 @@ class TestMalformedInput:
         )
         assert "line 2" in err and pool in err
 
+    @pytest.mark.parametrize("pool, field", [
+        ("entities", "start"), ("attributes", "end"), ("relations", "entity"),
+        ("relations", "attribute"),
+    ])
+    def test_evaluate_pred_bool_offset_or_index(self, capsys, tmp_path, pool, field):
+        def edit(ext):
+            assert ext[pool]
+            ext[pool][0][field] = True
+
+        pred = self._pred_with_extended(capsys, tmp_path, edit)
+        err = self.assert_data_error(
+            capsys, "evaluate", "--gold", mini_corpus_dir(), "--pred", pred
+        )
+        assert "line 2" in err and field in err
+
     def test_annotate_repeated_jsonl_id(self, capsys, tmp_path):
         corpus = tmp_path / "records.jsonl"
         corpus.write_text('{"id": "a", "text": "pain"}\n{"id": "a", "text": "fever"}\n')

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from critex.entities import link_abbreviations, recognize_entities
 from critex.errors import MalformedKb
 from critex.kb import Category, KbEntry, KnowledgeBase, term_key
-from critex.segmentation import SentenceRecord, SplitMode, split_records, tokenize
+from critex.segmentation import SentenceRecord, SplitMode, scan_tokens, split_records
 
 
 def kb_of(*entries):
@@ -247,7 +247,7 @@ class TestCanMatch:
             kb = kb_of(KbEntry("C1", term))
         except MalformedKb:
             assume(False)
-        tokens = tuple(tokenize(term))
-        sentence = SentenceRecord("r", 0, term, 0, tokens)
+        surfaces, starts, ends, shapes = scan_tokens(term)
+        sentence = SentenceRecord("r", 0, term, 0, surfaces, starts, ends, shapes)
         found = [(m.start, m.end) for m in recognize_entities(sentence, kb)]
-        assert found == [(tokens[0].start, tokens[-1].end)]
+        assert found == [(starts[0], ends[-1])]

@@ -361,6 +361,19 @@ class TestExtendedProblem:
         assert "annotate --extended" in extended_problem(None)
         assert extended_problem([]) is not None
 
+    def test_a_bool_is_no_offset_or_index(self):
+        # JSON's true and false are Python bools, which are ints
+        for key in ("entities", "attributes"):
+            for field in ("start", "end"):
+                item = {"start": 0, "end": 3, field: True}
+                ext = {"entities": [], "attributes": [], "relations": [], key: [item]}
+                assert extended_problem(ext) == f"{key!r} items need integer 'start' and 'end'"
+        span = {"start": 0, "end": 3}
+        for key, pool in (("entity", "entities"), ("attribute", "attributes")):
+            relation = {"entity": 0, "attribute": 0, "label": "has_value", key: False}
+            ext = {"entities": [span], "attributes": [span], "relations": [relation]}
+            assert extended_problem(ext) == f"relation {key} index False is not in {pool!r}"
+
 
 class TestReadCorpus:
     def test_txt_dir(self, tmp_path):

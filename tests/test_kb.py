@@ -189,6 +189,18 @@ class TestLoadKb:
         assert attribute.unit == "mmHg"
         assert terms(entry, attribute)[1] == 1.0  # unit term matches
 
+    def test_expected_units_deduplicated_on_build_and_load(self, tmp_path):
+        # spellings of one unit collapse to the first, in the order they appear
+        units = ("kg", "kilograms", "KG", "mmHg", "mm hg", "furlong", "furlong")
+        kb = KnowledgeBase.build([KbEntry("C1", "body weight", expected_units=units)])
+        assert kb.by_id["C1"].expected_units == ("kg", "mmHg", "furlong")
+        path = tmp_path / "kb.json"
+        save_kb(KnowledgeBase.build(()), path)
+        doc = json.loads(path.read_text())
+        doc["entries"] = [{"concept_id": "C1", "preferred_term": "weight", "expected_units": units}]
+        path.write_text(json.dumps(doc))
+        assert load_kb(path).by_id["C1"].expected_units == ("kg", "mmHg", "furlong")
+
 
 class TestNormalizeUnit:
     @pytest.mark.parametrize(
@@ -394,7 +406,7 @@ class TestImportTsv:
         path.write_text(
             "term\tvalue_range\tunits\n"
             "blood pressure\t90..250\tmmHg\n"
-            "body weight\t\tkg, kilograms\n"
+            "body weight\t\tkg, kilograms, KG\n"
         )
         kb = import_tsv(path)
         assert len(kb.entries) == 2

@@ -1,12 +1,15 @@
 """Sentence splitting and tokenization."""
 
+import ast
 import hashlib
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from critex import segmentation
 from critex.resources import mini_corpus_dir
 from critex.segmentation import (
     SentenceRecord,
@@ -254,6 +257,45 @@ _TOKENIZER_TEXT = st.lists(
 @settings(max_examples=300)
 def test_tokenize_matches_shape_rederiving_oracle(text):
     assert tokenize(text) == oracles.tokenize(text)
+
+
+@given(_TOKENIZER_TEXT, st.sampled_from(SplitMode))
+@settings(max_examples=300)
+def test_sentence_columns_are_the_fields_of_the_oracle_tokens(text, mode):
+    for s in split_records(text, mode):
+        expected = oracles.tokenize(s.text)
+        assert s.surfaces == tuple(t.surface for t in expected)
+        assert s.starts == tuple(t.start for t in expected)
+        assert s.ends == tuple(t.end for t in expected)
+        assert s.shapes == tuple(t.shape for t in expected)
+        assert s.tokens == tuple(tokenize(s.text))
+
+
+def test_only_segmentation_reads_or_builds_token_tuples():
+    """Every stage after segmentation indexes a sentence's token columns:
+    no other module reads ``.tokens`` or names ``Token`` or
+    ``token_columns`` (the package ``__init__`` only re-exports ``Token``)."""
+
+    found = []
+    for path in sorted(Path(segmentation.__file__).parent.glob("*.py")):
+        if path.name == "segmentation.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in ("tokens", "token_columns")
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                hit = node.id in ("Token", "token_columns")
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+                hit = name == "token_columns" or (name == "Token" and path.name != "__init__.py")
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+    assert not hasattr(segmentation, "token_columns")
 
 
 class TestTokenRegression:

@@ -187,7 +187,7 @@ class TestIngestParse:
         from critex.segmentation import SentenceRecord
 
         assert parse_blocks("") == []
-        sentence = SentenceRecord("r", 0, "", 0, ())
+        sentence = SentenceRecord("r", 0, "", 0, (), (), (), ())
         parse = align_block([], sentence)
         assert parse.heads == ()
 

@@ -268,11 +268,11 @@ class TestGrammarGate:
         for word in words:
             for variant in (word, word.upper(), word.capitalize()):
                 (tok,) = tokenize(variant)
-                assert attributes._key(tok) in attributes._DISPATCH, variant
+                assert attributes._key(tok.surface, tok.shape) in attributes._DISPATCH, variant
         # a numeric qualifier has no key; the scan lets it through by shape
         for variant in ("12-lead", "12-LEAD", "12-Lead"):
             (tok,) = tokenize(variant)
-            assert attributes._key(tok) not in attributes._DISPATCH, variant
+            assert attributes._key(tok.surface, tok.shape) not in attributes._DISPATCH, variant
             assert table_lets_through(tok), variant
 
     def test_comparator_index_holds_every_table_entry_in_order(self):
@@ -295,7 +295,11 @@ def table_lets_through(tok):
     """Whether the scan tries a parse at ``tok``: its key is in the dispatch
     table, or it is a numeric qualifier, which has no key."""
 
-    return attributes._key(tok) in attributes._DISPATCH or attributes._is_numeric_qualifier(tok)
+    surface, _, _, shape = tok
+    return (
+        attributes._key(surface, shape) in attributes._DISPATCH
+        or attributes._is_numeric_qualifier(surface, shape)
+    )
 
 
 # Surfaces for the start gate: grammar and KB words with case noise, glyphs,
@@ -355,7 +359,8 @@ class TestUnitWindow:
     @given(text=UNIT_TEXT, data=st.data())
     @settings(max_examples=500, deadline=None)
     def test_unit_at_matches_window_loop(self, text, data):
-        toks = tokenize(text)
+        (sentence,) = split_records(text, SplitMode.LINES)
+        toks = sentence.tokens
         # a position anywhere, up to and past the sentence end
         i = data.draw(st.integers(0, len(toks) + 1))
         windows = [
@@ -375,7 +380,7 @@ class TestUnitWindow:
 
         for lookup in lookups:
             asked, asked_oracle = [], []
-            got = attributes._unit_at(toks, i, recording(lookup, asked))
+            got = attributes._unit_at(sentence, i, recording(lookup, asked))
             assert got == oracles.unit_at(toks, i, recording(lookup, asked_oracle))
             assert asked == asked_oracle
 
@@ -392,9 +397,9 @@ class TestUnitWindow:
             ("( mm", 0, None),
             ("mm", 1, None),
         ):
-            toks = tokenize(text)
-            assert attributes._unit_at(toks, i, anything) == expected, text
-            assert oracles.unit_at(toks, i, anything) == expected, text
+            (sentence,) = split_records(text, SplitMode.LINES)
+            assert attributes._unit_at(sentence, i, anything) == expected, text
+            assert oracles.unit_at(sentence.tokens, i, anything) == expected, text
 
 
 # Token surfaces for the clause index: the boundary words in several cases,
@@ -419,11 +424,16 @@ class TestHeuristicDistance:
     )
     @settings(max_examples=300, deadline=None)
     def test_prefix_counts_match_token_scan_on_drawn_surfaces(self, surfaces, penalty, data):
-        tokens, pos = [], 0
+        starts, pos = [], 0
         for surface in surfaces:
-            tokens.append(Token(surface, pos, pos + len(surface), TokenShape.WORD))
+            starts.append(pos)
             pos += len(surface) + 1
-        sentence = SentenceRecord("r", 0, " ".join(surfaces), 0, tuple(tokens))
+        ends = [start + len(surface) for start, surface in zip(starts, surfaces)]
+        sentence = SentenceRecord(
+            "r", 0, " ".join(surfaces), 0, tuple(surfaces), tuple(starts), tuple(ends),
+            (TokenShape.WORD,) * len(surfaces),
+        )
+        tokens = sentence.tokens
         index = ClauseIndex(sentence)
         assert index.boundaries == list(
             itertools.accumulate(map(oracles.is_boundary, surfaces), initial=0)
@@ -441,8 +451,10 @@ class TestHeuristicDistance:
 
     def test_boundary_words_count_in_any_case(self):
         surfaces = ("x", "AND", "Which", "THAT", ",", "İ", "y")
-        tokens = tuple(Token(s, 2 * k, 2 * k + 1, TokenShape.WORD) for k, s in enumerate(surfaces))
-        index = ClauseIndex(SentenceRecord("r", 0, "", 0, tokens))
+        n = len(surfaces)
+        starts, ends = tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2))
+        shapes = (TokenShape.WORD,) * n
+        index = ClauseIndex(SentenceRecord("r", 0, "", 0, surfaces, starts, ends, shapes))
         assert index.boundaries == [0, 0, 1, 2, 3, 4, 4, 4]
 
     @given(text=LINE, penalty=st.sampled_from((0.0, 1.5, 5.0)), data=st.data())

@@ -24,7 +24,7 @@ from critex import io_eval, pipeline
 from critex.io_eval import RelationPair, StructuredRecord, from_json, to_json
 from critex.linker import Relation
 from critex.pipeline import PipelineConfig, _build_record
-from critex.segmentation import SentenceRecord, SplitMode, Token, TokenShape
+from critex.segmentation import SentenceRecord, SplitMode, TokenShape
 
 from conftest import PARAGRAPH_TWO
 
@@ -44,7 +44,7 @@ def _values():
         RelationPair: RelationPair("blood pressure", "≤ 40 mmHg"),
         SentenceRecord: SentenceRecord(
             "r1", 1, "BP ≤ 40", 12,
-            (Token("BP", 0, 2, TokenShape.WORD), Token("≤", 3, 4, TokenShape.SYMBOL)),
+            ("BP", "≤"), (0, 3), (2, 4), (TokenShape.WORD, TokenShape.SYMBOL),
         ),
     }
 
@@ -57,7 +57,9 @@ FIELDS = {
     ),
     Relation: ("entity", "attribute", "label", "score"),
     RelationPair: ("entity", "attribute"),
-    SentenceRecord: ("record_id", "sentence_index", "text", "char_offset", "tokens"),
+    SentenceRecord: (
+        "record_id", "sentence_index", "text", "char_offset", "surfaces", "starts", "ends", "shapes",
+    ),
 }
 TYPES = sorted(FIELDS, key=lambda t: t.__name__)
 
@@ -187,7 +189,7 @@ def record_parts(draw):
 
     n = draw(st.integers(1, 4))
     sentences = [
-        SentenceRecord("r", i, draw(TEXT), offset, ())
+        SentenceRecord("r", i, draw(TEXT), offset, (), (), (), ())
         for i, offset in enumerate(sorted(draw(st.lists(OFFSET, min_size=n, max_size=n))))
     ]
     mentions = draw(st.lists(
@@ -217,7 +219,7 @@ def test_record_build_and_serialize_match_the_payload_oracle(parts):
 
 
 def test_non_finite_scores_and_values_are_spelled_as_the_encoder_spells_them():
-    sentences = [SentenceRecord("r", 0, "x", 0, ())]
+    sentences = [SentenceRecord("r", 0, "x", 0, (), (), (), ())]
     values = (float("inf"), float("nan"), float("-inf"))
     attributes = [
         AttributeMention(0, 0, 1, "x", AttributeKind.TEMPORAL, values=values),
@@ -340,10 +342,10 @@ class TestPipelineRecord:
         record.extended
         assert to_json(record, extended=extended, indent=2) == expected
 
-    def test_an_id_that_is_not_a_string_goes_through_the_encoder(self, annotated):
-        record, parts = annotated(7)
-        assert to_json(record, extended=True) == oracles.record_json(*parts, True)
-        assert to_json(record).startswith('{"result": {"id": 7, ')
+    def test_an_id_that_is_not_a_string_is_rejected(self, annotated):
+        for record_id in (7, None, b"r1"):
+            with pytest.raises(TypeError, match=f"^record_id must be a str, got {record_id!r}$"):
+                annotated(record_id)
 
 
 def test_cyclic_extended_payload_raises_recursion_error():
