@@ -3,9 +3,13 @@
 Exit codes: 0 on success, 2 on data errors (malformed inputs, span or
 alignment failures, paths that are missing or cannot be read or written),
 64 on usage errors.  Output is deterministic: records are processed in id
-order and repeated runs produce identical bytes.  ``annotate`` writes each
-record as soon as it is done; under ``--deps`` every parse block is
-aligned before the first record is annotated.
+order and repeated runs produce identical bytes.  ``annotate`` annotates
+the records in chunks of ``_CHUNK``, stage by stage over the whole chunk
+(``pipeline._annotate_split``), and writes each chunk's output in one
+write as soon as the chunk is done, so a data error part-way leaves the
+chunks before it written.  Once the KB is loaded and, under ``--deps``,
+every parse block is aligned (all of them before the first record is
+annotated), no data error is known to be reachable.
 Flag defaults come from ``pipeline.DEFAULT_CONFIG``, and ``PipelineConfig``
 checks ``annotate``'s settings: a bad value is a usage error.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -41,6 +46,8 @@ from .syntax import align_block, parse_blocks
 EXIT_OK = 0
 EXIT_DATA_ERROR = 2
 EXIT_USAGE = 64
+# records annotated together, stage by stage, and written in one write
+_CHUNK = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,9 +138,10 @@ def _block_where(deps_path: str, cursor: int, record_id: str, sentence_index: in
 def _load_parses(deps_path: str, records, mode: SplitMode):
     """Split every record and match parse blocks to its sentences, in id order.
 
-    Returns one ``(sentences, parses)`` pair per record.  Alignment and
-    tree errors name the block (counted from 1), the record and the
-    sentence index.  Each raw block is dropped once it is aligned.
+    Returns one ``(record_id, text, sentences, parses)`` per record, as
+    ``pipeline._annotate_split`` takes them.  Alignment and tree errors
+    name the block (counted from 1), the record and the sentence index.
+    Each raw block is dropped once it is aligned.
     """
 
     try:
@@ -161,7 +169,7 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
                 where = _block_where(deps_path, cursor, record_id, s.sentence_index)
                 raise CycleDetected(f"{where}: {exc}") from None
             cursor += 1
-        split.append((sentences, parses))
+        split.append((record_id, text, sentences, parses))
     if cursor != n_blocks:
         raise ParseMismatch(cursor, f"{deps_path}: more parse blocks than sentences")
     return split
@@ -170,25 +178,30 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
 def _cmd_annotate(args, config: pipeline.PipelineConfig) -> int:
     kb = load_kb(_resolve_kb_path(args.kb))
     records = sorted(read_corpus(args.input), key=lambda r: r[0])
-    if args.deps:
-        # every parse is aligned before the first record is annotated
-        results = (
-            pipeline._annotate_sentences(record_id, text, sentences, kb, config, parses)
-            for (record_id, text), (sentences, parses) in zip(
-                records, _load_parses(args.deps, records, config.mode)
-            )
-        )
-    else:
-        results = (
-            pipeline.annotate_record(record_id, text, kb, config)
-            for record_id, text in records
-        )
-
-    # each record is written as soon as it is annotated
+    # every parse is aligned before the first record is annotated
+    split = _load_parses(args.deps, records, config.mode) if args.deps else None
     indent = None if args.format == "jsonl" else 2
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-        for record in results:
-            out.write(to_json(record, extended=args.extended, indent=indent) + "\n")
+    # The KB, the records and their parses live until the command ends.  A
+    # chunk's results outlive its stages, so collections run while it is
+    # annotated; frozen, the ingested objects are not walked by them.
+    gc.freeze()
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            for at in range(0, len(records), _CHUNK):
+                if split is None:
+                    chunk = [
+                        (rid, text, split_records(text, config.mode, record_id=rid), None)
+                        for rid, text in records[at : at + _CHUNK]
+                    ]
+                else:
+                    chunk = split[at : at + _CHUNK]
+                results = pipeline._annotate_split(chunk, kb, config)
+                # each chunk is written in one write, as soon as it is annotated
+                out.write("".join(
+                    [to_json(r, extended=args.extended, indent=indent) + "\n" for r in results]
+                ))
+    finally:
+        gc.unfreeze()
     return EXIT_OK
 
 

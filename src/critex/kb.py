@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -57,7 +58,15 @@ def term_key(term: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class KbEntry:
-    """One concept row: terms plus unit/pattern/range constraints."""
+    """One concept row: terms plus unit/pattern/range constraints.
+
+    Checked when built, whichever way: ``concept_id`` and
+    ``preferred_term`` are ``str``, ``synonyms`` and ``expected_units``
+    tuples of ``str``, each bound None or a finite real number that is not
+    a ``bool``, ``value_pattern`` a :class:`ValuePattern` or None, and
+    ``category`` a :class:`Category`; anything else is a
+    :class:`MalformedKb` naming the field.
+    """
 
     concept_id: str
     preferred_term: str
@@ -69,6 +78,30 @@ class KbEntry:
     category: Category = Category.OTHER
 
     def __post_init__(self):
+        for name in ("concept_id", "preferred_term"):
+            if not isinstance(getattr(self, name), str):
+                raise MalformedKb(f"{name} must be a str, got {getattr(self, name)!r}")
+        for name in ("synonyms", "expected_units"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and all(isinstance(v, str) for v in value)):
+                raise MalformedKb(
+                    f"{self.concept_id}: {name} must be a tuple of str, got {value!r}"
+                )
+        for name in ("value_min", "value_max"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise MalformedKb(
+                    f"{self.concept_id}: {name} must be a real number, got {value!r}"
+                )
+        if not (self.value_pattern is None or isinstance(self.value_pattern, ValuePattern)):
+            raise MalformedKb(
+                f"{self.concept_id}: value_pattern must be a ValuePattern or None,"
+                f" got {self.value_pattern!r}"
+            )
+        if not isinstance(self.category, Category):
+            raise MalformedKb(
+                f"{self.concept_id}: category must be a Category, got {self.category!r}"
+            )
         preferred = term_key(self.preferred_term)
         if not preferred:
             raise MalformedKb(f"{self.concept_id}: blank preferred_term")

@@ -288,8 +288,9 @@ class _Competitors:
         self._penalty = config.boundary_penalty
         self._cross = config.cross_sentence
         # a lone competitor's score, whatever its compatibility and distance
-        # (module docstring)
-        self._lone_scores = _mix((1.0,), (1.0,), config.theta, 1.0)
+        # (module docstring): _mix of p_sup = p_dep = 1.0, which multiplies
+        # and divides by 1.0 only, so this sum is its result bit for bit
+        self._lone_scores = [config.theta + (1.0 - config.theta)]
         if self._cross:
             # tokens before each sentence, read only by _position
             self._before = list(accumulate((len(s.surfaces) for s in sentences), initial=0))

@@ -3,7 +3,13 @@
 Each record takes one forward pass through the stages, in a fixed order:
 sentence/token segmentation, dictionary entity recognition, abbreviation
 expansion in sentence order, attribute parsing around each sentence's
-entity spans, then one link per attribute.  The linker's ``_Competitors``,
+entity spans, then one link per attribute.  One routine,
+``_annotate_split``, sets that order after the split, for one record
+(:func:`annotate_record`) or a chunk of them (the CLI): the entity scan,
+abbreviation expansion and attribute parsing each run over every record
+of the chunk before the next starts, then each record is linked and
+built.  That is faster than one record at a time, and a record's output
+does not depend on the chunk it is in.  The linker's ``_Competitors``,
 built once per record over its sentences, mentions and optional external
 parses, lists the entities that compete for each attribute with their
 syntactic distances, scores them and keeps the best (see
@@ -93,38 +99,57 @@ def annotate_record(
     if not isinstance(record_id, str):
         raise TypeError(f"record_id must be a str, got {record_id!r}")
     sentences = split_records(text, config.mode, record_id=record_id)
-    return _annotate_sentences(record_id, text, sentences, kb, config, parses)
+    return _annotate_split([(record_id, text, sentences, parses)], kb, config)[0]
 
 
-def _annotate_sentences(
-    record_id: str,
-    text: str,
-    sentences: Sequence[SentenceRecord],
+def _annotate_split(
+    records: Sequence[
+        tuple[str, str, Sequence[SentenceRecord], Sequence[DependencyParse | None] | None]
+    ],
     kb: KnowledgeBase,
     config: PipelineConfig,
-    parses: Sequence[DependencyParse | None] | None,
-) -> StructuredRecord:
-    """:func:`annotate_record` after the split.
+) -> list[StructuredRecord]:
+    """:func:`annotate_record` after the split, over many records at once.
 
-    ``sentences`` must be ``split_records(text, config.mode,
-    record_id=record_id)``; a caller that has split the record already, to
-    align parses to it, passes them here instead of splitting it again.
+    Each of ``records`` is ``(record_id, text, sentences, parses)``, with
+    ``sentences`` equal to ``split_records(text, config.mode,
+    record_id=record_id)``.  Each stage runs over every record before the
+    next one starts: the entity scan over every sentence, abbreviation
+    linking per record, the attribute grammar over every sentence, then
+    per record its links and its build.  A record's output is what it
+    would be alone.
     """
 
-    mentions = link_abbreviations(
-        sentences, [m for s in sentences for m in recognize_entities(s, kb)]
-    )
-    spans: list[list[tuple[int, int]]] = [[] for _ in sentences]
-    for m in mentions:
-        spans[m.sentence_index].append((m.start, m.end))
-    attributes = [
-        a
-        for s, entity_spans in zip(sentences, spans)
-        for a in extract_attributes(s, kb, entity_spans=entity_spans)
-    ]
-    competitors = _Competitors(sentences, mentions, kb, config, parses)
-    links = [competitors.link(a) for a in attributes]
-    return _build_record(record_id, text, sentences, mentions, attributes, links)
+    # plain loops: one record, as annotate_record passes, then costs little
+    # more than the stages called one after another.  A record is built
+    # right after its links: a loop of its own for the light build cost the
+    # one-record call more than it saved a chunk
+    found = []
+    for _, _, sentences, _ in records:
+        found.append([m for s in sentences for m in recognize_entities(s, kb)])
+    mentions = []
+    for (_, _, sentences, _), record_found in zip(records, found):
+        mentions.append(link_abbreviations(sentences, record_found))
+    attributes = []
+    for (_, _, sentences, _), record_mentions in zip(records, mentions):
+        spans: list[list[tuple[int, int]]] = [[] for _ in sentences]
+        for m in record_mentions:
+            spans[m.sentence_index].append((m.start, m.end))
+        attributes.append([
+            a
+            for s, entity_spans in zip(sentences, spans)
+            for a in extract_attributes(s, kb, entity_spans=entity_spans)
+        ])
+    built = []
+    for (record_id, text, sentences, parses), record_mentions, record_attributes in zip(
+        records, mentions, attributes
+    ):
+        competitors = _Competitors(sentences, record_mentions, kb, config, parses)
+        links = [competitors.link(a) for a in record_attributes]
+        built.append(_build_record(
+            record_id, text, sentences, record_mentions, record_attributes, links
+        ))
+    return built
 
 
 def _build_record(

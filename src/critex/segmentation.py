@@ -160,6 +160,7 @@ _ABBREVIATIONS = frozenset(
     }
 )
 
+_TERMINAL_RE = re.compile(r"[.?!]")
 _NEXT_SENTENCE_RE = re.compile(r"\s+([A-Z0-9])")
 _SINGLE_INITIAL_RE = re.compile(r"[A-Z]\.")
 
@@ -177,7 +178,7 @@ def _paragraph_spans(text: str) -> list[tuple[int, int]]:
     separator = -1
     scanned = 0
     depth = 0
-    for m in re.finditer(r"[.?!]", text):
+    for m in _TERMINAL_RE.finditer(text):
         end = m.end()
         nxt = _NEXT_SENTENCE_RE.match(text, end)
         if not nxt:

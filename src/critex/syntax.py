@@ -19,6 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import eq
 from typing import Sequence
 
 from .attributes import AttributeMention
@@ -34,6 +35,12 @@ _BOUNDARY = frozenset(
 
 # token states while a parse's head graph is checked
 _UNSEEN, _ON_PATH, _REACHES_ROOT = 0, 1, 2
+# the column types DependencyParse accepts without a closer look
+_INT, _STR = frozenset({int}), frozenset({str})
+# the IDs and HEADs parse_blocks reads by columns, with their values: the
+# numbers of a block of up to 512 tokens, spelled as str(int) spells them
+_NUMBERS = {str(i): i for i in range(513)}
+_ID_COLUMN = list(_NUMBERS)[1:]
 
 
 @dataclass(frozen=True)
@@ -55,38 +62,44 @@ class DependencyParse:
     def __post_init__(self):
         if not isinstance(self.sentence, SentenceRecord):
             raise TypeError(f"sentence must be a SentenceRecord, got {self.sentence!r}")
-        n, m, k = len(self.heads), len(self.sentence.surfaces), len(self.labels)
+        heads, labels = self.heads, self.labels
+        n, m, k = len(heads), len(self.sentence.surfaces), len(labels)
         if n != m:
             raise ParseMismatch(min(n, m), f"parse has {n} tokens, sentence has {m}")
         if k != n:
             raise ParseMismatch(min(n, k), f"parse has {n} heads and {k} labels")
-        for i, (head, label) in enumerate(zip(self.heads, self.labels), start=1):
-            if isinstance(head, bool) or not isinstance(head, int):
-                raise TypeError(f"token {i} head must be an int, got {head!r}")
-            if not isinstance(label, str):
-                raise TypeError(f"token {i} label must be a str, got {label!r}")
+        # checked by columns; a loop over the tokens only names the first fault
+        if not (set(map(type, heads)) <= _INT and set(map(type, labels)) <= _STR):
+            for i, (head, label) in enumerate(zip(heads, labels), start=1):
+                if isinstance(head, bool) or not isinstance(head, int):
+                    raise TypeError(f"token {i} head must be an int, got {head!r}")
+                if not isinstance(label, str):
+                    raise TypeError(f"token {i} label must be a str, got {label!r}")
         if n == 0:
             return
-        roots = sum(1 for h in self.heads if h == 0)
+        roots = heads.count(0)
         if roots != 1:
             raise CycleDetected(f"head graph must have exactly one root, found {roots}")
-        for i, head in enumerate(self.heads):
-            if not (0 <= head <= n):
-                raise CycleDetected(f"token {i + 1} heads out of range: {head}")
-            if head == i + 1:
-                raise CycleDetected(f"token {i + 1} heads to itself")
+        if min(heads) < 0 or max(heads) > n or any(map(eq, heads, range(1, n + 1))):
+            for i, head in enumerate(heads):
+                if not (0 <= head <= n):
+                    raise CycleDetected(f"token {i + 1} heads out of range: {head}")
+                if head == i + 1:
+                    raise CycleDetected(f"token {i + 1} heads to itself")
         # every token must reach the root: walk up from each unfinished
         # token, marking the path; a walk that meets its own path has found
         # a cycle, one that meets a finished token or the root finishes its
         # path (three-colour marking, each token walked once)
         state = [_UNSEEN] * (n + 1)
         for i in range(1, n + 1):
+            if state[i]:  # reaches the root: a walk from an earlier token passed it
+                continue
             path = []
             node = i
             while node != 0 and state[node] == _UNSEEN:
                 state[node] = _ON_PATH
                 path.append(node)
-                node = self.heads[node - 1]
+                node = heads[node - 1]
             if node != 0 and state[node] == _ON_PATH:
                 raise CycleDetected(f"cycle through token {node}")
             for node in path:
@@ -103,7 +116,52 @@ def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:
     Lines end at "\\n" (or "\\r\\n") alone, as in :func:`~critex.io_eval.read_brat`,
     so a FORM or DEPREL may hold U+0085, U+2028 and the other characters at
     which ``str.splitlines`` also breaks; a lone "\\r" ends no line.
+
+    A block is read by columns, from one split of its text: its lines must
+    have one column count, its IDs must be "1", "2", ... and its HEADs
+    "0" to "512" as ``str(int)`` writes them.  A file with any other
+    block (a faulty one, or one of more than 512 tokens) is read line by
+    line (:func:`_parse_lines`), which names the first faulty line.
     """
+
+    blocks = []
+    # blocks end at an empty line; a line that is only other whitespace
+    # fails the column checks, so that file is read line by line
+    for block in text.replace("\r\n", "\n").split("\n\n"):
+        block = block.strip("\n")
+        if not block:
+            continue
+        rows = _block_rows(block)
+        if rows is None:
+            return _parse_lines(text)
+        blocks.append(rows)
+    return blocks
+
+
+def _block_rows(block: str) -> list[tuple[int, str, int, str]] | None:
+    """The rows of one block of non-empty lines, or None when a line is
+    blank, its columns differ in count from the others' or number fewer
+    than four, an ID is not the next in "1", "2", ... "512", or a HEAD is
+    not a key of ``_NUMBERS``."""
+
+    n = block.count("\n") + 1
+    # each line ends in a column of its own, "\n"; with c columns per line
+    # the line ends fall every c + 1 columns
+    columns = block.replace("\n", "\t\n\t").split("\t")
+    width, rest = divmod(len(columns) + 1, n)
+    if rest or width < 5 or columns[width - 1 :: width].count("\n") != n - 1:
+        return None
+    if columns[0::width] != _ID_COLUMN[:n]:
+        return None
+    try:
+        heads = list(map(_NUMBERS.__getitem__, columns[2::width]))
+    except KeyError:
+        return None
+    return list(zip(range(1, n + 1), columns[1::width], heads, columns[3::width]))
+
+
+def _parse_lines(text: str) -> list[list[tuple[int, str, int, str]]]:
+    """:func:`parse_blocks` one line at a time, raising at the first bad line."""
 
     blocks: list[list[tuple[int, str, int, str]]] = []
     current: list[tuple[int, str, int, str]] = []
@@ -141,15 +199,18 @@ def align_block(
 
     FORM must equal the token surface at every position the block and the
     sentence share; :class:`DependencyParse` then checks the token count
-    and that the head graph is a tree.
+    and that the head graph is a tree.  The FORM column is compared with
+    the surfaces in one tuple comparison; only a block that differs is
+    walked to name its first differing token.
     """
 
-    for i, ((_, form, _, _), surface) in enumerate(zip(rows, sentence.surfaces)):
-        if form != surface:
-            raise ParseMismatch(i, f"token {i}: parse FORM {form!r} != surface {surface!r}")
-    return DependencyParse(
-        tuple(head for _, _, head, _ in rows), tuple(deprel for _, _, _, deprel in rows), sentence
-    )
+    _, forms, heads, labels = zip(*rows) if rows else ((), (), (), ())
+    surfaces = sentence.surfaces
+    if forms[: len(surfaces)] != surfaces[: len(forms)]:
+        for i, (form, surface) in enumerate(zip(forms, surfaces)):
+            if form != surface:
+                raise ParseMismatch(i, f"token {i}: parse FORM {form!r} != surface {surface!r}")
+    return DependencyParse(heads, labels, sentence)
 
 
 def _head_token_index(sentence: SentenceRecord, start: int, end: int) -> int:

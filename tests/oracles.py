@@ -304,9 +304,44 @@ def link(sentences, mentions, attributes, kb, config, parses=None):
     return assign(candidates, config)
 
 
+def parse_blocks(text):
+    """Split a token-per-line file into per-sentence blocks, one line at a
+    time: the reader of ID FORM HEAD DEPREL files before it read blocks by
+    columns."""
+
+    blocks: list[list[tuple[int, str, int, str]]] = []
+    current: list[tuple[int, str, int, str]] = []
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        if not line.strip():
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        cols = line.split("\t")
+        if len(cols) < 4:
+            raise ParseMismatch(lineno, f"line {lineno}: expected 4 tab-separated columns")
+        id_s, head_s = cols[0], cols[2]
+        if not (id_s.isdigit() and head_s.isdigit() and id_s.isascii() and head_s.isascii()):
+            raise ParseMismatch(
+                lineno,
+                f"line {lineno}: ID and HEAD must be ASCII decimal integers,"
+                f" got {id_s!r} and {head_s!r}",
+            )
+        idx, head = int(id_s), int(head_s)
+        if idx != len(current) + 1:
+            raise ParseMismatch(
+                lineno, f"line {lineno}: ID {idx} out of order, expected {len(current) + 1}"
+            )
+        current.append((idx, cols[1], head, cols[3]))
+    if current:
+        blocks.append(current)
+    return blocks
+
+
 def validate_heads(heads, labels, sentence):
-    """The count and head-graph checks of DependencyParse, walking each token
-    to the root: one head per token of ``sentence``, then one label per head.
+    """The count, type and head-graph checks of DependencyParse, token by
+    token, walking each token to the root: one head per token of
+    ``sentence``, then one label per head.
     """
 
     n, tokens, k = len(heads), len(sentence.tokens), len(labels)
@@ -314,6 +349,11 @@ def validate_heads(heads, labels, sentence):
         raise ParseMismatch(min(n, tokens), f"parse has {n} tokens, sentence has {tokens}")
     if k != n:
         raise ParseMismatch(min(n, k), f"parse has {n} heads and {k} labels")
+    for i, (head, label) in enumerate(zip(heads, labels), start=1):
+        if isinstance(head, bool) or not isinstance(head, int):
+            raise TypeError(f"token {i} head must be an int, got {head!r}")
+        if not isinstance(label, str):
+            raise TypeError(f"token {i} label must be a str, got {label!r}")
     if n == 0:
         return
     roots = sum(1 for h in heads if h == 0)

@@ -12,7 +12,7 @@ import pytest
 
 from critex import cli, pipeline
 from critex.cli import main
-from critex.io_eval import to_json
+from critex.io_eval import read_corpus, to_json
 from critex.kb import load_kb
 from critex.resources import bundled_kb_path, mini_corpus_dir
 from critex.segmentation import SplitMode, split_records
@@ -56,25 +56,28 @@ class TestAnnotate:
         assert code == 0
         assert out == ""
 
-    def test_each_record_is_written_before_the_next_is_annotated(self, monkeypatch, tmp_path):
+    def test_each_chunk_is_written_before_the_next_is_annotated(self, monkeypatch, tmp_path):
+        # one record more than a chunk holds: the last record is a chunk of its own
         corpus = tmp_path / "records.jsonl"
-        corpus.write_text(
-            '{"id": "r2", "text": "pain"}\n{"id": "r1", "text": "heart rate 60-100"}\n'
-        )
+        corpus.write_text("".join(
+            json.dumps({"id": f"r{i:03d}", "text": "heart rate 60-100"}) + "\n"
+            for i in reversed(range(cli._CHUNK + 1))
+        ))
         stdout = io.StringIO()
         monkeypatch.setattr(sys, "stdout", stdout)
-        annotate_record = pipeline.annotate_record
-        written_before = {}
+        annotate_split = pipeline._annotate_split
+        calls = []
 
-        def recording(record_id, *args, **kwargs):
-            written_before[record_id] = stdout.getvalue()
-            return annotate_record(record_id, *args, **kwargs)
+        def recording(records, *args):
+            calls.append(([r[0] for r in records], stdout.getvalue()))
+            return annotate_split(records, *args)
 
-        monkeypatch.setattr(pipeline, "annotate_record", recording)
+        monkeypatch.setattr(pipeline, "_annotate_split", recording)
         assert main(["annotate", "--format", "jsonl", str(corpus)]) == 0
-        first, second = stdout.getvalue().splitlines(keepends=True)
-        assert json.loads(first)["result"]["id"] == "r1"
-        assert written_before == {"r1": "", "r2": first}
+        lines = stdout.getvalue().splitlines(keepends=True)
+        ids = [f"r{i:03d}" for i in range(cli._CHUNK + 1)]
+        assert [json.loads(line)["result"]["id"] for line in lines] == ids
+        assert calls == [(ids[:-1], ""), (ids[-1:], "".join(lines[:-1]))]
 
     def test_bad_theta_is_usage_error(self, capsys, fig2_file):
         with pytest.raises(SystemExit) as info:
@@ -279,6 +282,77 @@ class TestDeps:
         assert code == 2
         assert out == ""
         assert err == f"critex: error: {deps}: block 3 (record b, sentence 0): {message}\n"
+
+
+def _chunk_corpus():
+    """131 records cut from the bundled gold records, in id order; record
+    40's text is blank, so it yields no sentence."""
+
+    texts = [text for _, text in sorted(read_corpus(mini_corpus_dir()))]
+    records = [(f"r{i:03d}", texts[i % len(texts)]) for i in range(131)]
+    records[40] = (records[40][0], " \n\n ")
+    return records
+
+
+CHUNK_CORPUS = _chunk_corpus()
+
+
+@pytest.fixture(scope="module")
+def chunk_expected():
+    """Per (deps, cross): each record's lines in both formats, from
+    annotate_record and to_json, and its parse blocks."""
+
+    kb = load_kb(bundled_kb_path())
+    expected = {}
+    for deps in (False, True):
+        for cross in (False, True):
+            config = pipeline.PipelineConfig(cross_sentence=cross)
+            rows = []
+            for record_id, text in CHUNK_CORPUS:
+                sentences = split_records(text, SplitMode.LINES, record_id=record_id)
+                blocks = [_deps_rows(s.surfaces) for s in sentences]
+                parses = None
+                if deps:
+                    parses = [
+                        align_block(parse_blocks("\n".join(b))[0], s)
+                        for b, s in zip(blocks, sentences)
+                    ]
+                record = pipeline.annotate_record(record_id, text, kb, config, parses=parses)
+                lines = {
+                    "json": to_json(record, indent=2) + "\n",
+                    "jsonl": to_json(record, extended=True) + "\n",
+                }
+                rows.append((lines, blocks))
+            expected[deps, cross] = rows
+    return expected
+
+
+class TestChunks:
+    @pytest.mark.parametrize("fmt", ["json", "jsonl"])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("deps", [False, True])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 131])
+    def test_bytes_equal_annotate_record_at_chunk_edges(
+        self, capsys, tmp_path, chunk_expected, n, deps, cross, fmt
+    ):
+        assert cli._CHUNK == 64
+        rows = chunk_expected[deps, cross][:n]
+        corpus = tmp_path / "records.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": k, "text": v}) + "\n" for k, v in CHUNK_CORPUS[:n]
+        ))
+        flags = ["--format", fmt] + (["--extended"] if fmt == "jsonl" else [])
+        if cross:
+            flags.append("--cross-sentence")
+        if deps:
+            parse_file = tmp_path / "deps.tsv"
+            parse_file.write_text(
+                "".join("\n".join(b) + "\n\n" for _, blocks in rows for b in blocks)
+            )
+            flags += ["--deps", parse_file]
+        code, out, err = run(capsys, "annotate", *flags, corpus)
+        assert code == 0, err
+        assert out == "".join(lines[fmt] for lines, _ in rows)
 
 
 class TestEvaluateCommand:

@@ -153,6 +153,38 @@ class TestLoadKb:
         with pytest.raises(MalformedKb, match="must be finite"):
             KbEntry(concept_id="LOCAL:x", preferred_term="x", **bounds)
 
+    @pytest.mark.parametrize("field,value,message", [
+        # each of these was accepted and broke later: annotate_record raised
+        # AttributeError or TypeError, or a string was read letter by letter
+        ("value_pattern", "SCALAR", "value_pattern must be a ValuePattern or None, got 'SCALAR'"),
+        ("value_min", "5", "value_min must be a real number, got '5'"),
+        ("value_max", True, "value_max must be a real number, got True"),
+        ("synonyms", "BP", "synonyms must be a tuple of str, got 'BP'"),
+        ("synonyms", ["BP"], "synonyms must be a tuple of str, got ['BP']"),
+        ("synonyms", ("BP", 7), "synonyms must be a tuple of str, got ('BP', 7)"),
+        ("expected_units", "mmHg", "expected_units must be a tuple of str, got 'mmHg'"),
+        ("category", "MEASUREMENT", "category must be a Category, got 'MEASUREMENT'"),
+    ])
+    def test_field_types_rejected_by_the_constructor(self, field, value, message):
+        with pytest.raises(MalformedKb) as info:
+            KbEntry(**{"concept_id": "LOCAL:bp", "preferred_term": "blood pressure", field: value})
+        assert str(info.value) == f"LOCAL:bp: {message}"
+
+    @pytest.mark.parametrize("field", ["concept_id", "preferred_term"])
+    def test_id_and_preferred_term_that_are_not_str_rejected_by_the_constructor(self, field):
+        with pytest.raises(MalformedKb, match=f"^{field} must be a str, got 7$"):
+            KbEntry(**{"concept_id": "LOCAL:x", "preferred_term": "x", field: 7})
+
+    def test_int_bounds_and_enum_fields_accepted_by_the_constructor(self):
+        entry = KbEntry(
+            "LOCAL:bp", "blood pressure", expected_units=("mmHg",), value_min=60, value_max=250,
+            value_pattern=ValuePattern.SCALAR, category=Category.MEASUREMENT,
+        )
+        kb = KnowledgeBase.build([entry])
+        sentence = split_records("blood pressure 140 mmHg", SplitMode.LINES)[0]
+        (attribute,) = extract_attributes(sentence, kb)
+        assert compatibility_terms(entry, attribute, attribute_shape(attribute))[1:] == (1.0,) * 3
+
     def test_synonym_duplicating_preferred_term_rejected(self):
         with pytest.raises(MalformedKb):
             KbEntry(concept_id="LOCAL:x", preferred_term="x", synonyms=("X",))

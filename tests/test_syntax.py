@@ -396,7 +396,7 @@ def _outcome(fn, *args):
         return fn(*args)
     except ParseMismatch as exc:
         return type(exc), str(exc), exc.index
-    except (CycleDetected, ValueError) as exc:
+    except (CycleDetected, TypeError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -424,7 +424,8 @@ def trees(draw, max_size=12):
 
 @st.composite
 def head_graphs(draw):
-    """Heads of trees, chains and stars, some broken in one of the usual ways."""
+    """Heads of trees, chains and stars, some broken in one of the usual
+    ways or holding a bool or a float."""
 
     heads = draw(trees())
     n = len(heads)
@@ -435,13 +436,83 @@ def head_graphs(draw):
             i + 1,                      # a self-loop
             n + 1, -1,                  # out of range
             draw(st.integers(1, n)),    # any token: often a cycle
+            True, False, float(heads[i]),  # not an int, though equal to one
         )))
     return heads
+
+
+# a column's characters: U+0085, U+2028 and a lone "\r" end no line
+_COLUMN = st.text(alphabet="ab \u0085\u2028\r", min_size=1, max_size=3)
+# lines that are blank, though not all empty
+_BLANK_LINES = ("", " ", "\t", "\t\t\t", "\u2028", "\u0085 ", "\r")
+# IDs and HEADs that int() reads but the file format does not, or that are
+# accepted and read differently from their digits ("01")
+_ODD_NUMBERS = ("01", "007", "٣", "²", "+1", " 1", "1_0", "1.0", "-1", "")
+
+
+@st.composite
+def parse_files(draw):
+    """ID FORM HEAD DEPREL files: blocks of valid rows with one column
+    count each, some lines then broken or blank."""
+
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 5))
+        width = draw(st.sampled_from((4, 4, 5, 10)))
+        for i in range(1, n + 1):
+            lines.append("\t".join(
+                [str(i), draw(_COLUMN), str(draw(st.integers(0, n)))]
+                + [draw(_COLUMN) for _ in range(width - 3)]
+            ))
+        # mostly one empty line between blocks
+        lines += draw(st.sampled_from(([""], [""], [""], [], ["", ""], *map(list, _BLANK_LINES))))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2))) if lines else 0):
+        k = draw(st.integers(0, len(lines) - 1))
+        cols = lines[k].split("\t")
+        change = draw(st.sampled_from(("id", "head", "columns", "blank")))
+        if change == "blank":
+            lines.insert(k, draw(st.sampled_from(_BLANK_LINES)))
+        elif change == "columns":
+            width = draw(st.sampled_from((1, 2, 3, 5, 6)))
+            lines[k] = "\t".join((cols + ["x"] * width)[:width])
+        elif len(cols) > 2:
+            cols[0 if change == "id" else 2] = draw(st.sampled_from(_ODD_NUMBERS))
+            lines[k] = "\t".join(cols)
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline, newline * 2)))
+
+
+class TestParseBlocksOracle:
+    @given(text=parse_files())
+    @example(text="1\ta\t0\tb\n\t\t\t\n1\ta\t0\tb\n")  # a tab-only line ends a block
+    @example(text="1\ta\t0\tb\t\n2\ta\t1\tb\n")  # five columns, then four
+    @example(text="01\ta\t0\tb")  # read as ID 1
+    @example(text="1\ta\t0\n2\tb\t1\n")  # three columns on every line
+    # three columns, then seven: the second line's third and fifth columns
+    # sit where a two-line block of six columns keeps its ID and HEAD
+    @example(text="1\ta\t0\nx\tx\t2\tb\t1\tc\ty")
+    @settings(max_examples=250, deadline=None)
+    def test_same_blocks_or_error_as_line_by_line(self, text):
+        assert _outcome(parse_blocks, text) == _outcome(oracles.parse_blocks, text)
+
+    @pytest.mark.parametrize("n", [512, 513, 600])
+    def test_blocks_of_more_tokens_than_the_stored_id_column(self, n):
+        good = "".join(f"{i}\tw\t{i - 1}\tdep\n" for i in range(1, n + 1))
+        bad = good.replace(f"\n{n}\t", f"\n{n + 1}\t")  # the last ID skips one
+        assert parse_blocks(good) == oracles.parse_blocks(good)
+        assert len(parse_blocks(good)[0]) == n
+        assert _outcome(parse_blocks, bad) == _outcome(oracles.parse_blocks, bad)
+        assert _outcome(parse_blocks, bad)[0] is ParseMismatch
 
 
 class TestParseValidationOracle:
     @given(heads=head_graphs(), short_labels=st.booleans(), extra_tokens=st.integers(-2, 2))
     @example(heads=[2, 3, 2, 0], short_labels=False, extra_tokens=0)  # token 1 leads into the cycle 2-3
+    @example(heads=[0, 2, 2], short_labels=False, extra_tokens=0)  # a self-head, else a tree
+    @example(heads=[0, 1, 4], short_labels=False, extra_tokens=0)  # a head past the last token
+    @example(heads=[0, 1, -1], short_labels=False, extra_tokens=0)  # a negative head
+    @example(heads=[0, True, 1], short_labels=False, extra_tokens=0)  # a bool that equals 1
+    @example(heads=[0, 1, 2.0], short_labels=False, extra_tokens=0)  # a float that equals 2
     @settings(max_examples=300, deadline=None)
     def test_same_verdict_and_message_as_walk_to_root(self, heads, short_labels, extra_tokens):
         # the sentence has len(heads) + extra_tokens tokens, at least one
