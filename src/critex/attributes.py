@@ -26,7 +26,6 @@ the surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -194,8 +193,7 @@ _BETWEEN = "between"  # opens "between <number> and <number>"
 _ANCHOR_STOP = frozenset({"and", "or", "but", "if"})
 
 
-@dataclass
-class _Parse:
+class _Parse(NamedTuple):
     kind: AttributeKind
     span_start: int  # token index where the surface starts
     span_end: int  # last token index of the surface (inclusive)

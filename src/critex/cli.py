@@ -9,7 +9,14 @@ the records in chunks of ``_CHUNK``, stage by stage over the whole chunk
 write as soon as the chunk is done, so a data error part-way leaves the
 chunks before it written.  Once the KB is loaded and, under ``--deps``,
 every parse block is aligned (all of them before the first record is
-annotated), no data error is known to be reachable.
+annotated), no data error is known to be reachable.  ``annotate`` runs
+with Python's cyclic garbage collector off, from the KB load to the last
+write, and leaves it on or off as it found it, also on a data error: the
+command makes no reference cycle, so a collection would walk every live
+object and find nothing (reference counting frees everything the command
+drops; ``to_json`` writes an indented document without ``json.dumps``,
+whose encoder makes a cycle per call).  No module of the package imports
+``dataclasses``, so a command starts without loading it.
 Flag defaults come from ``pipeline.DEFAULT_CONFIG``, and ``PipelineConfig``
 checks ``annotate``'s settings: a bad value is a usage error.
 """
@@ -17,7 +24,6 @@ checks ``annotate``'s settings: a bad value is a usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -176,16 +182,16 @@ def _load_parses(deps_path: str, records, mode: SplitMode):
 
 
 def _cmd_annotate(args, config: pipeline.PipelineConfig) -> int:
-    kb = load_kb(_resolve_kb_path(args.kb))
-    records = sorted(read_corpus(args.input), key=lambda r: r[0])
-    # every parse is aligned before the first record is annotated
-    split = _load_parses(args.deps, records, config.mode) if args.deps else None
-    indent = None if args.format == "jsonl" else 2
-    # The KB, the records and their parses live until the command ends.  A
-    # chunk's results outlive its stages, so collections run while it is
-    # annotated; frozen, the ingested objects are not walked by them.
-    gc.freeze()
+    # no reference cycle is made, so the cyclic collector is off for the
+    # whole command (see the module docstring)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        kb = load_kb(_resolve_kb_path(args.kb))
+        records = sorted(read_corpus(args.input), key=lambda r: r[0])
+        # every parse is aligned before the first record is annotated
+        split = _load_parses(args.deps, records, config.mode) if args.deps else None
+        indent = None if args.format == "jsonl" else 2
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
             for at in range(0, len(records), _CHUNK):
                 if split is None:
@@ -201,7 +207,8 @@ def _cmd_annotate(args, config: pipeline.PipelineConfig) -> int:
                     [to_json(r, extended=args.extended, indent=indent) + "\n" for r in results]
                 ))
     finally:
-        gc.unfreeze()
+        if enabled:
+            gc.enable()
     return EXIT_OK
 
 
@@ -254,8 +261,10 @@ def _cmd_kb(args) -> int:
 
 
 def _cmd_config(args) -> int:
-    defaults = dataclasses.asdict(pipeline.DEFAULT_CONFIG)
-    defaults["mode"] = pipeline.DEFAULT_CONFIG.mode.value
+    config = pipeline.DEFAULT_CONFIG
+    defaults = config._asdict()
+    defaults["mode"] = config.mode.value
+    defaults["weights"] = config.weights._asdict()
     defaults["kb"] = str(bundled_kb_path())
     print(json.dumps(defaults, indent=2))
     return EXIT_OK

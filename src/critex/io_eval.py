@@ -26,10 +26,9 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DanglingRef,
@@ -41,6 +40,7 @@ from .errors import (
     SpanMismatch,
 )
 from .floats import left_sum
+from .slotted import Slotted
 
 ENTITY_LABELS = frozenset({"Entity"})
 ATTRIBUTE_LABELS = frozenset({"Attribute", "Value", "Temporal", "Qualifier"})
@@ -67,36 +67,42 @@ class _Payload(NamedTuple):
     entity_index: dict[tuple[int, int], int]
 
 
-@dataclass
-class StructuredRecord:
+class StructuredRecord(Slotted):
     """Per-record output: id, text, and the linked relation surfaces.
 
     ``extended`` is a property over the private ``_extended`` slot.  The
     pipeline passes a :class:`_Payload` there, and the first read of
     ``extended`` replaces it with the dict :func:`_extended_dict` builds;
     until then :func:`to_json` writes the record straight from the tuples.
-    Assigning ``extended`` stores the value as given.
+    Assigning ``extended`` stores the value as given.  A record without
+    ``relations`` gets a list of its own.
     """
 
-    id: str
-    text: str
-    relations: list[RelationPair] = field(default_factory=list)
-    extended: dict | None = None
+    __slots__ = ("id", "text", "relations", "_extended")
+    _fields = ("id", "text", "relations", "extended")
 
+    def __init__(
+        self,
+        id: str,
+        text: str,
+        relations: list[RelationPair] | None = None,
+        extended: dict | None = None,
+    ):
+        self.id = id
+        self.text = text
+        self.relations = [] if relations is None else relations
+        self._extended = extended
 
-def _read_extended(record: StructuredRecord) -> dict | None:
-    value = record._extended
-    if type(value) is _Payload:
-        value = record._extended = _extended_dict(*value)
-    return value
+    @property
+    def extended(self) -> dict | None:
+        value = self._extended
+        if type(value) is _Payload:
+            value = self._extended = _extended_dict(*value)
+        return value
 
-
-def _write_extended(record: StructuredRecord, value: dict | None) -> None:
-    record._extended = value
-
-
-# set after the class is made, so that the dataclass field keeps its default
-StructuredRecord.extended = property(_read_extended, _write_extended)
+    @extended.setter
+    def extended(self, value: dict | None) -> None:
+        self._extended = value
 
 
 _EMPTY_EXTENDED = {
@@ -188,6 +194,27 @@ def _float(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+# The encoding function of an indented document, one per indent.
+# ``json.dumps(..., indent=...)`` builds its functions on every call, from
+# ``json.encoder._make_iterencode``, and they refer to each other: one
+# reference cycle per document, which ``critex annotate``, run with the
+# cyclic collector off, would keep until it ends.  These are built once by
+# the same (private) factory, with ``json.dumps``'s separators for an
+# indent, ``ensure_ascii=False`` and, as for the compact form, no circular
+# check; the indent is spelled as a string, which every version takes.
+_INDENTED: dict[int | str, Callable] = {}
+
+
+def _indented_json(document: dict, indent: int | str) -> str:
+    encode = _INDENTED.get(indent)
+    if encode is None:
+        spaces = indent if isinstance(indent, str) else " " * indent
+        encode = _INDENTED[indent] = json.encoder._make_iterencode(
+            None, _COMPACT.default, _string, spaces, _float, ": ", ",", False, False, False
+        )
+    return "".join(encode(document, 0))
+
+
 def _payload_json(payload: _Payload) -> str:
     """The ``"extended"`` object of a pipeline record, as the compact
     encoder writes :func:`_extended_dict`'s dict.
@@ -275,8 +302,9 @@ def to_json(record: StructuredRecord, extended: bool = False, indent: int | None
     spelling of floats (:func:`_record_json`).  Every other record, and
     every ``indent`` form, goes through ``json``'s encoder.
 
-    The compact form does not check for circular references: a hand-built
-    ``extended`` that contains itself raises ``RecursionError``.
+    No form checks for circular references: a hand-built ``extended``
+    that contains itself raises ``RecursionError``.  No form makes a
+    reference cycle either (see :func:`_indented_json`).
     """
 
     payload = record._extended
@@ -293,7 +321,7 @@ def to_json(record: StructuredRecord, extended: bool = False, indent: int | None
         result["extended"] = record.extended if record.extended is not None else dict(_EMPTY_EXTENDED)
     if indent is None:
         return _COMPACT.encode({"result": result})
-    return json.dumps({"result": result}, ensure_ascii=False, indent=indent)
+    return _indented_json({"result": result}, indent)
 
 
 def from_json(text: str) -> StructuredRecord:
@@ -316,8 +344,7 @@ def _from_result(result: dict) -> StructuredRecord:
 # Brat standoff gold annotations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoldSpan:
+class GoldSpan(NamedTuple):
     ref: str
     label: str
     start: int
@@ -325,21 +352,32 @@ class GoldSpan:
     surface: str
 
 
-@dataclass(frozen=True)
-class GoldRelation:
+class GoldRelation(NamedTuple):
     ref: str
     label: str
     entity: GoldSpan
     attribute: GoldSpan
 
 
-@dataclass
-class GoldAnnotation:
-    record_id: str
-    text: str
-    entities: list[GoldSpan] = field(default_factory=list)
-    attributes: list[GoldSpan] = field(default_factory=list)
-    relations: list[GoldRelation] = field(default_factory=list)
+class GoldAnnotation(Slotted):
+    """One record's gold spans and relations, which :func:`read_brat`
+    appends to; each list omitted is a list of its own."""
+
+    __slots__ = _fields = ("record_id", "text", "entities", "attributes", "relations")
+
+    def __init__(
+        self,
+        record_id: str,
+        text: str,
+        entities: list[GoldSpan] | None = None,
+        attributes: list[GoldSpan] | None = None,
+        relations: list[GoldRelation] | None = None,
+    ):
+        self.record_id = record_id
+        self.text = text
+        self.entities = [] if entities is None else entities
+        self.attributes = [] if attributes is None else attributes
+        self.relations = [] if relations is None else relations
 
 
 _T_LINE_RE = re.compile(r"(T\d+)\t(\S+) (\d+) (\d+)\t(.*)")
@@ -461,8 +499,7 @@ class MatchMode(Enum):
     OVERLAP = "OVERLAP"
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -484,8 +521,7 @@ class Counts:
         return Counts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Micro counts and macro averages per element type and match mode."""
 
     micro: dict[tuple[ElementType, MatchMode], Counts]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from numbers import Real
 from pathlib import Path
@@ -24,6 +23,7 @@ from .attributes import AttributeMention, AttributeShape
 from .errors import DuplicateConceptId, MalformedKb
 from .io_eval import read_text
 from .segmentation import SentenceRecord, TokenShape, scan_tokens
+from .slotted import FrozenSlotted, Slotted
 from .units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
 
 KB_SCHEMA_VERSION = 1
@@ -56,28 +56,39 @@ def term_key(term: str) -> tuple[str, ...]:
     return tuple(map(str.casefold, scan_tokens(term)[0]))
 
 
-@dataclass(frozen=True)
-class KbEntry:
+class KbEntry(FrozenSlotted):
     """One concept row: terms plus unit/pattern/range constraints.
 
-    Checked when built, whichever way: ``concept_id`` and
-    ``preferred_term`` are ``str``, ``synonyms`` and ``expected_units``
-    tuples of ``str``, each bound None or a finite real number that is not
-    a ``bool``, ``value_pattern`` a :class:`ValuePattern` or None, and
-    ``category`` a :class:`Category`; anything else is a
-    :class:`MalformedKb` naming the field.
+    Checked when built, whichever way (the constructor, ``_make``,
+    ``_replace`` or unpickling): ``concept_id`` and ``preferred_term`` are
+    ``str``, ``synonyms`` and ``expected_units`` tuples of ``str``, each
+    bound None or a finite real number that is not a ``bool``,
+    ``value_pattern`` a :class:`ValuePattern` or None, and ``category`` a
+    :class:`Category`; anything else is a :class:`MalformedKb` naming the
+    field.  Immutable, with slots: the linker reads its constraints once
+    per competitor.
     """
 
-    concept_id: str
-    preferred_term: str
-    synonyms: tuple[str, ...] = ()
-    expected_units: tuple[str, ...] = ()
-    value_min: float | None = None
-    value_max: float | None = None
-    value_pattern: ValuePattern | None = None
-    category: Category = Category.OTHER
+    __slots__ = _fields = (
+        "concept_id", "preferred_term", "synonyms", "expected_units",
+        "value_min", "value_max", "value_pattern", "category",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        concept_id: str,
+        preferred_term: str,
+        synonyms: tuple[str, ...] = (),
+        expected_units: tuple[str, ...] = (),
+        value_min: float | None = None,
+        value_max: float | None = None,
+        value_pattern: ValuePattern | None = None,
+        category: Category = Category.OTHER,
+    ):
+        self._set(
+            concept_id, preferred_term, synonyms, expected_units,
+            value_min, value_max, value_pattern, category,
+        )
         for name in ("concept_id", "preferred_term"):
             if not isinstance(getattr(self, name), str):
                 raise MalformedKb(f"{name} must be a str, got {getattr(self, name)!r}")
@@ -147,44 +158,53 @@ def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbE
     )
     if canonical == entry.expected_units:
         return entry
-    return replace(entry, expected_units=canonical)
+    return entry._replace(expected_units=canonical)
 
 
-@dataclass(slots=True)
-class TermNode:
+class TermNode(Slotted):
     """One node of the term trie: a path of term tokens from the root.
 
     ``children`` maps the next casefolded token surface (a :func:`term_key`
     component) to its node; ``hits`` holds the (entry, term) pairs of the
-    terms that end here.
+    terms that end here.  Each node gets a dict of its own.
     """
 
-    children: dict[str, "TermNode"] = field(default_factory=dict)
-    hits: tuple[tuple[KbEntry, str], ...] = ()
+    __slots__ = _fields = ("children", "hits")
+
+    def __init__(
+        self,
+        children: dict[str, "TermNode"] | None = None,
+        hits: tuple[tuple[KbEntry, str], ...] = (),
+    ):
+        self.children = {} if children is None else children
+        self.hits = hits
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(FrozenSlotted):
     """Immutable bundle of entries plus the term trie and the unit table.
 
     The trie is keyed by :func:`term_key`, so its depth is the token count
     of the longest term.  ``first_words`` is derived from the trie when the
-    KB is created, by any constructor: each casefolded token that opens a
-    term, and that token plus "s", so the entity scan starts a walk only at
-    a casefolded token in it (a walk's first step may fold a plural "s").
+    KB is created, by any constructor (``_replace`` and unpickling build
+    through it): each casefolded token that opens a term, and that token
+    plus "s", so the entity scan starts a walk only at a casefolded token
+    in it (a walk's first step may fold a plural "s").  It is not a field:
+    it takes no part in ``==``, the ``repr`` or ``_asdict``.
     """
 
-    entries: tuple[KbEntry, ...]
-    term_trie: TermNode
-    unit_table: dict[str, str]
-    by_id: dict[str, KbEntry]
-    first_words: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "term_trie", "unit_table", "by_id", "first_words")
+    _fields = ("entries", "term_trie", "unit_table", "by_id")
 
-    def __post_init__(self):
-        words = self.term_trie.children
-        object.__setattr__(
-            self, "first_words", frozenset(words).union(w + "s" for w in words)
-        )
+    def __init__(
+        self,
+        entries: tuple[KbEntry, ...],
+        term_trie: TermNode,
+        unit_table: dict[str, str],
+        by_id: dict[str, KbEntry],
+    ):
+        self._set(entries, term_trie, unit_table, by_id)
+        words = term_trie.children
+        object.__setattr__(self, "first_words", frozenset(words).union(w + "s" for w in words))
 
     @classmethod
     def build(
@@ -246,18 +266,18 @@ class KnowledgeBase:
 # Compatibility scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompatibilityWeights:
-    """Weights of the unit, pattern and range terms (unit dominates)."""
+class CompatibilityWeights(FrozenSlotted):
+    """Weights of the unit, pattern and range terms (unit dominates),
+    checked however they are built; immutable, with slots, as the linker
+    reads them once per competitor."""
 
-    unit: float = 0.6
-    pattern: float = 0.25
-    range: float = 0.15
+    __slots__ = _fields = ("unit", "pattern", "range")
 
-    def __post_init__(self):
-        if not (self.unit > self.pattern > self.range > 0):
+    def __init__(self, unit: float = 0.6, pattern: float = 0.25, range: float = 0.15):
+        self._set(unit, pattern, range)
+        if not (unit > pattern > range > 0):
             raise ValueError("weights must satisfy unit > pattern > range > 0")
-        if abs(self.unit + self.pattern + self.range - 1.0) > 1e-9:
+        if abs(unit + pattern + range - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
 
@@ -590,8 +610,7 @@ def mine_kb_candidates(
                     if prior.value_pattern == pattern
                     else ValuePattern.ANY
                 )
-                found[key] = replace(
-                    prior,
+                found[key] = prior._replace(
                     expected_units=merged_units,
                     value_pattern=merged_pattern,
                 )

@@ -27,32 +27,39 @@ always give the same output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from numbers import Real
 from typing import Sequence
 
 from .attributes import AttributeMention, extract_attributes
 from .entities import EntityMention, link_abbreviations, recognize_entities
-from .kb import CompatibilityWeights, KnowledgeBase
+from .kb import DEFAULT_WEIGHTS, CompatibilityWeights, KnowledgeBase
 from .io_eval import RelationPair, StructuredRecord, _Payload
 from .linker import Relation, _Competitors
 from .segmentation import SentenceRecord, SplitMode, split_records
+from .slotted import FrozenSlotted
 from .syntax import DependencyParse
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Every setting of the pipeline, linker included; checked when created."""
+class PipelineConfig(FrozenSlotted):
+    """Every setting of the pipeline, linker included; checked however it
+    is built (the constructor, ``_make``, ``_replace`` or unpickling).
+    Immutable, with slots: the linker reads it once per attribute."""
 
-    mode: SplitMode = SplitMode.LINES
-    theta: float = 0.5
-    min_score: float = 0.2
-    cross_sentence: bool = False
-    tau: float = 2.0
-    boundary_penalty: float = 5.0
-    weights: CompatibilityWeights = field(default_factory=CompatibilityWeights)
+    __slots__ = _fields = (
+        "mode", "theta", "min_score", "cross_sentence", "tau", "boundary_penalty", "weights",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        mode: SplitMode = SplitMode.LINES,
+        theta: float = 0.5,
+        min_score: float = 0.2,
+        cross_sentence: bool = False,
+        tau: float = 2.0,
+        boundary_penalty: float = 5.0,
+        weights: CompatibilityWeights = DEFAULT_WEIGHTS,
+    ):
+        self._set(mode, theta, min_score, cross_sentence, tau, boundary_penalty, weights)
         if not isinstance(self.mode, SplitMode):
             raise TypeError(f"mode must be a SplitMode, got {self.mode!r}")
         if not isinstance(self.cross_sentence, bool):

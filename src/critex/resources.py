@@ -7,12 +7,14 @@ acceptance suite.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 
 def _data_dir() -> Path:
-    return Path(resources.files("critex") / "data")
+    # beside this module, where the package is installed; read through
+    # ``__file__`` rather than ``importlib.resources``, which on some
+    # Pythons imports ``inspect`` and adds its import time to every command
+    return Path(__file__).parent / "data"
 
 
 def bundled_kb_path() -> Path:

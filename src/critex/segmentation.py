@@ -18,7 +18,12 @@ token because the branches' openers are disjoint: WORD opens with an ASCII
 letter, the four number branches with a digit, SYMBOL with a comparison
 glyph, so at any position the same branch wins in either order.  A branch
 added later must keep its opener disjoint from those before it, or the
-order decides and this one changes tokens.
+order decides and this one changes tokens.  Every branch opens on a
+character that is not whitespace (OTHER is any such character), so the
+scan is gated by ``(?=\\S)``: at a whitespace position it fails at once
+instead of trying each of the seven branches, and no token changes.  A
+branch added later must open on a non-space character too, or the gate
+hides it.
 
 A sentence stores its tokens as columns, one tuple per field
 (``SentenceRecord.surfaces``, ``starts``, ``ends`` and ``shapes``), built
@@ -97,9 +102,12 @@ _PUNCT_CHARS = frozenset("()[]{},;:.!?\"'`/\\-–—&")
 # whose single character :func:`_other_shape` classifies.  Comparison glyphs
 # come out as SYMBOL tokens; "≦"/"≧" are treated as aliases of "≤"/"≥"
 # downstream, and the surface is preserved here.  Only the digit-led branches
-# share an opener, so only their order matters (see the module docstring).
+# share an opener, so only their order matters, and the ``(?=\S)`` gate
+# fails at whitespace before any branch is tried (see the module docstring).
 _SCAN_RE = re.compile(
     r"""
+    (?=\S)
+    (?:
       (?P<WORD>[A-Za-z][A-Za-z0-9'’]*(?:[-/^][A-Za-z0-9^]+)*)  # word, kg/m^2
     | (?P<RATIO>\d+(?:\.\d+)?/\d+(?:\.\d+)?)                   # 140/90
     | (?P<RANGE>\d+(?:\.\d+)?[-–]\d+(?:\.\d+)?(?![A-Za-z]))    # 21-45
@@ -107,6 +115,7 @@ _SCAN_RE = re.compile(
     | (?P<NUMBER>(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?)  # 40, 1,000, 2.5, 1e5
     | (?P<SYMBOL><=|>=|≤|≥|≦|≧|[<>=])
     | (?P<OTHER>\S)
+    )
     """,
     re.VERBOSE,
 )

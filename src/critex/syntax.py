@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import eq
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .attributes import AttributeMention
 from .entities import EntityMention
@@ -43,23 +42,31 @@ _NUMBERS = {str(i): i for i in range(513)}
 _ID_COLUMN = list(_NUMBERS)[1:]
 
 
-@dataclass(frozen=True)
-class DependencyParse:
-    """One head (0 = root, else 1-based index) and label per token of
-    ``sentence``, to which the parse is aligned when it is built.
-
-    ``sentence`` must be a :class:`SentenceRecord` (else ``TypeError``)
-    with one token per head, and there must be one label per head (else
-    :class:`ParseMismatch`).  A head must be an ``int`` and not a ``bool``,
-    and a label a ``str``; anything else is a ``TypeError`` naming the
-    token (counted from 1).  The heads must form a tree.
-    """
+class _ParseFields(NamedTuple):
+    """The fields of a ``DependencyParse``, in order."""
 
     heads: tuple[int, ...]
     labels: tuple[str, ...]
     sentence: SentenceRecord
 
-    def __post_init__(self):
+
+class DependencyParse(_ParseFields):
+    """One head (0 = root, else 1-based index) and label per token of
+    ``sentence``, to which the parse is aligned when it is built, as a
+    named tuple.
+
+    Checked however it is built (the constructor, ``_make`` or
+    ``_replace``): ``sentence`` must be a :class:`SentenceRecord` (else
+    ``TypeError``) with one token per head, and there must be one label per
+    head (else :class:`ParseMismatch`).  A head must be an ``int`` and not
+    a ``bool``, and a label a ``str``; anything else is a ``TypeError``
+    naming the token (counted from 1).  The heads must form a tree.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.sentence, SentenceRecord):
             raise TypeError(f"sentence must be a SentenceRecord, got {self.sentence!r}")
         heads, labels = self.heads, self.labels
@@ -76,7 +83,7 @@ class DependencyParse:
                 if not isinstance(label, str):
                     raise TypeError(f"token {i} label must be a str, got {label!r}")
         if n == 0:
-            return
+            return self
         roots = heads.count(0)
         if roots != 1:
             raise CycleDetected(f"head graph must have exactly one root, found {roots}")
@@ -104,6 +111,12 @@ class DependencyParse:
                 raise CycleDetected(f"cycle through token {node}")
             for node in path:
                 state[node] = _REACHES_ROOT
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "DependencyParse":
+        # ``_replace`` builds through ``_make``, so it is checked too
+        return cls(*iterable)
 
 
 def parse_blocks(text: str) -> list[list[tuple[int, str, int, str]]]:

@@ -1,12 +1,15 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
 import errno
+import gc
 import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -353,6 +356,123 @@ class TestChunks:
         code, out, err = run(capsys, "annotate", *flags, corpus)
         assert code == 0, err
         assert out == "".join(lines[fmt] for lines, _ in rows)
+
+
+@pytest.fixture()
+def collector_off():
+    """The cyclic collector off, after one collection; restored after the test."""
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _gold_parses(text, mode, record_id):
+    """One tree per sentence of ``text``, aligned to it (see ``_deps_rows``)."""
+
+    return [
+        align_block(parse_blocks("\n".join(_deps_rows(s.surfaces)))[0], s)
+        for s in split_records(text, mode, record_id=record_id)
+    ]
+
+
+class TestCollector:
+    """``annotate`` makes no reference cycles, so it runs with the cyclic
+    collector off and leaves it as it found it."""
+
+    @pytest.mark.parametrize("deps", [False, True])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("mode", list(SplitMode), ids=lambda m: m.value)
+    def test_annotating_the_gold_corpus_makes_no_cycle(self, collector_off, mode, cross, deps):
+        kb = load_kb(bundled_kb_path())
+        config = pipeline.PipelineConfig(mode=mode, cross_sentence=cross)
+        records = []
+        for record_id, text in sorted(read_corpus(mini_corpus_dir())):
+            parses = _gold_parses(text, mode, record_id) if deps else None
+            record = pipeline.annotate_record(record_id, text, kb, config, parses=parses)
+            lines = [to_json(record), to_json(record, extended=True, indent=2)]
+            assert record.extended is not None  # builds the dicts
+            lines.append(to_json(record, extended=True))
+            records.append((record, lines))
+        records.clear()  # a cycle among them would now be garbage
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("fmt, deps", [("json", False), ("jsonl", True)])
+    def test_a_run_leaves_as_much_garbage_for_1_record_as_for_600(
+        self, capsys, tmp_path, collector_off, fmt, deps
+    ):
+        # what a run leaves is the argument parser's, whatever the corpus
+        texts = [text for _, text in sorted(read_corpus(mini_corpus_dir()))]
+        left = []
+        for n in (1, 600):
+            records = [(f"r{i:03d}", texts[i % len(texts)]) for i in range(n)]
+            corpus = tmp_path / f"records-{n}.jsonl"
+            corpus.write_text("".join(json.dumps({"id": k, "text": v}) + "\n" for k, v in records))
+            flags = ["--extended", "--format", fmt]
+            if deps:
+                parse_file = tmp_path / f"deps-{n}.tsv"
+                parse_file.write_text("".join(
+                    "\n".join(_deps_rows(s.surfaces)) + "\n\n"
+                    for record_id, text in records
+                    for s in split_records(text, SplitMode.LINES, record_id=record_id)
+                ))
+                flags += ["--deps", parse_file]
+            gc.collect()
+            code, out, err = run(capsys, "annotate", *flags, corpus)
+            left.append(gc.collect())
+            assert code == 0, err
+            assert out.count('"result": {') == n
+        assert left[0] == left[1]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("deps", [None, "missing.tsv"])
+    def test_off_for_the_command_and_restored_after_it(
+        self, capsys, monkeypatch, fig2_file, tmp_path, enabled, deps
+    ):
+        seen = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_kb", recording(cli.load_kb))
+        monkeypatch.setattr(cli, "read_corpus", recording(cli.read_corpus))
+        monkeypatch.setattr(pipeline, "_annotate_split", recording(pipeline._annotate_split))
+        flags = [] if deps is None else ["--deps", tmp_path / deps]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, out, err = run(capsys, "annotate", *flags, fig2_file)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        if deps is None:
+            assert code == 0, err
+            assert seen == [("load_kb", False), ("read_corpus", False), ("_annotate_split", False)]
+        else:  # a missing parse file is a data error, raised while the collector is off
+            assert code == 2 and "missing.tsv" in err
+            assert seen == [("load_kb", False), ("read_corpus", False)]
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # -S: no site hooks, so only what critex imports is loaded
+    env = dict(os.environ)
+    src = Path(cli.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, critex.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestEvaluateCommand:
@@ -725,18 +845,24 @@ class TestKbCommand:
 
 class TestConfigCommand:
     def test_show_defaults(self, capsys):
+        # the exact text: key order, nesting and float spelling, with the KB path
         code, out, err = run(capsys, "config", "--show-defaults")
-        assert code == 0
-        defaults = json.loads(out)
-        assert set(defaults) == {
-            "theta", "min_score", "tau", "boundary_penalty", "weights",
-            "mode", "cross_sentence", "kb",
-        }
-        assert defaults["mode"] == "lines"
-        assert defaults["cross_sentence"] is False
-        assert defaults["kb"] == str(bundled_kb_path())
-        assert defaults["theta"] == 0.5
-        assert defaults["min_score"] == 0.2
-        assert defaults["tau"] == 2.0
-        assert defaults["boundary_penalty"] == 5.0
-        assert defaults["weights"] == {"unit": 0.6, "pattern": 0.25, "range": 0.15}
+        assert code == 0 and err == ""
+        assert out == SHOW_DEFAULTS.replace("KB_PATH", json.dumps(str(bundled_kb_path()))[1:-1])
+
+
+SHOW_DEFAULTS = """{
+  "mode": "lines",
+  "theta": 0.5,
+  "min_score": 0.2,
+  "cross_sentence": false,
+  "tau": 2.0,
+  "boundary_penalty": 5.0,
+  "weights": {
+    "unit": 0.6,
+    "pattern": 0.25,
+    "range": 0.15
+  },
+  "kb": "KB_PATH"
+}
+"""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -169,6 +170,12 @@ class TestLoadKb:
         with pytest.raises(MalformedKb) as info:
             KbEntry(**{"concept_id": "LOCAL:bp", "preferred_term": "blood pressure", field: value})
         assert str(info.value) == f"LOCAL:bp: {message}"
+        # _replace and _make build through the constructor
+        valid = KbEntry("LOCAL:bp", "blood pressure")
+        with pytest.raises(MalformedKb, match=f"^LOCAL:bp: {re.escape(message)}$"):
+            valid._replace(**{field: value})
+        with pytest.raises(MalformedKb, match=f"^LOCAL:bp: {re.escape(message)}$"):
+            KbEntry._make((valid._asdict() | {field: value}).values())
 
     @pytest.mark.parametrize("field", ["concept_id", "preferred_term"])
     def test_id_and_preferred_term_that_are_not_str_rejected_by_the_constructor(self, field):
@@ -426,10 +433,18 @@ class TestScoreCompatibility:
         assert w.unit + w.pattern + w.range == pytest.approx(1.0)
 
     def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            CompatibilityWeights(unit=0.2, pattern=0.5, range=0.3)
-        with pytest.raises(ValueError):
-            CompatibilityWeights(unit=0.6, pattern=0.3, range=0.2)
+        cases = [
+            ({"unit": 0.2, "pattern": 0.5, "range": 0.3}, "weights must satisfy unit > pattern > range > 0"),
+            ({"unit": 0.6, "pattern": 0.3, "range": 0.2}, "weights must sum to 1"),
+        ]
+        for fields, message in cases:
+            # on every path: the constructor, _replace and _make
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CompatibilityWeights(**fields)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CompatibilityWeights()._replace(**fields)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CompatibilityWeights._make(fields.values())
 
 
 class TestImportTsv:

@@ -6,7 +6,6 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -215,6 +214,10 @@ class TestConfigValidation:
     def test_invalid_values_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+        with pytest.raises(ValueError):
+            PipelineConfig()._replace(**kwargs)
+        with pytest.raises(ValueError):
+            PipelineConfig._make((PipelineConfig()._asdict() | kwargs).values())
 
     @pytest.mark.parametrize("name", ["theta", "min_score"])
     @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
@@ -244,8 +247,11 @@ class TestConfigValidation:
     def test_wrong_types_rejected_at_construction(self, name, value, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             PipelineConfig(**{name: value})
-        with pytest.raises(TypeError):
-            replace(PipelineConfig(), **{name: value})
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            PipelineConfig()._replace(**{name: value})
+        fields = PipelineConfig()._asdict() | {name: value}
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            PipelineConfig._make(fields.values())
 
     def test_whole_numbers_link_as_their_floats(self, mini_kb):
         whole = PipelineConfig(theta=1, min_score=0, tau=2, boundary_penalty=0)
@@ -488,7 +494,7 @@ def _random_parses(sentences, rng):
 def _without(kb, concepts):
     """``kb`` whose linker no longer knows ``concepts``; the scan still finds them."""
 
-    return replace(kb, by_id={k: v for k, v in kb.by_id.items() if k not in concepts})
+    return kb._replace(by_id={k: v for k, v in kb.by_id.items() if k not in concepts})
 
 
 def _outcome(run, text, kb, config, parses=None):
@@ -527,7 +533,7 @@ class TestLinkerChainOracle:
         if rows:
             # a threshold exactly at a winner's score keeps that winner
             score = float.fromhex(data.draw(st.sampled_from([r[3] for r in rows])))
-            config = replace(config, min_score=score)
+            config = config._replace(min_score=score)
             kept = _oracle_rows(text, kb, config, parses)
             assert any(r[3] == float.hex(score) for r in kept)
             assert _relation_rows(text, kb, config, parses) == kept
@@ -616,7 +622,7 @@ class TestLoneCompetitor:
     def test_lone_mention_holding_the_attribute_leaves_it_unlinked(
         self, held_kb, cross_sentence
     ):
-        config = replace(PARAGRAPH_CONFIG, cross_sentence=cross_sentence, min_score=0.0)
+        config = PARAGRAPH_CONFIG._replace(cross_sentence=cross_sentence, min_score=0.0)
         record = annotate_record("r", "12-lead ECG", held_kb, config)
         assert [m["surface"] for m in record.extended["entities"]] == ["12-lead ECG"]
         assert [a["surface"] for a in record.extended["unlinked_attributes"]] == ["12-lead"]
@@ -645,7 +651,7 @@ class TestLoneCompetitor:
     def test_runs_no_distance_clause_index_or_compatibility(
         self, mini_kb, monkeypatch, text, cross_sentence, with_parses
     ):
-        config = replace(PARAGRAPH_CONFIG, cross_sentence=cross_sentence, min_score=1.0)
+        config = PARAGRAPH_CONFIG._replace(cross_sentence=cross_sentence, min_score=1.0)
         parses = None
         if with_parses:
             parses = [

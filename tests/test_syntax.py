@@ -154,8 +154,15 @@ class TestIngestParse:
         ],
     )
     def test_heads_are_ints_and_labels_strs(self, heads, labels, message):
+        sentence = sentence_of("w0 w1")
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-            DependencyParse(heads, labels, sentence_of("w0 w1"))
+            DependencyParse(heads, labels, sentence)
+        # _replace and _make build through the constructor
+        valid = DependencyParse((0, 1), ("a", "b"), sentence)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            valid._replace(heads=heads, labels=labels)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            DependencyParse._make((heads, labels, sentence))
 
     def test_sentence_is_required(self):
         # so annotate_record never sees a parse without a sentence

@@ -482,21 +482,27 @@ class TestHeuristicDistance:
 
 # Text from the characters the scan's branch openers turn on: letters
 # (ASCII and not), digits (ASCII and not), the comparison glyphs and the
-# joiners "-", "–", "/", "^", ".", ",", "'", "’".
+# joiners "-", "–", "/", "^", ".", ",", "'", "’", and whitespace that is
+# not ASCII (NBSP, U+2028, U+3000, U+001C-U+001F), where the scan's
+# whitespace gate must fail as every branch does.
 SCAN_TEXT = st.text(
     alphabet=st.sampled_from(
         list("aAzZkgmL") + ["é", "µ"] + list("0179") + ["٣"]
         + ["<", ">", "=", "≤", "≥", "≦", "≧"] + list("-–/^.,'’") + [" ", " "]
+        + ["\u00a0", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\t"]
     ),
     max_size=40,
 )
 
 
 class TestScanOrder:
-    """Trying WORD first gives the tokens of the scan's first branch order."""
+    """Trying WORD first, after the whitespace gate, gives the tokens of
+    the scan's first branch order, which has no gate."""
 
     @given(text=SCAN_TEXT)
     @example(text="12-lead a1-2 kg/m^2 140/90 21-45a 1,000.5 x≤5 a'b’c")
+    @example(text="BP\u00a0≤\u00a0140 mmHg\u2028age\u300021-45\x1c12-lead\x1d1e5\x1e%\x1f")
+    @example(text="\u00a0\u2028\u3000\x1c\x1d\x1e\x1f")
     @settings(max_examples=500, deadline=None)
     def test_tokens_and_branches_match_first_order(self, text):
         assert tokenize(text) == oracles.tokenize(text)

@@ -7,9 +7,13 @@ hash alike.  ``AttributeMention`` checks its payload however it is built.
 The record build and ``to_json`` are checked byte for byte against the
 payload helpers and the per-record ``json.dumps`` kept in ``oracles``, both
 as written from the pipeline's tuples and after ``extended`` is read.
+The other value types are named tuples, or ``__slots__`` classes on
+``critex.slotted``: immutable ones that check their fields on every
+path and mutable ones whose containers are their own.
 """
 
-import dataclasses
+import copy
+import gc
 import inspect
 import json
 import pickle
@@ -21,7 +25,18 @@ import oracles
 from critex.attributes import AttributeKind, AttributeMention, Comparator, TimeUnit
 from critex.entities import EntityMention
 from critex import io_eval, pipeline
-from critex.io_eval import RelationPair, StructuredRecord, from_json, to_json
+from critex.io_eval import (
+    Counts,
+    EvalReport,
+    GoldAnnotation,
+    GoldRelation,
+    GoldSpan,
+    RelationPair,
+    StructuredRecord,
+    from_json,
+    to_json,
+)
+from critex.kb import CompatibilityWeights, KbEntry, KnowledgeBase, TermNode
 from critex.linker import Relation
 from critex.pipeline import PipelineConfig, _build_record
 from critex.segmentation import SentenceRecord, SplitMode, TokenShape
@@ -216,6 +231,8 @@ def test_record_build_and_serialize_match_the_payload_oracle(parts):
     assert [to_json(record, extended=e) for e in (False, True)] == expected
     record.extended
     assert [to_json(record, extended=e) for e in (False, True)] == expected
+    indented = json.dumps(json.loads(expected[1]), ensure_ascii=False, indent=2)
+    assert to_json(record, extended=True, indent=2) == indented
 
 
 def test_non_finite_scores_and_values_are_spelled_as_the_encoder_spells_them():
@@ -318,11 +335,14 @@ class TestPipelineRecord:
         other, _ = annotated("r2")
         assert record != other
 
-    def test_replace_asdict_and_pickle(self, annotated):
+    def test_copy_and_pickle(self, annotated):
         record, parts = annotated()
-        assert dataclasses.replace(record, id="r2") == dataclasses.replace(eager(record, parts), id="r2")
-        record, parts = annotated()
-        assert dataclasses.asdict(record) == dataclasses.asdict(eager(record, parts))
+        again = copy.copy(record)
+        assert again == eager(record, parts) == record
+        again.id = "r2"
+        assert again != record and record.id == "r1"
+        with pytest.raises(AttributeError):
+            record.other = 1  # a __slots__ class holds its fields only
         record, parts = annotated()
         again = pickle.loads(pickle.dumps(record))
         assert to_json(again, extended=True) == oracles.record_json(*parts, True)
@@ -352,5 +372,110 @@ def test_cyclic_extended_payload_raises_recursion_error():
     extended = {"entities": []}
     extended["entities"].append(extended)
     record = StructuredRecord(id="r", text="t", extended=extended)
-    with pytest.raises(RecursionError):
-        to_json(record, extended=True)
+    for indent in (None, 2):
+        with pytest.raises(RecursionError):
+            to_json(record, extended=True, indent=indent)
+
+
+@pytest.mark.parametrize("indent", [0, 2, 4, "\t"])
+def test_indented_output_is_json_dumps_and_leaves_no_cycle(indent):
+    extended = {
+        "entities": [{"surface": "é\u2028\"", "start": 0}], "attributes": [],
+        "scores": [0.5, -0.0, float("nan"), float("inf"), 1e16, 40],
+        "flags": [True, False, None], "empty": {}, "nested": [[], [{}]],
+        3: "an int key", None: "a None key", "tuple": (1, "x"),
+    }
+    record = StructuredRecord("r", "t\x00", [RelationPair("a", "b")], extended)
+    document = {"result": {
+        "id": "r", "text": "t\x00", "relation": [{"entity": "a", "attribute": "b"}],
+        "extended": extended,
+    }}
+    expected = json.dumps(document, ensure_ascii=False, indent=indent)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert to_json(record, extended=True, indent=indent) == expected
+        assert gc.collect() == 0  # where json.dumps itself leaves a cycle
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# The value types that are not per-record tuples: immutable ones with slots
+# (read per competitor, or holding derived state), mutable ones with slots,
+# and the rest, named tuples.
+SLOTTED_KB = KnowledgeBase.build([KbEntry("LOCAL:bp", "blood pressure", ("BP",), ("mmHg",))])
+FROZEN = {
+    KbEntry: KbEntry("LOCAL:bp", "blood pressure", ("BP",), ("mmHg",), 60, 250),
+    CompatibilityWeights: CompatibilityWeights(0.5, 0.3, 0.2),
+    PipelineConfig: PipelineConfig(SplitMode.PARAGRAPHS, theta=0.25),
+    KnowledgeBase: SLOTTED_KB,
+}
+
+
+@pytest.mark.parametrize("cls", list(FROZEN), ids=lambda t: t.__name__)
+class TestFrozenSlottedContract:
+    def test_fields_cannot_be_assigned_or_added(self, cls):
+        value = FROZEN[cls]
+        for name in (*cls._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert not hasattr(value, "__dict__")
+
+    def test_asdict_replace_make_and_pickle_rebuild_an_equal_value(self, cls):
+        value = FROZEN[cls]
+        fields = value._asdict()
+        assert tuple(fields) == cls._fields
+        assert cls(**fields) == cls._make(fields.values()) == value._replace() == value
+        assert value._replace() is not value
+        assert pickle.loads(pickle.dumps(value)) == copy.copy(value) == value
+        assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+        with pytest.raises(ValueError, match=r"^Got unexpected field names: \['extra'\]$"):
+            value._replace(extra=1)
+
+    def test_equal_to_its_own_class_only(self, cls):
+        value = FROZEN[cls]
+        assert value != tuple(value._asdict().values())
+        assert (value == tuple(value._asdict().values())) is False
+        if cls is not KnowledgeBase:  # its tables are dicts
+            assert hash(value._replace()) == hash(value)
+
+
+def test_kb_first_words_are_derived_by_every_constructor():
+    kb = SLOTTED_KB
+    assert kb.first_words == {"blood", "bloods", "bp", "bps"}
+    other = KnowledgeBase.build([KbEntry("LOCAL:hr", "heart rate")])
+    for built in (kb._replace(term_trie=other.term_trie), KnowledgeBase(*other._asdict().values())):
+        assert built.first_words == {"heart", "hearts"}
+    assert pickle.loads(pickle.dumps(kb)).first_words == kb.first_words
+    assert "first_words" not in kb._asdict()
+
+
+def test_mutable_values_get_containers_of_their_own():
+    a, b = GoldAnnotation("r", "t"), GoldAnnotation("r", "t")
+    for name in ("entities", "attributes", "relations"):
+        assert getattr(a, name) == [] and getattr(a, name) is not getattr(b, name)
+    assert StructuredRecord("r", "t").relations is not StructuredRecord("r", "t").relations
+    assert TermNode().children == {} and TermNode().children is not TermNode().children
+    a.entities.append(GoldSpan("T1", "Entity", 0, 1, "t"))
+    assert a != b and b == GoldAnnotation("r", "t")
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+def test_gold_and_evaluation_values_are_named_tuples():
+    span = GoldSpan("T1", "Entity", 0, 3, "age")
+    values = (
+        span, GoldRelation("R1", "has_value", span, span), Counts(1, 2, 3),
+        EvalReport({}, {}, 0),
+    )
+    for value in values:
+        assert value == tuple(value) and value._replace() == value
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+    assert Counts(1, 2, 3) + Counts(1, 0, 0) == Counts(2, 2, 3)
