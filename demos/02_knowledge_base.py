@@ -1,4 +1,4 @@
-"""The knowledge base: constraints, lookup, compatibility, mining.
+"""The knowledge base: constraints, lookup, compatibility, building, mining.
 
 Each entry pairs a concept with the units, numeric shape and plausible
 range its values normally take.  Units carry the most weight: a value
@@ -9,6 +9,8 @@ though trial values often sit outside normal ranges.
 from critex import (
     AttributeKind,
     AttributeMention,
+    KbEntry,
+    KnowledgeBase,
     SplitMode,
     attribute_shape,
     bundled_kb_path,
@@ -51,6 +53,24 @@ for attribute in (ratio, bare):
     value, unit, pattern, range_ = compatibility_terms(bp, attribute, shape)
     print(f"\n  blood pressure vs {attribute.surface!r}: value={value:.3f}")
     print(f"    unit={unit}, pattern={pattern}, range={range_}")
+
+# -- building a knowledge base ----------------------------------------------------
+# KnowledgeBase(entries, units) is the one constructor, and its two arguments
+# are its fields.  It spells each expected unit canonically and derives the
+# term lookup from the entries; _replace builds through it too.
+
+local = KnowledgeBase(
+    [KbEntry("LOCAL:icp", "intracranial pressure", expected_units=("Torr", "mm Hg"))],
+    units={"Torr": "mmHg"},
+)
+(icp,) = local.entries
+print("\nKnowledgeBase(entries, units={'Torr': 'mmHg'}):")
+print(f"  expected_units={list(icp.expected_units)}, units={local.units}")
+print(f"  'torr' -> {local.normalize_unit('torr')!r}")
+swapped = kb._replace(entries=local.entries)
+for phrase in ("intracranial pressure", "blood pressure"):
+    print(f"  kb._replace(entries=...).lookup_terms({phrase!r}) -> "
+          f"{[e.concept_id for e, _ in swapped.lookup_terms(phrase)]}")
 
 # -- candidate mining ------------------------------------------------------------
 # "<noun phrase> <connector> <number> [unit]" patterns become curated-entry

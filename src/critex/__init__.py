@@ -29,7 +29,6 @@ from .errors import (
     ParseMismatch,
     RecordMismatch,
     SpanMismatch,
-    UnknownConcept,
 )
 from .io_eval import (
     ElementType,
@@ -72,7 +71,7 @@ __all__ = [
     "CritexError", "CycleDetected", "DanglingRef", "DuplicateConceptId",
     "MalformedAnn", "MalformedJsonl", "MalformedKb", "MalformedPrediction",
     "MalformedText",
-    "ParseMismatch", "RecordMismatch", "SpanMismatch", "UnknownConcept",
+    "ParseMismatch", "RecordMismatch", "SpanMismatch",
     "ElementType", "EvalReport", "GoldAnnotation",
     "MatchMode", "RelationPair", "StructuredRecord", "evaluate",
     "from_json", "read_brat", "read_brat_dir", "read_corpus", "to_json",

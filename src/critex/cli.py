@@ -255,7 +255,7 @@ def _cmd_kb(args) -> int:
         candidates = mine_kb_candidates(sentences, load_kb(args.kb).normalize_unit)
     else:
         candidates = mine_kb_candidates(sentences)
-    save_kb(KnowledgeBase.build(candidates), args.out)
+    save_kb(KnowledgeBase(candidates), args.out)
     print(f"wrote {len(candidates)} candidate entries to {args.out}")
     return EXIT_OK
 

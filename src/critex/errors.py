@@ -16,11 +16,12 @@ class MalformedKb(CritexError):
 
 
 class DuplicateConceptId(MalformedKb):
-    """Two knowledge-base entries share a concept id."""
+    """Two knowledge-base entries share a concept id; ``first`` and
+    ``second`` are their indexes in the entries."""
 
-
-class UnknownConcept(CritexError):
-    """A mention references a concept id absent from the knowledge base."""
+    def __init__(self, first: int, second: int, message: str):
+        super().__init__(message)
+        self.first, self.second = first, second
 
 
 class ParseMismatch(CritexError):

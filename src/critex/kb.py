@@ -23,7 +23,7 @@ from .attributes import AttributeMention, AttributeShape
 from .errors import DuplicateConceptId, MalformedKb
 from .io_eval import read_text
 from .segmentation import SentenceRecord, TokenShape, scan_tokens
-from .slotted import FrozenSlotted, Slotted
+from .slotted import FrozenSlotted
 from .units import DEFAULT_UNIT_TABLE, normalize_unit, unit_key
 
 KB_SCHEMA_VERSION = 1
@@ -61,7 +61,8 @@ class KbEntry(FrozenSlotted):
 
     Checked when built, whichever way (the constructor, ``_make``,
     ``_replace`` or unpickling): ``concept_id`` and ``preferred_term`` are
-    ``str``, ``synonyms`` and ``expected_units`` tuples of ``str``, each
+    ``str`` (an empty ``concept_id`` is rejected), ``synonyms`` and
+    ``expected_units`` tuples of ``str``, each
     bound None or a finite real number that is not a ``bool``,
     ``value_pattern`` a :class:`ValuePattern` or None, and ``category`` a
     :class:`Category`; anything else is a :class:`MalformedKb` naming the
@@ -92,6 +93,8 @@ class KbEntry(FrozenSlotted):
         for name in ("concept_id", "preferred_term"):
             if not isinstance(getattr(self, name), str):
                 raise MalformedKb(f"{name} must be a str, got {getattr(self, name)!r}")
+        if not self.concept_id:
+            raise MalformedKb("empty concept_id")
         for name in ("synonyms", "expected_units"):
             value = getattr(self, name)
             if not (isinstance(value, tuple) and all(isinstance(v, str) for v in value)):
@@ -149,88 +152,95 @@ class KbEntry(FrozenSlotted):
         return (self.preferred_term, *self.synonyms)
 
 
-def _canonicalize_entry_units(entry: KbEntry, unit_table: dict[str, str]) -> KbEntry:
-    """``entry`` with each expected unit spelled canonically, each once, in
-    the order of first appearance."""
-
-    canonical = tuple(
-        dict.fromkeys(unit_table.get(unit_key(u), u) for u in entry.expected_units)
-    )
-    if canonical == entry.expected_units:
-        return entry
-    return entry._replace(expected_units=canonical)
-
-
-class TermNode(Slotted):
+class TermNode:
     """One node of the term trie: a path of term tokens from the root.
 
     ``children`` maps the next casefolded token surface (a :func:`term_key`
     component) to its node; ``hits`` holds the (entry, term) pairs of the
-    terms that end here.  Each node gets a dict of its own.
+    terms that end here.
     """
 
-    __slots__ = _fields = ("children", "hits")
+    __slots__ = ("children", "hits")
 
-    def __init__(
-        self,
-        children: dict[str, "TermNode"] | None = None,
-        hits: tuple[tuple[KbEntry, str], ...] = (),
-    ):
-        self.children = {} if children is None else children
-        self.hits = hits
+    def __init__(self):
+        self.children: dict[str, TermNode] = {}
+        self.hits: tuple[tuple[KbEntry, str], ...] = ()
 
 
 class KnowledgeBase(FrozenSlotted):
-    """Immutable bundle of entries plus the term trie and the unit table.
+    """Immutable bundle of entries and the KB's own unit spellings.
 
-    The trie is keyed by :func:`term_key`, so its depth is the token count
-    of the longest term.  ``first_words`` is derived from the trie when the
-    KB is created, by any constructor (``_replace`` and unpickling build
-    through it): each casefolded token that opens a term, and that token
-    plus "s", so the entity scan starts a walk only at a casefolded token
-    in it (a walk's first step may fold a plural "s").  It is not a field:
-    it takes no part in ``==``, the ``repr`` or ``_asdict``.
+    ``KnowledgeBase(entries, units)`` is the one way to build a KB, and its
+    two arguments are its fields.  ``units`` maps unit variants to
+    canonical forms over the built-in table.  Whichever constructor builds
+    the KB (``_make``, ``_replace`` and unpickling build through this one),
+    it derives the rest from them, so the two always agree:
+
+    - ``unit_table``: the built-in table, ``units`` over it, and each
+      canonical form's own :func:`unit_key` for itself, so every canonical
+      form normalizes to itself;
+    - ``entries``: the given ones, each expected unit spelled canonically
+      and listed once, in the order of its first spelling;
+    - ``units``: the ``unit_table`` entries that differ from the built-in
+      table, keyed by :func:`unit_key` (what :func:`kb_to_dict` writes);
+    - ``by_id``: each entry by its concept id;
+    - ``term_trie``: the terms of the entries, keyed by :func:`term_key`,
+      so its depth is the token count of the longest term;
+    - ``first_words``: each casefolded token that opens a term, and that
+      token plus "s", so the entity scan starts a walk only at a casefolded
+      token in it (a walk's first step may fold a plural "s").
+
+    Only the fields take part in ``==``, the ``repr`` and ``_asdict``.
+    Raises :class:`MalformedKb` when ``units`` does not map ``str`` to
+    ``str``, holds a blank variant or canonical form, or makes a canonical
+    form normalize to another one, and when an entry is not a
+    :class:`KbEntry`; two entries of one concept id are a
+    :class:`DuplicateConceptId` naming both.
     """
 
-    __slots__ = ("entries", "term_trie", "unit_table", "by_id", "first_words")
-    _fields = ("entries", "term_trie", "unit_table", "by_id")
+    __slots__ = ("entries", "units", "unit_table", "by_id", "term_trie", "first_words")
+    _fields = ("entries", "units")
 
-    def __init__(
-        self,
-        entries: tuple[KbEntry, ...],
-        term_trie: TermNode,
-        unit_table: dict[str, str],
-        by_id: dict[str, KbEntry],
-    ):
-        self._set(entries, term_trie, unit_table, by_id)
-        words = term_trie.children
-        object.__setattr__(self, "first_words", frozenset(words).union(w + "s" for w in words))
-
-    @classmethod
-    def build(
-        cls,
-        entries: Iterable[KbEntry],
-        extra_units: dict[str, str] | None = None,
-    ) -> "KnowledgeBase":
-        """Index entries; their expected units are canonicalized and
-        deduplicated here, whichever constructor made the entries.
-
-        Raises :class:`MalformedKb` for a blank unit variant or canonical form.
-        """
-
-        unit_table = dict(DEFAULT_UNIT_TABLE)
-        for variant, canonical in (extra_units or {}).items():
+    def __init__(self, entries: Iterable[KbEntry], units: dict[str, str] | None = None):
+        units = {} if units is None else units
+        if not isinstance(units, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in units.items()
+        ):
+            raise MalformedKb("'units' must map variants to canonical strings")
+        table = dict(DEFAULT_UNIT_TABLE)
+        for variant, canonical in units.items():
             if not unit_key(variant) or not unit_key(canonical):
                 raise MalformedKb(
                     f"blank unit variant or canonical form: {variant!r} -> {canonical!r}"
                 )
-            unit_table[unit_key(variant)] = canonical
-        entries = tuple(_canonicalize_entry_units(e, unit_table) for e in entries)
+            table[unit_key(variant)] = canonical
+        units = {k: v for k, v in table.items() if DEFAULT_UNIT_TABLE.get(k) != v}
+        for canonical in dict.fromkeys(table.values()):
+            fixed = table.setdefault(unit_key(canonical), canonical)
+            if fixed != canonical:
+                variant = next(k for k, v in table.items() if v == canonical)
+                raise MalformedKb(
+                    f"unit {variant!r} -> {canonical!r}, but {canonical!r} -> {fixed!r}:"
+                    " a canonical form must normalize to itself"
+                )
+        entries = tuple(entries)
         by_id: dict[str, KbEntry] = {}
-        for entry in entries:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, KbEntry):
+                raise MalformedKb(f"entries[{i}] must be a KbEntry, got {entry!r}")
             if entry.concept_id in by_id:
-                raise DuplicateConceptId(f"duplicate concept_id: {entry.concept_id}")
+                first = next(k for k, e in enumerate(entries) if e.concept_id == entry.concept_id)
+                raise DuplicateConceptId(
+                    first, i,
+                    f"entries[{i}]: duplicate concept_id: {entry.concept_id} (also entries[{first}])",
+                )
+            canonical = tuple(
+                dict.fromkeys(table.get(unit_key(u), u) for u in entry.expected_units)
+            )
+            if canonical != entry.expected_units:
+                entry = entry._replace(expected_units=canonical)
             by_id[entry.concept_id] = entry
+        entries = tuple(by_id.values())
         root = TermNode()
         for entry in entries:
             for term in entry.terms:
@@ -238,12 +248,13 @@ class KnowledgeBase(FrozenSlotted):
                 for word in term_key(term):
                     node = node.children.setdefault(word, TermNode())
                 node.hits += ((entry, term),)
-        return cls(
-            entries=entries,
-            term_trie=root,
-            unit_table=unit_table,
-            by_id=by_id,
-        )
+        self._set(entries, units)
+        words = root.children
+        for name, value in (
+            ("unit_table", table), ("by_id", by_id), ("term_trie", root),
+            ("first_words", frozenset(words).union(w + "s" for w in words)),
+        ):
+            object.__setattr__(self, name, value)
 
     def normalize_unit(self, surface: str) -> str | None:
         """Canonical unit for a surface form in this KB's table, or None."""
@@ -351,52 +362,43 @@ def compatibility_terms(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _entry_from_dict(raw: dict, where: str) -> KbEntry:
-    if not isinstance(raw, dict):
-        raise MalformedKb(f"{where}: entry must be an object")
-    required = ("concept_id", "preferred_term")
-    for key in required:
-        if not isinstance(raw.get(key), str) or not raw.get(key):
-            raise MalformedKb(f"{where}: missing or invalid field {key!r}")
-    for key in ("synonyms", "expected_units"):
-        if key in raw and not (
-            isinstance(raw[key], list) and all(isinstance(item, str) for item in raw[key])
-        ):
-            raise MalformedKb(f"{where}: field {key!r} must be a list of strings")
-    for key in ("value_min", "value_max"):
-        value = raw.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise MalformedKb(f"{where}: field {key!r} must be a number")
-    pattern = raw.get("value_pattern")
-    if pattern is not None:
-        try:
-            pattern = ValuePattern(pattern)
-        except ValueError:
-            raise MalformedKb(f"{where}: unknown value_pattern {pattern!r}") from None
+def _member(enum: type[Enum], value):
+    """The member of ``enum`` whose value is ``value``, or ``value`` itself
+    for :class:`KbEntry` to reject."""
+
     try:
-        category = Category(raw.get("category", "OTHER"))
+        return enum(value)
     except ValueError:
-        raise MalformedKb(f"{where}: unknown category {raw.get('category')!r}") from None
-    try:
-        return KbEntry(
-            concept_id=raw["concept_id"],
-            preferred_term=raw["preferred_term"],
-            synonyms=tuple(raw.get("synonyms", ())),
-            expected_units=tuple(raw.get("expected_units", ())),
-            value_min=raw.get("value_min"),
-            value_max=raw.get("value_max"),
-            value_pattern=pattern,
-            category=category,
-        )
-    except MalformedKb as exc:
-        raise MalformedKb(f"{where}: {exc}") from None
+        return value
+
+
+def _entry_from_dict(raw: dict) -> KbEntry:
+    """The entry of a JSON object: its lists become tuples and its enum
+    names members; :class:`KbEntry` checks the values."""
+
+    if not isinstance(raw, dict):
+        raise MalformedKb("entry must be an object")
+    listed = {
+        key: tuple(raw[key]) if isinstance(raw[key], list) else raw[key]
+        for key in ("synonyms", "expected_units")
+        if key in raw
+    }
+    return KbEntry(
+        concept_id=raw.get("concept_id"),
+        preferred_term=raw.get("preferred_term"),
+        value_min=raw.get("value_min"),
+        value_max=raw.get("value_max"),
+        value_pattern=_member(ValuePattern, raw.get("value_pattern")),
+        category=_member(Category, raw.get("category", "OTHER")),
+        **listed,
+    )
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Load and validate a knowledge-base JSON document.
 
     Every :class:`MalformedKb` names the file, and ``entries[i]`` when one
-    entry is at fault.
+    entry is at fault (both entries of a duplicate concept id).
     """
 
     path = Path(path)
@@ -408,29 +410,27 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         raise MalformedKb(f"{path}: top level must be an object")
     if doc.get("version") != KB_SCHEMA_VERSION:
         raise MalformedKb(f"{path}: unsupported version {doc.get('version')!r}")
-    units = doc.get("units", {})
-    if not isinstance(units, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in units.items()
-    ):
-        raise MalformedKb(f"{path}: 'units' must map variants to canonical strings")
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
         raise MalformedKb(f"{path}: 'entries' must be a list")
-    entries = [
-        _entry_from_dict(raw, f"{path}: entries[{i}]")
-        for i, raw in enumerate(raw_entries)
-    ]
+    entries = []
+    for i, raw in enumerate(raw_entries):
+        try:
+            entries.append(_entry_from_dict(raw))
+        except MalformedKb as exc:
+            raise MalformedKb(f"{path}: entries[{i}]: {exc}") from None
     try:
-        return KnowledgeBase.build(entries, extra_units=units)
-    except MalformedKb as exc:  # a DuplicateConceptId stays one
-        raise type(exc)(f"{path}: {exc}") from None
+        return KnowledgeBase(entries, doc.get("units", {}))
+    except DuplicateConceptId as exc:
+        raise DuplicateConceptId(exc.first, exc.second, f"{path}: {exc}") from None
+    except MalformedKb as exc:
+        raise MalformedKb(f"{path}: {exc}") from None
 
 
 def kb_to_dict(kb: KnowledgeBase) -> dict:
-    extra = {k: v for k, v in kb.unit_table.items() if DEFAULT_UNIT_TABLE.get(k) != v}
     return {
         "version": KB_SCHEMA_VERSION,
-        "units": extra,
+        "units": dict(kb.units),
         "entries": [
             {
                 "concept_id": e.concept_id,
@@ -461,15 +461,16 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
     """Import a three-column table: term, value_range ("90..250"), units.
 
     Rows become curated entries with ``LOCAL:`` concept ids; units are
-    comma-separated, and :meth:`KnowledgeBase.build` canonicalizes them
-    against the built-in table.  A file
-    that is not valid UTF-8 raises :class:`MalformedText`, naming it.
+    comma-separated, and :class:`KnowledgeBase` canonicalizes them against
+    the built-in table.  Every :class:`MalformedKb` names the file and the
+    line, both lines for two terms of one concept id.  A file that is not
+    valid UTF-8 raises :class:`MalformedText`, naming it.
     """
 
     path = Path(path)
     text = read_text(path)
     if not text:
-        return KnowledgeBase.build(())
+        return KnowledgeBase(())
     lines = text.split("\n")  # a term may hold U+2028, at which splitlines breaks
     header = [c.strip().lower() for c in lines[0].split("\t")]
     try:
@@ -478,7 +479,7 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
         units_col = header.index("units")
     except ValueError:
         raise MalformedKb(f"{path}: header must name term, value_range, units") from None
-    entries = []
+    entries, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -509,7 +510,16 @@ def import_tsv(path: str | Path) -> KnowledgeBase:
             )
         except MalformedKb as exc:  # e.g. a bound too long for a finite float
             raise MalformedKb(f"{path}:{lineno}: {exc}") from None
-    return KnowledgeBase.build(entries)
+        linenos.append(lineno)
+    try:
+        return KnowledgeBase(entries)
+    except DuplicateConceptId as exc:  # two terms with one slug
+        first, second = linenos[exc.first], linenos[exc.second]
+        raise DuplicateConceptId(
+            exc.first, exc.second,
+            f"{path}:{second}: duplicate concept_id: {entries[exc.second].concept_id}"
+            f" (also line {first})",
+        ) from None
 
 
 # ---------------------------------------------------------------------------

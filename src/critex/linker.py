@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .attributes import AttributeKind, AttributeMention, attribute_shape
 from .entities import EntityMention
-from .errors import ParseMismatch, UnknownConcept
+from .errors import ParseMismatch
 from .floats import left_sum
 from .kb import CompatibilityWeights, KnowledgeBase, compatibility_terms
 from .segmentation import SentenceRecord
@@ -120,27 +120,20 @@ def _p_sup(
     to the ``p_sup`` of every competitor that carries it.  Raw
     compatibilities are normalized by their total over all competitors,
     summed in mention order; when that total is zero the distribution falls
-    back to uniform.  Raises :class:`UnknownConcept` for the first
-    competitor whose concept is not in ``kb``.
+    back to uniform.  Every competitor is a mention that ``kb``'s term
+    trie found, so its concept is in ``kb.by_id``.
     """
 
     shape = attribute_shape(attribute)
-    raw: dict[str, float] = {}
-    for concept_id in dict.fromkeys(competitors):
-        entry = kb.by_id.get(concept_id)
-        if entry is not None:
-            raw[concept_id] = compatibility_terms(entry, attribute, shape, weights)[0]
-    try:
-        total = left_sum(map(raw.__getitem__, competitors))
-    except KeyError as exc:  # the first competitor whose concept is unknown
-        raise _unknown(exc.args[0]) from None
+    by_id = kb.by_id
+    raw = {
+        concept_id: compatibility_terms(by_id[concept_id], attribute, shape, weights)[0]
+        for concept_id in dict.fromkeys(competitors)
+    }
+    total = left_sum(map(raw.__getitem__, competitors))
     if total > 0:
         return {c: r / total for c, r in raw.items()}
     return dict.fromkeys(raw, 1.0 / len(competitors))
-
-
-def _unknown(concept_id: str) -> UnknownConcept:
-    return UnknownConcept(f"concept {concept_id} not in knowledge base")
 
 
 def _holds(e: EntityMention, a: AttributeMention) -> bool:
@@ -430,9 +423,7 @@ class _Competitors:
         distance of :meth:`_ahead` or :meth:`_behind`.  A lone competitor
         gets its exact score, 1.0, without being scored; otherwise only the
         candidates of the class docstring are scored.  Returns None when no
-        entity competes or the best score is below ``min_score``.  Raises
-        :class:`UnknownConcept` for the first competitor whose concept is
-        not in the knowledge base.
+        entity competes or the best score is below ``min_score``.
         """
 
         lo, hi, others = self._span(a)
@@ -440,11 +431,8 @@ class _Competitors:
         if not others and hi - lo <= 1:  # at most one competitor
             if lo == hi or _holds(mentions[lo], a):
                 return None
-            e = mentions[lo]
-            if e.concept_id not in self._kb.by_id:
-                raise _unknown(e.concept_id)
             # one entity wins no tie-break, so its distance is never read
-            return _pick(a, (e,), (), self._lone_scores, config.min_score)
+            return _pick(a, mentions[lo:hi], (), self._lone_scores, config.min_score)
         entities, distances = self._local(a, lo, hi, others)
         if not (entities or others):
             return None

@@ -32,9 +32,9 @@ PARAGRAPH_TWO = (
 # Knowledge bases that must fail to load with MalformedKb (exit 2 from the
 # CLI): case -> (units, fields of the one entry, a fragment of the message).
 MALFORMED_KBS = {
-    "non-string synonym": ({}, {"synonyms": [1]}, "'synonyms' must be a list of strings"),
+    "non-string synonym": ({}, {"synonyms": [1]}, "LOCAL:x: synonyms must be a tuple of str"),
     "non-string expected unit": (
-        {}, {"expected_units": [7]}, "'expected_units' must be a list of strings",
+        {}, {"expected_units": [7]}, "LOCAL:x: expected_units must be a tuple of str",
     ),
     "blank synonym": ({}, {"synonyms": [" "]}, "blank synonym"),
     "blank expected unit": ({}, {"expected_units": ["\t"]}, "blank expected unit"),
@@ -42,9 +42,18 @@ MALFORMED_KBS = {
     # json writes and reads NaN and Infinity, which are not JSON
     "NaN bound": ({}, {"value_min": math.nan, "value_max": 5}, "value_min must be finite"),
     "infinite bound": ({}, {"value_max": math.inf}, "value_max must be finite"),
-    "boolean bound": ({}, {"value_min": True}, "'value_min' must be a number"),
+    "boolean bound": ({}, {"value_min": True}, "LOCAL:x: value_min must be a real number"),
+    "unknown value pattern": (
+        {}, {"value_pattern": "LIST"}, "LOCAL:x: value_pattern must be a ValuePattern or None",
+    ),
+    "empty concept id": ({}, {"concept_id": ""}, "empty concept_id"),
     "blank unit variant": ({"  ": "mmHg"}, {"expected_units": ["mmHg"]}, "blank unit"),
     "blank canonical unit": ({"torr": ""}, {"expected_units": ["torr"]}, "blank unit"),
+    # "kilograms" would still read kg, but "kg" would read KG
+    "canonical unit not its own": (
+        {"kg": "KG"}, {"expected_units": ["kilograms"]},
+        "unit 'kilogram' -> 'kg', but 'kg' -> 'KG': a canonical form must normalize to itself",
+    ),
 }
 
 
@@ -93,7 +102,7 @@ def held_kb(mini_kb):
     "resting" inside them.
     """
 
-    return KnowledgeBase.build([
+    return KnowledgeBase([
         *mini_kb.entries,
         KbEntry(concept_id="LOCAL:ecg12", preferred_term="12-lead ECG",
                 synonyms=("12-lead electrocardiograph",)),

@@ -28,7 +28,7 @@ from critex.attributes import (
     attribute_shape,
 )
 from critex.entities import _NUMERIC, EntityMention, _initials_match
-from critex.errors import CycleDetected, ParseMismatch, UnknownConcept
+from critex.errors import CycleDetected, ParseMismatch
 from critex.floats import left_sum
 from critex.kb import DEFAULT_WEIGHTS, Category, compatibility_terms
 from critex.linker import Relation, relation_label
@@ -222,9 +222,7 @@ def p_sup(candidates, kb, weights=DEFAULT_WEIGHTS):
         raise ValueError("p_sup expects candidates of a single attribute")
     raw = []
     for c in candidates:
-        entry = kb.by_id.get(c.entity.concept_id)
-        if entry is None:
-            raise UnknownConcept(f"concept {c.entity.concept_id} not in knowledge base")
+        entry = kb.by_id[c.entity.concept_id]
         shape = attribute_shape(c.attribute)
         raw.append(compatibility_terms(entry, c.attribute, shape, weights)[0])
     total = left_sum(raw)

@@ -362,7 +362,7 @@ class TestGrammarRegression:
     DIGEST = "2f62f5c5ffd653322e5d34d2fcfb836008daeae6c434c0ff42e94d0829b7a9ef"
 
     def test_pinned_digest(self, mini_kb):
-        builtin_only = KnowledgeBase.build(())
+        builtin_only = KnowledgeBase(())
         digest = hashlib.sha256()
         for line in _grammar_lines(20191, 3000):
             for sentence in split_records(line, SplitMode.LINES):

@@ -790,7 +790,10 @@ class TestKbCommand:
         path.write_text(json.dumps({"version": 1, "entries": [entry, dict(entry)]}))
         code, out, err = run(capsys, "kb", "validate", path)
         assert (code, out) == (2, "")
-        assert err == f"critex: error: {path}: duplicate concept_id: LOCAL:x\n"
+        assert err == (
+            f"critex: error: {path}: entries[1]: duplicate concept_id: LOCAL:x"
+            " (also entries[0])\n"
+        )
 
     def test_mine_writes_candidates(self, capsys, tmp_path, fig2_file):
         out_path = tmp_path / "cand.json"

@@ -10,7 +10,7 @@ from critex.segmentation import SentenceRecord, SplitMode, scan_tokens, split_re
 
 
 def kb_of(*entries):
-    return KnowledgeBase.build(entries)
+    return KnowledgeBase(entries)
 
 
 def sentence_of(text, index=0):
@@ -106,7 +106,7 @@ class TestRecognizeEntities:
 
 
 class TestLinkAbbreviations:
-    LONG_KB = KnowledgeBase.build([
+    LONG_KB = KnowledgeBase([
         KbEntry(concept_id="C0013798", preferred_term="electrocardiograph"),
         KbEntry(
             concept_id="C0360105",
@@ -159,7 +159,7 @@ class TestLinkAbbreviations:
 class TestAbbreviationOrder:
     """Which definition, if any, expands each occurrence of a short form."""
 
-    KB = KnowledgeBase.build([
+    KB = KnowledgeBase([
         KbEntry(concept_id="C1", preferred_term="electrocardiograph"),
         KbEntry(concept_id="C2", preferred_term="electrocardiogram"),
         KbEntry(concept_id="C3", preferred_term="ECG monitor"),

@@ -2,9 +2,13 @@
 
 import json
 import math
+import pickle
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critex.attributes import (
     AttributeKind,
@@ -26,6 +30,7 @@ from critex.kb import (
     kb_to_dict,
     load_kb,
     mine_kb_candidates,
+    _slug,
     save_kb,
     term_key,
 )
@@ -108,7 +113,10 @@ class TestLoadKb:
         }))
         with pytest.raises(DuplicateConceptId) as info:
             load_kb(path)
-        assert str(info.value) == f"{path}: duplicate concept_id: LOCAL:x"
+        assert str(info.value) == (
+            f"{path}: entries[1]: duplicate concept_id: LOCAL:x (also entries[0])"
+        )
+        assert (info.value.first, info.value.second) == (0, 1)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "kb.json"
@@ -145,7 +153,7 @@ class TestLoadKb:
     @pytest.mark.parametrize("units", [{" ": "mmHg"}, {"": "mmHg"}, {"torr": " "}])
     def test_blank_units_rejected_by_build(self, units):
         with pytest.raises(MalformedKb, match="blank unit"):
-            KnowledgeBase.build((), extra_units=units)
+            KnowledgeBase((), units)
 
     @pytest.mark.parametrize("bounds", [
         {"value_min": math.nan}, {"value_max": math.inf}, {"value_min": -math.inf},
@@ -187,7 +195,7 @@ class TestLoadKb:
             "LOCAL:bp", "blood pressure", expected_units=("mmHg",), value_min=60, value_max=250,
             value_pattern=ValuePattern.SCALAR, category=Category.MEASUREMENT,
         )
-        kb = KnowledgeBase.build([entry])
+        kb = KnowledgeBase([entry])
         sentence = split_records("blood pressure 140 mmHg", SplitMode.LINES)[0]
         (attribute,) = extract_attributes(sentence, kb)
         assert compatibility_terms(entry, attribute, attribute_shape(attribute))[1:] == (1.0,) * 3
@@ -215,9 +223,9 @@ class TestLoadKb:
         assert kb.entries[0].expected_units == ("kg/m^2",)
 
     def test_expected_units_canonicalized_on_build(self):
-        kb = KnowledgeBase.build(
+        kb = KnowledgeBase(
             [KbEntry("C1", "pressure", expected_units=("torr",))],
-            extra_units={"torr": "mmHg"},
+            units={"torr": "mmHg"},
         )
         entry = kb.by_id.get("C1")
         assert entry.expected_units == ("mmHg",)
@@ -231,14 +239,187 @@ class TestLoadKb:
     def test_expected_units_deduplicated_on_build_and_load(self, tmp_path):
         # spellings of one unit collapse to the first, in the order they appear
         units = ("kg", "kilograms", "KG", "mmHg", "mm hg", "furlong", "furlong")
-        kb = KnowledgeBase.build([KbEntry("C1", "body weight", expected_units=units)])
+        kb = KnowledgeBase([KbEntry("C1", "body weight", expected_units=units)])
         assert kb.by_id["C1"].expected_units == ("kg", "mmHg", "furlong")
         path = tmp_path / "kb.json"
-        save_kb(KnowledgeBase.build(()), path)
+        save_kb(KnowledgeBase(()), path)
         doc = json.loads(path.read_text())
         doc["entries"] = [{"concept_id": "C1", "preferred_term": "weight", "expected_units": units}]
         path.write_text(json.dumps(doc))
         assert load_kb(path).by_id["C1"].expected_units == ("kg", "mmHg", "furlong")
+
+
+class TestConstructor:
+    def test_the_fields_are_the_arguments(self):
+        assert KnowledgeBase._fields == ("entries", "units")
+        assert not hasattr(KnowledgeBase, "build")
+
+    def test_replace_entries_rebuilds_every_table(self, mini_kb):
+        entry = KbEntry("X:1", "body weight", expected_units=("kilograms",))
+        kb = mini_kb._replace(entries=(entry,))
+        (canonical,) = kb.entries
+        assert canonical.expected_units == ("kg",)
+        assert kb.by_id == {"X:1": canonical}
+        assert kb.lookup_terms("body weight") == ((canonical, "body weight"),)
+        assert kb.lookup_terms("blood pressure") == ()
+        assert kb.first_words == {"body", "bodys"}
+
+    def test_units_holds_what_differs_from_the_built_in_table(self):
+        kb = KnowledgeBase((), {" Per  Cent ": "%", "TORR": "mmHg", "Cm H2O": "cmH2O"})
+        assert kb.units == {"torr": "mmHg", "cm h2o": "cmH2O"}
+        assert kb == KnowledgeBase((), {"torr": "mmHg", "cm h2o": "cmH2O", "mm hg": "mmHg"})
+        assert kb != KnowledgeBase((), {"torr": "mmHg"})
+        assert kb_to_dict(kb)["units"] == kb.units
+
+    def test_a_new_canonical_form_normalizes_to_itself(self):
+        kb = KnowledgeBase([KbEntry("C1", "pressure", expected_units=("cm h2o",))],
+                           {"cm h2o": "cmH2O"})
+        assert kb.normalize_unit("CMH2O") == kb.normalize_unit("cm  H2O") == "cmH2O"
+        assert kb.entries[0].expected_units == ("cmH2O",)
+        assert kb.units == {"cm h2o": "cmH2O"}
+
+    def test_canonical_form_that_normalizes_to_another_rejected(self):
+        # "40 kilograms" would read kg, and "40 kg" would read KG
+        with pytest.raises(MalformedKb) as info:
+            KnowledgeBase((), {"kg": "KG"})
+        assert str(info.value) == (
+            "unit 'kilogram' -> 'kg', but 'kg' -> 'KG': a canonical form must normalize"
+            " to itself"
+        )
+        with pytest.raises(MalformedKb, match="^unit 'pascal' -> 'PA', but 'PA' -> 'Pa'"):
+            KnowledgeBase((), {"torr": "Pa", "pascal": "PA"})
+        # every spelling of kg moved to KG: each canonical form is its own
+        moved = KnowledgeBase((), dict.fromkeys(("kg", "kilogram", "kilograms", "kgs"), "KG"))
+        assert moved.normalize_unit("kg") == moved.normalize_unit("kilograms") == "KG"
+
+    @pytest.mark.parametrize("units", [{1: "kg"}, {"kg": None}, ["kg"], "kg"])
+    def test_units_that_are_not_a_dict_of_str_rejected(self, units):
+        with pytest.raises(MalformedKb, match="^'units' must map variants to canonical strings$"):
+            KnowledgeBase((), units)
+
+    def test_entry_that_is_not_a_kb_entry_rejected(self):
+        with pytest.raises(MalformedKb, match=r"^entries\[1\] must be a KbEntry, got 'x'$"):
+            KnowledgeBase([KbEntry("C1", "x"), "x"])
+
+    def test_duplicate_concept_id_names_both_entries(self):
+        entries = [KbEntry("C1", "a"), KbEntry("C2", "b"), KbEntry("C1", "c")]
+        with pytest.raises(DuplicateConceptId) as info:
+            KnowledgeBase(entries)
+        assert str(info.value) == "entries[2]: duplicate concept_id: C1 (also entries[0])"
+        assert (info.value.first, info.value.second) == (0, 2)
+
+    def test_empty_concept_id_rejected_by_the_entry(self):
+        with pytest.raises(MalformedKb, match="^empty concept_id$"):
+            KbEntry("", "x")
+
+
+# Every way to make a KB must give one whose derived tables agree with its
+# entries: the constructor, _make, _replace of either field, unpickling,
+# load_kb, import_tsv, and mined candidates.
+BUNDLED_KB = load_kb(bundled_kb_path())
+PATH_TERMS = (
+    "blood pressure", "BP", "heart rate", "Heart-Rate", "body weight", "type 2 diabetes",
+    "ECG", "glucose", "drug", "drug abuse",
+)
+PATH_UNITS = (
+    "kg", "kilograms", "KG", " mm Hg", "mmHg", "torr", "TORR", "cm h2o", "cmH2O",
+    "furlong", "%", "per cent",
+)
+PATH_UNIT_TABLES = (
+    {}, {"torr": "mmHg"}, {"TORR ": "mmHg", "cm  H2O": "cmH2O"},
+    {"kg": "kg", "per cent": "%"}, {"furlong": "fur"},
+)
+
+
+@st.composite
+def path_entries(draw):
+    entries = []
+    for i, preferred in enumerate(draw(st.lists(st.sampled_from(PATH_TERMS), max_size=5))):
+        synonyms = draw(st.lists(st.sampled_from(PATH_TERMS), max_size=2, unique_by=term_key))
+        entries.append(KbEntry(
+            f"C{i}", preferred,
+            synonyms=tuple(t for t in synonyms if term_key(t) != term_key(preferred)),
+            expected_units=tuple(draw(st.lists(st.sampled_from(PATH_UNITS), max_size=4))),
+        ))
+    return entries
+
+
+def _entry_doc(entry):
+    return {"concept_id": entry.concept_id, "preferred_term": entry.preferred_term,
+            "synonyms": list(entry.synonyms), "expected_units": list(entry.expected_units)}
+
+
+def _via_load_kb(entries, units, tmp):
+    path = tmp / "kb.json"
+    path.write_text(json.dumps(
+        {"version": 1, "units": units, "entries": [_entry_doc(e) for e in entries]}
+    ))
+    return load_kb(path)
+
+
+def _via_import_tsv(entries, units, tmp):
+    # one row per concept id, as the slug of the term names it
+    rows = {_slug(e.preferred_term): e for e in entries}
+    path = tmp / "kb.tsv"
+    path.write_text("term\tvalue_range\tunits\n" + "".join(
+        f"{e.preferred_term}\t\t{','.join(e.expected_units)}\n" for e in rows.values()
+    ))
+    return import_tsv(path)
+
+
+def _via_mining(entries, units, tmp):
+    text = ". ".join(f"{e.preferred_term} of 5 {' '.join(e.expected_units[:1])}" for e in entries)
+    sentences = split_records(text, SplitMode.PARAGRAPHS)
+    return KnowledgeBase(mine_kb_candidates(sentences, KnowledgeBase((), units).normalize_unit),
+                         units)
+
+
+CONSTRUCTION_PATHS = {
+    "constructor": lambda entries, units, tmp: KnowledgeBase(entries, units),
+    "_make": lambda entries, units, tmp: KnowledgeBase._make((entries, units)),
+    "_replace entries": lambda entries, units, tmp: BUNDLED_KB._replace(entries=entries),
+    "_replace units": lambda entries, units, tmp: KnowledgeBase(entries)._replace(units=units),
+    "pickle": lambda entries, units, tmp: pickle.loads(pickle.dumps(KnowledgeBase(entries, units))),
+    "load_kb": _via_load_kb,
+    "import_tsv": _via_import_tsv,
+    "mined candidates": _via_mining,
+}
+
+
+def assert_consistent(kb):
+    """The derived tables of ``kb`` agree with its fields."""
+
+    assert [e.concept_id for e in kb.entries] == list(kb.by_id)
+    assert all(kb.by_id[e.concept_id] is e for e in kb.entries)
+    hits, stack = [], [kb.term_trie]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children.values())
+        for entry, term in node.hits:
+            assert kb.by_id[entry.concept_id] is entry
+            hits.append((entry.concept_id, term))
+            assert (entry, term) in kb.lookup_terms(term)
+    assert sorted(hits) == sorted((e.concept_id, t) for e in kb.entries for t in e.terms)
+    for entry in kb.entries:
+        assert len(set(entry.expected_units)) == len(entry.expected_units)
+        assert all(kb.normalize_unit(u) in (u, None) for u in entry.expected_units)
+    assert all(kb.normalize_unit(c) == c for c in kb.unit_table.values())
+    assert kb.units.items() <= kb.unit_table.items()
+    words = kb.term_trie.children
+    assert kb.first_words == set(words) | {w + "s" for w in words}
+    assert KnowledgeBase(kb.entries, kb.units) == kb
+
+
+class TestEveryConstructionPath:
+    @pytest.mark.parametrize("path", list(CONSTRUCTION_PATHS))
+    @given(entries=path_entries(), units=st.sampled_from(PATH_UNIT_TABLES))
+    @settings(max_examples=25, deadline=None)
+    def test_kb_is_consistent(self, path, entries, units):
+        with tempfile.TemporaryDirectory() as tmp:
+            kb = CONSTRUCTION_PATHS[path](entries, units, Path(tmp))
+        assert_consistent(kb)
+        if path in ("constructor", "_make", "_replace units", "pickle", "load_kb"):
+            assert kb == KnowledgeBase(entries, units)
 
 
 class TestNormalizeUnit:
@@ -280,7 +461,7 @@ class TestNormalizeUnit:
         assert kb.normalize_unit(" ") is None
 
     def test_whitespace_expected_unit_matches(self):
-        kb = KnowledgeBase.build(
+        kb = KnowledgeBase(
             [KbEntry("C1", "pressure", expected_units=(" mm Hg",))]
         )
         entry = kb.by_id.get("C1")
@@ -292,7 +473,7 @@ class TestNormalizeUnit:
         assert terms(entry, attribute)[1] == 1.0  # unit term matches
 
     def test_every_table_key_is_its_own_unit_key(self):
-        kb = KnowledgeBase.build((), extra_units={" Per  Cent ": "%", "TORR": "mmHg"})
+        kb = KnowledgeBase((), units={" Per  Cent ": "%", "TORR": "mmHg"})
         assert DEFAULT_UNIT_TABLE.items() <= kb.unit_table.items()
         assert all(unit_key(k) == k for k in kb.unit_table)
 
@@ -330,7 +511,7 @@ class TestLookup:
         assert mini_kb.lookup_terms("xyzzy") == ()
 
     def test_terms_with_irregular_whitespace_match(self):
-        kb = KnowledgeBase.build([KbEntry("C1", "blood  pressure", synonyms=("BP ",))])
+        kb = KnowledgeBase([KbEntry("C1", "blood  pressure", synonyms=("BP ",))])
         for phrase in ("blood pressure", "blood  pressure", " Blood\tPressure", "BP"):
             assert [e.concept_id for e in entries_of(kb, phrase)] == ["C1"], phrase
         sentence = split_records(
@@ -359,7 +540,7 @@ class TestLookup:
         assert term_key("  ") == ()
 
     def test_terms_of_any_token_shape_look_up(self):
-        kb = KnowledgeBase.build([KbEntry("C1", "type 2 diabetes", synonyms=("BP (x)",))])
+        kb = KnowledgeBase([KbEntry("C1", "type 2 diabetes", synonyms=("BP (x)",))])
         for phrase in ("TYPE 2  diabetes", "bp(X)", " BP ( x ) "):
             assert [e.concept_id for e in entries_of(kb, phrase)] == ["C1"], phrase
         assert kb.lookup_terms("type 2") == ()
@@ -490,6 +671,18 @@ class TestImportTsv:
         assert str(info.value).startswith(f"{path}:2: LOCAL:")
 
 
+    def test_duplicate_concept_id_names_both_lines(self, tmp_path):
+        # both terms slug to the id LOCAL:blood-pressure
+        path = tmp_path / "kb.tsv"
+        path.write_text(
+            "term\tvalue_range\tunits\nblood pressure\t\tmmHg\n\nBlood-Pressure\t\t\n"
+        )
+        with pytest.raises(DuplicateConceptId) as info:
+            import_tsv(path)
+        assert str(info.value) == (
+            f"{path}:4: duplicate concept_id: LOCAL:blood-pressure (also line 2)"
+        )
+
     def test_file_that_is_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_bytes(b"term\tvalue_range\tunits\nheight\xff\t\tcm\n")
@@ -542,7 +735,7 @@ class TestMining:
         assert [c.concept_id for c in mine_kb_candidates(sentences)] == ["LOCAL:change"]
 
     def test_kb_unit_spelling_is_mined_as_the_unit(self):
-        kb = KnowledgeBase.build((), extra_units={"torr": "mmHg"})
+        kb = KnowledgeBase((), units={"torr": "mmHg"})
         sentences = self._sentences("Pressure of 140 Torr", SplitMode.LINES)
         (builtin,) = mine_kb_candidates(sentences)
         assert (builtin.concept_id, builtin.expected_units) == ("LOCAL:pressure", ())
@@ -552,12 +745,12 @@ class TestMining:
         )
 
     def test_kb_unit_spelling_ends_the_noun_phrase(self):
-        kb = KnowledgeBase.build((), extra_units={"torr": "mmHg"})
+        kb = KnowledgeBase((), units={"torr": "mmHg"})
         sentences = self._sentences("Pressure Torr of 140", SplitMode.LINES)
         assert [c.concept_id for c in mine_kb_candidates(sentences)] == ["LOCAL:pressure-torr"]
         assert mine_kb_candidates(sentences, kb.normalize_unit) == []
 
     def test_candidates_load_as_knowledge_base(self, paragraph_two):
         candidates = mine_kb_candidates(self._sentences(paragraph_two))
-        kb = KnowledgeBase.build(candidates)
+        kb = KnowledgeBase(candidates)
         assert kb_to_dict(kb)["version"] == 1

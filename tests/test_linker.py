@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from critex.attributes import AttributeKind, AttributeMention, Comparator
 from critex.entities import EntityMention
-from critex.errors import UnknownConcept
 from critex.kb import Category, CompatibilityWeights, KbEntry, KnowledgeBase, ValuePattern
 from critex import linker
 from critex.linker import _Competitors, _first_weighted, _mix, _p_sup, _pick, relation_label
@@ -71,7 +70,7 @@ def competing_pairs(entities, attributes, cross_sentence=False):
     """(entity, attribute) pairs that compete, attribute-major, as the pipeline selects them."""
 
     config = PipelineConfig(cross_sentence=cross_sentence)
-    competitors = _Competitors(SENTENCES, entities, KnowledgeBase.build(()), config, None)
+    competitors = _Competitors(SENTENCES, entities, KnowledgeBase(()), config, None)
     return [(e, a) for a in attributes
             for e in oracles.competitors_of(competitors, a)[0]]
 
@@ -110,7 +109,7 @@ class TestGenerateCandidates:
 
 
 class TestPSup:
-    KB = KnowledgeBase.build([
+    KB = KnowledgeBase([
         KbEntry(concept_id="LOCAL:e0", preferred_term="blood pressure",
                 expected_units=("mmHg",), value_min=40, value_max=300,
                 value_pattern=ValuePattern.RATIO, category=Category.MEASUREMENT),
@@ -134,21 +133,12 @@ class TestPSup:
         assert probs == [1.0]
 
     def test_neutral_equal_compatibilities_split_evenly(self):
-        kb = KnowledgeBase.build([
+        kb = KnowledgeBase([
             KbEntry(concept_id="LOCAL:e0", preferred_term="a"),
             KbEntry(concept_id="LOCAL:e1", preferred_term="b"),
         ])
         qualifier = make_attr(0, kind=AttributeKind.QUALIFIER)
         assert sup_list(qualifier, self.PAIR, kb) == pytest.approx([0.5, 0.5])
-
-    def test_unknown_concept(self):
-        with pytest.raises(UnknownConcept):
-            _p_sup(make_attr(0), ["LOCAL:e9"], self.KB, CompatibilityWeights())
-
-    def test_first_unknown_concept_is_reported(self):
-        concepts = [f"LOCAL:e{i}" for i in (0, 7, 0, 8)]
-        with pytest.raises(UnknownConcept, match="LOCAL:e7 "):
-            _p_sup(make_attr(0), concepts, self.KB, CompatibilityWeights())
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -156,7 +146,7 @@ class TestPSup:
         # concepts repeat across candidates, as when many mentions of one
         # concept compete for an attribute
         rng = random.Random(seed)
-        kb = KnowledgeBase.build([
+        kb = KnowledgeBase([
             KbEntry(concept_id="LOCAL:e0", preferred_term="a",
                     expected_units=("mmHg",), value_min=40, value_max=300,
                     value_pattern=ValuePattern.RATIO),

@@ -23,7 +23,7 @@ from critex.attributes import (
 )
 from critex.cli import main
 from critex.entities import EntityMention, link_abbreviations, recognize_entities
-from critex.errors import CritexError, ParseMismatch, UnknownConcept
+from critex.errors import CritexError, ParseMismatch
 from critex.floats import left_sum
 from critex.io_eval import to_json
 from critex.kb import KbEntry, KnowledgeBase, compatibility_terms
@@ -114,7 +114,7 @@ class TestCandidateCount:
 
 
 class TestCrossSentence:
-    KB = KnowledgeBase.build(
+    KB = KnowledgeBase(
         [KbEntry(concept_id="LOCAL:hr", preferred_term="heart rate")]
     )
     TEXT = "heart rate was recorded\nwithin three days"
@@ -270,7 +270,7 @@ class TestPublicSurface:
         "MalformedPrediction", "MalformedText", "MatchMode", "ParseMismatch",
         "PipelineConfig", "RecordMismatch", "Relation", "RelationPair",
         "SentenceRecord", "SpanMismatch", "SplitMode", "StructuredRecord",
-        "TimeUnit", "Token", "TokenShape", "UnknownConcept", "ValuePattern",
+        "TimeUnit", "Token", "TokenShape", "ValuePattern",
         "annotate_record", "attribute_shape", "bundled_kb_path",
         "compatibility_terms", "evaluate", "extract_attributes", "from_json",
         "import_tsv", "link_abbreviations", "load_kb", "mine_kb_candidates",
@@ -285,7 +285,7 @@ class TestPublicSurface:
             assert getattr(critex, name) is not None, name
 
     def test_exported_names_are_pinned(self):
-        assert len(self.EXPORTED) == 57
+        assert len(self.EXPORTED) == 56
         assert sorted(critex.__all__) == self.EXPORTED
 
     @pytest.mark.parametrize("module, name", [
@@ -299,6 +299,7 @@ class TestPublicSurface:
         ("kb", "score_compatibility"),
         ("kb", "CompatibilityScore"),
         ("syntax", "p_dep"),
+        ("errors", "UnknownConcept"),
     ])
     def test_removed_names_are_gone(self, module, name):
         assert name not in critex.__all__
@@ -310,7 +311,7 @@ class TestPublicSurface:
         # table's function stays internal to KB construction and mining
         assert "normalize_unit" not in critex.__all__
         assert not hasattr(critex, "normalize_unit")
-        assert critex.KnowledgeBase.build(()).normalize_unit("mm Hg") == "mmHg"
+        assert critex.KnowledgeBase(()).normalize_unit("mm Hg") == "mmHg"
         assert not hasattr(critex.TokenShape, "UNIT_LIKE")
         assert len(critex.TokenShape) == 6
 
@@ -395,7 +396,7 @@ class TestCrossSentenceOracles:
 
         e = EntityMention(i, *span(i), "e", "LOCAL:e", "e")
         a = AttributeMention(j, *span(j), "a", AttributeKind.QUALIFIER)
-        competitors = _Competitors(sentences, [e], KnowledgeBase.build(()), CROSS_CONFIG, None)
+        competitors = _Competitors(sentences, [e], KnowledgeBase(()), CROSS_CONFIG, None)
         expected = oracles.cross_sentence_distance(sentences, e, a, 5.0)
         assert oracles.competitors_of(competitors, a) == ([e], [expected])
 
@@ -491,19 +492,6 @@ def _random_parses(sentences, rng):
     return parses[: rng.randint(0, len(parses))] if rng.random() < 0.3 else parses
 
 
-def _without(kb, concepts):
-    """``kb`` whose linker no longer knows ``concepts``; the scan still finds them."""
-
-    return kb._replace(by_id={k: v for k, v in kb.by_id.items() if k not in concepts})
-
-
-def _outcome(run, text, kb, config, parses=None):
-    try:
-        return run(text, kb, config, parses)
-    except UnknownConcept as exc:
-        return str(exc)
-
-
 class TestLinkerChainOracle:
     """The per-attribute linker equals the candidate-object chain it replaced."""
 
@@ -538,26 +526,12 @@ class TestLinkerChainOracle:
             assert any(r[3] == float.hex(score) for r in kept)
             assert _relation_rows(text, kb, config, parses) == kept
 
-    @given(
-        text=tie_heavy_texts(),
-        cross_sentence=st.booleans(),
-        dropped=st.sets(st.sampled_from(("C0005823", "C0013798", "C0018810", "C0005802")),
-                        min_size=1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_unknown_concept_raised_alike(self, mini_kb, text, cross_sentence, dropped):
-        kb = _without(mini_kb, dropped)
-        config = PipelineConfig(mode=SplitMode.PARAGRAPHS, cross_sentence=cross_sentence)
-        expected = _outcome(_oracle_rows, text, kb, config)
-        assert _outcome(_relation_rows, text, kb, config) == expected
-
 
 # Records whose sentences hold 0, 1 or 2 entity mentions.  Under
 # ``held_kb``, "12-lead ECG" and "resting heart rate" are lone mentions that
 # hold their sentence's qualifier.
 LONE_ENTITIES = ("blood pressure", "ECG", "heart rate", "glucose", "12-lead ECG",
                  "resting heart rate")
-LONE_CONCEPTS = ("C0005823", "C0013798", "C0018810", "C0005802", "LOCAL:ecg12", "LOCAL:rhr")
 LONE_FILLER = ("was", "x", "and", ",")
 
 
@@ -594,25 +568,20 @@ class TestLoneCompetitor:
         min_score=st.sampled_from((0.0, 0.2, 0.6, 1.0)),
         with_parses=st.booleans(),
         held=st.booleans(),
-        dropped=st.one_of(
-            st.just(frozenset()), st.frozensets(st.sampled_from(LONE_CONCEPTS), min_size=1,
-                                                max_size=2)
-        ),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_chain_bit_for_bit(
         self, mini_kb, held_kb, text, mode, cross_sentence, theta, min_score, with_parses,
-        held, dropped, seed,
+        held, seed,
     ):
-        kb = _without(held_kb if held else mini_kb, dropped)
+        kb = held_kb if held else mini_kb
         parses = None
         if with_parses:
             parses = _random_parses(split_records(text, mode), random.Random(seed))
         config = PipelineConfig(mode=mode, cross_sentence=cross_sentence, theta=theta,
                                 min_score=min_score)
-        expected = _outcome(_oracle_rows, text, kb, config, parses)
-        assert _outcome(_relation_rows, text, kb, config, parses) == expected
+        assert _relation_rows(text, kb, config, parses) == _oracle_rows(text, kb, config, parses)
 
     @given(theta=st.floats(0.0, 1.0))
     def test_lone_score_is_one_for_every_theta(self, theta):
@@ -628,14 +597,6 @@ class TestLoneCompetitor:
         assert [a["surface"] for a in record.extended["unlinked_attributes"]] == ["12-lead"]
         assert _relation_rows("12-lead ECG", held_kb, config) == []
         assert _oracle_rows("12-lead ECG", held_kb, config) == []
-
-    def test_unknown_lone_concept_raises_the_p_sup_message(self, mini_kb):
-        kb = _without(mini_kb, {"C0013798"})
-        with pytest.raises(UnknownConcept, match=r"^concept C0013798 not in knowledge base$"):
-            annotate_record("r", self.TEXT, kb, PARAGRAPH_CONFIG)
-        assert _outcome(_oracle_rows, self.TEXT, kb, PARAGRAPH_CONFIG) == (
-            "concept C0013798 not in knowledge base"
-        )
 
     @pytest.mark.parametrize(
         "text, cross_sentence, with_parses",

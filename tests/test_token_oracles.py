@@ -39,7 +39,7 @@ from critex.segmentation import (
 from critex.syntax import ClauseIndex, heuristic_distance
 
 BUNDLED_KB = load_kb(bundled_kb_path())
-BUILTIN_UNITS_KB = KnowledgeBase.build(())  # no entries, the built-in unit table
+BUILTIN_UNITS_KB = KnowledgeBase(())  # no entries, the built-in unit table
 
 KB_WORDS = sorted({w for e in BUNDLED_KB.entries for t in e.terms for w in t.split()})
 GRAMMAR_WORDS = sorted(
@@ -111,7 +111,7 @@ def drawn_kb(draw, terms=TERM):
                 category=draw(st.sampled_from((Category.MEASUREMENT, Category.OTHER))),
             )
         )
-    return KnowledgeBase.build(entries)
+    return KnowledgeBase(entries)
 
 
 def kb_for(text):
@@ -144,7 +144,7 @@ def dense_kb(text):
 
     words = _words_of(text)
     runs = [" ".join(words[i : i + n]) for n in (1, 2, 3) for i in range(len(words) - n + 1)]
-    return KnowledgeBase.build(KbEntry(f"D{k}", run) for k, run in enumerate(runs))
+    return KnowledgeBase(KbEntry(f"D{k}", run) for k, run in enumerate(runs))
 
 
 def fold_only_kb(text):
@@ -182,13 +182,13 @@ class TestEntityScan:
             assert recognize_entities(sentence, kb) == oracles.recognize_entities(sentence, kb)
 
     def test_first_words_hold_each_opening_word_and_its_plural(self):
-        kb = KnowledgeBase.build(
+        kb = KnowledgeBase(
             [KbEntry("C1", "Blood pressure"), KbEntry("C2", "drug", synonyms=("drug abuse",))]
         )
         assert kb.first_words == {"blood", "bloods", "drug", "drugs"}
-        # derived by any constructor, not only build
-        same = KnowledgeBase(kb.entries, kb.term_trie, kb.unit_table, kb.by_id)
-        assert same.first_words == kb.first_words
+        # derived from the entries by every constructor
+        assert KnowledgeBase._make(kb._asdict().values()).first_words == kb.first_words
+        assert kb._replace(entries=kb.entries[1:]).first_words == {"drug", "drugs"}
         assert BUILTIN_UNITS_KB.first_words == frozenset()
 
     def test_plural_fold_matches_oracle_rule(self):
@@ -198,7 +198,7 @@ class TestEntityScan:
         letters = ("a", "s", "S")
         words = ["".join(p) for n in range(2, 6) for p in itertools.product(letters, repeat=n)]
         for word in words:
-            kb = KnowledgeBase.build(
+            kb = KnowledgeBase(
                 [KbEntry("C1", word[:-1]), KbEntry("C2", "b " + word[:-1])]
             )
             for text in (word, "b " + word):

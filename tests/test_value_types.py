@@ -405,7 +405,7 @@ def test_indented_output_is_json_dumps_and_leaves_no_cycle(indent):
 # The value types that are not per-record tuples: immutable ones with slots
 # (read per competitor, or holding derived state), mutable ones with slots,
 # and the rest, named tuples.
-SLOTTED_KB = KnowledgeBase.build([KbEntry("LOCAL:bp", "blood pressure", ("BP",), ("mmHg",))])
+SLOTTED_KB = KnowledgeBase([KbEntry("LOCAL:bp", "blood pressure", ("BP",), ("mmHg",))])
 FROZEN = {
     KbEntry: KbEntry("LOCAL:bp", "blood pressure", ("BP",), ("mmHg",), 60, 250),
     CompatibilityWeights: CompatibilityWeights(0.5, 0.3, 0.2),
@@ -447,8 +447,8 @@ class TestFrozenSlottedContract:
 def test_kb_first_words_are_derived_by_every_constructor():
     kb = SLOTTED_KB
     assert kb.first_words == {"blood", "bloods", "bp", "bps"}
-    other = KnowledgeBase.build([KbEntry("LOCAL:hr", "heart rate")])
-    for built in (kb._replace(term_trie=other.term_trie), KnowledgeBase(*other._asdict().values())):
+    other = (KbEntry("LOCAL:hr", "heart rate"),)
+    for built in (kb._replace(entries=other), KnowledgeBase._make((other, {}))):
         assert built.first_words == {"heart", "hearts"}
     assert pickle.loads(pickle.dumps(kb)).first_words == kb.first_words
     assert "first_words" not in kb._asdict()
